@@ -15,6 +15,6 @@ from .integrals import boys_f0, eri_cross, eri_quartet, overlap
 from .oracle import compare, dense_exchange, dense_exchange_screened
 from .quadtree import (MatrixQuadtree, Partition, ShellPairNode, Span,
                        build_matrix_tree, build_pair_tree, build_partition,
-                       shell_overlap_matrix, transpose_view)
+                       shell_overlap_matrix)
 
 __version__ = "0.1.0"

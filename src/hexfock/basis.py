@@ -150,17 +150,14 @@ def _sample_in_sphere(rng: SplitMix64, radius: float) -> np.ndarray:
             return v
 
 
-def generate_cluster(n_molecules: int, seed: int, model: str = "water_like") -> BasisSystem:
-    """Deterministic synthetic cluster at roughly STP water number density.
+def generate_cluster(n_molecules: int, seed: int) -> BasisSystem:
+    """Deterministic synthetic water-like cluster at roughly STP number density.
 
-    water_like: heavy centers packed with a minimum separation of 4 Bohr,
-    each with two light satellites at 1.81 Bohr and a 104.5 degree angle.
-    uniform_blob: heavy centers placed uniformly in the same sphere.
+    Heavy centers are packed with a minimum separation of 4 Bohr, each with
+    two light satellites at 1.81 Bohr and a 104.5 degree angle.
     """
     if n_molecules < 1:
         raise InvalidArgumentError("n_molecules must be >= 1")
-    if model not in ("water_like", "uniform_blob"):
-        raise InvalidArgumentError(f"unknown cluster model {model!r}")
     rng = SplitMix64(seed)
     volume = n_molecules / WATER_NUMBER_DENSITY
     radius = (3.0 * volume / (4.0 * math.pi)) ** (1.0 / 3.0)
@@ -169,8 +166,6 @@ def generate_cluster(n_molecules: int, seed: int, model: str = "water_like") -> 
     while len(centers) < n_molecules:
         for _ in range(100000):
             cand = _sample_in_sphere(rng, radius)
-            if model == "uniform_blob":
-                break
             if all(np.linalg.norm(cand - c) >= MIN_HEAVY_SEPARATION for c in centers):
                 break
         else:
@@ -180,10 +175,6 @@ def generate_cluster(n_molecules: int, seed: int, model: str = "water_like") -> 
 
     atoms, shells = [], []
     for ctr in centers:
-        if model == "uniform_blob":
-            atoms.append(Atom("O", ctr))
-            shells.extend(_shells_for("O", ctr, DEFAULT_SHELL_TABLE))
-            continue
         e1 = rng.unit_vector()
         raw = rng.unit_vector()
         e2 = raw - np.dot(raw, e1) * e1

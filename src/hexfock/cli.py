@@ -21,8 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .basis import (InvalidArgumentError, generate_cluster, hilbert_order,
-                    load_xyz)
+from .basis import (FormatError, InvalidArgumentError, UnsupportedElementError,
+                    generate_cluster, hilbert_order, load_xyz)
 from .density import DEFAULT_GAMMA, DensityModel, build_density
 from .exchange_naive import build_exchange_naive
 from .exchange_symmetry import CASE_LABELS, build_exchange_symmetric
@@ -30,7 +30,7 @@ from .oracle import compare, dense_exchange, dense_exchange_screened
 from .quadtree import (DEFAULT_LEAF_SIZE, build_matrix_tree, build_pair_tree,
                        build_partition)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MODES = ("naive", "symmetry", "dense", "dense-screened")
 BOUND_MODES = ("schwarz", "literal")
 ORDERINGS = ("hilbert", "input")
@@ -55,7 +55,6 @@ class RunConfig:
     bound: str = "schwarz"
     order: str = "hilbert"
     seed: int = DEFAULT_SEED
-    threads: int = 1
     reference: str | None = None
     out: str | None = None
 
@@ -78,8 +77,6 @@ class RunConfig:
         if self.order not in ORDERINGS:
             raise InvalidArgumentError(
                 f"--order must be one of {ORDERINGS}, got {self.order!r}")
-        if self.threads < 1:
-            raise InvalidArgumentError("--threads must be >= 1")
         _parse_system_spec(self.system)
         _parse_density_spec(self.density)
 
@@ -144,7 +141,7 @@ def _build_inputs(config: RunConfig, n_override: int | None = None):
         n_molecules = None
         try:
             system = load_xyz(arg)
-        except OSError as exc:
+        except (OSError, FormatError, UnsupportedElementError) as exc:
             raise InvalidArgumentError(f"--system xyz: {exc}") from exc
     model = _parse_density_spec(config.density)
     if model.kind == "file":
@@ -180,12 +177,10 @@ def _execute(config: RunConfig, mode: str, system, P):
     P_tree = build_matrix_tree(P, partition)
     if mode == "naive":
         K, counters = build_exchange_naive(
-            pairs, pairs, P_tree, config.tau_2e, mode=config.bound,
-            threads=config.threads)
+            pairs, pairs, P_tree, config.tau_2e, mode=config.bound)
         return K, counters.to_dict(), {label: 0 for label in CASE_LABELS}
     K, counters = build_exchange_symmetric(
-        pairs, P_tree, config.tau_2e, mode=config.bound,
-        threads=config.threads)
+        pairs, P_tree, config.tau_2e, mode=config.bound)
     d = counters.to_dict()
     return K, d, d["case_tasks"]
 
@@ -298,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", default=f"exp:gamma={DEFAULT_GAMMA}",
                    help="exp:gamma=G or file:PATH")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--reference", default=None, choices=MODES,
                    help="also run this mode and report a comparison")
     p.add_argument("--out", default=None,
@@ -314,7 +308,7 @@ def main(argv=None) -> int:
         system=args.system, density=args.density, tau_2e=args.tau_2e,
         tau_ovlp=args.tau_ovlp, leaf_size=args.leaf_size, mode=args.mode,
         bound=args.bound, order=args.order, seed=args.seed,
-        threads=args.threads, reference=args.reference, out=args.out)
+        reference=args.reference, out=args.out)
     try:
         config.validate()
         sizes = _parse_sizes(args.series) if args.series is not None else None

@@ -56,11 +56,16 @@ def load_density_file(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens:
         raise InvalidArgumentError("empty density file")
-    n = int(tokens[0])
-    vals = np.asarray([float(t) for t in tokens[1:]])
+    try:
+        n = int(tokens[0])
+        vals = np.asarray([float(t) for t in tokens[1:]])
+    except ValueError as exc:
+        raise InvalidArgumentError(f"density file: {exc}") from None
     if vals.size != n * n:
         raise InvalidArgumentError(
             f"density file declares N={n} but holds {vals.size} values")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidArgumentError("density file holds NaN or infinite values")
     p = vals.reshape(n, n)
     return 0.5 * (p + p.T)
 

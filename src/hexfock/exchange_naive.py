@@ -1,19 +1,24 @@
-"""Naive hextree recursion for the exchange matrix, without permutational
-symmetry.
+"""Hextree traversal engine for the exchange matrix, and its naive driver.
 
-Each task is a (bra pair node, density node, ket pair node) triple; it is
-culled when the blocked Almlof-Ahlrichs bound falls below tau_2e or when any
-participating node is absent or overlap-pruned, and otherwise expands into
-the 16 child triples of the blocked contraction. Leaf tasks contract dense
-ERI blocks into K.
+A task is a (bra pair node, ket pair node) pair carrying one or more density
+links. Each link is a slot (transpose_bra, transpose_ket) plus the density
+node it points at: slot (False, False) contracts P[nu,lam] into K[mu,sig],
+and a transposed side swaps that pair's two indices in both the density
+gather and the K sink. A task is culled when a pair node is overlap-pruned,
+or when every link is absent or fails the blocked Almlof-Ahlrichs bound;
+otherwise it expands into the child tasks of the blocked contraction, each
+surviving link following its own density child. Leaf tasks screen every
+link per quartet, evaluate the ERIs once over the union of kept quartets
+and scatter each link into its K block.
+
+The naive driver is this engine with one untransposed link over all ordered
+pairs; exchange_symmetry runs it with four links over canonical pairs.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,31 +43,7 @@ class TraversalCounters:
     culled_bound_ledger: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "tasks_visited": self.tasks_visited,
-            "tasks_culled_screening": self.tasks_culled_screening,
-            "tasks_culled_absent": self.tasks_culled_absent,
-            "leaf_contractions": self.leaf_contractions,
-            "eri_shell_quartets": self.eri_shell_quartets,
-            "quartets_culled_leaf": self.quartets_culled_leaf,
-            "tasks_expanded": self.tasks_expanded,
-            "children_spawned": self.children_spawned,
-            "culled_bound_ledger": self.culled_bound_ledger,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def merge(self, other: "TraversalCounters") -> None:
-        self.tasks_visited += other.tasks_visited
-        self.tasks_culled_screening += other.tasks_culled_screening
-        self.tasks_culled_absent += other.tasks_culled_absent
-        self.leaf_contractions += other.leaf_contractions
-        self.eri_shell_quartets += other.eri_shell_quartets
-        self.quartets_culled_leaf += other.quartets_culled_leaf
-        self.tasks_expanded += other.tasks_expanded
-        self.children_spawned += other.children_spawned
-        self.culled_bound_ledger += other.culled_bound_ledger
+        return asdict(self)
 
 
 def _sorted_product(a: float, b: float, c: float) -> float:
@@ -102,139 +83,183 @@ def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
     return 0.5 * p_norm * math.sqrt(max(bra_sum, 0.0)) * math.sqrt(max(ket_sum, 0.0))
 
 
-def _check_same_partition(bra, ket, p):
+def check_driver_args(bra, ket, p, tau_2e: float, mode: str) -> None:
+    """Reject a negative threshold, an unknown bound or mismatched trees."""
+    if tau_2e < 0.0:
+        raise InvalidArgumentError("tau_2e must be non-negative")
+    if mode not in ("schwarz", "literal"):
+        raise InvalidArgumentError(f"unknown screening mode {mode!r}")
     roots = {id(bra.row), id(bra.col), id(ket.row), id(ket.col), id(p.row), id(p.col)}
     if len(roots) != 1:
         raise InvalidArgumentError("bra, ket and P must be built over the same partition")
 
 
-class _NaiveTraversal:
-    """One traversal's mutable state: its K accumulator and counters."""
+def _child_keys(node: ShellPairNode, canonical: bool):
+    nr = len(node.row.children())
+    nc = len(node.col.children())
+    if canonical and node.row is node.col:
+        return [(a, b) for a in range(nr) for b in range(a, nc)]
+    return [(a, b) for a in range(nr) for b in range(nc)]
 
-    def __init__(self, n: int, tau_2e: float, mode: str,
-                 evaluate: bool, want_log: bool):
+
+class Traversal:
+    """One traversal's K accumulator and counters, and how it walks.
+
+    ``canonical`` restricts both sides to canonical (upper-triangular) child
+    keys and leaf pairs. ``case_label(b, k)``, when given, labels each
+    surviving task whose links are all present (any absent link makes it
+    SPARSE) and turns on the per-link and per-case tallies, which need
+    SymmetryCounters. ``quartet_log``, when given, collects every evaluated
+    shell quartet.
+    """
+
+    def __init__(self, n: int, tau_2e: float, mode: str, evaluate: bool,
+                 counters: TraversalCounters, canonical: bool = False,
+                 case_label=None, quartet_log: list | None = None):
         self.K = np.zeros((n, n))
-        self.c = TraversalCounters()
+        self.c = counters
         self.tau_2e = tau_2e
-        self.mode = mode
+        self.schwarz = mode == "schwarz"
         self.evaluate = evaluate
-        self.qlog = [] if want_log else None
-        self.spawn = None  # set to a list to defer depth-1 tasks to workers
+        self.canonical = canonical
+        self.case_label = case_label
+        self.qlog = quartet_log
 
-    def visit(self, b, p, k, depth=1):
+    def visit(self, b, k, links):
         c = self.c
         c.tasks_visited += 1
-        if b is None or p is None or k is None or b.pruned or k.pruned:
+        if b.pruned or k.pruned:
             c.tasks_culled_absent += 1
             return
-        if screening_test(b.diag_norm, p.norm, k.diag_norm, self.tau_2e, self.mode):
-            c.tasks_culled_screening += 1
-            c.culled_bound_ledger += culled_task_bound(b, p.norm, k)
+        if self.schwarz:
+            fb = math.sqrt(b.diag_norm)
+            fk = math.sqrt(k.diag_norm)
+        else:
+            fb = b.diag_norm
+            fk = k.diag_norm
+        live = []
+        n_absent = n_screened = 0
+        for link in links:
+            tb, tk, ref = link
+            if ref is None:
+                n_absent += 1
+            elif _sorted_product(fb, ref.norm, fk) <= self.tau_2e:
+                n_screened += 1
+                c.culled_bound_ledger += culled_task_bound(b, ref.norm, k, tb, tk)
+            else:
+                live.append(link)
+        if self.case_label is not None:
+            c.links_culled_absent += n_absent
+            c.links_culled_screening += n_screened
+        if not live:
+            if n_screened:
+                c.tasks_culled_screening += 1
+            else:
+                c.tasks_culled_absent += 1
             return
-        if b.is_leaf and k.is_leaf:
+        at_leaf = b.is_leaf and k.is_leaf
+        if self.case_label is not None:
+            label = "SPARSE" if n_absent else self.case_label(b, k)
+            c.case_tasks[label] += 1
+            if at_leaf:
+                c.case_leaf_tasks[label] += 1
+        if at_leaf:
             c.leaf_contractions += 1
-            self._contract(b, p, k)
+            self._contract(b, k, live)
             return
         c.tasks_expanded += 1
-        n_a = len(b.row.children())
-        n_c = len(b.col.children())
-        n_d = len(k.row.children())
-        n_b = len(k.col.children())
-        # fixed child order (bra, then P, then ket) for deterministic fp sums
-        for a in range(n_a):
-            for cc in range(n_c):
-                bch = b.child(a, cc)
-                for d in range(n_d):
-                    pch = p.child(cc, d)
-                    for bb in range(n_b):
-                        c.children_spawned += 1
-                        if self.spawn is not None and depth == 0:
-                            self.spawn.append((bch, pch, k.child(d, bb)))
-                        else:
-                            self.visit(bch, pch, k.child(d, bb), depth + 1)
+        kkeys = _child_keys(k, self.canonical)
+        # fixed child order (bra, then ket) for deterministic fp sums; links
+        # that died here are dropped, while an absent density child stays
+        # as None so the child task counts it
+        for a, cc in _child_keys(b, self.canonical):
+            bch = b.child(a, cc)
+            for d, bb in kkeys:
+                c.children_spawned += 1
+                self.visit(bch, k.child(d, bb), [
+                    (tb, tk, ref.child(a if tb else cc, bb if tk else d))
+                    for tb, tk, ref in live])
 
-    def _contract(self, b, p, k):
-        """Leaf task: per-quartet screening, then block ERI contraction.
+    def _contract(self, b, k, live):
+        """Leaf task: per-link per-quartet screening, ERI evaluation over the
+        union of kept quartets, then one scatter per link.
 
         The per-quartet test is the conventional direct-SCF form of the
         blocked bound; it keeps tau_2e's meaning at quartet granularity and
         makes the quartet counter independent of leaf blocking.
         """
         c = self.c
-        A = leaf_cache(b)
-        B = leaf_cache(k)
+        A = leaf_cache(b, canonical=self.canonical)
+        B = leaf_cache(k, canonical=self.canonical)
         ma, mb = A["pd"].n_pairs, B["pd"].n_pairs
-        if self.mode == "schwarz":
+        if self.schwarz:
             fb, fk = np.sqrt(A["q"]), np.sqrt(B["q"])
         else:
             fb, fk = A["q"], B["q"]
-        pg = p.leaf[np.ix_(A["j_rel"], B["i_rel"])]
-        bound = (fb[:, None] * np.abs(pg)) * fk[None, :]
-        keep = bound > self.tau_2e
-        nkeep = int(keep.sum())
+        kept = []
+        union = None
+        for tb, tk, ref in live:
+            pg = ref.leaf[np.ix_(A["i_rel"] if tb else A["j_rel"],
+                                 B["j_rel"] if tk else B["i_rel"])]
+            bound = (fb[:, None] * np.abs(pg)) * fk[None, :]
+            keep = bound > self.tau_2e
+            kept.append((tb, tk, pg, keep))
+            union = keep if union is None else union | keep
+            ncull = ma * mb - int(np.count_nonzero(keep))
+            if ncull:
+                c.quartets_culled_leaf += ncull
+                if not self.schwarz:
+                    bound = (np.sqrt(A["q"])[:, None] * np.abs(pg)) \
+                        * np.sqrt(B["q"])[None, :]
+                c.culled_bound_ledger += 0.5 * float(bound[~keep].sum())
+        nkeep = int(np.count_nonzero(union))
         c.eri_shell_quartets += nkeep
-        if nkeep < ma * mb:
-            c.quartets_culled_leaf += ma * mb - nkeep
-            if self.mode == "schwarz":
-                sb = bound
-            else:
-                sb = (np.sqrt(A["q"])[:, None] * np.abs(pg)) * np.sqrt(B["q"])[None, :]
-            c.culled_bound_ledger += 0.5 * float(sb[~keep].sum())
         if not self.evaluate or nkeep == 0:
             return
         if nkeep == ma * mb:
             e = eri_cross(A["pd"], B["pd"])
         else:
-            ia, ib = np.nonzero(keep)
+            ia, ib = np.nonzero(union)
             e = np.zeros((ma, mb))
             e[ia, ib] = eri_elementwise(A["pd"], B["pd"], ia, ib)
-        self.K[b.row.fn_lo:b.row.fn_hi, k.col.fn_lo:k.col.fn_hi] += \
-            A["ri"].T @ (-0.5 * e * pg) @ B["rj"]
         if self.qlog is not None:
-            ia, ib = np.nonzero(keep)
+            ia, ib = np.nonzero(union)
             self.qlog.extend(zip(
                 A["pd"].i_shell[ia].tolist(), A["pd"].j_shell[ia].tolist(),
                 B["pd"].i_shell[ib].tolist(), B["pd"].j_shell[ib].tolist()))
+        base = -0.5 * e
+        for tb, tk, pg, keep in kept:
+            w = base * pg
+            if keep is not union:  # e is already zero outside the union
+                w = w * keep
+            # on a diagonal pair node the untransposed orientation already
+            # covers the i == j pairs
+            if tb:
+                w = w * A["wdi"][:, None]
+            if tk:
+                w = w * B["wdi"][None, :]
+            rows = b.col if tb else b.row
+            cols = k.row if tk else k.col
+            self.K[rows.fn_lo:rows.fn_hi, cols.fn_lo:cols.fn_hi] += \
+                (A["rj"] if tb else A["ri"]).T @ w @ (B["ri"] if tk else B["rj"])
 
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
                          P: MatrixQuadtree, tau_2e: float = 0.0,
                          mode: str = "schwarz", quartet_log: list | None = None,
-                         evaluate: bool = True, threads: int = 1):
+                         evaluate: bool = True):
     """Exchange matrix K = -1/2 sum P_nl (mn|ls) by naive hextree traversal.
 
+    One untransposed density link over every ordered bra and ket pair.
     Returns (K, TraversalCounters). With tau_2e = tau_ovlp = 0 the result
     matches the dense oracle up to floating-point reassociation.
     quartet_log, when given, collects every evaluated shell quartet
     (mu, nu, lam, sig); only sensible for small systems. evaluate=False
     walks the task tree and fills counters without computing integrals
-    (K stays zero). threads > 1 farms depth-1 subtrees to a pool and
-    reduces private accumulators in task order (deterministic, but a
-    different fp association than sequential mode).
+    (K stays zero).
     """
-    if tau_2e < 0.0:
-        raise InvalidArgumentError("tau_2e must be non-negative")
-    _check_same_partition(bra, ket, P)
-    n = bra.row.n_functions
-    run = _NaiveTraversal(n, tau_2e, mode, evaluate, quartet_log is not None)
-    if threads > 1:
-        run.spawn = []
-        run.visit(bra, P, ket, depth=0)
-
-        def work(args):
-            sub = _NaiveTraversal(n, tau_2e, mode, evaluate, quartet_log is not None)
-            sub.visit(*args)
-            return sub
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            subs = list(pool.map(work, run.spawn))
-        for sub in subs:
-            run.K += sub.K
-            run.c.merge(sub.c)
-            if run.qlog is not None:
-                run.qlog.extend(sub.qlog)
-    else:
-        run.visit(bra, P, ket)
-    if quartet_log is not None:
-        quartet_log.extend(run.qlog)
-    return run.K, run.c
+    check_driver_args(bra, ket, P, tau_2e, mode)
+    t = Traversal(bra.row.n_functions, tau_2e, mode, evaluate,
+                  TraversalCounters(), quartet_log=quartet_log)
+    t.visit(bra, ket, [(False, False, P)])
+    return t.K, t.c

@@ -17,28 +17,31 @@ double counting on diagonal pairs, and bra/ket-swapped block tasks are both
 traversed, which keeps K symmetric by construction (enforced at the end by
 symmetrize_final).
 
-Each slot carries its own density-node reference down the recursion and is
-screened with the same correctly-rounded norm product the naive driver
-computes for the corresponding permuted task chain (transposed pair blocks
-cache bit-identical norms), so the set of surviving contributions -- and
-hence K, up to reassociation rounding -- matches the naive driver at every
-threshold. A task dies only when all four slots are dead, which is the same
-decision as screening on the maximum participating density sub-block norm.
+The traversal is the engine of exchange_naive run with these four slots
+over canonical pairs (the naive driver runs it with slot 1 alone over all
+ordered pairs). Each slot carries its own density-node reference down the
+recursion and is screened with the same correctly-rounded norm product the
+naive driver computes for the corresponding permuted task chain
+(transposed pair blocks cache bit-identical norms), so the set of
+surviving contributions -- and hence K, up to reassociation rounding --
+matches the naive driver at every threshold. A task dies only when all
+four slots are dead, which is the same decision as screening on the
+maximum participating density sub-block norm.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exchange_naive import (LogicError, _check_same_partition, _sorted_product,
-                             culled_task_bound)
-from .integrals import InvalidArgumentError, eri_cross, eri_elementwise
-from .quadtree import MatrixQuadtree, ShellPairNode, leaf_cache
+# eri_cross, eri_elementwise and leaf_cache are not used here: the engine in
+# exchange_naive calls them. They stay bound in this module only because
+# perfbench/run.py's tracer wraps them on both driver modules.
+from .exchange_naive import (LogicError, Traversal, TraversalCounters,
+                             check_driver_args, eri_cross, eri_elementwise,
+                             leaf_cache)
+from .quadtree import MatrixQuadtree, ShellPairNode
 
 CASE_LABELS = ("A", "B", "C", "D", "E", "F1", "F2", "H", "SPARSE")
 
@@ -70,40 +73,11 @@ class SymmetryCase:
 
 
 @dataclass
-class SymmetryCounters:
-    tasks_visited: int = 0
-    tasks_culled_screening: int = 0
-    tasks_culled_absent: int = 0
-    leaf_contractions: int = 0
-    eri_shell_quartets: int = 0
-    quartets_culled_leaf: int = 0
-    tasks_expanded: int = 0
-    children_spawned: int = 0
+class SymmetryCounters(TraversalCounters):
     links_culled_screening: int = 0
     links_culled_absent: int = 0
-    culled_bound_ledger: float = 0.0
     case_tasks: dict = field(default_factory=lambda: {c: 0 for c in CASE_LABELS})
     case_leaf_tasks: dict = field(default_factory=lambda: {c: 0 for c in CASE_LABELS})
-
-    def to_dict(self) -> dict:
-        return {
-            "tasks_visited": self.tasks_visited,
-            "tasks_culled_screening": self.tasks_culled_screening,
-            "tasks_culled_absent": self.tasks_culled_absent,
-            "leaf_contractions": self.leaf_contractions,
-            "eri_shell_quartets": self.eri_shell_quartets,
-            "quartets_culled_leaf": self.quartets_culled_leaf,
-            "tasks_expanded": self.tasks_expanded,
-            "children_spawned": self.children_spawned,
-            "links_culled_screening": self.links_culled_screening,
-            "links_culled_absent": self.links_culled_absent,
-            "culled_bound_ledger": self.culled_bound_ledger,
-            "case_tasks": dict(self.case_tasks),
-            "case_leaf_tasks": dict(self.case_leaf_tasks),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def case_breakdown_csv(self, leaf_only: bool = False) -> str:
         """Per-case occurrence table as ``case,count,percent`` rows."""
@@ -114,22 +88,6 @@ class SymmetryCounters:
             pct = 100.0 * counts[label] / total if total else 0.0
             lines.append(f"{label},{counts[label]},{pct:.4f}")
         return "\n".join(lines) + "\n"
-
-    def merge(self, other: "SymmetryCounters") -> None:
-        self.tasks_visited += other.tasks_visited
-        self.tasks_culled_screening += other.tasks_culled_screening
-        self.tasks_culled_absent += other.tasks_culled_absent
-        self.leaf_contractions += other.leaf_contractions
-        self.eri_shell_quartets += other.eri_shell_quartets
-        self.quartets_culled_leaf += other.quartets_culled_leaf
-        self.tasks_expanded += other.tasks_expanded
-        self.children_spawned += other.children_spawned
-        self.links_culled_screening += other.links_culled_screening
-        self.links_culled_absent += other.links_culled_absent
-        self.culled_bound_ledger += other.culled_bound_ledger
-        for key in CASE_LABELS:
-            self.case_tasks[key] += other.case_tasks[key]
-            self.case_leaf_tasks[key] += other.case_leaf_tasks[key]
 
 
 def _case_label(b: ShellPairNode, k: ShellPairNode) -> str:
@@ -199,211 +157,39 @@ def symmetrize_final(K_raw: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
     The scattered updates populate both triangles independently, so any
     asymmetry beyond rounding means a missing or double-counted symmetry
-    update; that is a driver bug, not an input problem.
+    update; that is a driver bug, not an input problem. Rounding grows with
+    the entries, so ``tol`` is relative to max(1, max|K_raw|).
     """
     K_raw = np.asarray(K_raw, dtype=float)
-    asym = float(np.abs(K_raw - K_raw.T).max()) if K_raw.size else 0.0
-    if asym > tol:
-        raise LogicError(f"asymmetry {asym:.3e} exceeds {tol:.1e}; "
+    if not K_raw.size:
+        return K_raw
+    limit = tol * max(1.0, float(np.abs(K_raw).max()))
+    asym = float(np.abs(K_raw - K_raw.T).max())
+    if asym > limit:
+        raise LogicError(f"asymmetry {asym:.3e} exceeds {limit:.1e}; "
                          "symmetry update set is inconsistent")
     return 0.5 * (K_raw + K_raw.T)
-
-
-def _canonical_keys(node: ShellPairNode):
-    nr = len(node.row.children())
-    nc = len(node.col.children())
-    if node.row is node.col:
-        return [(a, b) for a in range(nr) for b in range(a, nc)]
-    return [(a, b) for a in range(nr) for b in range(nc)]
-
-
-class _SymmetricTraversal:
-    """One traversal's mutable state: K accumulator, counters, quartet log."""
-
-    def __init__(self, n: int, tau_2e: float, mode: str,
-                 evaluate: bool, want_log: bool):
-        self.K = np.zeros((n, n))
-        self.c = SymmetryCounters()
-        self.tau_2e = tau_2e
-        self.mode = mode
-        self.evaluate = evaluate
-        self.qlog = [] if want_log else None
-        self.spawn = None  # set to a list to defer depth-1 tasks to workers
-
-    def visit(self, b, k, refs, alive, depth=1):
-        c = self.c
-        c.tasks_visited += 1
-        if b.pruned or k.pruned:
-            c.tasks_culled_absent += 1
-            return
-        if self.mode == "schwarz":
-            fb = math.sqrt(b.diag_norm)
-            fk = math.sqrt(k.diag_norm)
-        else:
-            fb = b.diag_norm
-            fk = k.diag_norm
-        live = [False, False, False, False]
-        screened_here = False
-        absent_here = False
-        for g in range(4):
-            if not alive[g]:
-                continue
-            ref = refs[g]
-            if ref is None:
-                c.links_culled_absent += 1
-                absent_here = True
-                continue
-            if _sorted_product(fb, ref.norm, fk) <= self.tau_2e:
-                c.links_culled_screening += 1
-                screened_here = True
-                tb, tk = _SLOT_TRANSPOSES[g]
-                c.culled_bound_ledger += culled_task_bound(
-                    b, ref.norm, k, transpose_bra=tb, transpose_ket=tk)
-                continue
-            live[g] = True
-        if not any(live):
-            if screened_here:
-                c.tasks_culled_screening += 1
-            else:
-                c.tasks_culled_absent += 1
-            return
-        label = "SPARSE" if absent_here else _case_label(b, k)
-        c.case_tasks[label] += 1
-        if b.is_leaf and k.is_leaf:
-            c.case_leaf_tasks[label] += 1
-            c.leaf_contractions += 1
-            self._contract(b, k, refs, live)
-            return
-        c.tasks_expanded += 1
-        pnl, pml, pns, pms = refs
-        kkeys = _canonical_keys(k)
-        for a, cc in _canonical_keys(b):
-            bch = b.child(a, cc)
-            for d, bb in kkeys:
-                c.children_spawned += 1
-                kch = k.child(d, bb)
-                refs2 = (
-                    pnl.child(cc, d) if live[0] else None,
-                    pml.child(a, d) if live[1] else None,
-                    pns.child(cc, bb) if live[2] else None,
-                    pms.child(a, bb) if live[3] else None,
-                )
-                if self.spawn is not None and depth == 0:
-                    self.spawn.append((bch, kch, refs2, tuple(live)))
-                else:
-                    self.visit(bch, kch, refs2, tuple(live), depth + 1)
-
-    def _contract(self, b, k, refs, live):
-        """Leaf task: per-slot per-quartet screening, ERI evaluation over the
-        union of kept quartets, then up-to-4-way scatter."""
-        c = self.c
-        A = leaf_cache(b, canonical=True)
-        B = leaf_cache(k, canonical=True)
-        ma, mb = A["pd"].n_pairs, B["pd"].n_pairs
-        if self.mode == "schwarz":
-            fb, fk = np.sqrt(A["q"]), np.sqrt(B["q"])
-        else:
-            fb, fk = A["q"], B["q"]
-        rels = ((A["j_rel"], B["i_rel"]), (A["i_rel"], B["i_rel"]),
-                (A["j_rel"], B["j_rel"]), (A["i_rel"], B["j_rel"]))
-        gathers = [None] * 4
-        masks = [None] * 4
-        union = None
-        for g in range(4):
-            if not live[g]:
-                continue
-            pg = refs[g].leaf[np.ix_(*rels[g])]
-            bound = (fb[:, None] * np.abs(pg)) * fk[None, :]
-            keep = bound > self.tau_2e
-            gathers[g] = pg
-            masks[g] = keep
-            union = keep.copy() if union is None else (union | keep)
-            ncull = ma * mb - int(keep.sum())
-            if ncull:
-                c.quartets_culled_leaf += ncull
-                if self.mode == "schwarz":
-                    sb = bound
-                else:
-                    sb = (np.sqrt(A["q"])[:, None] * np.abs(pg)) \
-                        * np.sqrt(B["q"])[None, :]
-                c.culled_bound_ledger += 0.5 * float(sb[~keep].sum())
-        nkeep = int(union.sum())
-        c.eri_shell_quartets += nkeep
-        if not self.evaluate or nkeep == 0:
-            return
-        if nkeep == ma * mb:
-            e = eri_cross(A["pd"], B["pd"])
-        else:
-            ia, ib = np.nonzero(union)
-            e = np.zeros((ma, mb))
-            e[ia, ib] = eri_elementwise(A["pd"], B["pd"], ia, ib)
-        if self.qlog is not None:
-            ia, ib = np.nonzero(union)
-            self.qlog.extend(zip(
-                A["pd"].i_shell[ia].tolist(), A["pd"].j_shell[ia].tolist(),
-                B["pd"].i_shell[ib].tolist(), B["pd"].j_shell[ib].tolist()))
-        base = -0.5 * e
-        K = self.K
-        wdi = A["wdi"][:, None]
-        wdk = B["wdi"][None, :]
-        br, bc, kr, kc = b.row, b.col, k.row, k.col
-        if live[0]:
-            K[br.fn_lo:br.fn_hi, kc.fn_lo:kc.fn_hi] += \
-                A["ri"].T @ (base * gathers[0] * masks[0]) @ B["rj"]
-        if live[1]:
-            K[bc.fn_lo:bc.fn_hi, kc.fn_lo:kc.fn_hi] += \
-                A["rj"].T @ (base * gathers[1] * masks[1] * wdi) @ B["rj"]
-        if live[2]:
-            K[br.fn_lo:br.fn_hi, kr.fn_lo:kr.fn_hi] += \
-                A["ri"].T @ (base * gathers[2] * masks[2] * wdk) @ B["ri"]
-        if live[3]:
-            K[bc.fn_lo:bc.fn_hi, kr.fn_lo:kr.fn_hi] += \
-                A["rj"].T @ (base * gathers[3] * masks[3] * (wdi * wdk)) @ B["ri"]
 
 
 def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
                              tau_2e: float = 0.0, mode: str = "schwarz",
                              quartet_log: list | None = None,
-                             evaluate: bool = True, threads: int = 1):
+                             evaluate: bool = True):
     """Exchange matrix via canonical-pair traversal with 4-way scatter.
 
-    ``pairs`` is the same full shell-pair tree the naive driver uses; the
-    canonical restriction is applied during traversal (upper-triangular
-    child selection) and at leaves (upper-triangular pair subsets), so the
-    cached norms feeding the screening tests are shared with the naive
-    driver bit for bit. Returns (K, SymmetryCounters); K passes through
-    symmetrize_final. evaluate/threads behave as in build_exchange_naive;
-    quartet_log collects evaluated canonical quartets.
+    The traversal engine of exchange_naive with the four slots of
+    _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
+    driver uses; the canonical restriction is applied during traversal
+    (upper-triangular child selection) and at leaves (upper-triangular pair
+    subsets), so the cached norms feeding the screening tests are shared
+    with the naive driver bit for bit. Returns (K, SymmetryCounters); K
+    passes through symmetrize_final. evaluate behaves as in
+    build_exchange_naive; quartet_log collects evaluated canonical quartets.
     """
-    if tau_2e < 0.0:
-        raise InvalidArgumentError("tau_2e must be non-negative")
-    if mode not in ("schwarz", "literal"):
-        raise InvalidArgumentError(f"unknown screening mode {mode!r}")
-    _check_same_partition(pairs, pairs, P)
-    n = pairs.row.n_functions
-    run = _SymmetricTraversal(n, tau_2e, mode, evaluate, quartet_log is not None)
-    refs = (P, P, P, P)
-    alive = (True, True, True, True)
-    if threads > 1:
-        run.spawn = []
-        run.visit(pairs, pairs, refs, alive, depth=0)
-
-        def work(args):
-            sub = _SymmetricTraversal(n, tau_2e, mode, evaluate,
-                                      quartet_log is not None)
-            sub.visit(*args)
-            return sub
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            subs = list(pool.map(work, run.spawn))
-        for sub in subs:
-            run.K += sub.K
-            run.c.merge(sub.c)
-            if run.qlog is not None:
-                run.qlog.extend(sub.qlog)
-    else:
-        run.visit(pairs, pairs, refs, alive)
-    if quartet_log is not None:
-        quartet_log.extend(run.qlog)
-    K = symmetrize_final(run.K) if evaluate else run.K
-    return K, run.c
+    check_driver_args(pairs, pairs, P, tau_2e, mode)
+    t = Traversal(pairs.row.n_functions, tau_2e, mode, evaluate,
+                  SymmetryCounters(), canonical=True, case_label=_case_label,
+                  quartet_log=quartet_log)
+    t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
+    K = symmetrize_final(t.K) if evaluate else t.K
+    return K, t.c

@@ -76,19 +76,6 @@ class EriQuartetBlock:
 
 
 @dataclass
-class ScreeningEstimate:
-    """Almlof-Ahlrichs factors for one bra/ket shell-pair block."""
-
-    bra_norm: float
-    ket_norm: float
-    mode: str = "schwarz"
-
-    def __post_init__(self):
-        if self.bra_norm < 0.0 or self.ket_norm < 0.0:
-            raise InvalidArgumentError("screening norms must be non-negative")
-
-
-@dataclass
 class PairData:
     """Flattened primitive pair table for an ordered list of shell pairs.
 

@@ -151,50 +151,6 @@ def _fill_dense(node, out, row0, col0):
         _fill_dense(ch, out, row0, col0)
 
 
-class TransposedQuadtree:
-    """Constant-cost logical transpose of a MatrixQuadtree node."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base):
-        self.base = base
-
-    @property
-    def row(self):
-        return self.base.col
-
-    @property
-    def col(self):
-        return self.base.row
-
-    @property
-    def norm(self):
-        return self.base.norm
-
-    @property
-    def is_leaf(self):
-        return self.base.is_leaf
-
-    @property
-    def leaf(self):
-        lf = self.base.leaf
-        return None if lf is None else lf.T
-
-    def child(self, a: int, b: int):
-        ch = self.base.child(b, a)
-        return None if ch is None else TransposedQuadtree(ch)
-
-    def dense(self) -> np.ndarray:
-        return self.base.dense().T
-
-
-def transpose_view(node):
-    """Logical transpose; applying it twice returns the original node."""
-    if isinstance(node, TransposedQuadtree):
-        return node.base
-    return TransposedQuadtree(node)
-
-
 def build_matrix_tree(dense: np.ndarray, partition: Partition,
                       zero_drop: float = 0.0) -> MatrixQuadtree:
     """Quadtree over ``dense``; children with norm <= zero_drop are dropped.

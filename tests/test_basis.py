@@ -38,8 +38,6 @@ def test_generate_cluster_deterministic():
 def test_generate_cluster_zero_molecules_rejected():
     with pytest.raises(InvalidArgumentError):
         generate_cluster(0, seed=1)
-    with pytest.raises(InvalidArgumentError):
-        generate_cluster(3, seed=1, model="nope")
 
 
 def test_minimum_heavy_separation():

@@ -21,7 +21,6 @@ from hexfock.integrals import InvalidArgumentError
     ("mode", "bogus", "--mode"),
     ("bound", "bogus", "--bound"),
     ("order", "bogus", "--order"),
-    ("threads", 0, "--threads"),
     ("reference", "bogus", "--reference"),
     ("system", "water:abc", "--system"),
     ("system", "nonsense", "--system"),
@@ -109,6 +108,30 @@ def test_missing_input_files_are_validation_errors(tmp_path):
                        system="water:1")
     with pytest.raises(InvalidArgumentError):
         run_report(config)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("nan", "NaN or infinite"),
+    ("inf", "NaN or infinite"),
+    ("x", "'x'"),
+])
+def test_bad_density_file_exits_2(tmp_path, capsys, bad, message):
+    dens = tmp_path / "p.txt"
+    dens.write_text("4\n" + " ".join(["0.5"] * 15 + [bad]) + "\n")
+    assert main(["--system", "water:1", "--density", f"file:{dens}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file"),
+    ("2\n\nH 0 0 0\n", "expected 2 atom lines"),
+    ("1\n\nXx 0 0 0\n", "'Xx'"),
+])
+def test_bad_xyz_file_exits_2(tmp_path, capsys, text, message):
+    xyz = tmp_path / "sys.xyz"
+    xyz.write_text(text)
+    assert main(["--system", f"xyz:{xyz}"]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- series

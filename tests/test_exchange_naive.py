@@ -162,19 +162,6 @@ def test_sequential_determinism():
     assert c1.to_dict() == c2.to_dict()
 
 
-def test_threaded_matches_sequential():
-    _, pairs, P_tree, _ = build_setup(3)
-    K1, c1 = build_exchange_naive(pairs, pairs, P_tree, tau_2e=1e-9)
-    K2, c2 = build_exchange_naive(pairs, pairs, P_tree, tau_2e=1e-9,
-                                  threads=2)
-    assert np.abs(K1 - K2).max() <= 1e-13
-    d1, d2 = c1.to_dict(), c2.to_dict()
-    ledger1 = d1.pop("culled_bound_ledger")
-    ledger2 = d2.pop("culled_bound_ledger")
-    assert d1 == d2
-    assert ledger2 == pytest.approx(ledger1, rel=1e-12)
-
-
 def test_evaluate_false_counts_without_integrals():
     _, pairs, P_tree, _ = build_setup(2)
     K, c_dry = build_exchange_naive(pairs, pairs, P_tree, tau_2e=1e-9,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hexfock import (CASE_LABELS, LogicError, build_exchange_naive,
-                     build_exchange_symmetric, classify_quartet,
-                     dense_exchange, generate_cluster, symmetrize_final)
+from hexfock import (CASE_LABELS, DensityModel, LogicError, build_density,
+                     build_exchange_naive, build_exchange_symmetric,
+                     classify_quartet, dense_exchange, generate_cluster,
+                     hilbert_order, symmetrize_final)
 from hexfock.integrals import InvalidArgumentError
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
                               build_partition)
@@ -91,6 +92,22 @@ def test_symmetrize_final_paths():
         symmetrize_final(bad)
 
 
+def test_symmetrize_tolerance_scales_with_k():
+    # a 1e6-scaled density makes |K| ~ 3e6; rounding asymmetry of ~6e-10
+    # used to trip the absolute 1e-10 tolerance
+    system, _ = hilbert_order(generate_cluster(10, seed=3))
+    P = 1e6 * build_density(system, DensityModel())
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, density=P)
+    K_s, _ = build_exchange_symmetric(pairs, P_tree, tau_2e=1e-8)
+    K_n, _ = build_exchange_naive(pairs, pairs, P_tree, tau_2e=1e-8)
+    scale = max(1.0, np.abs(K_n).max())
+    assert np.abs(K_s - K_n).max() <= 1e-11 * scale
+    big = 1e6 * np.array([[1.0, 2.0], [2.0, 3.0]])
+    big[0, 1] += 1.0  # asymmetry 1.0 against a limit of 3e-4
+    with pytest.raises(LogicError):
+        symmetrize_final(big)
+
+
 # ------------------------------------------------------------ equivalence
 
 def test_matches_naive_driver_exact_and_screened():
@@ -173,18 +190,6 @@ def test_case_breakdown_csv_format():
         assert int(count) >= 0
         total_pct += float(pct)
     assert total_pct == pytest.approx(100.0, abs=0.01)
-
-
-def test_threaded_matches_sequential():
-    _, pairs, P_tree, _ = build_setup(3)
-    K1, c1 = build_exchange_symmetric(pairs, P_tree, tau_2e=1e-9)
-    K2, c2 = build_exchange_symmetric(pairs, P_tree, tau_2e=1e-9, threads=2)
-    assert np.abs(K1 - K2).max() <= 1e-13
-    d1, d2 = c1.to_dict(), c2.to_dict()
-    ledger1 = d1.pop("culled_bound_ledger")
-    ledger2 = d2.pop("culled_bound_ledger")
-    assert d1 == d2
-    assert ledger2 == pytest.approx(ledger1, rel=1e-12)
 
 
 def test_quartet_log_and_validation():

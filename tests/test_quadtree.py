@@ -7,7 +7,7 @@ from hexfock.basis import Atom, BasisSystem, GaussianShell, generate_cluster
 from hexfock.integrals import InvalidArgumentError, eri_quartet, overlap
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
                               build_partition, dump_tree_csv, dump_tree_text,
-                              shell_overlap_matrix, transpose_view)
+                              shell_overlap_matrix)
 
 from conftest import build_setup
 
@@ -140,31 +140,6 @@ def test_matrix_tree_norm_telescoping():
             walk(ch)
 
     walk(tree)
-
-
-def test_transpose_view_roundtrip_and_dense():
-    rng = np.random.default_rng(31)
-    system = _line_system(20)
-    part = build_partition(system, leaf_size=5)
-    m = rng.normal(size=(20, 20))
-    tree = build_matrix_tree(m, part)
-    t = transpose_view(tree)
-    assert np.array_equal(t.dense(), m.T)
-    assert transpose_view(t) is tree
-    assert t.norm == tree.norm
-    # child reindexing: (a,b) of the view maps to (b,a) of the base
-    ch = t.child(0, 1)
-    assert np.array_equal(ch.dense(), tree.child(1, 0).dense().T)
-
-
-def test_transpose_view_symmetric_matrix_dense_equal():
-    system = _line_system(12)
-    part = build_partition(system, leaf_size=4)
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(12, 12))
-    m = m + m.T
-    tree = build_matrix_tree(m, part)
-    assert np.array_equal(transpose_view(tree).dense(), tree.dense())
 
 
 # ---------------------------------------------------------------- pair tree
