@@ -4,11 +4,11 @@ from .cli import (RunConfig, load_report_schema, run as run_report,
                   scaling_series)
 from .basis import (Atom, BasisSystem, FormatError, GaussianShell,
                     InvalidArgumentError, SplitMix64, UnsupportedElementError,
-                    generate_cluster, hilbert_order, load_xyz, parse_shell_table)
+                    generate_cluster, hilbert_order, load_xyz)
 from .density import DensityModel, build_density
 from .exchange_naive import (LogicError, TraversalCounters, build_exchange_naive,
                              culled_task_bound, screening_test)
-from .exchange_symmetry import (CASE_LABELS, SymmetryCase, SymmetryCounters,
+from .exchange_symmetry import (CASE_LABELS, SymmetryCounters,
                                 build_exchange_symmetric, classify_quartet,
                                 symmetrize_final)
 from .integrals import boys_f0, eri_cross, eri_quartet, overlap

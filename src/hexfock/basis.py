@@ -1,5 +1,8 @@
 """Atoms, contracted s-type Gaussian shells, synthetic clusters, Hilbert ordering.
 
+An s shell is exactly one basis function, so shell and function indices are
+one index space: shell k is row and column k of every density and K matrix.
+
 Geometry generation is deterministic: all randomness flows through a
 splitmix64 generator seeded by the caller, so identical inputs reproduce
 byte-identical systems across platforms.
@@ -30,6 +33,8 @@ HEAVY_SHELLS = [
 LIGHT_SHELLS = [[(1.24, 1.0)]]
 
 DEFAULT_SHELL_TABLE = {"O": HEAVY_SHELLS, "H": LIGHT_SHELLS}
+
+HILBERT_BITS = 10  # lattice bits per axis for hilbert_order
 
 
 class InvalidArgumentError(ValueError):
@@ -70,8 +75,6 @@ class GaussianShell:
 
     center: np.ndarray
     primitives: list  # [(exponent, coefficient), ...]
-    function_offset: int = 0
-    n_functions: int = 1
     exponents: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
 
@@ -94,19 +97,12 @@ class BasisSystem:
 
     @property
     def n_functions(self) -> int:
-        return sum(sh.n_functions for sh in self.shells)
+        """Basis functions; one per s shell."""
+        return len(self.shells)
 
     @property
     def n_shells(self) -> int:
         return len(self.shells)
-
-
-def _assign_offsets(shells):
-    off = 0
-    for sh in shells:
-        sh.function_offset = off
-        off += sh.n_functions
-    return shells
 
 
 class SplitMix64:
@@ -136,11 +132,11 @@ class SplitMix64:
                 return v / math.sqrt(n2)
 
 
-def _shells_for(element: str, center, shell_table) -> list:
-    if element not in shell_table:
+def _shells_for(element: str, center) -> list:
+    if element not in DEFAULT_SHELL_TABLE:
         raise UnsupportedElementError(f"no shells defined for element {element!r}")
     return [GaussianShell(center=np.array(center, dtype=float), primitives=list(prims))
-            for prims in shell_table[element]]
+            for prims in DEFAULT_SHELL_TABLE[element]]
 
 
 def _sample_in_sphere(rng: SplitMix64, radius: float) -> np.ndarray:
@@ -187,55 +183,14 @@ def generate_cluster(n_molecules: int, seed: int) -> BasisSystem:
         atoms.append(Atom("O", ctr))
         atoms.append(Atom("H", h1))
         atoms.append(Atom("H", h2))
-        shells.extend(_shells_for("O", ctr, DEFAULT_SHELL_TABLE))
-        shells.extend(_shells_for("H", h1, DEFAULT_SHELL_TABLE))
-        shells.extend(_shells_for("H", h2, DEFAULT_SHELL_TABLE))
-    return BasisSystem(shells=_assign_offsets(shells), atoms=atoms)
+        shells.extend(_shells_for("O", ctr))
+        shells.extend(_shells_for("H", h1))
+        shells.extend(_shells_for("H", h2))
+    return BasisSystem(shells=shells, atoms=atoms)
 
 
-def parse_shell_table(text: str) -> dict:
-    """Parse a plain-text shell table.
-
-    One line per element: whitespace-separated exponent:coefficient pairs,
-    shells separated by ';'. Blank lines and '#' comments ignored.
-    """
-    table = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        element, tokens = parts[0], parts[1:]
-        shells, current = [], []
-        for tok in tokens:
-            if tok == ";":
-                if current:
-                    shells.append(current)
-                current = []
-                continue
-            for piece in tok.split(";"):
-                if not piece:
-                    if current:
-                        shells.append(current)
-                    current = []
-                    continue
-                try:
-                    e_str, c_str = piece.split(":")
-                    current.append((float(e_str), float(c_str)))
-                except ValueError:
-                    raise FormatError(f"bad exponent:coefficient token {piece!r}", ln)
-        if current:
-            shells.append(current)
-        if not shells:
-            raise FormatError(f"element {element!r} has no shells", ln)
-        table[element] = shells
-    return table
-
-
-def load_xyz(path, shell_table=None) -> BasisSystem:
+def load_xyz(path) -> BasisSystem:
     """Load a standard XYZ file (Angstrom) and attach shells per element."""
-    if shell_table is None:
-        shell_table = DEFAULT_SHELL_TABLE
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -259,8 +214,8 @@ def load_xyz(path, shell_table=None) -> BasisSystem:
         except ValueError:
             raise FormatError(f"bad coordinate in {lines[k + 2]!r}", ln)
         atoms.append(Atom(element, pos))
-        shells.extend(_shells_for(element, pos, shell_table))
-    return BasisSystem(shells=_assign_offsets(shells), atoms=atoms)
+        shells.extend(_shells_for(element, pos))
+    return BasisSystem(shells=shells, atoms=atoms)
 
 
 def hilbert_index_3d(coords, bits: int) -> int:
@@ -297,26 +252,21 @@ def hilbert_index_3d(coords, bits: int) -> int:
     return h
 
 
-def hilbert_order(system: BasisSystem, bits_per_axis: int = 10):
+def hilbert_order(system: BasisSystem):
     """Stably sort shells by the Hilbert index of their centers.
 
     Returns (reordered system, permutation) where permutation[k] is the old
     shell position now at k; use it to reorder externally supplied matrices.
     """
-    if not 1 <= bits_per_axis <= 20:
-        raise InvalidArgumentError("bits_per_axis must be in [1, 20]")
     centers = np.array([sh.center for sh in system.shells])
     lo = centers.min(axis=0)
     extent = centers.max(axis=0) - lo
-    side = (1 << bits_per_axis) - 1
+    side = (1 << HILBERT_BITS) - 1
     lattice = np.zeros_like(centers, dtype=np.int64)
     for ax in range(3):
         if extent[ax] > 0.0:
             lattice[:, ax] = np.rint((centers[:, ax] - lo[ax]) / extent[ax] * side)
-    keys = np.array([hilbert_index_3d(pt, bits_per_axis) for pt in lattice])
+    keys = np.array([hilbert_index_3d(pt, HILBERT_BITS) for pt in lattice])
     perm = np.argsort(keys, kind="stable")
-    # copy shells so the input system's offsets stay valid
-    shells = [GaussianShell(center=system.shells[k].center.copy(),
-                            primitives=list(system.shells[k].primitives))
-              for k in perm]
-    return BasisSystem(shells=_assign_offsets(shells), atoms=system.atoms), perm
+    return BasisSystem(shells=[system.shells[k] for k in perm],
+                       atoms=system.atoms), perm

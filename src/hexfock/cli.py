@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -119,15 +120,6 @@ def _parse_density_spec(spec: str):
         f"--density must be exp:gamma=G or file:PATH, got {spec!r}")
 
 
-def _function_permutation(system, shell_perm) -> np.ndarray:
-    """Expand a shell permutation to the matching basis-function permutation."""
-    fn = []
-    for k in shell_perm:
-        sh = system.shells[k]
-        fn.extend(range(sh.function_offset, sh.function_offset + sh.n_functions))
-    return np.asarray(fn, dtype=int)
-
-
 def _build_inputs(config: RunConfig, n_override: int | None = None):
     """Materialize (system, n_molecules, P) for a config; applies ordering."""
     kind, arg = _parse_system_spec(config.system)
@@ -152,10 +144,8 @@ def _build_inputs(config: RunConfig, n_override: int | None = None):
         except OSError as exc:
             raise InvalidArgumentError(f"--density file: {exc}") from exc
         if config.order == "hilbert":
-            original = system
             system, perm = hilbert_order(system)
-            fp = _function_permutation(original, perm)
-            P = P[np.ix_(fp, fp)]
+            P = P[np.ix_(perm, perm)]
         return system, n_molecules, P
     if config.order == "hilbert":
         system, _ = hilbert_order(system)
@@ -192,6 +182,14 @@ def run(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     K, counters, cases = _execute(config, config.mode, system, P)
     wall = time.perf_counter() - t0
+    k_frobenius = float(np.linalg.norm(K))  # not finite if any K entry is not
+    ledger = counters.get("culled_bound_ledger",
+                          counters.get("skipped_bound_sum", 0.0))
+    if not (math.isfinite(k_frobenius) and math.isfinite(ledger)):
+        raise InvalidArgumentError(
+            f"density magnitude max|P| = {float(np.abs(P).max()):.3e} "
+            "overflows double precision in K, its norm or the culled-bound "
+            "ledger; rescale the density")
     report = {
         "schema_version": SCHEMA_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -203,7 +201,7 @@ def run(config: RunConfig) -> dict:
         },
         "mode": config.mode,
         "wall_seconds": wall,
-        "k_frobenius": float(np.linalg.norm(K)),
+        "k_frobenius": k_frobenius,
         "counters": counters,
         "case_occurrences": cases,
         "comparison": None,
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-ovlp", type=float, default=1e-11, dest="tau_ovlp",
                    help="overlap pruning threshold (default 1e-11)")
     p.add_argument("--leaf-size", type=int, default=DEFAULT_LEAF_SIZE,
-                   dest="leaf_size", help="max functions per tree leaf")
+                   dest="leaf_size", help="max shells per tree leaf")
     p.add_argument("--mode", default="symmetry", choices=MODES)
     p.add_argument("--bound", default="schwarz", choices=BOUND_MODES,
                    help="screening bound form")
@@ -326,7 +324,7 @@ def main(argv=None) -> int:
                 scaling_series(config, sizes, sys.stdout)
         else:
             report = run(config)
-            text = json.dumps(report, indent=2, sort_keys=True)
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
             if config.out:
                 with open(config.out, "w") as fh:
                     fh.write(text + "\n")

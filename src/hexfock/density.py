@@ -2,7 +2,7 @@
 
 Stands in for converged SCF densities: either an exponential distance-decay
 model over shell centers, or a plain-text file (first line N, then N*N
-row-major values), symmetrized on load.
+row-major values, N = number of shells), symmetrized on load.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ DEFAULT_GAMMA = 2.0  # 1/Bohr; insulator-like decay, screening bites at desk sca
 class DensityModel:
     kind: str = "exp_decay"     # exp_decay | file
     gamma: float = DEFAULT_GAMMA
-    diagonal: float = 1.0
     path: str | None = None
 
     def __post_init__(self):
@@ -34,21 +33,19 @@ class DensityModel:
 
 
 def build_density(system: BasisSystem, model: DensityModel) -> np.ndarray:
-    """Symmetric N x N density; P_ij = diagonal * exp(-gamma * |r_i - r_j|)."""
+    """Symmetric n_shells x n_shells density; P_ij = exp(-gamma * |r_i - r_j|)."""
     n = system.n_functions
     if model.kind == "file":
         p = load_density_file(model.path)
         if p.shape != (n, n):
             raise InvalidArgumentError(
-                f"density file is {p.shape[0]}x{p.shape[1]}, system has {n} functions")
+                f"density file is {p.shape[0]}x{p.shape[1]}, system has {n} shells")
         return p
-    centers = np.empty((n, 3))
-    for sh in system.shells:
-        centers[sh.function_offset:sh.function_offset + sh.n_functions] = sh.center
+    centers = np.array([sh.center for sh in system.shells]).reshape(n, 3)
     d = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
     dist = np.maximum(dist, dist.T)  # exact symmetry regardless of fp noise
-    return model.diagonal * np.exp(-model.gamma * dist)
+    return np.exp(-model.gamma * dist)
 
 
 def load_density_file(path) -> np.ndarray:

@@ -240,7 +240,7 @@ class Traversal:
                 w = w * B["wdi"][None, :]
             rows = b.col if tb else b.row
             cols = k.row if tk else k.col
-            self.K[rows.fn_lo:rows.fn_hi, cols.fn_lo:cols.fn_hi] += \
+            self.K[rows.shell_lo:rows.shell_hi, cols.shell_lo:cols.shell_hi] += \
                 (A["rj"] if tb else A["ri"]).T @ w @ (B["ri"] if tk else B["rj"])
 
 

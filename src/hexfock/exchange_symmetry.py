@@ -45,31 +45,8 @@ from .quadtree import MatrixQuadtree, ShellPairNode
 
 CASE_LABELS = ("A", "B", "C", "D", "E", "F1", "F2", "H", "SPARSE")
 
-# (sink, source, statically known dedup weight) per slot; slot g also states
-# which side of the bra/ket pair blocks its screening bound transposes.
-_SLOT_TABLE = (
-    ("K[mu,sig]", "P[nu,lam]", "1"),
-    ("K[nu,sig]", "P[mu,lam]", "[mu!=nu]"),
-    ("K[mu,lam]", "P[nu,sig]", "[lam!=sig]"),
-    ("K[nu,lam]", "P[mu,sig]", "[mu!=nu][lam!=sig]"),
-)
+# (transpose_bra, transpose_ket) of slots 1-4 in the module docstring
 _SLOT_TRANSPOSES = ((False, False), (True, False), (False, True), (True, True))
-
-
-@dataclass(frozen=True)
-class SlotSpec:
-    sink: str
-    source: str
-    weight: str
-    valid: bool = True
-
-
-@dataclass
-class SymmetryCase:
-    """Span-relation class of one canonical task plus its update links."""
-
-    case_id: str
-    slots: tuple
 
 
 @dataclass
@@ -124,16 +101,16 @@ def _case_label(b: ShellPairNode, k: ShellPairNode) -> str:
     if nu is sig:
         return "F2"
     # four distinct spans: separated / nested / interleaved
-    if nu.fn_lo < lam.fn_lo or sig.fn_lo < mu.fn_lo:
+    if nu.shell_lo < lam.shell_lo or sig.shell_lo < mu.shell_lo:
         return "A"
-    if (lam.fn_lo < mu.fn_lo) != (sig.fn_lo < nu.fn_lo):
+    if (lam.shell_lo < mu.shell_lo) != (sig.shell_lo < nu.shell_lo):
         return "C"
     return "D"
 
 
 def classify_quartet(bra: ShellPairNode, ket: ShellPairNode,
-                     present=(True, True, True, True)) -> SymmetryCase:
-    """Classify one canonical task into its span-relation case.
+                     present=(True, True, True, True)) -> str:
+    """Label of one canonical task's span-relation case (see _case_label).
 
     ``present`` flags the availability of the four density sub-blocks
     P[nu,lam], P[mu,lam], P[nu,sig], P[mu,sig]; any absence demotes the case
@@ -141,15 +118,9 @@ def classify_quartet(bra: ShellPairNode, ket: ShellPairNode,
     LogicError when the bra or ket spans are out of canonical order, which
     can only happen through a traversal bug.
     """
-    if bra.row.fn_lo > bra.col.fn_lo or ket.row.fn_lo > ket.col.fn_lo:
+    if bra.row.shell_lo > bra.col.shell_lo or ket.row.shell_lo > ket.col.shell_lo:
         raise LogicError("non-canonical task: pair spans out of order")
-    present = tuple(bool(v) for v in present)
-    label = _case_label(bra, ket)
-    if not all(present):
-        label = "SPARSE"
-    slots = tuple(SlotSpec(sink, source, weight, valid=present[g])
-                  for g, (sink, source, weight) in enumerate(_SLOT_TABLE))
-    return SymmetryCase(case_id=label, slots=slots)
+    return _case_label(bra, ket) if all(present) else "SPARSE"
 
 
 def symmetrize_final(K_raw: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -87,8 +87,6 @@ class PairData:
 
     i_shell: np.ndarray
     j_shell: np.ndarray
-    i_fn: np.ndarray
-    j_fn: np.ndarray
     offsets: np.ndarray
     p: np.ndarray
     center: np.ndarray  # (n_prim, 3)
@@ -101,7 +99,7 @@ class PairData:
 
 def build_pair_data(shells, pair_list) -> PairData:
     """Precompute primitive pair data for ``pair_list`` of (i, j) shell ids."""
-    i_sh, j_sh, i_fn, j_fn = [], [], [], []
+    i_sh, j_sh = [], []
     offsets = [0]
     ps, cs, ws = [], [], []
     for i, j in pair_list:
@@ -115,8 +113,6 @@ def build_pair_data(shells, pair_list) -> PairData:
         ctr /= p[:, None]
         i_sh.append(i)
         j_sh.append(j)
-        i_fn.append(a.function_offset)
-        j_fn.append(b.function_offset)
         offsets.append(offsets[-1] + len(p))
         ps.append(p)
         cs.append(ctr)
@@ -132,8 +128,6 @@ def build_pair_data(shells, pair_list) -> PairData:
     return PairData(
         i_shell=np.asarray(i_sh, dtype=np.intp),
         j_shell=np.asarray(j_sh, dtype=np.intp),
-        i_fn=np.asarray(i_fn, dtype=np.intp),
-        j_fn=np.asarray(j_fn, dtype=np.intp),
         offsets=np.asarray(offsets, dtype=np.intp),
         p=p_all,
         center=c_all,
@@ -207,10 +201,3 @@ def diagonal_values(pairs: PairData) -> np.ndarray:
     """Per-pair diagonal ERIs (ab|ab) for every pair in the table."""
     idx = np.arange(pairs.n_pairs)
     return eri_elementwise(pairs, pairs, idx, idx)
-
-
-def pair_diagonal_norm(shells, pair_list) -> float:
-    """Frobenius norm of the diagonal ERI entries (ab|ab) over a pair span."""
-    pairs = build_pair_data(shells, pair_list)
-    d = diagonal_values(pairs)
-    return math.sqrt(math.fsum(v * v for v in d))

@@ -3,7 +3,9 @@
 These references exercise the same integral code as the tree drivers, so a
 disagreement points at traversal or symmetry logic rather than integral
 arithmetic (which has its own quadrature-based tests). Performance is a
-non-goal; intended for systems up to a few hundred functions.
+non-goal: time grows as n_shells**4. Memory is bounded by _PRIM_BUDGET
+until a single bra pair against every ket pair exceeds it (about water:20);
+beyond that it grows as n_shells**2.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSystem
-from .exchange_naive import screening_test
-from .integrals import (InvalidArgumentError, build_pair_data, diagonal_values,
-                        eri_cross, eri_elementwise)
+from .integrals import (InvalidArgumentError, PairData, build_pair_data,
+                        diagonal_values, eri_cross, eri_elementwise)
 
-_BRA_CHUNK = 512
+# Both oracles walk the bra pairs in consecutive chunks, each evaluated
+# against every ket pair at once; a chunk spans at most this many primitive
+# combinations (and at least one bra pair), which bounds their memory.
+_PRIM_BUDGET = 1 << 17
 
 
 @dataclass
@@ -44,25 +48,33 @@ def _all_pairs(system: BasisSystem):
     return [(i, j) for i in range(n) for j in range(n)]
 
 
+def _bra_chunks(pd: PairData):
+    """Consecutive pair ranges [lo, hi) of ``pd`` whose primitive
+    combinations with every pair of ``pd`` stay within _PRIM_BUDGET."""
+    limit = _PRIM_BUDGET // max(len(pd.p), 1)
+    lo = 0
+    while lo < pd.n_pairs:
+        hi = int(np.searchsorted(pd.offsets, pd.offsets[lo] + limit,
+                                 side="right")) - 1
+        hi = min(max(hi, lo + 1), pd.n_pairs)
+        yield lo, hi
+        lo = hi
+
+
 def dense_exchange(system: BasisSystem, P: np.ndarray) -> np.ndarray:
     """K_ms = -1/2 sum_nl P_nl (mn|ls) over every shell quartet, unscreened."""
-    n = system.n_functions
+    n = system.n_shells
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise InvalidArgumentError("density dimension does not match system")
     pairs = _all_pairs(system)
     ket = build_pair_data(system.shells, pairs)
     K = np.zeros((n, n))
-    ns = system.n_shells
-    fn_of = np.asarray([sh.function_offset for sh in system.shells])
-    for lo in range(0, len(pairs), _BRA_CHUNK):
-        chunk = pairs[lo:lo + _BRA_CHUNK]
-        bra = build_pair_data(system.shells, chunk)
-        e = eri_cross(bra, ket)  # (chunk, ns*ns)
-        v = e.reshape(len(chunk), ns, ns)  # (a, lam, sig)
-        pg = P[np.ix_(bra.j_fn, fn_of)]  # (a, lam); s shells: 1 fn per shell
-        contrib = -0.5 * np.einsum("als,al->as", v, pg)
-        np.add.at(K, bra.i_fn, contrib)
+    for lo, hi in _bra_chunks(ket):
+        bra = build_pair_data(system.shells, pairs[lo:hi])
+        v = eri_cross(bra, ket).reshape(hi - lo, n, n)  # (a, lam, sig)
+        contrib = -0.5 * np.einsum("als,al->as", v, P[bra.j_shell])
+        np.add.at(K, bra.i_shell, contrib)
     return K
 
 
@@ -74,8 +86,7 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
     f(Q_mn) * |P_nl| * f(Q_ls) exceeds tau_2e. Returns (K, skipped_bound_sum);
     quartet_log, when given, collects the evaluated (mu, nu, lam, sig) tuples.
     """
-    n = system.n_functions
-    ns = system.n_shells
+    n = system.n_shells
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise InvalidArgumentError("density dimension does not match system")
@@ -85,27 +96,27 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
     # bit for bit so screening decisions agree exactly across implementations
     canon = build_pair_data(system.shells,
                             [(min(i, j), max(i, j)) for i, j in pairs])
-    q = diagonal_values(canon).reshape(ns, ns)  # Q_ij = (ij|ij)
+    q = diagonal_values(canon)  # Q_ij = (ij|ij) at pair index i * n + j
     fq = np.sqrt(q) if mode == "schwarz" else q
-    fn_of = np.asarray([sh.function_offset for sh in system.shells])
-    p_abs = np.abs(P[np.ix_(fn_of, fn_of)])
-    # bound[i,j,k,l] = (fq[i,j] * |P|[j,k]) * fq[k,l], associated exactly as
-    # in the drivers' leaf tests
-    bound = (fq[:, :, None, None] * p_abs[None, :, :, None]) \
-        * fq[None, None, :, :]
-    keep = bound > tau_2e
-    skipped_bound_sum = 0.5 * float(bound[~keep].sum())
-    idx = np.argwhere(keep)
+    p_abs = np.abs(P)
     K = np.zeros((n, n))
-    for lo in range(0, len(idx), 200000):
-        part = idx[lo:lo + 200000]
-        i, j, k, l = part.T
-        vals = eri_elementwise(pd, pd, i * ns + j, k * ns + l)
-        contrib = -0.5 * P[fn_of[j], fn_of[k]] * vals
-        np.add.at(K, (fn_of[i], fn_of[l]), contrib)
-    if quartet_log is not None:
-        quartet_log.extend(map(tuple, idx.tolist()))
-    return K, skipped_bound_sum
+    skipped = 0.0
+    for lo, hi in _bra_chunks(pd):
+        # bound[a,k,l] = (fq[i,j] * |P|[j,k]) * fq[k,l] for bra pair
+        # a = i * n + j, associated exactly as in the drivers' leaf tests
+        bound = (fq[lo:hi, None, None] * p_abs[np.arange(lo, hi) % n, :, None]) \
+            * fq.reshape(n, n)[None, :, :]
+        keep = bound > tau_2e
+        skipped += float(bound[~keep].sum())
+        a, k, l = np.nonzero(keep)
+        a += lo
+        i, j = a // n, a % n
+        vals = eri_elementwise(pd, pd, a, k * n + l)
+        np.add.at(K, (i, l), -0.5 * P[j, k] * vals)
+        if quartet_log is not None:
+            quartet_log.extend(zip(i.tolist(), j.tolist(), k.tolist(),
+                                   l.tolist()))
+    return K, 0.5 * skipped
 
 
 def compare(A: np.ndarray, B: np.ndarray) -> ComparisonReport:

@@ -1,5 +1,8 @@
 """Ragged-bisection partitions and quadtrees over matrices and shell pairs.
 
+Spans are shell ranges; with one function per s shell they are also the
+row and column ranges of every matrix block.
+
 Norms are accumulated with math.fsum (correctly rounded), so the cached norm
 of a block and of its transpose are bit-identical. Screening decisions in the
 traversal drivers rely on that.
@@ -27,12 +30,10 @@ def _frobenius(block: np.ndarray) -> float:
 
 @dataclass
 class Span:
-    """Contiguous shell/function range; a node of the bisection tree."""
+    """Contiguous shell range; a node of the bisection tree."""
 
     shell_lo: int
     shell_hi: int
-    fn_lo: int
-    fn_hi: int
     left: "Span | None" = None
     right: "Span | None" = None
 
@@ -42,32 +43,20 @@ class Span:
 
     @property
     def n_functions(self) -> int:
-        return self.fn_hi - self.fn_lo
+        return self.shell_hi - self.shell_lo
 
     def children(self):
         """Sub-spans for simultaneous descent; a leaf stands in for itself."""
         return (self,) if self.is_leaf else (self.left, self.right)
 
     def __repr__(self):
-        return f"Span(shells {self.shell_lo}:{self.shell_hi}, fns {self.fn_lo}:{self.fn_hi})"
+        return f"Span(shells {self.shell_lo}:{self.shell_hi})"
 
 
 @dataclass
 class Partition:
     root: Span
     leaf_size: int
-
-    @property
-    def levels(self):
-        """Span lists per depth; ragged leaves repeat at deeper levels."""
-        out = []
-        frontier = [self.root]
-        while True:
-            out.append(frontier)
-            if all(s.is_leaf for s in frontier):
-                return out
-            frontier = [c for s in frontier for c in
-                        ((s,) if s.is_leaf else (s.left, s.right))]
 
     @property
     def leaves(self):
@@ -88,29 +77,22 @@ DEFAULT_LEAF_SIZE = 10
 
 
 def build_partition(system: BasisSystem, leaf_size: int = DEFAULT_LEAF_SIZE) -> Partition:
-    """Recursive bisection at the shell boundary nearest the function midpoint.
+    """Recursive bisection at the midpoint shell, the left one of two.
 
-    Ties between equidistant boundaries break left. Splitting stops once a
-    span holds at most ``leaf_size`` functions.
+    Splitting stops once a span holds at most ``leaf_size`` shells.
     """
-    sizes = [sh.n_functions for sh in system.shells]
-    if leaf_size < max(sizes, default=1):
-        raise InvalidArgumentError("leaf_size must be >= the largest shell")
-    cum = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    if leaf_size < 1:
+        raise InvalidArgumentError("leaf_size must be >= 1")
 
-    def split(shell_lo, shell_hi):
-        node = Span(shell_lo, shell_hi, int(cum[shell_lo]), int(cum[shell_hi]))
-        if node.n_functions <= leaf_size:
-            return node
-        mid = (node.fn_lo + node.fn_hi) / 2.0
-        boundaries = np.arange(shell_lo + 1, shell_hi)
-        dist = np.abs(cum[boundaries] - mid)
-        b = int(boundaries[int(np.argmin(dist))])  # argmin takes first => left tie-break
-        node.left = split(shell_lo, b)
-        node.right = split(b, shell_hi)
+    def split(lo, hi):
+        node = Span(lo, hi)
+        if hi - lo > leaf_size:
+            mid = (lo + hi) // 2
+            node.left = split(lo, mid)
+            node.right = split(mid, hi)
         return node
 
-    return Partition(root=split(0, len(sizes)), leaf_size=leaf_size)
+    return Partition(root=split(0, system.n_shells), leaf_size=leaf_size)
 
 
 class MatrixQuadtree:
@@ -138,25 +120,22 @@ class MatrixQuadtree:
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.row.n_functions, self.col.n_functions))
-        _fill_dense(self, out, self.row.fn_lo, self.col.fn_lo)
+        _fill_dense(self, out, self.row.shell_lo, self.col.shell_lo)
         return out
 
 
 def _fill_dense(node, out, row0, col0):
     if node.is_leaf:
         r, c = node.row, node.col
-        out[r.fn_lo - row0:r.fn_hi - row0, c.fn_lo - col0:c.fn_hi - col0] = node.leaf
+        out[r.shell_lo - row0:r.shell_hi - row0,
+            c.shell_lo - col0:c.shell_hi - col0] = node.leaf
         return
     for ch in node.children.values():
         _fill_dense(ch, out, row0, col0)
 
 
-def build_matrix_tree(dense: np.ndarray, partition: Partition,
-                      zero_drop: float = 0.0) -> MatrixQuadtree:
-    """Quadtree over ``dense``; children with norm <= zero_drop are dropped.
-
-    With the default zero_drop = 0 only exactly-zero blocks are absent.
-    """
+def build_matrix_tree(dense: np.ndarray, partition: Partition) -> MatrixQuadtree:
+    """Quadtree over ``dense``; blocks of norm 0 are absent."""
     dense = np.asarray(dense, dtype=float)
     n = partition.root.n_functions
     if dense.shape != (n, n):
@@ -165,11 +144,9 @@ def build_matrix_tree(dense: np.ndarray, partition: Partition,
 
     def build(row: Span, col: Span):
         if row.is_leaf and col.is_leaf:
-            block = dense[row.fn_lo:row.fn_hi, col.fn_lo:col.fn_hi]
-            if not np.any(block):
-                return None
+            block = dense[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi]
             norm = _frobenius(block)
-            if norm <= zero_drop:
+            if norm == 0.0:  # exactly zero, or its squares underflow
                 return None
             return MatrixQuadtree(row, col, norm, leaf=block)
         children = {}
@@ -238,15 +215,13 @@ def shell_overlap_matrix(system: BasisSystem) -> np.ndarray:
 
 
 def build_pair_tree(system: BasisSystem, partition: Partition,
-                    tau_ovlp: float = 0.0,
-                    overlap_matrix: np.ndarray | None = None) -> ShellPairNode:
+                    tau_ovlp: float = 0.0) -> ShellPairNode:
     """Shell-pair quadtree with overlap pruning and cached diagonal norms.
 
     A node is pruned iff every shell-pair overlap magnitude in its span is
     below tau_ovlp; pruned subtrees are not expanded.
     """
-    s_abs = np.abs(shell_overlap_matrix(system) if overlap_matrix is None
-                   else overlap_matrix)
+    s_abs = np.abs(shell_overlap_matrix(system))
     shells = system.shells
 
     def build(row: Span, col: Span) -> ShellPairNode:
@@ -306,7 +281,6 @@ def _subset_pairs(pd, idx: np.ndarray):
         gather = np.empty(0, dtype=np.intp)
     return PairData(
         i_shell=pd.i_shell[idx], j_shell=pd.j_shell[idx],
-        i_fn=pd.i_fn[idx], j_fn=pd.j_fn[idx],
         offsets=offsets, p=pd.p[gather],
         center=pd.center[gather], weight=pd.weight[gather])
 
@@ -317,7 +291,7 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     canonical=True restricts a diagonal node to its upper-triangular pairs
     (the canonical orientation); off-diagonal nodes are unaffected. Entries:
     pd (PairData), q (per-pair (ij|ij) in canonical orientation), i_rel/j_rel
-    (function indices relative to the spans), ri/rj (pair -> function
+    (shell indices relative to the spans), ri/rj (pair -> shell
     indicator matrices), wdi (0 where i == j, else 1). Cached on the node;
     rebuilding under a concurrent race is idempotent.
     """
@@ -337,8 +311,8 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
         pd = _subset_pairs(pd, keep)
         q = q[keep]
     m = pd.n_pairs
-    i_rel = pd.i_fn - row.fn_lo
-    j_rel = pd.j_fn - col.fn_lo
+    i_rel = pd.i_shell - row.shell_lo
+    j_rel = pd.j_shell - col.shell_lo
     ri = np.zeros((m, row.n_functions))
     ri[np.arange(m), i_rel] = 1.0
     rj = np.zeros((m, col.n_functions))
@@ -349,37 +323,3 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
               "ri": ri, "rj": rj, "wdi": wdi}
     node.cache[key] = cached
     return cached
-
-
-def _walk(node, level=0):
-    yield level, node
-    children = getattr(node, "children", None) or {}
-    for key in sorted(children):
-        yield from _walk(children[key], level + 1)
-
-
-def dump_tree_text(node) -> str:
-    """Indented text dump of a matrix or pair tree, for inspection."""
-    lines = []
-    for level, nd in _walk(node):
-        norm = getattr(nd, "norm", None)
-        if norm is None:
-            norm = nd.diag_norm
-        pruned = getattr(nd, "pruned", False)
-        lines.append("  " * level +
-                     f"[{nd.row.fn_lo}:{nd.row.fn_hi}) x [{nd.col.fn_lo}:{nd.col.fn_hi})"
-                     f" norm={norm:.6e}" + (" PRUNED" if pruned else ""))
-    return "\n".join(lines)
-
-
-def dump_tree_csv(node) -> str:
-    """Flat CSV dump: level, row_span, col_span, norm, pruned."""
-    lines = ["level,row_lo,row_hi,col_lo,col_hi,norm,pruned"]
-    for level, nd in _walk(node):
-        norm = getattr(nd, "norm", None)
-        if norm is None:
-            norm = nd.diag_norm
-        pruned = getattr(nd, "pruned", False)
-        lines.append(f"{level},{nd.row.fn_lo},{nd.row.fn_hi},"
-                     f"{nd.col.fn_lo},{nd.col.fn_hi},{norm!r},{int(pruned)}")
-    return "\n".join(lines)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hexfock import (Atom, BasisSystem, FormatError, InvalidArgumentError,
                      UnsupportedElementError, generate_cluster, hilbert_order,
-                     load_xyz, parse_shell_table)
+                     load_xyz)
 from hexfock.basis import (BOHR_PER_ANGSTROM, GaussianShell, OH_DISTANCE,
                            SplitMix64, hilbert_index_3d)
 from hexfock.integrals import overlap
@@ -32,7 +32,6 @@ def test_generate_cluster_deterministic():
     for sa, sb in zip(a.shells, b.shells):
         assert np.array_equal(sa.center, sb.center)
         assert sa.primitives == sb.primitives
-        assert sa.function_offset == sb.function_offset
 
 
 def test_generate_cluster_zero_molecules_rejected():
@@ -79,13 +78,6 @@ def test_load_xyz_unknown_element(tmp_path):
         load_xyz(path)
 
 
-def test_parse_shell_table_roundtrip():
-    table = parse_shell_table("O 1.0:0.5 2.0:0.5; 0.3:1.0\nH 1.24:1.0\n")
-    assert set(table) == {"O", "H"}
-    assert len(table["O"]) == 2      # two shells
-    assert len(table["O"][0]) == 2   # first shell has two primitives
-
-
 def test_hilbert_order_idempotent():
     system = generate_cluster(5, seed=11)
     once, perm1 = hilbert_order(system)
@@ -98,8 +90,6 @@ def test_hilbert_order_idempotent():
 def test_hilbert_order_stable_for_identical_centers():
     sh = [GaussianShell(center=np.zeros(3), primitives=[(1.0 + i, 1.0)])
           for i in range(3)]
-    for i, s in enumerate(sh):
-        s.function_offset = i
     system = BasisSystem(shells=sh, atoms=[Atom("H", np.zeros(3))] * 3)
     ordered, perm = hilbert_order(system)
     assert list(perm) == [0, 1, 2]
@@ -110,14 +100,6 @@ def test_hilbert_corner_indices_match_reference():
     corners = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     idx = [hilbert_index_3d(np.array(c), 1) for c in corners]
     assert sorted(idx) == list(range(8))
-
-
-def test_hilbert_order_invalid_bits():
-    system = generate_cluster(1, seed=1)
-    with pytest.raises(InvalidArgumentError):
-        hilbert_order(system, bits_per_axis=0)
-    with pytest.raises(InvalidArgumentError):
-        hilbert_order(system, bits_per_axis=21)
 
 
 def test_splitmix64_reference_values():

@@ -6,7 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hexfock import RunConfig, load_report_schema, run_report, scaling_series
+from hexfock import (DensityModel, RunConfig, build_density, generate_cluster,
+                     load_report_schema, run_report, scaling_series)
 from hexfock.cli import SERIES_COLUMNS, main
 from hexfock.density import save_density_file
 from hexfock.integrals import InvalidArgumentError
@@ -120,6 +121,16 @@ def test_bad_density_file_exits_2(tmp_path, capsys, bad, message):
     dens.write_text("4\n" + " ".join(["0.5"] * 15 + [bad]) + "\n")
     assert main(["--system", "water:1", "--density", f"file:{dens}"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_overflowing_density_exits_2(tmp_path, capsys, scale):
+    # finite density values whose K norms overflow double precision
+    dens = tmp_path / "p.txt"
+    save_density_file(dens, scale * build_density(generate_cluster(2, seed=3),
+                                                  DensityModel()))
+    assert main(["--system", "water:2", "--density", f"file:{dens}"]) == 2
+    assert "density magnitude" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,message", [

@@ -12,9 +12,7 @@ def test_gamma_infinity_limit_is_diagonal():
     n = system.n_functions
     # off-diagonal entries between distinct centers vanish; same-center
     # blocks (zero distance) stay at the diagonal value
-    centers = np.empty((n, 3))
-    for sh in system.shells:
-        centers[sh.function_offset] = sh.center
+    centers = np.array([sh.center for sh in system.shells])
     for i in range(n):
         for j in range(n):
             if np.array_equal(centers[i], centers[j]):
@@ -25,14 +23,14 @@ def test_gamma_infinity_limit_is_diagonal():
 
 def test_same_center_functions_get_diagonal_value():
     system = generate_cluster(1, seed=2)
-    P = build_density(system, DensityModel(gamma=0.7, diagonal=2.5))
+    P = build_density(system, DensityModel(gamma=0.7))
     # the two O shells share a center -> full diagonal value off-diagonal
-    o_shells = [sh for sh in system.shells
+    o_shells = [k for k, sh in enumerate(system.shells)
                 if np.array_equal(sh.center, system.atoms[0].position)]
     assert len(o_shells) == 2
-    i, j = (sh.function_offset for sh in o_shells)
-    assert P[i, j] == 2.5
-    assert P[i, i] == 2.5
+    i, j = o_shells
+    assert P[i, j] == 1.0
+    assert P[i, i] == 1.0
 
 
 def test_density_exactly_symmetric():
@@ -45,9 +43,7 @@ def test_density_monotone_decay_with_distance():
     system = generate_cluster(10, seed=3)
     P = build_density(system, DensityModel(gamma=0.5))
     n = system.n_functions
-    centers = np.empty((n, 3))
-    for sh in system.shells:
-        centers[sh.function_offset] = sh.center
+    centers = np.array([sh.center for sh in system.shells])
     d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
     iu = np.triu_indices(n, k=1)
     order = np.argsort(d[iu])

@@ -87,8 +87,8 @@ def _problems(draw):
     for i, a in enumerate(leaves):
         for j, b in enumerate(leaves[:i + 1]):
             if drop[i, j]:
-                P[a.fn_lo:a.fn_hi, b.fn_lo:b.fn_hi] = 0.0
-                P[b.fn_lo:b.fn_hi, a.fn_lo:a.fn_hi] = 0.0
+                P[a.shell_lo:a.shell_hi, b.shell_lo:b.shell_hi] = 0.0
+                P[b.shell_lo:b.shell_hi, a.shell_lo:a.shell_hi] = 0.0
     pairs = build_pair_tree(system, part, tau_ovlp=0.0)
     return system, pairs, build_matrix_tree(P, part), P
 

@@ -31,42 +31,35 @@ def _leaf_pair(pairs, i, j):
 def test_classify_cases_by_span_relation(deep_pairs):
     lp = lambda i, j: _leaf_pair(deep_pairs, i, j)
     # separated spans and touching spans are the generic 4-sink case A
-    assert classify_quartet(lp(0, 1), lp(2, 3)).case_id == "A"
-    assert classify_quartet(lp(2, 3), lp(0, 1)).case_id == "A"  # mirrored
-    assert classify_quartet(lp(0, 1), lp(1, 2)).case_id == "A"  # nu == lam
+    assert classify_quartet(lp(0, 1), lp(2, 3)) == "A"
+    assert classify_quartet(lp(2, 3), lp(0, 1)) == "A"  # mirrored
+    assert classify_quartet(lp(0, 1), lp(1, 2)) == "A"  # nu == lam
     # one diagonal pair node
-    assert classify_quartet(lp(0, 0), lp(1, 2)).case_id == "B"
-    assert classify_quartet(lp(0, 1), lp(2, 2)).case_id == "B"
+    assert classify_quartet(lp(0, 0), lp(1, 2)) == "B"
+    assert classify_quartet(lp(0, 1), lp(2, 2)) == "B"
     # nested and interleaved four-distinct-span tasks
-    assert classify_quartet(lp(0, 3), lp(1, 2)).case_id == "C"
-    assert classify_quartet(lp(1, 2), lp(0, 3)).case_id == "C"
-    assert classify_quartet(lp(0, 2), lp(1, 3)).case_id == "D"
+    assert classify_quartet(lp(0, 3), lp(1, 2)) == "C"
+    assert classify_quartet(lp(1, 2), lp(0, 3)) == "C"
+    assert classify_quartet(lp(0, 2), lp(1, 3)) == "D"
     # same node on both sides
-    assert classify_quartet(lp(0, 1), lp(0, 1)).case_id == "E"
+    assert classify_quartet(lp(0, 1), lp(0, 1)) == "E"
     # shared row / column span coincidences
-    assert classify_quartet(lp(0, 2), lp(0, 3)).case_id == "F1"
-    assert classify_quartet(lp(0, 2), lp(1, 2)).case_id == "F2"
+    assert classify_quartet(lp(0, 2), lp(0, 3)) == "F1"
+    assert classify_quartet(lp(0, 2), lp(1, 2)) == "F2"
     # both pair nodes diagonal
-    assert classify_quartet(lp(0, 0), lp(1, 1)).case_id == "H"
+    assert classify_quartet(lp(0, 0), lp(1, 1)) == "H"
 
 
 def test_classify_case_a_has_four_valid_slots(deep_pairs):
-    case = classify_quartet(_leaf_pair(deep_pairs, 0, 1),
-                            _leaf_pair(deep_pairs, 2, 3))
-    assert case.case_id == "A"
-    assert len(case.slots) == 4
-    assert all(s.valid for s in case.slots)
-    sinks = [s.sink for s in case.slots]
-    assert sinks == ["K[mu,sig]", "K[nu,sig]", "K[mu,lam]", "K[nu,lam]"]
+    assert classify_quartet(_leaf_pair(deep_pairs, 0, 1),
+                            _leaf_pair(deep_pairs, 2, 3),
+                            present=(True, True, True, True)) == "A"
 
 
 def test_classify_absent_link_demotes_to_sparse(deep_pairs):
-    case = classify_quartet(_leaf_pair(deep_pairs, 0, 1),
+    assert classify_quartet(_leaf_pair(deep_pairs, 0, 1),
                             _leaf_pair(deep_pairs, 2, 3),
-                            present=(True, False, True, True))
-    assert case.case_id == "SPARSE"
-    assert [s.valid for s in case.slots] == [True, False, True, True]
-    assert sum(s.valid for s in case.slots) == 3
+                            present=(True, False, True, True)) == "SPARSE"
 
 
 def test_classify_non_canonical_task_is_logic_error(deep_pairs):

@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from hexfock.basis import GaussianShell
+from hexfock.basis import BasisSystem, GaussianShell
 from hexfock.integrals import (InvalidArgumentError, _F0_SWITCH, boys_f0,
                                build_pair_data, diagonal_values, eri_cross,
-                               eri_elementwise, eri_quartet, overlap,
-                               pair_diagonal_norm)
+                               eri_elementwise, eri_quartet, overlap)
+from hexfock.quadtree import build_pair_tree, build_partition
 
 from conftest import quadrature_eri
 
@@ -155,26 +155,32 @@ def test_eri_cross_elementwise_quartet_consistency():
 
 # ------------------------------------------------- diagonal norms / Schwarz
 
+def _pair_tree(shells, leaf_size):
+    system = BasisSystem(shells=shells, atoms=[])
+    return build_pair_tree(system, build_partition(system, leaf_size))
+
+
 def test_pair_diagonal_norm_single_pair():
     sh = _shell([0.0, 0.0, 0.0], [(1.0, 1.0)])
     v = eri_quartet(sh, sh, sh, sh).values[0, 0, 0, 0]
-    assert pair_diagonal_norm([sh], [(0, 0)]) == pytest.approx(v, rel=1e-13)
+    assert _pair_tree([sh], 1).diag_norm == pytest.approx(v, rel=1e-13)
 
 
 def test_pair_diagonal_norm_far_pair_tiny():
     a = _shell([0.0, 0.0, 0.0], [(0.27, 1.0)])
     b = _shell([50.0, 0.0, 0.0], [(0.27, 1.0)])
-    assert pair_diagonal_norm([a, b], [(0, 1)]) <= 1e-20
+    assert _pair_tree([a, b], 1).child(0, 1).diag_norm <= 1e-20
 
 
 def test_pair_diagonal_norm_matches_brute_force():
+    # the leaf norm over all nine pairs, each (ij|ij) in (min, max) orientation
     rng = np.random.default_rng(4)
     shells = [_random_shell(rng) for _ in range(3)]
-    pair_list = [(0, 1), (1, 2), (0, 2), (2, 2)]
-    vals = [eri_quartet(shells[i], shells[j], shells[i], shells[j])
-            .values[0, 0, 0, 0] for i, j in pair_list]
+    vals = [eri_quartet(shells[min(i, j)], shells[max(i, j)],
+                        shells[min(i, j)], shells[max(i, j)]).values[0, 0, 0, 0]
+            for i in range(3) for j in range(3)]
     ref = math.sqrt(math.fsum(v * v for v in vals))
-    assert pair_diagonal_norm(shells, pair_list) == pytest.approx(ref, rel=1e-12)
+    assert _pair_tree(shells, 3).diag_norm == pytest.approx(ref, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

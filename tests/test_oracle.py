@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hexfock import (compare, dense_exchange, dense_exchange_screened,
-                     generate_cluster)
+from hexfock import (DensityModel, build_density, compare, dense_exchange,
+                     dense_exchange_screened, generate_cluster)
 from hexfock.basis import Atom, BasisSystem, GaussianShell
 from hexfock.integrals import InvalidArgumentError, eri_quartet
 
@@ -86,6 +87,24 @@ def test_screened_quartet_log():
     ns = system.n_shells
     assert len(log) == ns ** 4
     assert all(len(t) == 4 for t in log)
+
+
+@pytest.mark.parametrize("oracle", [
+    dense_exchange,
+    lambda system, P: dense_exchange_screened(system, P, 1e-8),
+], ids=["dense", "dense-screened"])
+def test_oracle_peak_memory_bounded(oracle):
+    # water:12 (48 shells): unchunked, dense held ~600 MB and dense-screened
+    # an n_shells**4 bound array (~96 MB) at once
+    system = generate_cluster(12, seed=3)
+    P = build_density(system, DensityModel())
+    tracemalloc.start()
+    try:
+        oracle(system, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
 
 
 def test_compare_cases():

@@ -6,8 +6,7 @@ import pytest
 from hexfock.basis import Atom, BasisSystem, GaussianShell, generate_cluster
 from hexfock.integrals import InvalidArgumentError, eri_quartet, overlap
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
-                              build_partition, dump_tree_csv, dump_tree_text,
-                              shell_overlap_matrix)
+                              build_partition, shell_overlap_matrix)
 
 from conftest import build_setup
 
@@ -16,10 +15,12 @@ def _line_system(n_shells, spacing=1.0, exponent=1.0):
     shells = [GaussianShell(center=[i * spacing, 0.0, 0.0],
                             primitives=[(exponent, 1.0)])
               for i in range(n_shells)]
-    for i, sh in enumerate(shells):
-        sh.function_offset = i
     atoms = [Atom("H", sh.center) for sh in shells]
     return BasisSystem(shells=shells, atoms=atoms)
+
+
+def _depth(span):
+    return 0 if span.is_leaf else 1 + max(_depth(span.left), _depth(span.right))
 
 
 # ---------------------------------------------------------------- partition
@@ -29,7 +30,7 @@ def test_partition_single_leaf_when_small():
     part = build_partition(system, leaf_size=10)
     assert part.root.is_leaf
     assert part.root.n_functions == 10
-    assert len(part.levels) == 1
+    assert part.leaves == [part.root]
 
 
 def test_partition_thirteen_shells_midpoint_split():
@@ -37,8 +38,8 @@ def test_partition_thirteen_shells_midpoint_split():
     part = build_partition(system, leaf_size=10)
     root = part.root
     assert not root.is_leaf
-    # boundaries 6 and 7 are equidistant from the midpoint 6.5; the tie
-    # breaks to the left boundary, yielding a 6/7 function split
+    # shells 6 and 7 are equidistant from the midpoint 6.5; the split takes
+    # the left one, yielding a 6/7 shell split
     sizes = (root.left.n_functions, root.right.n_functions)
     assert sorted(sizes) == [6, 7]
     assert sizes == (6, 7)
@@ -65,10 +66,8 @@ def test_partition_deterministic():
     system = generate_cluster(6, seed=5)
     p1 = build_partition(system, leaf_size=10)
     p2 = build_partition(system, leaf_size=10)
-    spans1 = [(s.shell_lo, s.shell_hi, s.fn_lo, s.fn_hi)
-              for lvl in p1.levels for s in lvl]
-    spans2 = [(s.shell_lo, s.shell_hi, s.fn_lo, s.fn_hi)
-              for lvl in p2.levels for s in lvl]
+    spans1 = [(s.shell_lo, s.shell_hi) for s in p1.leaves]
+    spans2 = [(s.shell_lo, s.shell_hi) for s in p2.leaves]
     assert spans1 == spans2
 
 
@@ -76,7 +75,7 @@ def test_partition_depth_scales_logarithmically():
     system = generate_cluster(30, seed=3)
     part = build_partition(system, leaf_size=10)
     n = system.n_functions
-    assert len(part.levels) - 1 <= math.ceil(math.log2(n / 10)) + 1
+    assert _depth(part.root) <= math.ceil(math.log2(n / 10)) + 1
 
 
 # ---------------------------------------------------------------- matrix tree
@@ -162,8 +161,6 @@ def test_pair_tree_far_clusters_pruned():
     for sh in right.shells:
         shells.append(GaussianShell(center=sh.center + [100.0, 0.0, 0.0],
                                     primitives=list(sh.primitives)))
-    for i, sh in enumerate(shells):
-        sh.function_offset = i
     system = BasisSystem(shells=shells,
                          atoms=[Atom("H", s.center) for s in shells])
     part = build_partition(system, leaf_size=8)
@@ -241,15 +238,3 @@ def test_pair_tree_leaf_diag_matches_quartets():
             a, b = min(i, j), max(i, j)
             ref = eri_quartet(sh[a], sh[b], sh[a], sh[b]).values[0, 0, 0, 0]
             assert pairs.diag[i, j] == pytest.approx(ref, rel=1e-12)
-
-
-# ---------------------------------------------------------------- dumps
-
-def test_tree_dumps_smoke():
-    system, pairs, P_tree, _ = build_setup(2, tau_ovlp=1e-11)
-    text = dump_tree_text(pairs)
-    assert "norm=" in text
-    csv_text = dump_tree_csv(P_tree)
-    lines = csv_text.splitlines()
-    assert lines[0] == "level,row_lo,row_hi,col_lo,col_hi,norm,pruned"
-    assert len(lines) > 1
