@@ -199,6 +199,8 @@ def load_xyz(path) -> BasisSystem:
         natoms = int(lines[0].split()[0])
     except (ValueError, IndexError):
         raise FormatError(f"bad atom-count line {lines[0]!r}", 1)
+    if natoms < 1:
+        raise FormatError(f"atom count must be >= 1, got {natoms}", 1)
     if len(lines) < natoms + 2:
         raise FormatError(f"expected {natoms} atom lines, file has {len(lines) - 2}",
                           len(lines))

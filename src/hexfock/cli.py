@@ -37,6 +37,12 @@ BOUND_MODES = ("schwarz", "literal")
 ORDERINGS = ("hilbert", "input")
 DEFAULT_SEED = 3
 
+# Largest system, in shells, that --mode or --reference dense/dense-screened
+# accepts. The dense oracle's time grows as n_shells^4: it took 12.7 s of
+# CPU time at 72 shells (water:18) on a 2-core x86-64 box, so 180 shells
+# (water:45) take about 8 minutes and water:70 (280 shells) about 50.
+DENSE_MAX_SHELLS = 180
+
 SERIES_COLUMNS = (
     ["n", "n_functions", "mode", "tau_2e", "tau_ovlp", "wall_seconds",
      "eri_quartets", "leaf_contractions", "tasks_culled"]
@@ -179,6 +185,13 @@ def run(config: RunConfig) -> dict:
     """Execute one configured build and return the report dictionary."""
     config.validate()
     system, n_molecules, P = _build_inputs(config)
+    for flag, mode in (("--mode", config.mode),
+                       ("--reference", config.reference)):
+        if mode in ("dense", "dense-screened") \
+                and system.n_shells > DENSE_MAX_SHELLS:
+            raise InvalidArgumentError(
+                f"{flag} {mode}: the system has {system.n_shells} shells, "
+                f"above the dense-oracle limit of {DENSE_MAX_SHELLS} shells")
     t0 = time.perf_counter()
     K, counters, cases = _execute(config, config.mode, system, P)
     wall = time.perf_counter() - t0

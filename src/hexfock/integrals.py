@@ -18,40 +18,32 @@ from .basis import GaussianShell, InvalidArgumentError
 
 TWO_PI_POW_2_5 = 2.0 * math.pi ** 2.5
 
-# Series/closed-form switch for the F0 kernel; continuity across the switch
-# is covered by tests.
-_F0_SWITCH = 12.0
-_F0_SERIES_TERMS = 70
+# Below this t, F0 is its Taylor series 1 - t/3 + t^2/10; the first term
+# dropped, t^3/42, is below 3e-20 relative there. The closed form itself is
+# 0/0 at t = 0.
+_F0_TINY = 1e-6
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 
 
 def boys_f0(t):
     """Boys function F0(t) = int_0^1 exp(-t u^2) du.
 
-    Accepts a scalar or ndarray, t >= 0. Uses the double-factorial series
-    below t=12 and the erf closed form above.
+    Accepts a scalar or ndarray, t >= 0. Uses the erf closed form
+    F0(t) = sqrt(pi / t) erf(sqrt(t)) / 2, and its Taylor series below
+    t = 1e-6.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise InvalidArgumentError("boys_f0 requires t >= 0")
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.empty_like(t_arr)
-
-    small = t_arr < _F0_SWITCH
-    if np.any(small):
-        ts = t_arr[small]
-        # F0(t) = exp(-t) * sum_k (2t)^k / (2k+1)!!
-        acc = np.ones_like(ts)
-        term = np.ones_like(ts)
-        two_t = 2.0 * ts
-        for k in range(1, _F0_SERIES_TERMS):
-            term = term * two_t / (2 * k + 1)
-            acc += term
-        out[small] = np.exp(-ts) * acc
-    if np.any(~small):
-        tl = t_arr[~small]
-        st = np.sqrt(tl)
-        out[~small] = 0.5 * np.sqrt(np.pi) * erf(st) / st
+    scalar = np.ndim(t) == 0
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    tiny = t_arr < _F0_TINY
+    st = np.sqrt(np.maximum(t_arr, _F0_TINY))
+    out = erf(st)
+    out *= _HALF_SQRT_PI
+    out /= st
+    if tiny.any():
+        tt = t_arr[tiny]
+        if np.any(tt < 0.0):
+            raise InvalidArgumentError("boys_f0 requires t >= 0")
+        out[tiny] = 1.0 - tt / 3.0 + tt * tt / 10.0
     return float(out[0]) if scalar else out
 
 
@@ -97,42 +89,64 @@ class PairData:
         return len(self.i_shell)
 
 
+def _primitive_pairs(shells, pair_list):
+    """Primitive pairs of each (i, j) shell pair, row-major over (alpha_i, beta_j).
+
+    Returns ``offsets`` (each pair's block, length n_pairs + 1) and, per
+    primitive pair, the two exponents, the two weights, the two shell centers
+    and |A - B|^2. Only the shells ``pair_list`` names are read.
+    """
+    ij = np.asarray(pair_list, dtype=np.intp).reshape(-1, 2)
+    used, local = np.unique(ij, return_inverse=True)
+    li, lj = local.reshape(ij.shape).T
+    sub = [shells[k] for k in used]
+    n_prim = np.array([len(sh.exponents) for sh in sub], dtype=np.intp)
+    first = np.cumsum(n_prim) - n_prim
+    exps = np.concatenate([np.empty(0)] + [sh.exponents for sh in sub])
+    wts = np.concatenate([np.empty(0)] + [sh.weights for sh in sub])
+    centers = np.array([sh.center for sh in sub]).reshape(-1, 3)
+    nb = n_prim[lj]
+    count = n_prim[li] * nb
+    offsets = np.zeros(len(ij) + 1, dtype=np.intp)
+    np.cumsum(count, out=offsets[1:])
+    pair = np.repeat(np.arange(len(ij)), count)
+    k = np.arange(offsets[-1]) - offsets[pair]
+    a = first[li][pair] + k // nb[pair]
+    b = first[lj][pair] + k % nb[pair]
+    ca, cb = centers[li], centers[lj]
+    # vecdot rounds like the np.dot of one shell pair's center difference
+    r2 = np.vecdot(ca - cb, ca - cb)[pair]
+    return offsets, exps[a], exps[b], wts[a], wts[b], ca[pair], cb[pair], r2
+
+
 def build_pair_data(shells, pair_list) -> PairData:
     """Precompute primitive pair data for ``pair_list`` of (i, j) shell ids."""
-    i_sh, j_sh = [], []
-    offsets = [0]
-    ps, cs, ws = [], [], []
-    for i, j in pair_list:
-        a, b = shells[i], shells[j]
-        ea, eb = a.exponents[:, None], b.exponents[None, :]
-        p = (ea + eb).ravel()
-        ab = (ea * eb).ravel()
-        r2 = float(np.dot(a.center - b.center, a.center - b.center))
-        w = (a.weights[:, None] * b.weights[None, :]).ravel() * np.exp(-ab / p * r2)
-        ctr = (ea[..., None] * a.center + eb[..., None] * b.center).reshape(-1, 3)
-        ctr /= p[:, None]
-        i_sh.append(i)
-        j_sh.append(j)
-        offsets.append(offsets[-1] + len(p))
-        ps.append(p)
-        cs.append(ctr)
-        ws.append(w)
-    if ps:
-        p_all = np.concatenate(ps)
-        c_all = np.concatenate(cs)
-        w_all = np.concatenate(ws)
-    else:
-        p_all = np.empty(0)
-        c_all = np.empty((0, 3))
-        w_all = np.empty(0)
-    return PairData(
-        i_shell=np.asarray(i_sh, dtype=np.intp),
-        j_shell=np.asarray(j_sh, dtype=np.intp),
-        offsets=np.asarray(offsets, dtype=np.intp),
-        p=p_all,
-        center=c_all,
-        weight=w_all,
-    )
+    ij = np.asarray(pair_list, dtype=np.intp).reshape(-1, 2)
+    offsets, ea, eb, wa, wb, ca, cb, r2 = _primitive_pairs(shells, ij)
+    p = ea + eb
+    center = ea[:, None] * ca + eb[:, None] * cb
+    center /= p[:, None]
+    i_shell, j_shell = ij.T.copy()
+    return PairData(i_shell=i_shell, j_shell=j_shell, offsets=offsets,
+                    p=p, center=center,
+                    weight=wa * wb * np.exp(-(ea * eb) / p * r2))
+
+
+def pair_overlaps(shells, pair_list) -> np.ndarray:
+    """Contracted overlaps (a|b) of every (i, j) shell pair in ``pair_list``.
+
+    Each value is rounded as ``overlap`` rounds it.
+    """
+    offsets, ea, eb, wa, wb, _, _, r2 = _primitive_pairs(shells, pair_list)
+    p = ea + eb
+    s = wa * wb * ((np.pi / p) ** 1.5 * np.exp(-ea * eb / p * r2))
+    count = np.diff(offsets)
+    out = np.empty(len(count))
+    for c in np.unique(count):
+        # a row sum of c contiguous values adds them in np.sum's order
+        sel = np.nonzero(count == c)[0]
+        out[sel] = s[offsets[sel, None] + np.arange(c)].sum(axis=1)
+    return out
 
 
 def _prim_cross(p1, c1, w1, p2, c2, w2):

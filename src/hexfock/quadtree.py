@@ -202,15 +202,22 @@ class ShellPairNode:
         return self.children.get((a, b))
 
 
+# Shell pairs per overlap pass. Small passes keep the primitive-pair
+# temporaries small: one pass over all pairs raised the benchmark's peak RSS
+# by 1.6-2.5 MB at water:24-30, 512-pair passes by at most 0.4 MB.
+_OVERLAP_CHUNK = 512
+
+
 def shell_overlap_matrix(system: BasisSystem) -> np.ndarray:
     """Exactly symmetric matrix of contracted shell-shell overlaps."""
     n = system.n_shells
+    iu, ju = np.triu_indices(n)
     s = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = integrals.overlap(system.shells[i], system.shells[j])
-            s[i, j] = v
-            s[j, i] = v
+    for lo in range(0, len(iu), _OVERLAP_CHUNK):
+        i, j = iu[lo:lo + _OVERLAP_CHUNK], ju[lo:lo + _OVERLAP_CHUNK]
+        v = integrals.pair_overlaps(system.shells, np.column_stack((i, j)))
+        s[i, j] = v
+        s[j, i] = v
     return s
 
 
@@ -231,14 +238,14 @@ def build_pair_tree(system: BasisSystem, partition: Partition,
             node.pruned = True
             return node
         if node.is_leaf:
-            pair_list = [(i, j)
-                         for i in range(row.shell_lo, row.shell_hi)
-                         for j in range(col.shell_lo, col.shell_hi)]
+            ii, jj = np.meshgrid(np.arange(row.shell_lo, row.shell_hi),
+                                 np.arange(col.shell_lo, col.shell_hi),
+                                 indexing="ij")
+            pair_list = np.column_stack((ii.ravel(), jj.ravel()))
             node.pairs = build_pair_data(shells, pair_list)
             # diagonal values are evaluated in canonical (i <= j) orientation so
             # that mirrored blocks cache bit-identical screening inputs
-            canon = build_pair_data(shells, [(min(i, j), max(i, j))
-                                             for i, j in pair_list])
+            canon = build_pair_data(shells, np.sort(pair_list, axis=1))
             d = diagonal_values(canon).reshape(
                 row.shell_hi - row.shell_lo, col.shell_hi - col.shell_lo)
             node.diag = d

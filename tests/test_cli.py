@@ -8,6 +8,7 @@ import pytest
 
 from hexfock import (DensityModel, RunConfig, build_density, generate_cluster,
                      load_report_schema, run_report, scaling_series)
+from hexfock import cli
 from hexfock.cli import SERIES_COLUMNS, main
 from hexfock.density import save_density_file
 from hexfock.integrals import InvalidArgumentError
@@ -137,12 +138,31 @@ def test_overflowing_density_exits_2(tmp_path, capsys, scale):
     ("", "empty file"),
     ("2\n\nH 0 0 0\n", "expected 2 atom lines"),
     ("1\n\nXx 0 0 0\n", "'Xx'"),
+    ("0\n\n", "line 1: atom count must be >= 1, got 0"),
+    ("-1\n\n", "line 1: atom count must be >= 1, got -1"),
 ])
 def test_bad_xyz_file_exits_2(tmp_path, capsys, text, message):
     xyz = tmp_path / "sys.xyz"
     xyz.write_text(text)
     assert main(["--system", f"xyz:{xyz}"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "dense"],
+    ["--mode", "dense-screened"],
+    ["--mode", "naive", "--reference", "dense"],
+])
+def test_dense_oracle_refused_above_size_limit(monkeypatch, capsys, flags):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a build ran for a refused system")
+
+    monkeypatch.setattr(cli, "_execute", no_build)
+    n_molecules = cli.DENSE_MAX_SHELLS // 4 + 1  # four shells per water
+    assert main(["--system", f"water:{n_molecules}"] + flags) == 2
+    err = capsys.readouterr().err
+    assert f"{4 * n_molecules} shells" in err
+    assert f"limit of {cli.DENSE_MAX_SHELLS} shells" in err
 
 
 # ---------------------------------------------------------------- series

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from hexfock.basis import BasisSystem, GaussianShell
-from hexfock.integrals import (InvalidArgumentError, _F0_SWITCH, boys_f0,
+from hexfock.integrals import (InvalidArgumentError, _F0_TINY, boys_f0,
                                build_pair_data, diagonal_values, eri_cross,
                                eri_elementwise, eri_quartet, overlap)
 from hexfock.quadtree import build_pair_tree, build_partition
@@ -37,14 +38,32 @@ def test_boys_f0_pinned_values():
                                        rel=1e-12)
 
 
-def test_boys_f0_continuous_at_switch():
-    # the series branch just below the switch must agree with the erf
-    # closed form evaluated at the same argument (branch consistency, not
-    # merely smallness of the genuine derivative step)
-    t = _F0_SWITCH - 1e-13
-    series_val = boys_f0(t)
-    closed = 0.5 * math.sqrt(math.pi / t) * erf(math.sqrt(t))
-    assert abs(series_val - closed) / closed <= 1e-13
+def test_boys_f0_matches_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+    # the dense grid below t = 14 is where rounding errors of a summed
+    # series would build up (a 70-term series reached 1.5e-15 near t = 11)
+    t = np.concatenate([np.logspace(-14.0, 8.0, 1500),
+                        np.linspace(1e-6, 14.0, 4000)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.sqrt(mpmath.pi / x)
+                              * mpmath.erf(mpmath.sqrt(x)) / 2)
+                        for x in map(mpmath.mpf, t)])
+    assert np.max(np.abs(boys_f0(t) - ref) / ref) <= 1e-15
+
+
+def test_boys_f0_at_zero_is_exact_and_quiet():
+    assert boys_f0(0.0) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = boys_f0(np.array([0.0, 1e-300, 0.5, 0.0]))
+    assert out[[0, 1, 3]].tolist() == [1.0, 1.0, 1.0]
+
+
+def test_boys_f0_continuous_across_small_t_guard():
+    below = np.nextafter(_F0_TINY, 0.0)
+    lo, hi = boys_f0(np.array([below, _F0_TINY]))
+    assert lo >= hi  # F0 decreases
+    assert (lo - hi) / hi <= 1e-15
 
 
 def test_boys_f0_matches_erf_closed_form_on_grid():
@@ -90,6 +109,62 @@ def test_overlap_symmetric_and_decaying():
     b = _shell([50.0, 0.0, 0.0], [(0.27, 1.0)])
     assert overlap(a, b) == overlap(b, a)
     assert overlap(a, b) < 1e-30
+
+
+# ---------------------------------------------------------------- pair table
+
+def _pair_data_loop(shells, pair_list):
+    """Reference pair table: one iteration per shell pair."""
+    i_sh, j_sh = [], []
+    offsets = [0]
+    ps, cs, ws = [], [], []
+    for i, j in pair_list:
+        a, b = shells[i], shells[j]
+        ea, eb = a.exponents[:, None], b.exponents[None, :]
+        p = (ea + eb).ravel()
+        ab = (ea * eb).ravel()
+        r2 = float(np.dot(a.center - b.center, a.center - b.center))
+        w = (a.weights[:, None] * b.weights[None, :]).ravel() * np.exp(-ab / p * r2)
+        ctr = (ea[..., None] * a.center + eb[..., None] * b.center).reshape(-1, 3)
+        ctr /= p[:, None]
+        i_sh.append(i)
+        j_sh.append(j)
+        offsets.append(offsets[-1] + len(p))
+        ps.append(p)
+        cs.append(ctr)
+        ws.append(w)
+    return (np.asarray(i_sh, dtype=np.intp), np.asarray(j_sh, dtype=np.intp),
+            np.asarray(offsets, dtype=np.intp), np.concatenate(ps),
+            np.concatenate(cs), np.concatenate(ws))
+
+
+def test_build_pair_data_matches_per_pair_loop_bitwise():
+    rng = np.random.default_rng(31)
+    # 1- and 3-primitive shells, as in the built-in water basis
+    shells = [_shell(rng.normal(scale=3.0, size=3),
+                     zip(rng.uniform(0.1, 150.0, n), rng.uniform(0.2, 1.0, n)))
+              for n in (1, 3, 1, 1, 3, 3, 1)]
+    pair_list = [(i, j) for i in range(7) for j in range(7)]
+    pair_list += [(int(rng.integers(7)), int(rng.integers(7)))
+                  for _ in range(60)]
+    pd = build_pair_data(shells, pair_list)
+    ref = _pair_data_loop(shells, pair_list)
+    got = (pd.i_shell, pd.j_shell, pd.offsets, pd.p, pd.center, pd.weight)
+    for name, g, r in zip(("i_shell", "j_shell", "offsets", "p", "center",
+                           "weight"), got, ref):
+        assert g.shape == r.shape and g.dtype == r.dtype, name
+        assert g.tobytes() == r.tobytes(), name
+    # the same table from an (n, 2) index array
+    arr = build_pair_data(shells, np.asarray(pair_list))
+    assert arr.weight.tobytes() == pd.weight.tobytes()
+
+
+def test_build_pair_data_empty_list():
+    pd = build_pair_data([_shell([0.0, 0.0, 0.0], [(1.0, 1.0)])], [])
+    assert pd.n_pairs == 0
+    assert pd.offsets.tolist() == [0]
+    assert pd.p.shape == (0,) and pd.weight.shape == (0,)
+    assert pd.center.shape == (0, 3)
 
 
 # ---------------------------------------------------------------- ERIs

@@ -212,6 +212,20 @@ def test_pair_tree_survivors_match_brute_force_scan():
     assert required <= surviving
 
 
+def test_shell_overlap_matrix_matches_scalar_overlap():
+    # 40 shells: 820 pairs, more than one overlap pass
+    rng = np.random.default_rng(17)
+    shells = [GaussianShell(center=rng.normal(scale=4.0, size=3),
+                            primitives=list(zip(rng.uniform(0.1, 100.0, n),
+                                                rng.uniform(0.2, 1.0, n))))
+              for n in (3, 1, 1, 3, 2, 1, 1, 1) * 5]
+    s = shell_overlap_matrix(BasisSystem(shells=shells, atoms=[]))
+    assert np.array_equal(s, s.T)
+    for i in range(40):
+        for j in range(i, 40):
+            assert s[i, j] == overlap(shells[i], shells[j])
+
+
 def test_pair_tree_diag_norm_telescoping():
     _, pairs, _, _ = build_setup(3, tau_ovlp=0.0)
 
