@@ -66,10 +66,11 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> None:
-        if self.tau_2e < 0.0:
-            raise InvalidArgumentError("--tau-2e must be >= 0")
-        if self.tau_ovlp < 0.0:
-            raise InvalidArgumentError("--tau-ovlp must be >= 0")
+        for flag, tau in (("--tau-2e", self.tau_2e),
+                          ("--tau-ovlp", self.tau_ovlp)):
+            if not (math.isfinite(tau) and tau >= 0.0):
+                raise InvalidArgumentError(
+                    f"{flag} must be a finite number >= 0, got {tau!r}")
         if self.leaf_size < 1:
             raise InvalidArgumentError("--leaf-size must be >= 1")
         if self.mode not in MODES:
@@ -117,7 +118,10 @@ def _parse_density_spec(spec: str):
             except ValueError:
                 raise InvalidArgumentError(
                     f"--density gamma is not a number: {val!r}") from None
-        return DensityModel(kind="exp_decay", gamma=gamma)
+        try:
+            return DensityModel(kind="exp_decay", gamma=gamma)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"--density {exc}") from None
     if kind == "file":
         if not sep or not arg:
             raise InvalidArgumentError("--density file:PATH requires a path")

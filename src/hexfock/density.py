@@ -7,6 +7,7 @@ row-major values, N = number of shells), symmetrized on load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,10 @@ class DensityModel:
     def __post_init__(self):
         if self.kind not in ("exp_decay", "file"):
             raise InvalidArgumentError(f"unknown density kind {self.kind!r}")
-        if self.kind == "exp_decay" and self.gamma <= 0.0:
-            raise InvalidArgumentError("gamma must be positive")
+        if self.kind == "exp_decay" and not (
+                math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise InvalidArgumentError(
+                f"gamma must be finite and positive, got {self.gamma!r}")
         if self.kind == "file" and not self.path:
             raise InvalidArgumentError("file density requires a path")
 
@@ -58,6 +61,8 @@ def load_density_file(path) -> np.ndarray:
         vals = np.asarray([float(t) for t in tokens[1:]])
     except ValueError as exc:
         raise InvalidArgumentError(f"density file: {exc}") from None
+    if n < 0:
+        raise InvalidArgumentError(f"density file declares N={n}; N must be >= 0")
     if vals.size != n * n:
         raise InvalidArgumentError(
             f"density file declares N={n} but holds {vals.size} values")

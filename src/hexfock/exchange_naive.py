@@ -7,9 +7,11 @@ and a transposed side swaps that pair's two indices in both the density
 gather and the K sink. A task is culled when a pair node is overlap-pruned,
 or when every link is absent or fails the blocked Almlof-Ahlrichs bound;
 otherwise it expands into the child tasks of the blocked contraction, each
-surviving link following its own density child. Leaf tasks screen every
-link per quartet, evaluate the ERIs once over the union of kept quartets
-and scatter each link into its K block.
+surviving link following its own density child. A leaf task's quartets
+are one (mu nu|lam sig) block over the four leaf shell spans: it screens
+every link per quartet against a broadcast view of the link's density leaf,
+evaluates the ERIs once over the union of kept quartets and scatters each
+link into its K block by summing out the two density indices.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -22,6 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+# eri_cross is not called here (leaves use eri_elementwise); it stays bound
+# only because perfbench/run.py's tracer wraps it on both driver modules.
 from .integrals import InvalidArgumentError, eri_cross, eri_elementwise
 from .quadtree import MatrixQuadtree, ShellPairNode, leaf_cache
 
@@ -84,14 +88,23 @@ def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
 
 
 def check_driver_args(bra, ket, p, tau_2e: float, mode: str) -> None:
-    """Reject a negative threshold, an unknown bound or mismatched trees."""
-    if tau_2e < 0.0:
-        raise InvalidArgumentError("tau_2e must be non-negative")
+    """Reject a negative or NaN threshold, an unknown bound or mismatched trees."""
+    if not tau_2e >= 0.0:
+        raise InvalidArgumentError(f"tau_2e must be non-negative, got {tau_2e!r}")
     if mode not in ("schwarz", "literal"):
         raise InvalidArgumentError(f"unknown screening mode {mode!r}")
     roots = {id(bra.row), id(bra.col), id(ket.row), id(ket.col), id(p.row), id(p.col)}
     if len(roots) != 1:
         raise InvalidArgumentError("bra, ket and P must be built over the same partition")
+
+
+# Index turning a link's density leaf into a view on the (mu, nu, lam, sig)
+# quartet block, per (transpose_bra, transpose_ket) slot.
+_ALL = slice(None)
+_DENSITY_VIEW = {(False, False): (None, _ALL, _ALL, None),   # P[nu, lam]
+                 (True, False): (_ALL, None, _ALL, None),    # P[mu, lam]
+                 (False, True): (None, _ALL, None, _ALL),    # P[nu, sig]
+                 (True, True): (_ALL, None, None, _ALL)}     # P[mu, sig]
 
 
 def _child_keys(node: ShellPairNode, canonical: bool):
@@ -184,64 +197,67 @@ class Traversal:
         """Leaf task: per-link per-quartet screening, ERI evaluation over the
         union of kept quartets, then one scatter per link.
 
-        The per-quartet test is the conventional direct-SCF form of the
-        blocked bound; it keeps tau_2e's meaning at quartet granularity and
-        makes the quartet counter independent of leaf blocking.
+        The leaf's quartets are one (mu, nu, lam, sig) block over the four
+        shell spans; each link's density block is a broadcast view of its
+        leaf, and its scatter sums the density's bra axis, then its ket
+        axis. The per-quartet test is the conventional direct-SCF form of
+        the blocked bound; it keeps tau_2e's meaning at quartet granularity
+        and makes the quartet counter independent of leaf blocking.
         """
         c = self.c
         A = leaf_cache(b, canonical=self.canonical)
         B = leaf_cache(k, canonical=self.canonical)
-        ma, mb = A["pd"].n_pairs, B["pd"].n_pairs
-        if self.schwarz:
-            fb, fk = np.sqrt(A["q"]), np.sqrt(B["q"])
-        else:
-            fb, fk = A["q"], B["q"]
+        nr, nc = A["q"].shape
+        nl, ns = B["q"].shape
+        fb = (A["sq"] if self.schwarz else A["q"])[:, :, None, None]
+        fk = B["sq"] if self.schwarz else B["q"]
         kept = []
         union = None
         for tb, tk, ref in live:
-            pg = ref.leaf[np.ix_(A["i_rel"] if tb else A["j_rel"],
-                                 B["j_rel"] if tk else B["i_rel"])]
-            bound = (fb[:, None] * np.abs(pg)) * fk[None, :]
+            pg = ref.leaf[_DENSITY_VIEW[tb, tk]]
+            bound = (fb * np.abs(pg)) * fk
+            # NaN outside the canonical pairs: neither kept nor culled there
+            if A["mask"] is not None:
+                bound[~A["mask"]] = np.nan
+            if B["mask"] is not None:
+                bound[:, :, ~B["mask"]] = np.nan
             keep = bound > self.tau_2e
             kept.append((tb, tk, pg, keep))
             union = keep if union is None else union | keep
-            ncull = ma * mb - int(np.count_nonzero(keep))
+            ncull = A["m"] * B["m"] - int(np.count_nonzero(keep))
             if ncull:
                 c.quartets_culled_leaf += ncull
+                cull = bound <= self.tau_2e
                 if not self.schwarz:
-                    bound = (np.sqrt(A["q"])[:, None] * np.abs(pg)) \
-                        * np.sqrt(B["q"])[None, :]
-                c.culled_bound_ledger += 0.5 * float(bound[~keep].sum())
+                    bound = (A["sq"][:, :, None, None] * np.abs(pg)) * B["sq"]
+                # row-major over the masked grid: the canonical pair order
+                c.culled_bound_ledger += 0.5 * float(bound[cull].sum())
         nkeep = int(np.count_nonzero(union))
         c.eri_shell_quartets += nkeep
         if not self.evaluate or nkeep == 0:
             return
-        if nkeep == ma * mb:
-            e = eri_cross(A["pd"], B["pd"])
-        else:
-            ia, ib = np.nonzero(union)
-            e = np.zeros((ma, mb))
-            e[ia, ib] = eri_elementwise(A["pd"], B["pd"], ia, ib)
+        ia, ib = np.nonzero(union.reshape(nr * nc, nl * ns))
+        e = np.zeros((nr * nc, nl * ns))
+        e[ia, ib] = eri_elementwise(A["pd"], B["pd"], ia, ib)
         if self.qlog is not None:
-            ia, ib = np.nonzero(union)
             self.qlog.extend(zip(
                 A["pd"].i_shell[ia].tolist(), A["pd"].j_shell[ia].tolist(),
                 B["pd"].i_shell[ib].tolist(), B["pd"].j_shell[ib].tolist()))
-        base = -0.5 * e
+        base = (-0.5 * e).reshape(nr, nc, nl, ns)
         for tb, tk, pg, keep in kept:
             w = base * pg
             if keep is not union:  # e is already zero outside the union
-                w = w * keep
+                w *= keep
             # on a diagonal pair node the untransposed orientation already
             # covers the i == j pairs
-            if tb:
-                w = w * A["wdi"][:, None]
-            if tk:
-                w = w * B["wdi"][None, :]
+            if tb and b.row is b.col:
+                w[range(nr), range(nr)] = 0.0
+            if tk and k.row is k.col:
+                w[:, :, range(nl), range(nl)] = 0.0
             rows = b.col if tb else b.row
             cols = k.row if tk else k.col
             self.K[rows.shell_lo:rows.shell_hi, cols.shell_lo:cols.shell_hi] += \
-                (A["rj"] if tb else A["ri"]).T @ w @ (B["ri"] if tk else B["rj"])
+                w.sum(axis=0 if tb else 1).sum(axis=2 if tk else 1)
 
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,

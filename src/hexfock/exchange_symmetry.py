@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # eri_cross, eri_elementwise and leaf_cache are not used here: the engine in
-# exchange_naive calls them. They stay bound in this module only because
-# perfbench/run.py's tracer wraps them on both driver modules.
+# exchange_naive calls the last two (and never eri_cross). They stay bound in
+# this module only because perfbench/run.py's tracer wraps them on both
+# driver modules.
 from .exchange_naive import (LogicError, Traversal, TraversalCounters,
                              check_driver_args, eri_cross, eri_elementwise,
                              leaf_cache)
@@ -151,11 +152,12 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     The traversal engine of exchange_naive with the four slots of
     _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
     driver uses; the canonical restriction is applied during traversal
-    (upper-triangular child selection) and at leaves (upper-triangular pair
-    subsets), so the cached norms feeding the screening tests are shared
-    with the naive driver bit for bit. Returns (K, SymmetryCounters); K
-    passes through symmetrize_final. evaluate behaves as in
-    build_exchange_naive; quartet_log collects evaluated canonical quartets.
+    (upper-triangular child selection) and at leaves (an upper-triangular
+    mask on a diagonal node's pair grid), so the cached norms feeding the
+    screening tests are shared with the naive driver bit for bit. Returns
+    (K, SymmetryCounters); K passes through symmetrize_final. evaluate
+    behaves as in build_exchange_naive; quartet_log collects evaluated
+    canonical quartets.
     """
     check_driver_args(pairs, pairs, P, tau_2e, mode)
     t = Traversal(pairs.row.n_functions, tau_2e, mode, evaluate,

@@ -190,7 +190,7 @@ class ShellPairNode:
         self.children = {}
         self.pairs = None   # PairData at surviving leaves
         self.diag = None    # (ab|ab) matrix, shape (row shells, col shells)
-        self.cache = None   # driver-level leaf scratch (scatter indicators)
+        self.cache = None   # driver-level leaf scratch (see leaf_cache)
 
     @property
     def is_leaf(self) -> bool:
@@ -275,58 +275,27 @@ def build_pair_tree(system: BasisSystem, partition: Partition,
     return build(partition.root, partition.root)
 
 
-def _subset_pairs(pd, idx: np.ndarray):
-    """PairData restricted to the selected pair indices."""
-    from .integrals import PairData
-    idx = np.asarray(idx, dtype=np.intp)
-    lens = pd.offsets[idx + 1] - pd.offsets[idx]
-    offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.intp)
-    if len(idx):
-        gather = np.concatenate([np.arange(pd.offsets[t], pd.offsets[t + 1])
-                                 for t in idx])
-    else:
-        gather = np.empty(0, dtype=np.intp)
-    return PairData(
-        i_shell=pd.i_shell[idx], j_shell=pd.j_shell[idx],
-        offsets=offsets, p=pd.p[gather],
-        center=pd.center[gather], weight=pd.weight[gather])
-
-
 def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
-    """Pair table, diagonal values and scatter indicators for a leaf pair node.
+    """Pair table, diagonal values and canonical mask of a leaf pair node.
 
-    canonical=True restricts a diagonal node to its upper-triangular pairs
-    (the canonical orientation); off-diagonal nodes are unaffected. Entries:
-    pd (PairData), q (per-pair (ij|ij) in canonical orientation), i_rel/j_rel
-    (shell indices relative to the spans), ri/rj (pair -> shell
-    indicator matrices), wdi (0 where i == j, else 1). Cached on the node;
-    rebuilding under a concurrent race is idempotent.
+    Every entry is laid out on the node's full (row shells, col shells) pair
+    grid, row-major. canonical=True restricts a diagonal node to its
+    upper-triangular (i <= j) pairs, the canonical orientation, through
+    ``mask``; elsewhere ``mask`` is None and every pair counts. Entries:
+    pd (PairData of the grid), q ((ij|ij) grid, canonical orientation),
+    sq (its square root), mask, m (number of pairs the mask keeps). Cached
+    on the node, one entry per orientation.
     """
     if node.cache is None:
         node.cache = {}
     key = "canon" if canonical else "full"
     cached = node.cache.get(key)
-    if cached is not None:
-        return cached
-    pd = node.pairs
-    row, col = node.row, node.col
-    q = node.diag.ravel()
-    if canonical and row is col:
-        ns = row.shell_hi - row.shell_lo
-        keep = np.asarray([x * ns + y for x in range(ns) for y in range(x, ns)],
-                          dtype=np.intp)
-        pd = _subset_pairs(pd, keep)
-        q = q[keep]
-    m = pd.n_pairs
-    i_rel = pd.i_shell - row.shell_lo
-    j_rel = pd.j_shell - col.shell_lo
-    ri = np.zeros((m, row.n_functions))
-    ri[np.arange(m), i_rel] = 1.0
-    rj = np.zeros((m, col.n_functions))
-    rj[np.arange(m), j_rel] = 1.0
-    wdi = ((pd.i_shell != pd.j_shell).astype(float) if row is col
-           else np.ones(m))
-    cached = {"pd": pd, "q": q, "i_rel": i_rel, "j_rel": j_rel,
-              "ri": ri, "rj": rj, "wdi": wdi}
-    node.cache[key] = cached
+    if cached is None:
+        q = node.diag
+        mask = None
+        if canonical and node.row is node.col:
+            mask = np.triu(np.ones(q.shape, dtype=bool))
+        cached = {"pd": node.pairs, "q": q, "sq": np.sqrt(q), "mask": mask,
+                  "m": q.size if mask is None else int(np.count_nonzero(mask))}
+        node.cache[key] = cached
     return cached

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -19,6 +20,10 @@ from hexfock.integrals import InvalidArgumentError
 @pytest.mark.parametrize("field,value,flag", [
     ("tau_2e", -1.0, "--tau-2e"),
     ("tau_ovlp", -1.0, "--tau-ovlp"),
+    ("tau_2e", math.nan, "--tau-2e"),
+    ("tau_2e", math.inf, "--tau-2e"),
+    ("tau_ovlp", math.nan, "--tau-ovlp"),
+    ("tau_ovlp", math.inf, "--tau-ovlp"),
     ("leaf_size", 0, "--leaf-size"),
     ("mode", "bogus", "--mode"),
     ("bound", "bogus", "--bound"),
@@ -28,6 +33,8 @@ from hexfock.integrals import InvalidArgumentError
     ("system", "nonsense", "--system"),
     ("density", "exp:gamma=abc", "--density"),
     ("density", "nonsense", "--density"),
+    ("density", "exp:gamma=nan", "--density"),
+    ("density", "exp:gamma=inf", "--density"),
 ])
 def test_config_validation_names_offending_flag(field, value, flag):
     config = RunConfig(**{field: value})
@@ -122,6 +129,13 @@ def test_bad_density_file_exits_2(tmp_path, capsys, bad, message):
     dens.write_text("4\n" + " ".join(["0.5"] * 15 + [bad]) + "\n")
     assert main(["--system", "water:1", "--density", f"file:{dens}"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_negative_density_file_count_exits_2(tmp_path, capsys):
+    dens = tmp_path / "p.txt"
+    dens.write_text("-1\n5.0\n")
+    assert main(["--system", "water:1", "--density", f"file:{dens}"]) == 2
+    assert "N=-1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])

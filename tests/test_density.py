@@ -93,5 +93,8 @@ def test_invalid_density_models():
         DensityModel(kind="weird")
     with pytest.raises(InvalidArgumentError):
         DensityModel(gamma=0.0)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="gamma"):
+            DensityModel(gamma=gamma)
     with pytest.raises(InvalidArgumentError):
         DensityModel(kind="file", path=None)

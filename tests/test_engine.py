@@ -19,22 +19,33 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_counters.json").read_text())
 
 
-def _count_only(n, driver):
-    _, pairs, P_tree, _ = build_setup(n, tau_ovlp=1e-11)
+def _count_only(n, driver, leaf_size, mode):
+    _, pairs, P_tree, _ = build_setup(n, tau_ovlp=1e-11, leaf_size=leaf_size)
     if driver == "naive":
-        _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8, evaluate=False)
+        _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8, mode=mode,
+                                    evaluate=False)
     else:
-        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8, evaluate=False)
+        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8, mode=mode,
+                                        evaluate=False)
     return c.to_dict()
 
 
-@pytest.mark.parametrize("n", [10, 30])
+# golden-row suffix -> (leaf size, screening bound)
+_VARIANTS = {"": (10, "schwarz"), "leaf40": (40, "schwarz"),
+             "literal": (10, "literal")}
+
+
+@pytest.mark.parametrize("case", ["10", "30", "10-leaf40", "30-leaf40",
+                                  "10-literal", "30-literal"])
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
-def test_counters_match_golden(n, driver):
-    # golden values: count-only builds at (tau_2e, tau_ovlp) = (1e-8, 1e-11),
-    # leaf size 10, recorded before the two drivers shared one engine
-    got = _count_only(n, driver)
-    want = GOLDEN[f"water:{n}"][driver]
+def test_counters_match_golden(case, driver):
+    # golden values: count-only builds at (tau_2e, tau_ovlp) = (1e-8, 1e-11);
+    # the leaf-10 schwarz rows were recorded before the two drivers shared
+    # one engine, the leaf-40 and literal rows before leaves were contracted
+    # as (mu nu|lam sig) blocks
+    n, _, variant = case.partition("-")
+    got = _count_only(int(n), driver, *_VARIANTS[variant])
+    want = dict(GOLDEN[f"water:{n}/{variant}" if variant else f"water:{n}"][driver])
     assert got.keys() == want.keys()
     ledger = got.pop("culled_bound_ledger")
     assert ledger == pytest.approx(want.pop("culled_bound_ledger"), rel=1e-12)

@@ -55,6 +55,9 @@ def test_negative_tau_rejected():
     _, pairs, P_tree, _ = build_setup(1)
     with pytest.raises(InvalidArgumentError):
         build_exchange_naive(pairs, pairs, P_tree, tau_2e=-1.0)
+    # NaN compares false with every bound: it would cull every quartet
+    with pytest.raises(InvalidArgumentError, match="tau_2e"):
+        build_exchange_naive(pairs, pairs, P_tree, tau_2e=math.nan)
 
 
 def test_partition_mismatch_rejected():

@@ -185,6 +185,20 @@ def test_case_breakdown_csv_format():
     assert total_pct == pytest.approx(100.0, abs=0.01)
 
 
+@pytest.mark.parametrize("n,leaf,tau,expected", [
+    (10, 10, 1e-8, 14429), (10, 4, 1e-6, 6081), (6, 40, 1e-10, 9939)])
+def test_quartet_log_is_canonical_image_of_naive_log(n, leaf, tau, expected):
+    # every quartet the naive driver evaluates is evaluated exactly once by
+    # the symmetry driver, in canonical pair orientation
+    _, pairs, P_tree, _ = build_setup(n, tau_ovlp=1e-11, leaf_size=leaf)
+    naive_log, sym_log = [], []
+    build_exchange_naive(pairs, pairs, P_tree, tau, quartet_log=naive_log)
+    _, c = build_exchange_symmetric(pairs, P_tree, tau, quartet_log=sym_log)
+    assert len(sym_log) == len(set(sym_log)) == c.eri_shell_quartets == expected
+    assert set(sym_log) == {(min(i, j), max(i, j), min(k, l), max(k, l))
+                            for i, j, k, l in naive_log}
+
+
 def test_quartet_log_and_validation():
     _, pairs, P_tree, _ = build_setup(1, tau_ovlp=0.0)
     log = []
@@ -195,5 +209,7 @@ def test_quartet_log_and_validation():
     assert all(i <= j and k <= l for i, j, k, l in log)
     with pytest.raises(InvalidArgumentError):
         build_exchange_symmetric(pairs, P_tree, tau_2e=-1.0)
+    with pytest.raises(InvalidArgumentError, match="tau_2e"):
+        build_exchange_symmetric(pairs, P_tree, tau_2e=float("nan"))
     with pytest.raises(InvalidArgumentError):
         build_exchange_symmetric(pairs, P_tree, mode="bogus")
