@@ -1,8 +1,9 @@
 """Command-line harness: single exchange builds and scaling series.
 
-Single runs emit a JSON report (validated against the shipped
-``report_schema.json``); ``--series`` runs the naive and symmetry drivers
-over a list of cluster sizes and emits a CSV whose counter columns are the
+Single runs emit a JSON report in the shape of the shipped
+``report_schema.json`` (the tests validate reports against it; ``run`` does
+not); ``--series`` runs the naive and symmetry drivers over a list of
+cluster sizes and emits a CSV whose counter columns are the
 machine-independent scaling observables (timings are secondary and
 hardware-dependent).
 """
@@ -16,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -35,7 +36,6 @@ SCHEMA_VERSION = 2
 MODES = ("naive", "symmetry", "dense", "dense-screened")
 BOUND_MODES = ("schwarz", "literal")
 ORDERINGS = ("hilbert", "input")
-DEFAULT_SEED = 3
 
 # Largest system, in shells, that --mode or --reference dense/dense-screened
 # accepts. The dense oracle's time grows as n_shells^4: it took 12.7 s of
@@ -53,6 +53,8 @@ SERIES_COLUMNS = (
 
 @dataclass
 class RunConfig:
+    """Every run setting with its default; the parser takes its defaults here."""
+
     system: str = "water:10"
     density: str = f"exp:gamma={DEFAULT_GAMMA}"
     tau_2e: float = 1e-8
@@ -61,11 +63,14 @@ class RunConfig:
     mode: str = "symmetry"
     bound: str = "schwarz"
     order: str = "hilbert"
-    seed: int = DEFAULT_SEED
+    seed: int = 3
     reference: str | None = None
     out: str | None = None
 
-    def validate(self) -> None:
+    def validate(self, sizes=None) -> None:
+        """Raise InvalidArgumentError naming the flag of the first bad setting;
+        ``sizes``, when given, are the --series sizes that replace N of water:N.
+        """
         for flag, tau in (("--tau-2e", self.tau_2e),
                           ("--tau-ovlp", self.tau_ovlp)):
             if not (math.isfinite(tau) and tau >= 0.0):
@@ -85,8 +90,20 @@ class RunConfig:
         if self.order not in ORDERINGS:
             raise InvalidArgumentError(
                 f"--order must be one of {ORDERINGS}, got {self.order!r}")
-        _parse_system_spec(self.system)
+        kind, _ = _parse_system_spec(self.system)
         _parse_density_spec(self.density)
+        if sizes is None:
+            return
+        if not sizes:
+            raise InvalidArgumentError("--series requires at least one size")
+        if not all(isinstance(n, int) and n >= 1 for n in sizes):
+            raise InvalidArgumentError(
+                f"--series sizes must be integers >= 1, got {sizes}")
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise InvalidArgumentError("--series sizes must be strictly ascending")
+        if kind != "water":
+            raise InvalidArgumentError(
+                "--series requires a water:N system (sizes replace N)")
 
 
 def _parse_system_spec(spec: str):
@@ -130,59 +147,52 @@ def _parse_density_spec(spec: str):
         f"--density must be exp:gamma=G or file:PATH, got {spec!r}")
 
 
-def _build_inputs(config: RunConfig, n_override: int | None = None):
+def _build_inputs(config: RunConfig):
     """Materialize (system, n_molecules, P) for a config; applies ordering."""
     kind, arg = _parse_system_spec(config.system)
     if kind == "water":
-        n_molecules = arg if n_override is None else n_override
+        n_molecules = arg
         system = generate_cluster(n_molecules, seed=config.seed)
     else:
-        if n_override is not None:
-            raise InvalidArgumentError(
-                "--series requires a water:N system (sizes replace N)")
         n_molecules = None
         try:
             system = load_xyz(arg)
         except (OSError, FormatError, UnsupportedElementError) as exc:
             raise InvalidArgumentError(f"--system xyz: {exc}") from exc
-    model = _parse_density_spec(config.density)
-    if model.kind == "file":
-        # file densities are indexed in the input shell order; load first,
-        # then permute rows/columns alongside any reordering
-        try:
-            P = build_density(system, model)
-        except OSError as exc:
-            raise InvalidArgumentError(f"--density file: {exc}") from exc
-        if config.order == "hilbert":
-            system, perm = hilbert_order(system)
-            P = P[np.ix_(perm, perm)]
-        return system, n_molecules, P
+    # P is built in input shell order, the order file densities are indexed
+    # in, then permuted alongside any reordering
+    try:
+        P = build_density(system, _parse_density_spec(config.density))
+    except OSError as exc:
+        raise InvalidArgumentError(f"--density file: {exc}") from exc
     if config.order == "hilbert":
-        system, _ = hilbert_order(system)
-    return system, n_molecules, build_density(system, model)
+        system, perm = hilbert_order(system)
+        P = P[np.ix_(perm, perm)]
+    return system, n_molecules, P
 
 
 def _execute(config: RunConfig, mode: str, system, P):
     """Run one driver/oracle; returns (K, counters_dict, case_occurrences)."""
+    counters = {}
     if mode == "dense":
         K = dense_exchange(system, P)
-        return K, {}, {label: 0 for label in CASE_LABELS}
-    if mode == "dense-screened":
+    elif mode == "dense-screened":
         K, skipped = dense_exchange_screened(system, P, config.tau_2e,
                                              mode=config.bound)
-        return K, {"skipped_bound_sum": skipped}, \
-            {label: 0 for label in CASE_LABELS}
-    partition = build_partition(system, leaf_size=config.leaf_size)
-    pairs = build_pair_tree(system, partition, tau_ovlp=config.tau_ovlp)
-    P_tree = build_matrix_tree(P, partition)
-    if mode == "naive":
-        K, counters = build_exchange_naive(
-            pairs, pairs, P_tree, config.tau_2e, mode=config.bound)
-        return K, counters.to_dict(), {label: 0 for label in CASE_LABELS}
-    K, counters = build_exchange_symmetric(
-        pairs, P_tree, config.tau_2e, mode=config.bound)
-    d = counters.to_dict()
-    return K, d, d["case_tasks"]
+        counters = {"skipped_bound_sum": skipped}
+    else:
+        root = build_partition(system, leaf_size=config.leaf_size)
+        pairs = build_pair_tree(system, root, tau_ovlp=config.tau_ovlp)
+        P_tree = build_matrix_tree(P, root)
+        if mode == "naive":
+            K, c = build_exchange_naive(
+                pairs, pairs, P_tree, config.tau_2e, mode=config.bound)
+        else:
+            K, c = build_exchange_symmetric(
+                pairs, P_tree, config.tau_2e, mode=config.bound)
+        counters = c.to_dict()
+    return K, counters, counters.get("case_tasks",
+                                     dict.fromkeys(CASE_LABELS, 0))
 
 
 def run(config: RunConfig) -> dict:
@@ -238,17 +248,13 @@ def scaling_series(config: RunConfig, sizes, stream) -> None:
     A failure mid-series leaves the rows written so far in place and appends
     a trailing error record.
     """
-    config.validate()
     sizes = list(sizes)
-    if not sizes:
-        raise InvalidArgumentError("--series requires at least one size")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise InvalidArgumentError("--series sizes must be strictly ascending")
+    config.validate(sizes)
     writer = csv.writer(stream)
     writer.writerow(SERIES_COLUMNS)
     for n in sizes:
         try:
-            system, _, P = _build_inputs(config, n_override=n)
+            system, _, P = _build_inputs(replace(config, system=f"water:{n}"))
             results = {}
             for mode in ("naive", "symmetry"):
                 t0 = time.perf_counter()
@@ -289,28 +295,29 @@ def _parse_sizes(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = RunConfig()
     p = argparse.ArgumentParser(
         prog="hexfock",
         description="Recursive Fock-exchange builder and scaling harness")
-    p.add_argument("--tau-2e", type=float, default=1e-8, dest="tau_2e",
-                   help="two-electron screening threshold (default 1e-8)")
-    p.add_argument("--tau-ovlp", type=float, default=1e-11, dest="tau_ovlp",
-                   help="overlap pruning threshold (default 1e-11)")
-    p.add_argument("--leaf-size", type=int, default=DEFAULT_LEAF_SIZE,
+    p.add_argument("--tau-2e", type=float, default=d.tau_2e, dest="tau_2e",
+                   help="two-electron screening threshold (default %(default)s)")
+    p.add_argument("--tau-ovlp", type=float, default=d.tau_ovlp, dest="tau_ovlp",
+                   help="overlap pruning threshold (default %(default)s)")
+    p.add_argument("--leaf-size", type=int, default=d.leaf_size,
                    dest="leaf_size", help="max shells per tree leaf")
-    p.add_argument("--mode", default="symmetry", choices=MODES)
-    p.add_argument("--bound", default="schwarz", choices=BOUND_MODES,
+    p.add_argument("--mode", default=d.mode, choices=MODES)
+    p.add_argument("--bound", default=d.bound, choices=BOUND_MODES,
                    help="screening bound form")
-    p.add_argument("--order", default="hilbert", choices=ORDERINGS,
+    p.add_argument("--order", default=d.order, choices=ORDERINGS,
                    help="shell ordering")
-    p.add_argument("--system", default="water:10",
+    p.add_argument("--system", default=d.system,
                    help="water:N (synthetic cluster) or xyz:PATH")
-    p.add_argument("--density", default=f"exp:gamma={DEFAULT_GAMMA}",
+    p.add_argument("--density", default=d.density,
                    help="exp:gamma=G or file:PATH")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--reference", default=None, choices=MODES,
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--reference", default=d.reference, choices=MODES,
                    help="also run this mode and report a comparison")
-    p.add_argument("--out", default=None,
+    p.add_argument("--out", default=d.out,
                    help="output path (JSON report, or CSV with --series)")
     p.add_argument("--series", default=None,
                    help='comma-separated cluster sizes, e.g. "10,30,50"')
@@ -318,17 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        system=args.system, density=args.density, tau_2e=args.tau_2e,
-        tau_ovlp=args.tau_ovlp, leaf_size=args.leaf_size, mode=args.mode,
-        bound=args.bound, order=args.order, seed=args.seed,
-        reference=args.reference, out=args.out)
+    args = vars(build_parser().parse_args(argv))
+    series = args.pop("series")
+    config = RunConfig(**args)
     try:
-        config.validate()
-        sizes = _parse_sizes(args.series) if args.series is not None else None
-        if sizes is not None and not sizes:
-            raise InvalidArgumentError("--series requires at least one size")
+        sizes = None if series is None else _parse_sizes(series)
+        config.validate(sizes)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -118,23 +118,23 @@ def _child_keys(node: ShellPairNode, canonical: bool):
 class Traversal:
     """One traversal's K accumulator and counters, and how it walks.
 
-    ``canonical`` restricts both sides to canonical (upper-triangular) child
-    keys and leaf pairs. ``case_label(b, k)``, when given, labels each
-    surviving task whose links are all present (any absent link makes it
-    SPARSE) and turns on the per-link and per-case tallies, which need
-    SymmetryCounters. ``quartet_log``, when given, collects every evaluated
-    shell quartet.
+    ``case_label(b, k)``, when given, makes the walk canonical: both sides
+    keep only canonical (upper-triangular) child keys and leaf pairs. It
+    labels each surviving task whose links are all present (any absent link
+    makes it SPARSE) and turns on the per-link and per-case tallies, which
+    need SymmetryCounters. ``quartet_log``, when given, collects every
+    evaluated shell quartet.
     """
 
     def __init__(self, n: int, tau_2e: float, mode: str, evaluate: bool,
-                 counters: TraversalCounters, canonical: bool = False,
-                 case_label=None, quartet_log: list | None = None):
+                 counters: TraversalCounters, case_label=None,
+                 quartet_log: list | None = None):
         self.K = np.zeros((n, n))
         self.c = counters
         self.tau_2e = tau_2e
         self.schwarz = mode == "schwarz"
         self.evaluate = evaluate
-        self.canonical = canonical
+        self.canonical = case_label is not None
         self.case_label = case_label
         self.qlog = quartet_log
 

@@ -161,7 +161,7 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     """
     check_driver_args(pairs, pairs, P, tau_2e, mode)
     t = Traversal(pairs.row.n_functions, tau_2e, mode, evaluate,
-                  SymmetryCounters(), canonical=True, case_label=_case_label,
+                  SymmetryCounters(), case_label=_case_label,
                   quartet_log=quartet_log)
     t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
     K = symmetrize_final(t.K) if evaluate else t.K

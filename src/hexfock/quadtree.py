@@ -11,7 +11,7 @@ traversal drivers rely on that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +53,12 @@ class Span:
         return f"Span(shells {self.shell_lo}:{self.shell_hi})"
 
 
-@dataclass
-class Partition:
-    root: Span
-    leaf_size: int
-
-    @property
-    def leaves(self):
-        out = []
-
-        def walk(s):
-            if s.is_leaf:
-                out.append(s)
-            else:
-                walk(s.left)
-                walk(s.right)
-
-        walk(self.root)
-        return out
-
-
 DEFAULT_LEAF_SIZE = 10
 
 
-def build_partition(system: BasisSystem, leaf_size: int = DEFAULT_LEAF_SIZE) -> Partition:
-    """Recursive bisection at the midpoint shell, the left one of two.
+def build_partition(system: BasisSystem, leaf_size: int = DEFAULT_LEAF_SIZE) -> Span:
+    """Root span of a recursive bisection at the midpoint shell, the left one
+    of two.
 
     Splitting stops once a span holds at most ``leaf_size`` shells.
     """
@@ -92,7 +73,7 @@ def build_partition(system: BasisSystem, leaf_size: int = DEFAULT_LEAF_SIZE) -> 
             node.right = split(mid, hi)
         return node
 
-    return Partition(root=split(0, system.n_shells), leaf_size=leaf_size)
+    return split(0, system.n_shells)
 
 
 class MatrixQuadtree:
@@ -134,10 +115,11 @@ def _fill_dense(node, out, row0, col0):
         _fill_dense(ch, out, row0, col0)
 
 
-def build_matrix_tree(dense: np.ndarray, partition: Partition) -> MatrixQuadtree:
-    """Quadtree over ``dense``; blocks of norm 0 are absent."""
+def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
+    """Quadtree over ``dense`` on the partition ``root``; blocks of norm 0
+    are absent."""
     dense = np.asarray(dense, dtype=float)
-    n = partition.root.n_functions
+    n = root.n_functions
     if dense.shape != (n, n):
         raise InvalidArgumentError(
             f"matrix shape {dense.shape} does not match partition size {n}")
@@ -160,12 +142,12 @@ def build_matrix_tree(dense: np.ndarray, partition: Partition) -> MatrixQuadtree
         norm = _rss(ch.norm for ch in children.values())
         return MatrixQuadtree(row, col, norm, children=children)
 
-    root = build(partition.root, partition.root)
-    if root is None:
+    tree = build(root, root)
+    if tree is None:
         # all-zero matrix: keep an explicit root with norm 0 and no children
-        root = MatrixQuadtree(partition.root, partition.root, 0.0,
-                              leaf=dense if partition.root.is_leaf else None)
-    return root
+        tree = MatrixQuadtree(root, root, 0.0,
+                              leaf=dense if root.is_leaf else None)
+    return tree
 
 
 class ShellPairNode:
@@ -221,9 +203,10 @@ def shell_overlap_matrix(system: BasisSystem) -> np.ndarray:
     return s
 
 
-def build_pair_tree(system: BasisSystem, partition: Partition,
+def build_pair_tree(system: BasisSystem, root: Span,
                     tau_ovlp: float = 0.0) -> ShellPairNode:
-    """Shell-pair quadtree with overlap pruning and cached diagonal norms.
+    """Shell-pair quadtree on the partition ``root`` with overlap pruning and
+    cached diagonal norms.
 
     A node is pruned iff every shell-pair overlap magnitude in its span is
     below tau_ovlp; pruned subtrees are not expanded.
@@ -272,7 +255,7 @@ def build_pair_tree(system: BasisSystem, partition: Partition,
             for b in range(len(colkids)))
         return node
 
-    return build(partition.root, partition.root)
+    return build(root, root)
 
 
 def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:

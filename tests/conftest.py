@@ -25,15 +25,22 @@ def build_setup(n_molecules, seed=DEFAULT_SEED, tau_ovlp=0.0, gamma=None,
     system = generate_cluster(n_molecules, seed=seed)
     if order:
         system, _ = hilbert_order(system)
-    partition = build_partition(system, leaf_size=leaf_size)
-    pairs = build_pair_tree(system, partition, tau_ovlp=tau_ovlp)
+    root = build_partition(system, leaf_size=leaf_size)
+    pairs = build_pair_tree(system, root, tau_ovlp=tau_ovlp)
     if density is None:
         model = DensityModel() if gamma is None else DensityModel(gamma=gamma)
         P = build_density(system, model)
     else:
         P = np.asarray(density, dtype=float)
-    P_tree = build_matrix_tree(P, partition)
+    P_tree = build_matrix_tree(P, root)
     return system, pairs, P_tree, P
+
+
+def leaf_spans(span):
+    """Leaf spans under ``span``, left to right."""
+    if span.is_leaf:
+        return [span]
+    return leaf_spans(span.left) + leaf_spans(span.right)
 
 
 def quadrature_eri(sa, sb, sc, sd) -> float:

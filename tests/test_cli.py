@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import jsonschema
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hexfock import (DensityModel, RunConfig, build_density, generate_cluster,
                      load_report_schema, run_report, scaling_series)
 from hexfock import cli
-from hexfock.cli import SERIES_COLUMNS, main
+from hexfock.cli import SERIES_COLUMNS, build_parser, main
 from hexfock.density import save_density_file
 from hexfock.integrals import InvalidArgumentError
 
@@ -43,12 +44,35 @@ def test_config_validation_names_offending_flag(field, value, flag):
     assert flag in str(err.value)
 
 
-def test_main_validation_error_exit_code(capsys):
-    assert main(["--tau-2e", "-1"]) == 2
-    assert "--tau-2e" in capsys.readouterr().err
-    assert main(["--system", "water:abc"]) == 2
-    assert main(["--series", "3,2"]) == 2
-    assert main(["--series", "1,x"]) == 2
+def test_main_validation_error_exit_code(tmp_path, capsys):
+    xyz = tmp_path / "sys.xyz"
+    xyz.write_text("1\n\nH 0 0 0\n")
+    for argv, flag in [
+        (["--tau-2e", "-1"], "--tau-2e"),
+        (["--system", "water:abc"], "--system"),
+        (["--series", "3,2"], "--series"),
+        (["--series", "1,x"], "--series"),
+        (["--series", "0,2"], "--series"),
+        (["--series", "-1"], "--series"),
+        (["--series", "1", "--system", f"xyz:{xyz}"], "--series"),
+    ]:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert flag in captured.err, argv
+        assert captured.out == "", argv  # no CSV header or row
+
+
+def test_invalid_series_leaves_out_file_untouched(tmp_path):
+    out = tmp_path / "earlier.csv"
+    out.write_bytes(b"rows of an earlier run\n")
+    assert main(["--series", "3,2", "--out", str(out)]) == 2
+    assert out.read_bytes() == b"rows of an earlier run\n"
+
+
+def test_parser_defaults_are_run_config_defaults():
+    args = vars(build_parser().parse_args([]))
+    assert {name: args[name] for name in asdict(RunConfig())} \
+        == asdict(RunConfig())
 
 
 # ---------------------------------------------------------------- reports

@@ -13,7 +13,7 @@ from hexfock import (build_exchange_naive, build_exchange_symmetric,
                      generate_cluster)
 from hexfock.quadtree import build_matrix_tree, build_pair_tree, build_partition
 
-from conftest import build_setup
+from conftest import build_setup, leaf_spans
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_counters.json").read_text())
@@ -92,7 +92,7 @@ def _problems(draw):
     n = system.n_functions
     P = rng.normal(size=(n, n))
     P = P + P.T
-    leaves = part.leaves
+    leaves = leaf_spans(part)
     drop = rng.random((len(leaves), len(leaves))) < draw(
         st.sampled_from([0.0, 0.3, 0.6]))
     for i, a in enumerate(leaves):

@@ -8,7 +8,7 @@ from hexfock.integrals import InvalidArgumentError, eri_quartet, overlap
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
                               build_partition, shell_overlap_matrix)
 
-from conftest import build_setup
+from conftest import build_setup, leaf_spans
 
 
 def _line_system(n_shells, spacing=1.0, exponent=1.0):
@@ -27,31 +27,30 @@ def _depth(span):
 
 def test_partition_single_leaf_when_small():
     system = _line_system(10)
-    part = build_partition(system, leaf_size=10)
-    assert part.root.is_leaf
-    assert part.root.n_functions == 10
-    assert part.leaves == [part.root]
+    root = build_partition(system, leaf_size=10)
+    assert root.is_leaf
+    assert root.n_functions == 10
+    assert leaf_spans(root) == [root]
 
 
 def test_partition_thirteen_shells_midpoint_split():
     system = _line_system(13)
-    part = build_partition(system, leaf_size=10)
-    root = part.root
+    root = build_partition(system, leaf_size=10)
     assert not root.is_leaf
     # shells 6 and 7 are equidistant from the midpoint 6.5; the split takes
     # the left one, yielding a 6/7 shell split
     sizes = (root.left.n_functions, root.right.n_functions)
     assert sorted(sizes) == [6, 7]
     assert sizes == (6, 7)
-    assert all(leaf.n_functions <= 10 for leaf in part.leaves)
+    assert all(leaf.n_functions <= 10 for leaf in leaf_spans(root))
 
 
 def test_partition_covers_all_shells_once():
     _, pairs, _, _ = build_setup(4)
     system = generate_cluster(4, seed=3)
-    part = build_partition(system, leaf_size=10)
+    root = build_partition(system, leaf_size=10)
     covered = []
-    for leaf in part.leaves:
+    for leaf in leaf_spans(root):
         covered.extend(range(leaf.shell_lo, leaf.shell_hi))
     assert covered == list(range(system.n_shells))
 
@@ -66,16 +65,16 @@ def test_partition_deterministic():
     system = generate_cluster(6, seed=5)
     p1 = build_partition(system, leaf_size=10)
     p2 = build_partition(system, leaf_size=10)
-    spans1 = [(s.shell_lo, s.shell_hi) for s in p1.leaves]
-    spans2 = [(s.shell_lo, s.shell_hi) for s in p2.leaves]
+    spans1 = [(s.shell_lo, s.shell_hi) for s in leaf_spans(p1)]
+    spans2 = [(s.shell_lo, s.shell_hi) for s in leaf_spans(p2)]
     assert spans1 == spans2
 
 
 def test_partition_depth_scales_logarithmically():
     system = generate_cluster(30, seed=3)
-    part = build_partition(system, leaf_size=10)
+    root = build_partition(system, leaf_size=10)
     n = system.n_functions
-    assert _depth(part.root) <= math.ceil(math.log2(n / 10)) + 1
+    assert _depth(root) <= math.ceil(math.log2(n / 10)) + 1
 
 
 # ---------------------------------------------------------------- matrix tree
