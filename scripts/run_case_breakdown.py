@@ -14,8 +14,8 @@ import argparse
 import pathlib
 import sys
 
-from hexfock import DensityModel, build_density, build_exchange_symmetric, \
-    generate_cluster, hilbert_order
+from hexfock import DensityModel, InvalidArgumentError, RunConfig, \
+    build_density, build_exchange_symmetric, generate_cluster, hilbert_order
 from hexfock.quadtree import build_matrix_tree, build_pair_tree, build_partition
 
 
@@ -27,6 +27,12 @@ def main() -> int:
     ap.add_argument("--tau-ovlp", type=float, default=1e-13, dest="tau_ovlp")
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
+    if args.n < 1:
+        ap.error(f"--n must be >= 1, got {args.n}")
+    try:
+        RunConfig(tau_2e=args.tau_2e, tau_ovlp=args.tau_ovlp).validate()
+    except InvalidArgumentError as exc:
+        ap.error(str(exc))
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

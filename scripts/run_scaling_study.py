@@ -15,7 +15,7 @@ import math
 import pathlib
 import sys
 
-from hexfock import RunConfig, scaling_series
+from hexfock import InvalidArgumentError, RunConfig, scaling_series
 
 REGIMES = ((1e-8, 1e-11), (1e-10, 1e-13))
 
@@ -26,7 +26,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
-    sizes = [int(t) for t in args.sizes.split(",")]
+    try:
+        sizes = [int(t) for t in args.sizes.split(",")]
+        RunConfig(seed=args.seed).validate(sizes)
+    except (ValueError, InvalidArgumentError) as exc:
+        ap.error(f"--sizes {args.sizes!r}: {exc}")
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -92,6 +92,9 @@ class RunConfig:
                 f"--order must be one of {ORDERINGS}, got {self.order!r}")
         kind, _ = _parse_system_spec(self.system)
         _parse_density_spec(self.density)
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise InvalidArgumentError(
+                f"--out {self.out!r}: its directory does not exist")
         if sizes is None:
             return
         if not sizes:

@@ -1,11 +1,12 @@
 """Brute-force exchange references and matrix comparison utilities.
 
-These references exercise the same integral code as the tree drivers, so a
-disagreement points at traversal or symmetry logic rather than integral
-arithmetic (which has its own quadrature-based tests). Performance is a
-non-goal: time grows as n_shells**4. Memory is bounded by _PRIM_BUDGET
-until a single bra pair against every ket pair exceeds it (about water:20);
-beyond that it grows as n_shells**2.
+The references share the drivers' integral code, so a disagreement points at
+traversal or symmetry logic. ``dense_exchange`` evaluates every quartet with
+``eri_cross``; ``dense_exchange_screened`` evaluates the quartets it keeps
+with ``eri_elementwise`` and screens on the pair table and (ij|ij) values of
+the one-leaf pair tree. Time grows as n_shells**4. Memory is bounded by
+_PRIM_BUDGET until a single bra pair against every ket pair exceeds it
+(about water:20); beyond that it grows as n_shells**2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .basis import BasisSystem
 from .integrals import (InvalidArgumentError, PairData, build_pair_data,
-                        diagonal_values, eri_cross, eri_elementwise)
+                        eri_cross, eri_elementwise)
+from .quadtree import build_pair_tree, build_partition
 
 # Both oracles walk the bra pairs in consecutive chunks, each evaluated
 # against every ket pair at once; a chunk spans at most this many primitive
@@ -90,13 +92,9 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise InvalidArgumentError("density dimension does not match system")
-    pairs = _all_pairs(system)
-    pd = build_pair_data(system.shells, pairs)
-    # Q evaluated in canonical (i <= j) orientation, matching the tree caches
-    # bit for bit so screening decisions agree exactly across implementations
-    canon = build_pair_data(system.shells,
-                            [(min(i, j), max(i, j)) for i, j in pairs])
-    q = diagonal_values(canon)  # Q_ij = (ij|ij) at pair index i * n + j
+    tree = build_pair_tree(system, build_partition(system, leaf_size=n))
+    pd = tree.pairs  # pair a = i * n + j, row-major
+    q = tree.diag.ravel()  # Q_ij = (ij|ij) at pair index i * n + j
     fq = np.sqrt(q) if mode == "schwarz" else q
     p_abs = np.abs(P)
     K = np.zeros((n, n))

@@ -171,7 +171,7 @@ class ShellPairNode:
         self.pruned = False
         self.children = {}
         self.pairs = None   # PairData at surviving leaves
-        self.diag = None    # (ab|ab) matrix, shape (row shells, col shells)
+        self.diag = None    # its block of the system's (ab|ab) matrix
         self.cache = None   # driver-level leaf scratch (see leaf_cache)
 
     @property
@@ -184,23 +184,29 @@ class ShellPairNode:
         return self.children.get((a, b))
 
 
-# Shell pairs per overlap pass. Small passes keep the primitive-pair
-# temporaries small: one pass over all pairs raised the benchmark's peak RSS
-# by 1.6-2.5 MB at water:24-30, 512-pair passes by at most 0.4 MB.
-_OVERLAP_CHUNK = 512
+# Canonical pairs per pass, in the overlap and the (ij|ij) pass alike. Small
+# passes keep the primitive-pair temporaries small: one pass over all pairs
+# raised the benchmark's peak RSS by 1.6-2.5 MB at water:24-30, 512-pair
+# passes by at most 0.4 MB.
+_PAIR_CHUNK = 512
+
+
+def _pair_matrix(system: BasisSystem, values) -> np.ndarray:
+    """Exactly symmetric matrix of values(shells, pair_list) over i <= j."""
+    n = system.n_shells
+    iu, ju = np.triu_indices(n)
+    m = np.zeros((n, n))
+    for lo in range(0, len(iu), _PAIR_CHUNK):
+        i, j = iu[lo:lo + _PAIR_CHUNK], ju[lo:lo + _PAIR_CHUNK]
+        v = values(system.shells, np.column_stack((i, j)))
+        m[i, j] = v
+        m[j, i] = v
+    return m
 
 
 def shell_overlap_matrix(system: BasisSystem) -> np.ndarray:
     """Exactly symmetric matrix of contracted shell-shell overlaps."""
-    n = system.n_shells
-    iu, ju = np.triu_indices(n)
-    s = np.zeros((n, n))
-    for lo in range(0, len(iu), _OVERLAP_CHUNK):
-        i, j = iu[lo:lo + _OVERLAP_CHUNK], ju[lo:lo + _OVERLAP_CHUNK]
-        v = integrals.pair_overlaps(system.shells, np.column_stack((i, j)))
-        s[i, j] = v
-        s[j, i] = v
-    return s
+    return _pair_matrix(system, integrals.pair_overlaps)
 
 
 def build_pair_tree(system: BasisSystem, root: Span,
@@ -212,26 +218,21 @@ def build_pair_tree(system: BasisSystem, root: Span,
     below tau_ovlp; pruned subtrees are not expanded.
     """
     s_abs = np.abs(shell_overlap_matrix(system))
-    shells = system.shells
+    # one canonical pass, so mirrored leaves get exactly transposed blocks
+    q = _pair_matrix(system, lambda shells, pair_list:
+                     diagonal_values(build_pair_data(shells, pair_list)))
 
     def build(row: Span, col: Span) -> ShellPairNode:
         node = ShellPairNode(row, col)
-        block_max = s_abs[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi].max()
-        if block_max < tau_ovlp:
+        block = np.s_[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi]
+        if s_abs[block].max() < tau_ovlp:
             node.pruned = True
             return node
         if node.is_leaf:
-            ii, jj = np.meshgrid(np.arange(row.shell_lo, row.shell_hi),
-                                 np.arange(col.shell_lo, col.shell_hi),
-                                 indexing="ij")
-            pair_list = np.column_stack((ii.ravel(), jj.ravel()))
-            node.pairs = build_pair_data(shells, pair_list)
-            # diagonal values are evaluated in canonical (i <= j) orientation so
-            # that mirrored blocks cache bit-identical screening inputs
-            canon = build_pair_data(shells, np.sort(pair_list, axis=1))
-            d = diagonal_values(canon).reshape(
-                row.shell_hi - row.shell_lo, col.shell_hi - col.shell_lo)
-            node.diag = d
+            ii, jj = np.mgrid[block]
+            node.pairs = build_pair_data(
+                system.shells, np.column_stack((ii.ravel(), jj.ravel())))
+            d = node.diag = q[block]
             node.diag_norm = _frobenius(d)
             node.rowsum_max = float(d.sum(axis=1).max())
             node.colsum_max = float(d.sum(axis=0).max())

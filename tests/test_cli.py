@@ -55,6 +55,9 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
         (["--series", "0,2"], "--series"),
         (["--series", "-1"], "--series"),
         (["--series", "1", "--system", f"xyz:{xyz}"], "--series"),
+        (["--out", str(tmp_path / "missing" / "r.json")], "--out"),
+        (["--series", "1", "--out", str(tmp_path / "missing" / "s.csv")],
+         "--out"),
     ]:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

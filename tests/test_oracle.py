@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hexfock import (DensityModel, build_density, compare, dense_exchange,
-                     dense_exchange_screened, generate_cluster)
+from hexfock import (DensityModel, build_density, build_exchange_naive,
+                     compare, dense_exchange, dense_exchange_screened,
+                     generate_cluster)
 from hexfock.basis import Atom, BasisSystem, GaussianShell
 from hexfock.integrals import InvalidArgumentError, eri_quartet
+
+from conftest import build_setup
 
 
 def _single_shell_system():
@@ -130,3 +133,24 @@ def test_compare_worst_element_location():
     d = r.to_dict()
     assert set(d) == {"max_abs_diff", "frobenius_diff", "relative_frobenius",
                       "worst_row", "worst_col"}
+
+
+@pytest.mark.parametrize("n,leaf_size,tau_2e,mode,quartets", [
+    (10, 10, 1e-8, "schwarz", 23966),
+    (10, 4, 1e-6, "schwarz", 9514),
+    (10, 10, 1e-8, "literal", 8264),
+    (8, 40, 1e-10, "schwarz", 29842),
+])
+def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e, mode,
+                                              quartets):
+    # at tau_ovlp = 0 the naive driver keeps exactly the direct-SCF quartets:
+    # both screen every quartet on the same (ij|ij) values
+    system, pairs, P_tree, P = build_setup(n, tau_ovlp=0.0,
+                                           leaf_size=leaf_size)
+    log = []
+    build_exchange_naive(pairs, pairs, P_tree, tau_2e, mode=mode,
+                         quartet_log=log)
+    ref = []
+    dense_exchange_screened(system, P, tau_2e, mode=mode, quartet_log=ref)
+    assert len(log) == len(ref) == quartets
+    assert set(log) == set(ref)

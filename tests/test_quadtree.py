@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hexfock.basis import Atom, BasisSystem, GaussianShell, generate_cluster
-from hexfock.integrals import InvalidArgumentError, eri_quartet, overlap
+from hexfock.integrals import (InvalidArgumentError, build_pair_data,
+                               diagonal_values, eri_quartet, overlap)
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
                               build_partition, shell_overlap_matrix)
 
@@ -251,3 +252,35 @@ def test_pair_tree_leaf_diag_matches_quartets():
             a, b = min(i, j), max(i, j)
             ref = eri_quartet(sh[a], sh[b], sh[a], sh[b]).values[0, 0, 0, 0]
             assert pairs.diag[i, j] == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("leaf_size,kinds", [
+    (3, {"diagonal", "upper", "lower", "ragged"}),
+    (10, {"diagonal", "upper", "lower"}),
+])
+def test_pair_tree_leaf_diag_matches_own_canonical_table(leaf_size, kinds):
+    # reference: (ij|ij) of the leaf's own pair table sorted to i <= j; the
+    # system-wide pass must give each leaf exactly these values, and mirrored
+    # leaves exactly transposed ones
+    system, pairs, _, _ = build_setup(5, tau_ovlp=0.0, leaf_size=leaf_size)
+    leaves = {}
+
+    def walk(node):
+        if node.is_leaf:
+            leaves[node.row.shell_lo, node.col.shell_lo] = node
+        for ch in node.children.values():
+            walk(ch)
+
+    walk(pairs)
+    seen = set()
+    for (r, c), node in leaves.items():
+        ii, jj = np.mgrid[node.row.shell_lo:node.row.shell_hi,
+                          node.col.shell_lo:node.col.shell_hi]
+        canon = np.sort(np.column_stack((ii.ravel(), jj.ravel())), axis=1)
+        ref = diagonal_values(build_pair_data(system.shells, canon))
+        assert np.array_equal(node.diag, ref.reshape(ii.shape))
+        assert np.array_equal(node.diag, leaves[c, r].diag.T)
+        seen.add("diagonal" if r == c else "upper" if r < c else "lower")
+        if ii.shape[0] != ii.shape[1]:
+            seen.add("ragged")
+    assert seen == kinds
