@@ -26,7 +26,7 @@ import numpy as np
 from .basis import (FormatError, InvalidArgumentError, UnsupportedElementError,
                     generate_cluster, hilbert_order, load_xyz)
 from .density import DEFAULT_GAMMA, DensityModel, build_density
-from .exchange_naive import build_exchange_naive
+from .exchange_naive import BOUND_MODES, build_exchange_naive
 from .exchange_symmetry import CASE_LABELS, build_exchange_symmetric
 from .oracle import compare, dense_exchange, dense_exchange_screened
 from .quadtree import (DEFAULT_LEAF_SIZE, build_matrix_tree, build_pair_tree,
@@ -34,7 +34,6 @@ from .quadtree import (DEFAULT_LEAF_SIZE, build_matrix_tree, build_pair_tree,
 
 SCHEMA_VERSION = 2
 MODES = ("naive", "symmetry", "dense", "dense-screened")
-BOUND_MODES = ("schwarz", "literal")
 ORDERINGS = ("hilbert", "input")
 
 # Largest system, in shells, that --mode or --reference dense/dense-screened
@@ -95,6 +94,8 @@ class RunConfig:
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise InvalidArgumentError(
                 f"--out {self.out!r}: its directory does not exist")
+        if self.out and os.path.isdir(self.out):
+            raise InvalidArgumentError(f"--out {self.out!r} is a directory")
         if sizes is None:
             return
         if not sizes:

@@ -56,6 +56,17 @@ def _sorted_product(a: float, b: float, c: float) -> float:
     return lo * mid * hi
 
 
+BOUND_MODES = ("schwarz", "literal")
+
+
+def check_screening(tau_2e: float, mode: str) -> None:
+    """Reject a negative or NaN threshold and an unknown bound form."""
+    if not tau_2e >= 0.0:
+        raise InvalidArgumentError(f"tau_2e must be non-negative, got {tau_2e!r}")
+    if mode not in BOUND_MODES:
+        raise InvalidArgumentError(f"unknown screening mode {mode!r}")
+
+
 def screening_test(bra_norm: float, p_norm: float, ket_norm: float,
                    tau_2e: float, mode: str = "schwarz") -> bool:
     """True when the blocked Almlof-Ahlrichs bound says: cull this task.
@@ -63,13 +74,12 @@ def screening_test(bra_norm: float, p_norm: float, ket_norm: float,
     literal multiplies the diagonal-block Frobenius norms as-is; schwarz
     takes their square roots first (the provably sound form).
     """
+    check_screening(tau_2e, mode)
     if bra_norm < 0.0 or p_norm < 0.0 or ket_norm < 0.0:
         raise InvalidArgumentError("screening norms must be non-negative")
     if mode == "schwarz":
         bra_norm = math.sqrt(bra_norm)
         ket_norm = math.sqrt(ket_norm)
-    elif mode != "literal":
-        raise InvalidArgumentError(f"unknown screening mode {mode!r}")
     return _sorted_product(bra_norm, p_norm, ket_norm) <= tau_2e
 
 
@@ -88,11 +98,8 @@ def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
 
 
 def check_driver_args(bra, ket, p, tau_2e: float, mode: str) -> None:
-    """Reject a negative or NaN threshold, an unknown bound or mismatched trees."""
-    if not tau_2e >= 0.0:
-        raise InvalidArgumentError(f"tau_2e must be non-negative, got {tau_2e!r}")
-    if mode not in ("schwarz", "literal"):
-        raise InvalidArgumentError(f"unknown screening mode {mode!r}")
+    """check_screening, then reject trees over different partitions."""
+    check_screening(tau_2e, mode)
     roots = {id(bra.row), id(bra.col), id(ket.row), id(ket.col), id(p.row), id(p.col)}
     if len(roots) != 1:
         raise InvalidArgumentError("bra, ket and P must be built over the same partition")
@@ -118,12 +125,12 @@ def _child_keys(node: ShellPairNode, canonical: bool):
 class Traversal:
     """One traversal's K accumulator and counters, and how it walks.
 
-    ``case_label(b, k)``, when given, makes the walk canonical: both sides
-    keep only canonical (upper-triangular) child keys and leaf pairs. It
-    labels each surviving task whose links are all present (any absent link
-    makes it SPARSE) and turns on the per-link and per-case tallies, which
-    need SymmetryCounters. ``quartet_log``, when given, collects every
-    evaluated shell quartet.
+    ``case_label(b, k, present)``, when given, makes the walk canonical:
+    both sides keep only canonical (upper-triangular) child keys and leaf
+    pairs. It labels each surviving task from the presence flags of its
+    links (exchange_symmetry.classify_quartet) and turns on the per-link
+    and per-case tallies, which need SymmetryCounters. ``quartet_log``,
+    when given, collects every evaluated shell quartet.
     """
 
     def __init__(self, n: int, tau_2e: float, mode: str, evaluate: bool,
@@ -172,7 +179,8 @@ class Traversal:
             return
         at_leaf = b.is_leaf and k.is_leaf
         if self.case_label is not None:
-            label = "SPARSE" if n_absent else self.case_label(b, k)
+            present = [ref is not None for _, _, ref in links]
+            label = self.case_label(b, k, present)
             c.case_tasks[label] += 1
             if at_leaf:
                 c.case_leaf_tasks[label] += 1
@@ -217,10 +225,6 @@ class Traversal:
             pg = ref.leaf[_DENSITY_VIEW[tb, tk]]
             bound = (fb * np.abs(pg)) * fk
             # NaN outside the canonical pairs: neither kept nor culled there
-            if A["mask"] is not None:
-                bound[~A["mask"]] = np.nan
-            if B["mask"] is not None:
-                bound[:, :, ~B["mask"]] = np.nan
             keep = bound > self.tau_2e
             kept.append((tb, tk, pg, keep))
             union = keep if union is None else union | keep
@@ -230,7 +234,7 @@ class Traversal:
                 cull = bound <= self.tau_2e
                 if not self.schwarz:
                     bound = (A["sq"][:, :, None, None] * np.abs(pg)) * B["sq"]
-                # row-major over the masked grid: the canonical pair order
+                # row-major over the grid: the canonical pair order
                 c.culled_bound_ledger += 0.5 * float(bound[cull].sum())
         nkeep = int(np.count_nonzero(union))
         c.eri_shell_quartets += nkeep

@@ -68,8 +68,15 @@ class SymmetryCounters(TraversalCounters):
         return "\n".join(lines) + "\n"
 
 
-def _case_label(b: ShellPairNode, k: ShellPairNode) -> str:
-    """Span-relation class of a canonical task; see classify_quartet.
+def classify_quartet(bra: ShellPairNode, ket: ShellPairNode,
+                     present=(True, True, True, True)) -> str:
+    """Span-relation class of one canonical task, as the engine labels it.
+
+    ``present`` flags the availability of the task's density links (at the
+    root, P[nu,lam], P[mu,lam], P[nu,sig], P[mu,sig]); any absence demotes
+    the case to SPARSE (the task proceeds with the valid subset of links).
+    Raises LogicError when the bra or ket spans are out of canonical order,
+    which can only happen through a traversal bug. The cases:
 
     A: every sink block is already in canonical orientation, the generic
        4-fold update: separated spans (mu <= nu <= lam <= sig, or the
@@ -84,12 +91,15 @@ def _case_label(b: ShellPairNode, k: ShellPairNode) -> str:
     F1: mu = lam coincidence (shared row span).
     F2: nu = sig coincidence (shared column span).
     H: both pair nodes diagonal.
-    SPARSE is assigned upstream when any density link is unavailable.
     """
-    mu, nu, lam, sig = b.row, b.col, k.row, k.col
+    mu, nu, lam, sig = bra.row, bra.col, ket.row, ket.col
+    if mu.shell_lo > nu.shell_lo or lam.shell_lo > sig.shell_lo:
+        raise LogicError("non-canonical task: pair spans out of order")
+    if not all(present):
+        return "SPARSE"
     bra_diag = mu is nu
     ket_diag = lam is sig
-    if b is k:
+    if bra is ket:
         return "E"
     if bra_diag and ket_diag:
         return "H"
@@ -107,21 +117,6 @@ def _case_label(b: ShellPairNode, k: ShellPairNode) -> str:
     if (lam.shell_lo < mu.shell_lo) != (sig.shell_lo < nu.shell_lo):
         return "C"
     return "D"
-
-
-def classify_quartet(bra: ShellPairNode, ket: ShellPairNode,
-                     present=(True, True, True, True)) -> str:
-    """Label of one canonical task's span-relation case (see _case_label).
-
-    ``present`` flags the availability of the four density sub-blocks
-    P[nu,lam], P[mu,lam], P[nu,sig], P[mu,sig]; any absence demotes the case
-    to SPARSE (the task proceeds with the valid subset of links). Raises
-    LogicError when the bra or ket spans are out of canonical order, which
-    can only happen through a traversal bug.
-    """
-    if bra.row.shell_lo > bra.col.shell_lo or ket.row.shell_lo > ket.col.shell_lo:
-        raise LogicError("non-canonical task: pair spans out of order")
-    return _case_label(bra, ket) if all(present) else "SPARSE"
 
 
 def symmetrize_final(K_raw: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -152,16 +147,16 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     The traversal engine of exchange_naive with the four slots of
     _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
     driver uses; the canonical restriction is applied during traversal
-    (upper-triangular child selection) and at leaves (an upper-triangular
-    mask on a diagonal node's pair grid), so the cached norms feeding the
-    screening tests are shared with the naive driver bit for bit. Returns
-    (K, SymmetryCounters); K passes through symmetrize_final. evaluate
-    behaves as in build_exchange_naive; quartet_log collects evaluated
-    canonical quartets.
+    (upper-triangular child selection) and at leaves (leaf_cache's canonical
+    factors, NaN below a diagonal node's diagonal), so the cached norms
+    feeding the screening tests are shared with the naive driver bit for
+    bit. Returns (K, SymmetryCounters); K passes through symmetrize_final.
+    evaluate behaves as in build_exchange_naive; quartet_log collects
+    evaluated canonical quartets.
     """
     check_driver_args(pairs, pairs, P, tau_2e, mode)
     t = Traversal(pairs.row.n_functions, tau_2e, mode, evaluate,
-                  SymmetryCounters(), case_label=_case_label,
+                  SymmetryCounters(), case_label=classify_quartet,
                   quartet_log=quartet_log)
     t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
     K = symmetrize_final(t.K) if evaluate else t.K

@@ -4,9 +4,10 @@ The references share the drivers' integral code, so a disagreement points at
 traversal or symmetry logic. ``dense_exchange`` evaluates every quartet with
 ``eri_cross``; ``dense_exchange_screened`` evaluates the quartets it keeps
 with ``eri_elementwise`` and screens on the pair table and (ij|ij) values of
-the one-leaf pair tree. Time grows as n_shells**4. Memory is bounded by
-_PRIM_BUDGET until a single bra pair against every ket pair exceeds it
-(about water:20); beyond that it grows as n_shells**2.
+the one-leaf pair tree, under the drivers' screening contract
+(``exchange_naive.check_screening``). Time grows as n_shells**4. Memory is
+bounded by _PRIM_BUDGET until a single bra pair against every ket pair
+exceeds it (about water:20); beyond that it grows as n_shells**2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSystem
+from .exchange_naive import check_screening
 from .integrals import (InvalidArgumentError, PairData, build_pair_data,
                         eri_cross, eri_elementwise)
 from .quadtree import build_pair_tree, build_partition
@@ -85,9 +87,11 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
     """Per-shell-quartet screened reference (the direct-SCF baseline).
 
     A quartet (mn|ls) is evaluated iff its Almlof-Ahlrichs bound
-    f(Q_mn) * |P_nl| * f(Q_ls) exceeds tau_2e. Returns (K, skipped_bound_sum);
-    quartet_log, when given, collects the evaluated (mu, nu, lam, sig) tuples.
+    f(Q_mn) * |P_nl| * f(Q_ls) exceeds tau_2e. tau_2e and mode pass the
+    drivers' check_screening. Returns (K, skipped_bound_sum); quartet_log,
+    when given, collects the evaluated (mu, nu, lam, sig) tuples.
     """
+    check_screening(tau_2e, mode)
     n = system.n_shells
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):

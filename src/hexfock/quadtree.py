@@ -76,21 +76,17 @@ def build_partition(system: BasisSystem, leaf_size: int = DEFAULT_LEAF_SIZE) -> 
     return split(0, system.n_shells)
 
 
-class MatrixQuadtree:
-    """Quadtree block of a dense matrix; absent children are exact zeros."""
+class _Block:
+    """Node over a (row span, col span) block: a leaf when both spans are
+    leaves, else its children are keyed by (row child, col child) index."""
 
-    __slots__ = ("row", "col", "norm", "children", "leaf")
+    __slots__ = ("row", "col", "children", "is_leaf")
 
-    def __init__(self, row: Span, col: Span, norm: float, children=None, leaf=None):
+    def __init__(self, row: Span, col: Span, children: dict):
         self.row = row
         self.col = col
-        self.norm = norm
-        self.children = children or {}
-        self.leaf = leaf
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
+        self.children = children
+        self.is_leaf = row.is_leaf and col.is_leaf
 
     def child(self, a: int, b: int):
         # ragged descent: a leaf stands in for itself when a sibling span
@@ -98,6 +94,17 @@ class MatrixQuadtree:
         if self.is_leaf:
             return self if (a, b) == (0, 0) else None
         return self.children.get((a, b))
+
+
+class MatrixQuadtree(_Block):
+    """Quadtree block of a dense matrix; absent children are exact zeros."""
+
+    __slots__ = ("norm", "leaf")
+
+    def __init__(self, row: Span, col: Span, norm: float, children=None, leaf=None):
+        super().__init__(row, col, children or {})
+        self.norm = norm
+        self.leaf = leaf
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.row.n_functions, self.col.n_functions))
@@ -150,7 +157,7 @@ def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
     return tree
 
 
-class ShellPairNode:
+class ShellPairNode(_Block):
     """Node of the bra/ket shell-pair quadtree with cached screening norms.
 
     diag_norm is the Frobenius norm of the diagonal ERI entries (ab|ab) over
@@ -159,29 +166,18 @@ class ShellPairNode:
     error ledger.
     """
 
-    __slots__ = ("row", "col", "diag_norm", "rowsum_max", "colsum_max",
-                 "pruned", "children", "pairs", "diag", "cache")
+    __slots__ = ("diag_norm", "rowsum_max", "colsum_max", "pruned", "pairs",
+                 "diag", "cache")
 
     def __init__(self, row: Span, col: Span):
-        self.row = row
-        self.col = col
+        super().__init__(row, col, {})
         self.diag_norm = 0.0
         self.rowsum_max = 0.0
         self.colsum_max = 0.0
         self.pruned = False
-        self.children = {}
         self.pairs = None   # PairData at surviving leaves
         self.diag = None    # its block of the system's (ab|ab) matrix
         self.cache = None   # driver-level leaf scratch (see leaf_cache)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.row.is_leaf and self.col.is_leaf
-
-    def child(self, a: int, b: int):
-        if self.is_leaf:
-            return self if (a, b) == (0, 0) else None
-        return self.children.get((a, b))
 
 
 # Canonical pairs per pass, in the overlap and the (ij|ij) pass alike. Small
@@ -242,11 +238,8 @@ def build_pair_tree(system: BasisSystem, root: Span,
         for a in range(len(rowkids)):
             for b in range(len(colkids)):
                 node.children[(a, b)] = build(rowkids[a], colkids[b])
+        # a child holds the block's largest overlap, so one is always live
         live = [ch for ch in node.children.values() if not ch.pruned]
-        if not live:
-            node.pruned = True
-            node.children = {}
-            return node
         node.diag_norm = _rss(ch.diag_norm for ch in live)
         node.rowsum_max = max(
             math.fsum(node.children[(a, b)].rowsum_max for b in range(len(colkids)))
@@ -260,15 +253,15 @@ def build_pair_tree(system: BasisSystem, root: Span,
 
 
 def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
-    """Pair table, diagonal values and canonical mask of a leaf pair node.
+    """Pair table and screening factors of a leaf pair node.
 
     Every entry is laid out on the node's full (row shells, col shells) pair
-    grid, row-major. canonical=True restricts a diagonal node to its
-    upper-triangular (i <= j) pairs, the canonical orientation, through
-    ``mask``; elsewhere ``mask`` is None and every pair counts. Entries:
-    pd (PairData of the grid), q ((ij|ij) grid, canonical orientation),
-    sq (its square root), mask, m (number of pairs the mask keeps). Cached
-    on the node, one entry per orientation.
+    grid, row-major: pd (PairData of the grid), q ((ij|ij) grid, canonical
+    orientation), sq (its square root) and m (number of finite q entries).
+    canonical=True restricts a diagonal node to its upper-triangular
+    (i <= j) pairs: its q and sq are NaN below the diagonal, so every bound
+    built from them is NaN there, neither kept nor culled. Cached in
+    ``node.cache`` under "canon" or "full", one entry per orientation.
     """
     if node.cache is None:
         node.cache = {}
@@ -276,10 +269,9 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     cached = node.cache.get(key)
     if cached is None:
         q = node.diag
-        mask = None
         if canonical and node.row is node.col:
-            mask = np.triu(np.ones(q.shape, dtype=bool))
-        cached = {"pd": node.pairs, "q": q, "sq": np.sqrt(q), "mask": mask,
-                  "m": q.size if mask is None else int(np.count_nonzero(mask))}
+            q = np.where(np.tri(len(q), k=-1, dtype=bool), np.nan, q)
+        m = int(np.count_nonzero(np.isfinite(q)))
+        cached = {"pd": node.pairs, "q": q, "sq": np.sqrt(q), "m": m}
         node.cache[key] = cached
     return cached

@@ -36,6 +36,7 @@ from hexfock.integrals import InvalidArgumentError
     ("density", "nonsense", "--density"),
     ("density", "exp:gamma=nan", "--density"),
     ("density", "exp:gamma=inf", "--density"),
+    ("out", ".", "--out"),
 ])
 def test_config_validation_names_offending_flag(field, value, flag):
     config = RunConfig(**{field: value})
@@ -58,6 +59,8 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
         (["--out", str(tmp_path / "missing" / "r.json")], "--out"),
         (["--series", "1", "--out", str(tmp_path / "missing" / "s.csv")],
          "--out"),
+        (["--system", "water:1", "--out", str(tmp_path)], "--out"),
+        (["--series", "1", "--out", str(tmp_path)], "--out"),
     ]:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

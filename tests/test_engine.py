@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hexfock import (build_exchange_naive, build_exchange_symmetric,
                      dense_exchange, exchange_naive, exchange_symmetry,
                      generate_cluster)
-from hexfock.quadtree import build_matrix_tree, build_pair_tree, build_partition
+from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
+                              build_partition, leaf_cache)
 
 from conftest import build_setup, leaf_spans
 
@@ -79,6 +80,42 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
     assert c.eri_shell_quartets > 0
     assert tally["quartets"] == c.eri_shell_quartets
     assert tally["leaf_cache"] == 2 * c.leaf_contractions
+
+
+def _leaves(node):
+    if node.is_leaf:
+        return [node]
+    return [leaf for ch in node.children.values() for leaf in _leaves(ch)]
+
+
+@pytest.mark.parametrize("driver,key", [("naive", "full"),
+                                        ("symmetry", "canon")])
+def test_leaf_cache_holds_one_key_per_contracted_leaf(monkeypatch, driver,
+                                                      key):
+    # perfbench/run.py counts leaf-cache fills by reading node.cache for
+    # the driver's key; a build fills it once on every leaf it contracts,
+    # touches no other leaf, and a second build on the same tree fills
+    # nothing more
+    _, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
+    contracted = set()
+
+    def recording(node, canonical=False):
+        contracted.add(id(node))
+        return leaf_cache(node, canonical=canonical)
+
+    monkeypatch.setattr(exchange_naive, "leaf_cache", recording)
+    for _ in range(2):
+        if driver == "naive":
+            build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+        else:
+            build_exchange_symmetric(pairs, P_tree, 1e-8)
+        leaves = _leaves(pairs)
+        assert 0 < len(contracted) < len(leaves)
+        for leaf in leaves:
+            if id(leaf) in contracted:
+                assert list(leaf.cache) == [key]
+            else:
+                assert leaf.cache is None
 
 
 @st.composite

@@ -49,6 +49,9 @@ def test_screening_test_errors():
         screening_test(-1.0, 1.0, 1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         screening_test(1.0, 1.0, 1.0, 0.0, mode="bogus")
+    # NaN compares false with every bound: it would keep every task
+    with pytest.raises(InvalidArgumentError, match="tau_2e"):
+        screening_test(1.0, 1.0, 1.0, math.nan)
 
 
 def test_negative_tau_rejected():

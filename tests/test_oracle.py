@@ -50,6 +50,21 @@ def test_dense_dimension_mismatch():
         dense_exchange_screened(system, np.eye(3), 0.0)
 
 
+@pytest.mark.parametrize("tau_2e,mode,match", [
+    (1e-8, "schwartz", "screening mode"),
+    (math.nan, "schwarz", "tau_2e"),
+    (-1.0, "schwarz", "tau_2e"),
+])
+def test_screened_rejects_what_the_drivers_reject(tau_2e, mode, match):
+    # the screened oracle runs the drivers' screening contract; without it
+    # a misspelt bound form screens as literal and a NaN threshold skips
+    # every quartet, returning K = 0
+    system = generate_cluster(2, seed=3)
+    P = build_density(system, DensityModel())
+    with pytest.raises(InvalidArgumentError, match=match):
+        dense_exchange_screened(system, P, tau_2e, mode=mode)
+
+
 def test_screened_zero_threshold_equals_dense():
     system = generate_cluster(2, seed=3)
     rng = np.random.default_rng(2)

@@ -1,7 +1,9 @@
 """The benchmark's own self-test, run against this checkout's sources.
 
-A refactor of ``src/`` that renames a function the benchmark traces, or
-changes ``leaf_cache``'s cache keys, fails here. The benchmark files are
+A refactor of ``src/`` that renames a function the benchmark traces fails
+here. A change to ``leaf_cache``'s cache keys does not: the benchmark's fill
+count then reads 1 on every call, which its self-test cannot tell apart;
+``tests/test_engine.py`` pins those keys instead. The benchmark files are
 copied to a temporary directory first, so nothing under ``perfbench/`` is
 written.
 """
