@@ -14,8 +14,9 @@ import argparse
 import pathlib
 import sys
 
-from hexfock import DensityModel, InvalidArgumentError, RunConfig, \
-    build_density, build_exchange_symmetric, generate_cluster, hilbert_order
+from hexfock import DensityModel, InvalidArgumentError, build_density, \
+    build_exchange_symmetric, generate_cluster, hilbert_order
+from hexfock.cli import RunConfig
 from hexfock.quadtree import build_matrix_tree, build_pair_tree, build_partition
 
 

@@ -15,7 +15,8 @@ import math
 import pathlib
 import sys
 
-from hexfock import InvalidArgumentError, RunConfig, scaling_series
+from hexfock import InvalidArgumentError
+from hexfock.cli import RunConfig, scaling_series
 
 REGIMES = ((1e-8, 1e-11), (1e-10, 1e-13))
 

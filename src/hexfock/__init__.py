@@ -1,7 +1,5 @@
 """Hierarchical Fock-exchange builder over quadtree-blocked shell pairs."""
 
-from .cli import (RunConfig, load_report_schema, run as run_report,
-                  scaling_series)
 from .basis import (Atom, BasisSystem, FormatError, GaussianShell,
                     InvalidArgumentError, SplitMix64, UnsupportedElementError,
                     generate_cluster, hilbert_order, load_xyz)

@@ -8,10 +8,12 @@ gather and the K sink. A task is culled when a pair node is overlap-pruned,
 or when every link is absent or fails the blocked Almlof-Ahlrichs bound;
 otherwise it expands into the child tasks of the blocked contraction, each
 surviving link following its own density child. A leaf task's quartets
-are one (mu nu|lam sig) block over the four leaf shell spans: it screens
-every link per quartet against a broadcast view of the link's density leaf,
-evaluates the ERIs once over the union of kept quartets and scatters each
-link into its K block by summing out the two density indices.
+are the (mu nu|lam sig) block over the four leaf shell spans, but its work
+follows the quartets it keeps: each density entry of a link is first
+prefiltered with the largest factors its quartets can have, only the
+surviving entries are expanded and tested per quartet, the culled bound
+of the pruned entries is summed in closed form, and the ERIs are evaluated
+once over the union of kept quartets and scattered with one bincount.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -105,15 +107,6 @@ def check_driver_args(bra, ket, p, tau_2e: float, mode: str) -> None:
         raise InvalidArgumentError("bra, ket and P must be built over the same partition")
 
 
-# Index turning a link's density leaf into a view on the (mu, nu, lam, sig)
-# quartet block, per (transpose_bra, transpose_ket) slot.
-_ALL = slice(None)
-_DENSITY_VIEW = {(False, False): (None, _ALL, _ALL, None),   # P[nu, lam]
-                 (True, False): (_ALL, None, _ALL, None),    # P[mu, lam]
-                 (False, True): (None, _ALL, None, _ALL),    # P[nu, sig]
-                 (True, True): (_ALL, None, None, _ALL)}     # P[mu, sig]
-
-
 def _child_keys(node: ShellPairNode, canonical: bool):
     nr = len(node.row.children())
     nc = len(node.col.children())
@@ -202,66 +195,98 @@ class Traversal:
                     for tb, tk, ref in live])
 
     def _contract(self, b, k, live):
-        """Leaf task: per-link per-quartet screening, ERI evaluation over the
-        union of kept quartets, then one scatter per link.
+        """Leaf task: screen every link on its candidate density entries
+        (_screen), evaluate the ERIs once over the union of kept quartets,
+        then scatter all links with one bincount.
 
-        The leaf's quartets are one (mu, nu, lam, sig) block over the four
-        shell spans; each link's density block is a broadcast view of its
-        leaf, and its scatter sums the density's bra axis, then its ket
-        axis. The per-quartet test is the conventional direct-SCF form of
-        the blocked bound; it keeps tau_2e's meaning at quartet granularity
-        and makes the quartet counter independent of leaf blocking.
+        The links' density leaves are the blocks of one array whose rows
+        run over the bra's row span then its col span, and whose columns
+        over the ket's; a link's transposes pick its block, as they pick
+        the rows of leaf_cache's tables.
         """
         c = self.c
         A = leaf_cache(b, canonical=self.canonical)
         B = leaf_cache(k, canonical=self.canonical)
-        nr, nc = A["q"].shape
-        nl, ns = B["q"].shape
-        fb = (A["sq"] if self.schwarz else A["q"])[:, :, None, None]
-        fk = B["sq"] if self.schwarz else B["q"]
-        kept = []
-        union = None
+        nr, nl = b.row.n_functions, k.row.n_functions
+        # each side's row span, then its col span
+        bra = (slice(0, nr), slice(nr, len(A["q"])))
+        ket = (slice(0, nl), slice(nl, len(B["q"])))
+        p = np.zeros((len(A["q"]), len(B["q"])))
         for tb, tk, ref in live:
-            pg = ref.leaf[_DENSITY_VIEW[tb, tk]]
-            bound = (fb * np.abs(pg)) * fk
-            # NaN outside the canonical pairs: neither kept nor culled there
-            keep = bound > self.tau_2e
-            kept.append((tb, tk, pg, keep))
-            union = keep if union is None else union | keep
-            ncull = A["m"] * B["m"] - int(np.count_nonzero(keep))
-            if ncull:
-                c.quartets_culled_leaf += ncull
-                cull = bound <= self.tau_2e
-                if not self.schwarz:
-                    bound = (A["sq"][:, :, None, None] * np.abs(pg)) * B["sq"]
-                # row-major over the grid: the canonical pair order
-                c.culled_bound_ledger += 0.5 * float(bound[cull].sum())
-        nkeep = int(np.count_nonzero(union))
-        c.eri_shell_quartets += nkeep
-        if not self.evaluate or nkeep == 0:
+            p[bra[not tb], ket[tk]] = ref.leaf
+        ledger, d1, d2, f1, f2 = _screen(A, B, p, self.tau_2e,
+                                         "sq" if self.schwarz else "q")
+        c.quartets_culled_leaf += len(live) * A["m"] * B["m"] - len(d1)
+        c.culled_bound_ledger += 0.5 * float(ledger)
+        if not len(d1):
             return
-        ia, ib = np.nonzero(union.reshape(nr * nc, nl * ns))
-        e = np.zeros((nr * nc, nl * ns))
-        e[ia, ib] = eri_elementwise(A["pd"], B["pd"], ia, ib)
+        # the union of the links' kept quartets, in row-major quartet order;
+        # sorted and scanned here, as np.unique's per-call cost exceeds a
+        # small leaf's whole screening
+        n_ket = B["pd"].n_pairs
+        quartet = A["pair"][d1, f1] * n_ket + B["pair"][d2, f2]
+        order = quartet.argsort()
+        quartet = quartet[order]
+        first = np.empty(len(quartet), dtype=bool)
+        first[0] = True
+        np.not_equal(quartet[1:], quartet[:-1], out=first[1:])
+        union = quartet[first]
+        c.eri_shell_quartets += len(union)
+        if not self.evaluate:
+            return
+        ia, ib = np.divmod(union, n_ket)
+        e = -0.5 * eri_elementwise(A["pd"], B["pd"], ia, ib)
         if self.qlog is not None:
             self.qlog.extend(zip(
                 A["pd"].i_shell[ia].tolist(), A["pd"].j_shell[ia].tolist(),
                 B["pd"].i_shell[ib].tolist(), B["pd"].j_shell[ib].tolist()))
-        base = (-0.5 * e).reshape(nr, nc, nl, ns)
-        for tb, tk, pg, keep in kept:
-            w = base * pg
-            if keep is not union:  # e is already zero outside the union
-                w *= keep
-            # on a diagonal pair node the untransposed orientation already
-            # covers the i == j pairs
-            if tb and b.row is b.col:
-                w[range(nr), range(nr)] = 0.0
-            if tk and k.row is k.col:
-                w[:, :, range(nl), range(nl)] = 0.0
+        # every link's kept quartets, in quartet order, into the K spaces
+        # of both sides (each with its discard slot)
+        ks = len(B["q"]) + 1
+        sink = (A["bra_sink"][d1, f1] * ks + B["ket_sink"][d2, f2])[order]
+        e = e[np.cumsum(first) - 1] * p[d1, d2][order]
+        dk = np.bincount(sink, e, minlength=(len(A["q"]) + 1) * ks
+                         ).reshape(-1, ks)
+        for tb, tk, _ in live:
+            # K takes the span of each side that the density does not
             rows = b.col if tb else b.row
             cols = k.row if tk else k.col
             self.K[rows.shell_lo:rows.shell_hi, cols.shell_lo:cols.shell_hi] += \
-                w.sum(axis=0 if tb else 1).sum(axis=2 if tk else 1)
+                dk[bra[tb], ket[not tk]]
+
+
+def _screen(A: dict, B: dict, p: np.ndarray, tau: float, f: str):
+    """Kept quartets of a leaf task, and the bound sum of the culled ones.
+
+    p is the density over the rows of A's and B's tables; f names the
+    screening factor, "sq" (schwarz) or "q" (literal). A quartet's bound is
+    (fb * |p|) * fk, with fb, fk its bra and ket factors. A density entry
+    can keep a quartet only if (max fb * |p|) * max fk, the maxima over the
+    free indices, exceeds tau: rounding is monotone, so this prefilter
+    loses no kept quartet. Only the candidate entries are expanded over the
+    free indices and tested per quartet, the conventional direct-SCF test,
+    which makes the kept set independent of leaf blocking. The culled sum
+    uses the sq factors: |p| * (sum fb) * (sum fk) in closed form for a
+    pruned entry, plus the culled quartets of the candidates. Returns (culled
+    sum, density indices d1, d2 and free indices f1, f2 of each kept
+    quartet); no candidate-sized array outlives the call.
+    """
+    pa = np.abs(p)
+    cand = (A[f + "max"][:, None] * pa) * B[f + "max"] > tau
+    d1, d2 = np.nonzero(cand)
+    pc = pa[d1, d2][:, None, None]
+    pa[cand] = 0.0
+    ledger = A["sqsum"] @ pa @ B["sqsum"]
+    if not len(d1):
+        return ledger, d1, d2, d1, d2
+    # (candidate, free bra index, free ket index)
+    bound = (A[f][d1][:, :, None] * pc) * B[f][d2][:, None, :]
+    keep = bound > tau
+    if f != "sq":
+        bound = (A["sq"][d1][:, :, None] * pc) * B["sq"][d2][:, None, :]
+    ledger += bound.sum(where=~keep)
+    j, f1, f2 = np.nonzero(keep)
+    return ledger, d1[j], d2[j], f1, f2
 
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,

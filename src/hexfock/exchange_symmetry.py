@@ -148,7 +148,7 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
     driver uses; the canonical restriction is applied during traversal
     (upper-triangular child selection) and at leaves (leaf_cache's canonical
-    factors, NaN below a diagonal node's diagonal), so the cached norms
+    factors, zero below a diagonal node's diagonal), so the cached norms
     feeding the screening tests are shared with the naive driver bit for
     bit. Returns (K, SymmetryCounters); K passes through symmetrize_final.
     evaluate behaves as in build_exchange_naive; quartet_log collects

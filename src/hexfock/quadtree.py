@@ -255,13 +255,20 @@ def build_pair_tree(system: BasisSystem, root: Span,
 def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     """Pair table and screening factors of a leaf pair node.
 
-    Every entry is laid out on the node's full (row shells, col shells) pair
-    grid, row-major: pd (PairData of the grid), q ((ij|ij) grid, canonical
-    orientation), sq (its square root) and m (number of finite q entries).
-    canonical=True restricts a diagonal node to its upper-triangular
-    (i <= j) pairs: its q and sq are NaN below the diagonal, so every bound
-    built from them is NaN there, neither kept nor culled. Cached in
-    ``node.cache`` under "canon" or "full", one entry per orientation.
+    pd is the PairData of the node's full (row shells, col shells) pair grid,
+    row-major, and m the number of pairs a walk covers. Each table below has
+    one row per density index, over the row span then the col span, and one
+    column per free index (the other shell of the pair), zero-padded to the
+    longer span. q holds (ij|ij), sq its square root, pair the pair's index
+    in pd; qmax, sqmax and sqsum reduce q and sq over the free index.
+    bra_sink and ket_sink place each (density index, free index) entry in
+    the K space of the row span then the col span, plus one discard slot:
+    a transposed diagonal node sends its i == j pairs there, as the
+    untransposed orientation covers them. canonical=True restricts a
+    diagonal node to its upper-triangular (i <= j) pairs: its factors are
+    zero below the diagonal, so no bound there is kept and each adds 0 to
+    the ledger. Cached in ``node.cache`` under "canon" or "full", one entry
+    per orientation.
     """
     if node.cache is None:
         node.cache = {}
@@ -269,9 +276,35 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     cached = node.cache.get(key)
     if cached is None:
         q = node.diag
-        if canonical and node.row is node.col:
-            q = np.where(np.tri(len(q), k=-1, dtype=bool), np.nan, q)
-        m = int(np.count_nonzero(np.isfinite(q)))
-        cached = {"pd": node.pairs, "q": q, "sq": np.sqrt(q), "m": m}
+        nr, nc = q.shape
+        diagonal = node.row is node.col
+        m = nr * nc
+        if canonical and diagonal:
+            q = np.triu(q)
+            m = nr * (nr + 1) // 2
+
+        # rows: density index over the row span, then over the col span;
+        # columns: the free index, zero-padded to the longer span
+        shape = (nr + nc, max(nr, nc))
+        f = np.zeros(shape)
+        f[:nr, :nc] = q
+        f[nr:, :nr] = q.T
+        grid = np.arange(nr * nc).reshape(nr, nc)
+        pair, bra_sink, ket_sink = idx = np.zeros((3,) + shape, dtype=np.intp)
+        pair[:nr, :nc] = grid
+        pair[nr:, :nr] = grid.T
+        # a density index on the row span leaves a free index on the col
+        # span, which sits after the row span in K space, and vice versa
+        idx[1:, :nr, :nc] = nr + np.arange(nc)
+        idx[1:, nr:, :nr] = np.arange(nr)
+        if diagonal:
+            i = np.arange(nr)
+            bra_sink[i, i] = nr + nc       # mu == nu, transposed
+            ket_sink[nr + i, i] = nr + nc  # lam == sig, transposed
+        sq = np.sqrt(f)
+        cached = {"pd": node.pairs, "m": m, "q": f, "sq": sq,
+                  "qmax": f.max(axis=1), "sqmax": sq.max(axis=1),
+                  "sqsum": sq.sum(axis=1), "pair": pair,
+                  "bra_sink": bra_sink, "ket_sink": ket_sink}
         node.cache[key] = cached
     return cached

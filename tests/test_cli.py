@@ -2,16 +2,20 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hexfock import (DensityModel, RunConfig, build_density, generate_cluster,
-                     load_report_schema, run_report, scaling_series)
-from hexfock import cli
-from hexfock.cli import SERIES_COLUMNS, build_parser, main
+from hexfock import DensityModel, build_density, cli, generate_cluster
+from hexfock.cli import (SERIES_COLUMNS, RunConfig, build_parser,
+                         load_report_schema, main, run as run_report,
+                         scaling_series)
 from hexfock.density import save_density_file
 from hexfock.integrals import InvalidArgumentError
 
@@ -251,6 +255,18 @@ def test_main_series_to_file(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == SERIES_COLUMNS
     assert len(rows) == 3
+
+
+def test_module_entry_point_runs_once_without_warning(tmp_path):
+    # the package must not import cli, or ``python -m hexfock.cli`` finds
+    # hexfock.cli already in sys.modules and runs it a second time
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hexfock.cli", "--system", "water:1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_main_single_run_to_file(tmp_path):

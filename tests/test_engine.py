@@ -53,6 +53,36 @@ def test_counters_match_golden(case, driver):
     assert got == want
 
 
+# quartets each driver keeps at water:10, (tau_2e, tau_ovlp) = (1e-8, 1e-11)
+_KEPT_WATER10 = {("naive", "schwarz"): 23966, ("naive", "literal"): 8264,
+                 ("symmetry", "schwarz"): 14429, ("symmetry", "literal"): 4895}
+
+
+@pytest.mark.parametrize("mode", ["schwarz", "literal"])
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_kept_quartets_do_not_depend_on_leaf_size(cluster_setup, driver,
+                                                  mode):
+    # every quartet is kept or culled by its own bound, so the leaf kernel's
+    # candidate prefilter and blocking must not change the kept set, from
+    # one-shell leaves to a single leaf over all 40 shells
+    want = None
+    for leaf_size in (1, 2, 3, 10, 40):
+        _, pairs, P_tree, _ = cluster_setup(10, tau_ovlp=1e-11,
+                                            leaf_size=leaf_size)
+        log = []
+        if driver == "naive":
+            build_exchange_naive(pairs, pairs, P_tree, 1e-8, mode=mode,
+                                 quartet_log=log)
+        else:
+            build_exchange_symmetric(pairs, P_tree, 1e-8, mode=mode,
+                                     quartet_log=log)
+        kept = set(log)
+        assert len(kept) == len(log) == _KEPT_WATER10[driver, mode]
+        if want is None:
+            want = kept
+        assert kept == want, leaf_size
+
+
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
 def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
     # perfbench/run.py wraps these names on both driver modules; the engine

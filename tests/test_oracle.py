@@ -9,6 +9,7 @@ from hexfock import (DensityModel, build_density, build_exchange_naive,
                      generate_cluster)
 from hexfock.basis import Atom, BasisSystem, GaussianShell
 from hexfock.integrals import InvalidArgumentError, eri_quartet
+from hexfock.quadtree import build_pair_tree, build_partition
 
 from conftest import build_setup
 
@@ -150,11 +151,36 @@ def test_compare_worst_element_location():
                       "worst_row", "worst_col"}
 
 
+def _tied_threshold(system, P, mode, kind, rank):
+    """A tau_2e at a tie, from bounds multiplied as the drivers multiply
+    them, (f * |P|) * f. "quartet": the rank-th largest quartet bound.
+    "entry": one float below the rank-th largest density-entry bound, the
+    largest bound of the entry's quartets, which is also the value the leaf
+    prefilter computes for that entry."""
+    q = build_pair_tree(system, build_partition(system,
+                                                leaf_size=system.n_shells)).diag
+    f = np.sqrt(q) if mode == "schwarz" else q
+    if kind == "quartet":
+        bound = (f[:, :, None, None] * np.abs(P)[None, :, :, None]) * f
+        return float(np.sort(bound, axis=None)[-rank])
+    bound = (f.max(axis=0)[:, None] * np.abs(P)) * f.max(axis=1)
+    return float(np.nextafter(np.sort(bound, axis=None)[-rank], 0.0))
+
+
 @pytest.mark.parametrize("n,leaf_size,tau_2e,mode,quartets", [
     (10, 10, 1e-8, "schwarz", 23966),
     (10, 4, 1e-6, "schwarz", 9514),
     (10, 10, 1e-8, "literal", 8264),
     (8, 40, 1e-10, "schwarz", 29842),
+    # tau_2e at a realised bound culls the tied quartets; one float below
+    # an entry's largest bound keeps that quartet, which the leaf prefilter,
+    # having no safety margin, must pass on (leaf 40, and ragged leaf 3)
+    pytest.param(8, 40, ("quartet", 10_000), "schwarz", 9998,
+                 id="at-tie-leaf40"),
+    pytest.param(8, 40, ("entry", 300), "schwarz", 4714,
+                 id="below-tie-leaf40"),
+    pytest.param(5, 3, ("quartet", 1_000), "literal", 999, id="at-tie-leaf3"),
+    pytest.param(5, 3, ("entry", 100), "literal", 584, id="below-tie-leaf3"),
 ])
 def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e, mode,
                                               quartets):
@@ -162,6 +188,8 @@ def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e, mode,
     # both screen every quartet on the same (ij|ij) values
     system, pairs, P_tree, P = build_setup(n, tau_ovlp=0.0,
                                            leaf_size=leaf_size)
+    if isinstance(tau_2e, tuple):
+        tau_2e = _tied_threshold(system, P, mode, *tau_2e)
     log = []
     build_exchange_naive(pairs, pairs, P_tree, tau_2e, mode=mode,
                          quartet_log=log)
