@@ -35,7 +35,10 @@ def main() -> int:
     except InvalidArgumentError as exc:
         ap.error(str(exc))
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file of that name
+        ap.error(f"--outdir {args.outdir!r}: {exc}")
 
     system = generate_cluster(args.n, seed=args.seed)
     system, _ = hilbert_order(system)

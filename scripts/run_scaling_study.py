@@ -33,7 +33,10 @@ def main() -> int:
     except (ValueError, InvalidArgumentError) as exc:
         ap.error(f"--sizes {args.sizes!r}: {exc}")
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file of that name
+        ap.error(f"--outdir {args.outdir!r}: {exc}")
 
     for tau_2e, tau_ovlp in REGIMES:
         config = RunConfig(system=f"water:{sizes[-1]}", tau_2e=tau_2e,

@@ -191,7 +191,7 @@ def generate_cluster(n_molecules: int, seed: int) -> BasisSystem:
 
 def load_xyz(path) -> BasisSystem:
     """Load a standard XYZ file (Angstrom) and attach shells per element."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise FormatError("empty file", 1)
@@ -215,6 +215,8 @@ def load_xyz(path) -> BasisSystem:
             pos = np.array([float(v) for v in parts[1:4]]) * BOHR_PER_ANGSTROM
         except ValueError:
             raise FormatError(f"bad coordinate in {lines[k + 2]!r}", ln)
+        if not np.all(np.isfinite(pos)):
+            raise FormatError(f"non-finite coordinate in {lines[k + 2]!r}", ln)
         atoms.append(Atom(element, pos))
         shells.extend(_shells_for(element, pos))
     return BasisSystem(shells=shells, atoms=atoms)

@@ -161,13 +161,14 @@ def _build_inputs(config: RunConfig):
         n_molecules = None
         try:
             system = load_xyz(arg)
-        except (OSError, FormatError, UnsupportedElementError) as exc:
+        except (OSError, UnicodeDecodeError, FormatError,
+                UnsupportedElementError) as exc:
             raise InvalidArgumentError(f"--system xyz: {exc}") from exc
     # P is built in input shell order, the order file densities are indexed
     # in, then permuted alongside any reordering
     try:
         P = build_density(system, _parse_density_spec(config.density))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgumentError(f"--density file: {exc}") from exc
     if config.order == "hilbert":
         system, perm = hilbert_order(system)

@@ -52,7 +52,7 @@ def build_density(system: BasisSystem, model: DensityModel) -> np.ndarray:
 
 
 def load_density_file(path) -> np.ndarray:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         tokens = fh.read().split()
     if not tokens:
         raise InvalidArgumentError("empty density file")

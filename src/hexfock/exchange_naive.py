@@ -52,10 +52,12 @@ class TraversalCounters:
         return asdict(self)
 
 
-def _sorted_product(a: float, b: float, c: float) -> float:
-    # multiply in value order so transposed blocks yield bit-identical bounds
-    lo, mid, hi = sorted((a, b, c))
-    return lo * mid * hi
+def screening_bound(f_bra, p, f_ket):
+    """Almlof-Ahlrichs bound, exact under the bra/ket swap as f_bra * f_ket
+    commutes; p scales that product in place, so must not broadcast past it."""
+    bound = f_bra * f_ket
+    bound *= p
+    return bound
 
 
 BOUND_MODES = ("schwarz", "literal")
@@ -82,7 +84,7 @@ def screening_test(bra_norm: float, p_norm: float, ket_norm: float,
     if mode == "schwarz":
         bra_norm = math.sqrt(bra_norm)
         ket_norm = math.sqrt(ket_norm)
-    return _sorted_product(bra_norm, p_norm, ket_norm) <= tau_2e
+    return screening_bound(bra_norm, p_norm, ket_norm) <= tau_2e
 
 
 def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
@@ -144,19 +146,16 @@ class Traversal:
         if b.pruned or k.pruned:
             c.tasks_culled_absent += 1
             return
+        fb, fk = b.diag_norm, k.diag_norm
         if self.schwarz:
-            fb = math.sqrt(b.diag_norm)
-            fk = math.sqrt(k.diag_norm)
-        else:
-            fb = b.diag_norm
-            fk = k.diag_norm
+            fb, fk = math.sqrt(fb), math.sqrt(fk)
         live = []
         n_absent = n_screened = 0
         for link in links:
             tb, tk, ref = link
             if ref is None:
                 n_absent += 1
-            elif _sorted_product(fb, ref.norm, fk) <= self.tau_2e:
+            elif screening_bound(fb, ref.norm, fk) <= self.tau_2e:
                 n_screened += 1
                 c.culled_bound_ledger += culled_task_bound(b, ref.norm, k, tb, tk)
             else:
@@ -258,21 +257,20 @@ class Traversal:
 def _screen(A: dict, B: dict, p: np.ndarray, tau: float, f: str):
     """Kept quartets of a leaf task, and the bound sum of the culled ones.
 
-    p is the density over the rows of A's and B's tables; f names the
-    screening factor, "sq" (schwarz) or "q" (literal). A quartet's bound is
-    (fb * |p|) * fk, with fb, fk its bra and ket factors. A density entry
-    can keep a quartet only if (max fb * |p|) * max fk, the maxima over the
-    free indices, exceeds tau: rounding is monotone, so this prefilter
-    loses no kept quartet. Only the candidate entries are expanded over the
-    free indices and tested per quartet, the conventional direct-SCF test,
-    which makes the kept set independent of leaf blocking. The culled sum
-    uses the sq factors: |p| * (sum fb) * (sum fk) in closed form for a
-    pruned entry, plus the culled quartets of the candidates. Returns (culled
-    sum, density indices d1, d2 and free indices f1, f2 of each kept
-    quartet); no candidate-sized array outlives the call.
+    p is the density over the rows of A's and B's tables; f names the screening
+    factor, "sq" (schwarz) or "q" (literal), of a quartet's screening_bound. A
+    density entry can keep a quartet only if its bound on the maxima of the
+    factors over the free indices exceeds tau: rounding is monotone, so this
+    prefilter loses no kept quartet. Only the candidate entries are expanded
+    over the free indices and tested per quartet, the conventional direct-SCF
+    test, which makes the kept set independent of leaf blocking. The culled sum
+    uses the sq factors: |p| * (sum fb) * (sum fk) in closed form for a pruned
+    entry, plus the culled quartets of the candidates. Returns (culled sum,
+    density indices d1, d2 and free indices f1, f2 of each kept quartet); no
+    candidate-sized array outlives the call.
     """
     pa = np.abs(p)
-    cand = (A[f + "max"][:, None] * pa) * B[f + "max"] > tau
+    cand = screening_bound(A[f + "max"][:, None], pa, B[f + "max"]) > tau
     d1, d2 = np.nonzero(cand)
     pc = pa[d1, d2][:, None, None]
     pa[cand] = 0.0
@@ -280,10 +278,11 @@ def _screen(A: dict, B: dict, p: np.ndarray, tau: float, f: str):
     if not len(d1):
         return ledger, d1, d2, d1, d2
     # (candidate, free bra index, free ket index)
-    bound = (A[f][d1][:, :, None] * pc) * B[f][d2][:, None, :]
+    bound = screening_bound(A[f][d1][:, :, None], pc, B[f][d2][:, None, :])
     keep = bound > tau
     if f != "sq":
-        bound = (A["sq"][d1][:, :, None] * pc) * B["sq"][d2][:, None, :]
+        bound = screening_bound(A["sq"][d1][:, :, None], pc,
+                                B["sq"][d2][:, None, :])
     ledger += bound.sum(where=~keep)
     j, f1, f2 = np.nonzero(keep)
     return ledger, d1[j], d2[j], f1, f2

@@ -20,13 +20,13 @@ symmetrize_final).
 The traversal is the engine of exchange_naive run with these four slots
 over canonical pairs (the naive driver runs it with slot 1 alone over all
 ordered pairs). Each slot carries its own density-node reference down the
-recursion and is screened with the same correctly-rounded norm product the
-naive driver computes for the corresponding permuted task chain
-(transposed pair blocks cache bit-identical norms), so the set of
+recursion and is screened with exchange_naive.screening_bound, as the naive
+driver screens the corresponding permuted task chain: the bound commutes
+bra and ket and transposed pair blocks cache bit-identical norms, so the
 surviving contributions -- and hence K, up to reassociation rounding --
-matches the naive driver at every threshold. A task dies only when all
-four slots are dead, which is the same decision as screening on the
-maximum participating density sub-block norm.
+match the naive driver at every threshold, ties included. A task dies only
+when all four slots are dead, which is the same decision as screening on
+the maximum participating density sub-block norm.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSystem
-from .exchange_naive import check_screening
+from .exchange_naive import check_screening, screening_bound
 from .integrals import (InvalidArgumentError, PairData, build_pair_data,
                         eri_cross, eri_elementwise)
 from .quadtree import build_pair_tree, build_partition
@@ -86,10 +86,10 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
                             mode: str = "schwarz", quartet_log: list | None = None):
     """Per-shell-quartet screened reference (the direct-SCF baseline).
 
-    A quartet (mn|ls) is evaluated iff its Almlof-Ahlrichs bound
-    f(Q_mn) * |P_nl| * f(Q_ls) exceeds tau_2e. tau_2e and mode pass the
-    drivers' check_screening. Returns (K, skipped_bound_sum); quartet_log,
-    when given, collects the evaluated (mu, nu, lam, sig) tuples.
+    A quartet (mn|ls) is evaluated iff the drivers' bound
+    screening_bound(f(Q_mn), |P_nl|, f(Q_ls)) exceeds tau_2e. tau_2e and mode
+    pass the drivers' check_screening. Returns (K, skipped_bound_sum);
+    quartet_log, when given, collects the evaluated (mu, nu, lam, sig) tuples.
     """
     check_screening(tau_2e, mode)
     n = system.n_shells
@@ -98,16 +98,14 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
         raise InvalidArgumentError("density dimension does not match system")
     tree = build_pair_tree(system, build_partition(system, leaf_size=n))
     pd = tree.pairs  # pair a = i * n + j, row-major
-    q = tree.diag.ravel()  # Q_ij = (ij|ij) at pair index i * n + j
-    fq = np.sqrt(q) if mode == "schwarz" else q
+    f = np.sqrt(tree.diag) if mode == "schwarz" else tree.diag  # of (ij|ij)
     p_abs = np.abs(P)
     K = np.zeros((n, n))
     skipped = 0.0
     for lo, hi in _bra_chunks(pd):
-        # bound[a,k,l] = (fq[i,j] * |P|[j,k]) * fq[k,l] for bra pair
-        # a = i * n + j, associated exactly as in the drivers' leaf tests
-        bound = (fq[lo:hi, None, None] * p_abs[np.arange(lo, hi) % n, :, None]) \
-            * fq.reshape(n, n)[None, :, :]
+        # bound[a,k,l] of quartet (ij|kl), bra pair a = i * n + j
+        bound = screening_bound(f.ravel()[lo:hi, None, None],
+                                p_abs[np.arange(lo, hi) % n, :, None], f)
         keep = bound > tau_2e
         skipped += float(bound[~keep].sum())
         a, k, l = np.nonzero(keep)

@@ -157,10 +157,13 @@ def test_missing_input_files_are_validation_errors(tmp_path):
     ("nan", "NaN or infinite"),
     ("inf", "NaN or infinite"),
     ("x", "'x'"),
+    pytest.param(b"\xff", "--density file: 'utf-8' codec", id="not-utf8"),
 ])
 def test_bad_density_file_exits_2(tmp_path, capsys, bad, message):
     dens = tmp_path / "p.txt"
-    dens.write_text("4\n" + " ".join(["0.5"] * 15 + [bad]) + "\n")
+    if isinstance(bad, str):
+        bad = bad.encode()
+    dens.write_bytes(b"4\n" + b" ".join([b"0.5"] * 15 + [bad]) + b"\n")
     assert main(["--system", "water:1", "--density", f"file:{dens}"]) == 2
     assert message in capsys.readouterr().err
 
@@ -188,10 +191,14 @@ def test_overflowing_density_exits_2(tmp_path, capsys, scale):
     ("1\n\nXx 0 0 0\n", "'Xx'"),
     ("0\n\n", "line 1: atom count must be >= 1, got 0"),
     ("-1\n\n", "line 1: atom count must be >= 1, got -1"),
+    pytest.param("1\n\nO nan 0 0\n", "line 3: non-finite coordinate",
+                 id="nan-coordinate"),
+    pytest.param(b"1\n\nO 0 0 \xff\n", "--system xyz: 'utf-8' codec",
+                 id="not-utf8"),
 ])
 def test_bad_xyz_file_exits_2(tmp_path, capsys, text, message):
     xyz = tmp_path / "sys.xyz"
-    xyz.write_text(text)
+    xyz.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["--system", f"xyz:{xyz}"]) == 2
     assert message in capsys.readouterr().err
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from hexfock import (DensityModel, build_density, build_exchange_naive,
-                     compare, dense_exchange, dense_exchange_screened,
-                     generate_cluster)
+                     build_exchange_symmetric, compare, dense_exchange,
+                     dense_exchange_screened, generate_cluster)
 from hexfock.basis import Atom, BasisSystem, GaussianShell
+from hexfock.exchange_naive import screening_bound
 from hexfock.integrals import InvalidArgumentError, eri_quartet
 from hexfock.quadtree import build_pair_tree, build_partition
 
@@ -152,18 +153,19 @@ def test_compare_worst_element_location():
 
 
 def _tied_threshold(system, P, mode, kind, rank):
-    """A tau_2e at a tie, from bounds multiplied as the drivers multiply
-    them, (f * |P|) * f. "quartet": the rank-th largest quartet bound.
-    "entry": one float below the rank-th largest density-entry bound, the
-    largest bound of the entry's quartets, which is also the value the leaf
-    prefilter computes for that entry."""
+    """A tau_2e at a tie, from the drivers' screening_bound. "quartet": the
+    rank-th largest quartet bound. "entry": one float below the rank-th
+    largest density-entry bound, the largest bound of the entry's quartets,
+    which is also the value the leaf prefilter computes for that entry."""
     q = build_pair_tree(system, build_partition(system,
                                                 leaf_size=system.n_shells)).diag
     f = np.sqrt(q) if mode == "schwarz" else q
     if kind == "quartet":
-        bound = (f[:, :, None, None] * np.abs(P)[None, :, :, None]) * f
+        bound = screening_bound(f[:, :, None, None],
+                                np.abs(P)[None, :, :, None], f)
         return float(np.sort(bound, axis=None)[-rank])
-    bound = (f.max(axis=0)[:, None] * np.abs(P)) * f.max(axis=1)
+    bound = screening_bound(f.max(axis=0)[:, None], np.abs(P),
+                            f.max(axis=1))
     return float(np.nextafter(np.sort(bound, axis=None)[-rank], 0.0))
 
 
@@ -172,14 +174,15 @@ def _tied_threshold(system, P, mode, kind, rank):
     (10, 4, 1e-6, "schwarz", 9514),
     (10, 10, 1e-8, "literal", 8264),
     (8, 40, 1e-10, "schwarz", 29842),
-    # tau_2e at a realised bound culls the tied quartets; one float below
-    # an entry's largest bound keeps that quartet, which the leaf prefilter,
-    # having no safety margin, must pass on (leaf 40, and ragged leaf 3)
+    # tau_2e at a realised bound culls the tied quartets, a tied mirror
+    # pair together; one float below an entry's largest bound keeps that
+    # quartet, which the leaf prefilter, having no safety margin, must pass
+    # on (leaf 40, and ragged leaf 3)
     pytest.param(8, 40, ("quartet", 10_000), "schwarz", 9998,
                  id="at-tie-leaf40"),
     pytest.param(8, 40, ("entry", 300), "schwarz", 4714,
                  id="below-tie-leaf40"),
-    pytest.param(5, 3, ("quartet", 1_000), "literal", 999, id="at-tie-leaf3"),
+    pytest.param(5, 3, ("quartet", 1_000), "literal", 998, id="at-tie-leaf3"),
     pytest.param(5, 3, ("entry", 100), "literal", 584, id="below-tie-leaf3"),
 ])
 def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e, mode,
@@ -197,3 +200,7 @@ def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e, mode,
     dense_exchange_screened(system, P, tau_2e, mode=mode, quartet_log=ref)
     assert len(log) == len(ref) == quartets
     assert set(log) == set(ref)
+    # every screening decision treats a quartet and its bra/ket mirror
+    # alike, so the symmetry driver's K passes symmetrize_final
+    assert {(d, c, b, a) for a, b, c, d in log} == set(log)
+    build_exchange_symmetric(pairs, P_tree, tau_2e, mode=mode)

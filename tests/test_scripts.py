@@ -23,14 +23,21 @@ def _run_script(name, *args, cwd):
                           timeout=120)
 
 
-@pytest.mark.parametrize("sizes", ["3,2", "3,x", "0"])
-def test_scaling_study_rejects_bad_sizes_before_writing(tmp_path, sizes):
+@pytest.mark.parametrize("args,flag", [
+    pytest.param(["--sizes", sizes], "--sizes", id=sizes)
+    for sizes in ("3,2", "3,x", "0")
+] + [
+    # an --outdir that exists but is not a directory (the earlier CSV)
+    pytest.param(["--outdir", "scaling_1e-08_1e-11.csv"], "--outdir",
+                 id="outdir-is-a-file"),
+])
+def test_scaling_study_rejects_bad_sizes_before_writing(tmp_path, args, flag):
     earlier = tmp_path / "scaling_1e-08_1e-11.csv"
     earlier.write_bytes(b"rows of an earlier run\n")
-    proc = _run_script("run_scaling_study.py", "--sizes", sizes,
-                       "--outdir", str(tmp_path), cwd=tmp_path)
+    proc = _run_script("run_scaling_study.py", "--outdir", str(tmp_path),
+                       *args, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert "error: --sizes" in proc.stderr
+    assert f"error: {flag}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert earlier.read_bytes() == b"rows of an earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == [earlier.name]
@@ -40,12 +47,14 @@ def test_scaling_study_rejects_bad_sizes_before_writing(tmp_path, sizes):
     (["--n", "0"], "--n"),
     (["--tau-2e", "nan"], "--tau-2e"),
     (["--tau-ovlp", "-1"], "--tau-ovlp"),
+    # an --outdir that exists but is not a directory (the earlier CSV)
+    (["--outdir", "cases_all_tasks.csv"], "--outdir"),
 ])
 def test_case_breakdown_rejects_bad_flags_before_writing(tmp_path, args, flag):
     earlier = tmp_path / "cases_all_tasks.csv"
     earlier.write_bytes(b"rows of an earlier run\n")
-    proc = _run_script("run_case_breakdown.py", *args,
-                       "--outdir", str(tmp_path), cwd=tmp_path)
+    proc = _run_script("run_case_breakdown.py", "--outdir", str(tmp_path),
+                       *args, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert f"error: {flag}" in proc.stderr
     assert "Traceback" not in proc.stderr
