@@ -11,9 +11,14 @@ surviving link following its own density child. A leaf task's quartets
 are the (mu nu|lam sig) block over the four leaf shell spans, but its work
 follows the quartets it keeps: each density entry of a link is first
 prefiltered with the largest factors its quartets can have, only the
-surviving entries are expanded and tested per quartet, the culled bound
-of the pruned entries is summed in closed form, and the ERIs are evaluated
-once over the union of kept quartets and scattered with one bincount.
+surviving entries are expanded and tested per quartet, and the culled bound
+of the pruned entries is summed in closed form. The leaf task then buffers
+the union of its links' kept quartets, as ids into the pair trees' root
+tables, with its scatter records. Once the buffered unions reach
+_ERI_BATCH quartets, one eri_elementwise call evaluates them all, and each
+buffered leaf's bincount scatter and K block adds are replayed in walk
+order; every ERI and every addition to K is the one a leaf-by-leaf
+evaluation makes, so K does not depend on the batch size.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -26,10 +31,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# eri_cross is not called here (leaves use eri_elementwise); it stays bound
-# only because perfbench/run.py's tracer wraps it on both driver modules.
+# eri_cross is not called here (Traversal.flush calls eri_elementwise); it
+# stays bound only because perfbench/run.py's tracer wraps it on both driver
+# modules.
 from .integrals import InvalidArgumentError, eri_cross, eri_elementwise
 from .quadtree import MatrixQuadtree, ShellPairNode, leaf_cache
+
+# Kept quartets buffered before one eri_elementwise call: large enough that
+# the kernel's per-call cost vanishes (a water:24 build at leaf 10 makes 14
+# calls, not 3,227), small enough that its temporaries stay near 1 MB.
+_ERI_BATCH = 4096
 
 
 class LogicError(RuntimeError):
@@ -102,11 +113,14 @@ def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
 
 
 def check_driver_args(bra, ket, p, tau_2e: float, mode: str) -> None:
-    """check_screening, then reject trees over different partitions."""
+    """check_screening, then reject trees over different partitions and
+    pair nodes that are not tree roots (only a root holds a pair table)."""
     check_screening(tau_2e, mode)
     roots = {id(bra.row), id(bra.col), id(ket.row), id(ket.col), id(p.row), id(p.col)}
     if len(roots) != 1:
         raise InvalidArgumentError("bra, ket and P must be built over the same partition")
+    if bra.pairs is None or ket.pairs is None:
+        raise InvalidArgumentError("bra and ket must be roots of pair trees")
 
 
 def _child_keys(node: ShellPairNode, canonical: bool):
@@ -125,13 +139,20 @@ class Traversal:
     pairs. It labels each surviving task from the presence flags of its
     links (exchange_symmetry.classify_quartet) and turns on the per-link
     and per-case tallies, which need SymmetryCounters. ``quartet_log``,
-    when given, collects every evaluated shell quartet.
+    when given, collects every evaluated shell quartet. Bra pair ids index
+    ``bra``'s root table and ket pair ids ``ket``'s; after the walk, flush()
+    evaluates what the last leaf tasks left buffered.
     """
 
-    def __init__(self, n: int, tau_2e: float, mode: str, evaluate: bool,
-                 counters: TraversalCounters, case_label=None,
-                 quartet_log: list | None = None):
+    def __init__(self, bra: ShellPairNode, ket: ShellPairNode, tau_2e: float,
+                 mode: str, evaluate: bool, counters: TraversalCounters,
+                 case_label=None, quartet_log: list | None = None):
+        n = bra.row.n_functions
         self.K = np.zeros((n, n))
+        self.bra_pairs = bra.pairs
+        self.ket_pairs = ket.pairs
+        self.buffer = []     # scatter records of leaf tasks not yet evaluated
+        self.n_buffered = 0  # quartets in their unions
         self.c = counters
         self.tau_2e = tau_2e
         self.schwarz = mode == "schwarz"
@@ -195,8 +216,10 @@ class Traversal:
 
     def _contract(self, b, k, live):
         """Leaf task: screen every link on its candidate density entries
-        (_screen), evaluate the ERIs once over the union of kept quartets,
-        then scatter all links with one bincount.
+        (_screen), then buffer the union of kept quartets for flush() with
+        the records of its scatter: each kept quartet's union index, K
+        sink and density weight, and the task's placement (b, k, live and
+        the blocks of the bra and ket spans).
 
         The links' density leaves are the blocks of one array whose rows
         run over the bra's row span then its col span, and whose columns
@@ -219,10 +242,10 @@ class Traversal:
         c.culled_bound_ledger += 0.5 * float(ledger)
         if not len(d1):
             return
-        # the union of the links' kept quartets, in row-major quartet order;
+        # the union of the links' kept quartets, in (bra id, ket id) order;
         # sorted and scanned here, as np.unique's per-call cost exceeds a
         # small leaf's whole screening
-        n_ket = B["pd"].n_pairs
+        n_ket = self.ket_pairs.n_pairs
         quartet = A["pair"][d1, f1] * n_ket + B["pair"][d2, f2]
         order = quartet.argsort()
         quartet = quartet[order]
@@ -233,25 +256,42 @@ class Traversal:
         c.eri_shell_quartets += len(union)
         if not self.evaluate:
             return
-        ia, ib = np.divmod(union, n_ket)
-        e = -0.5 * eri_elementwise(A["pd"], B["pd"], ia, ib)
-        if self.qlog is not None:
-            self.qlog.extend(zip(
-                A["pd"].i_shell[ia].tolist(), A["pd"].j_shell[ia].tolist(),
-                B["pd"].i_shell[ib].tolist(), B["pd"].j_shell[ib].tolist()))
         # every link's kept quartets, in quartet order, into the K spaces
         # of both sides (each with its discard slot)
         ks = len(B["q"]) + 1
         sink = (A["bra_sink"][d1, f1] * ks + B["ket_sink"][d2, f2])[order]
-        e = e[np.cumsum(first) - 1] * p[d1, d2][order]
-        dk = np.bincount(sink, e, minlength=(len(A["q"]) + 1) * ks
-                         ).reshape(-1, ks)
-        for tb, tk, _ in live:
-            # K takes the span of each side that the density does not
-            rows = b.col if tb else b.row
-            cols = k.row if tk else k.col
-            self.K[rows.shell_lo:rows.shell_hi, cols.shell_lo:cols.shell_hi] += \
-                dk[bra[tb], ket[not tk]]
+        self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
+                            sink, p[d1, d2][order], b, k, live, bra, ket))
+        self.n_buffered += len(union)
+        if self.n_buffered >= _ERI_BATCH:
+            self.flush()
+
+    def flush(self):
+        """Evaluate the buffered unions with one eri_elementwise call, then
+        replay each buffered leaf task's scatter in walk order."""
+        if not self.buffer:
+            return
+        ia, ib = np.divmod(np.concatenate([r[0] for r in self.buffer]),
+                           self.ket_pairs.n_pairs)
+        e_all = -0.5 * eri_elementwise(self.bra_pairs, self.ket_pairs, ia, ib)
+        if self.qlog is not None:
+            pb, pk = self.bra_pairs, self.ket_pairs
+            self.qlog.extend(zip(
+                pb.i_shell[ia].tolist(), pb.j_shell[ia].tolist(),
+                pk.i_shell[ib].tolist(), pk.j_shell[ib].tolist()))
+        for _, at, sink, weight, b, k, live, bra, ket in self.buffer:
+            # K spaces with their discard slots, after each side's col span
+            ks = ket[1].stop + 1
+            dk = np.bincount(sink, e_all[at] * weight,
+                             minlength=(bra[1].stop + 1) * ks).reshape(-1, ks)
+            for tb, tk, _ in live:
+                # K takes the span of each side that the density does not
+                rows = b.col if tb else b.row
+                cols = k.row if tk else k.col
+                self.K[rows.shell_lo:rows.shell_hi,
+                       cols.shell_lo:cols.shell_hi] += dk[bra[tb], ket[not tk]]
+        self.buffer = []
+        self.n_buffered = 0
 
 
 def _screen(A: dict, B: dict, p: np.ndarray, tau: float, f: str):
@@ -303,7 +343,8 @@ def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
     (K stays zero).
     """
     check_driver_args(bra, ket, P, tau_2e, mode)
-    t = Traversal(bra.row.n_functions, tau_2e, mode, evaluate,
-                  TraversalCounters(), quartet_log=quartet_log)
+    t = Traversal(bra, ket, tau_2e, mode, evaluate, TraversalCounters(),
+                  quartet_log=quartet_log)
     t.visit(bra, ket, [(False, False, P)])
+    t.flush()
     return t.K, t.c

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # eri_cross, eri_elementwise and leaf_cache are not used here: the engine in
-# exchange_naive calls the last two (and never eri_cross). They stay bound in
-# this module only because perfbench/run.py's tracer wraps them on both
-# driver modules.
+# exchange_naive calls leaf_cache per leaf task and eri_elementwise once per
+# batch of leaf tasks (and never eri_cross). They stay bound in this module
+# only because perfbench/run.py's tracer wraps them on both driver modules.
 from .exchange_naive import (LogicError, Traversal, TraversalCounters,
                              check_driver_args, eri_cross, eri_elementwise,
                              leaf_cache)
@@ -155,9 +155,9 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     evaluated canonical quartets.
     """
     check_driver_args(pairs, pairs, P, tau_2e, mode)
-    t = Traversal(pairs.row.n_functions, tau_2e, mode, evaluate,
-                  SymmetryCounters(), case_label=classify_quartet,
-                  quartet_log=quartet_log)
+    t = Traversal(pairs, pairs, tau_2e, mode, evaluate, SymmetryCounters(),
+                  case_label=classify_quartet, quartet_log=quartet_log)
     t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
+    t.flush()
     K = symmetrize_final(t.K) if evaluate else t.K
     return K, t.c

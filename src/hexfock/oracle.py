@@ -97,7 +97,7 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
     if P.shape != (n, n):
         raise InvalidArgumentError("density dimension does not match system")
     tree = build_pair_tree(system, build_partition(system, leaf_size=n))
-    pd = tree.pairs  # pair a = i * n + j, row-major
+    pd = tree.pairs  # one leaf at base 0: pair a = i * n + j, row-major
     f = np.sqrt(tree.diag) if mode == "schwarz" else tree.diag  # of (ij|ij)
     p_abs = np.abs(P)
     K = np.zeros((n, n))

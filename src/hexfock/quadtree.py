@@ -17,7 +17,8 @@ import numpy as np
 
 from . import integrals
 from .basis import BasisSystem
-from .integrals import InvalidArgumentError, build_pair_data, diagonal_values
+from .integrals import (InvalidArgumentError, PairData, build_pair_data,
+                        diagonal_values)
 
 
 def _rss(values) -> float:
@@ -150,6 +151,7 @@ def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
         return MatrixQuadtree(row, col, norm, children=children)
 
     tree = build(root, root)
+    del build  # a reference cycle that would keep dense (see build_pair_tree)
     if tree is None:
         # all-zero matrix: keep an explicit root with norm 0 and no children
         tree = MatrixQuadtree(root, root, 0.0,
@@ -167,7 +169,7 @@ class ShellPairNode(_Block):
     """
 
     __slots__ = ("diag_norm", "rowsum_max", "colsum_max", "pruned", "pairs",
-                 "diag", "cache")
+                 "base", "diag", "cache")
 
     def __init__(self, row: Span, col: Span):
         super().__init__(row, col, {})
@@ -175,7 +177,8 @@ class ShellPairNode(_Block):
         self.rowsum_max = 0.0
         self.colsum_max = 0.0
         self.pruned = False
-        self.pairs = None   # PairData at surviving leaves
+        self.pairs = None   # at the root: PairData of all surviving leaves
+        self.base = 0       # at a surviving leaf: its first id in that table
         self.diag = None    # its block of the system's (ab|ab) matrix
         self.cache = None   # driver-level leaf scratch (see leaf_cache)
 
@@ -211,14 +214,20 @@ def build_pair_tree(system: BasisSystem, root: Span,
     cached diagonal norms.
 
     A node is pruned iff every shell-pair overlap magnitude in its span is
-    below tau_ovlp; pruned subtrees are not expanded.
+    below tau_ovlp; pruned subtrees are not expanded. The root's ``pairs``
+    table holds the pairs of every surviving leaf, each leaf's (row shell, col
+    shell) grid row-major from its ``base``, in leaf order; a one-leaf tree's
+    pair i*n + j is shell pair (i, j).
     """
     s_abs = np.abs(shell_overlap_matrix(system))
     # one canonical pass, so mirrored leaves get exactly transposed blocks
     q = _pair_matrix(system, lambda shells, pair_list:
                      diagonal_values(build_pair_data(shells, pair_list)))
+    grids = []  # each surviving leaf's pair list
+    n_pairs = 0
 
     def build(row: Span, col: Span) -> ShellPairNode:
+        nonlocal n_pairs
         node = ShellPairNode(row, col)
         block = np.s_[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi]
         if s_abs[block].max() < tau_ovlp:
@@ -226,8 +235,9 @@ def build_pair_tree(system: BasisSystem, root: Span,
             return node
         if node.is_leaf:
             ii, jj = np.mgrid[block]
-            node.pairs = build_pair_data(
-                system.shells, np.column_stack((ii.ravel(), jj.ravel())))
+            grids.append(np.column_stack((ii.ravel(), jj.ravel())))
+            node.base = n_pairs
+            n_pairs += len(grids[-1])
             d = node.diag = q[block]
             node.diag_norm = _frobenius(d)
             node.rowsum_max = float(d.sum(axis=1).max())
@@ -249,18 +259,47 @@ def build_pair_tree(system: BasisSystem, root: Span,
             for b in range(len(colkids)))
         return node
 
-    return build(root, root)
+    tree = build(root, root)
+    # the recursive closure is a reference cycle; unbroken, it would keep
+    # s_abs, q and grids until the cyclic collector runs
+    del build
+    tree.pairs = _pair_table(system.shells, np.concatenate(
+        [np.empty((0, 2), dtype=np.intp)] + grids))
+    return tree
+
+
+def _pair_table(shells, pair_list) -> PairData:
+    """build_pair_data(shells, pair_list), built _PAIR_CHUNK pairs at a time
+    into arrays of the full table's size: set-up then holds the table and
+    one piece, not the temporaries of one call over every pair or a second
+    copy made by joining the pieces."""
+    n_prim = np.array([len(sh.exponents) for sh in shells])
+    offsets = np.zeros(len(pair_list) + 1, dtype=np.intp)
+    np.cumsum(n_prim[pair_list[:, 0]] * n_prim[pair_list[:, 1]],
+              out=offsets[1:])
+    n = offsets[-1]
+    table = PairData(i_shell=pair_list[:, 0].copy(),
+                     j_shell=pair_list[:, 1].copy(), offsets=offsets,
+                     p=np.empty(n), center=np.empty((n, 3)),
+                     weight=np.empty(n))
+    for lo in range(0, len(pair_list), _PAIR_CHUNK):
+        piece = build_pair_data(shells, pair_list[lo:lo + _PAIR_CHUNK])
+        at = slice(offsets[lo], offsets[lo] + len(piece.p))
+        table.p[at] = piece.p
+        table.center[at] = piece.center
+        table.weight[at] = piece.weight
+    return table
 
 
 def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
-    """Pair table and screening factors of a leaf pair node.
+    """Pair ids and screening factors of a leaf pair node.
 
-    pd is the PairData of the node's full (row shells, col shells) pair grid,
-    row-major, and m the number of pairs a walk covers. Each table below has
-    one row per density index, over the row span then the col span, and one
-    column per free index (the other shell of the pair), zero-padded to the
-    longer span. q holds (ij|ij), sq its square root, pair the pair's index
-    in pd; qmax, sqmax and sqsum reduce q and sq over the free index.
+    m is the number of pairs a walk covers. Each table below has one row per
+    density index, over the row span then the col span, and one column per
+    free index (the other shell of the pair), zero-padded to the longer span.
+    q holds (ij|ij), sq its square root, pair the pair's id in the tree
+    root's pair table (the node's base plus its row-major place in the
+    node's grid); qmax, sqmax and sqsum reduce q and sq over the free index.
     bra_sink and ket_sink place each (density index, free index) entry in
     the K space of the row span then the col span, plus one discard slot:
     a transposed diagonal node sends its i == j pairs there, as the
@@ -289,7 +328,7 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
         f = np.zeros(shape)
         f[:nr, :nc] = q
         f[nr:, :nr] = q.T
-        grid = np.arange(nr * nc).reshape(nr, nc)
+        grid = node.base + np.arange(nr * nc).reshape(nr, nc)
         pair, bra_sink, ket_sink = idx = np.zeros((3,) + shape, dtype=np.intp)
         pair[:nr, :nc] = grid
         pair[nr:, :nr] = grid.T
@@ -302,7 +341,7 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
             bra_sink[i, i] = nr + nc       # mu == nu, transposed
             ket_sink[nr + i, i] = nr + nc  # lam == sig, transposed
         sq = np.sqrt(f)
-        cached = {"pd": node.pairs, "m": m, "q": f, "sq": sq,
+        cached = {"m": m, "q": f, "sq": sq,
                   "qmax": f.max(axis=1), "sqmax": sq.max(axis=1),
                   "sqsum": sq.sum(axis=1), "pair": pair,
                   "bra_sink": bra_sink, "ket_sink": ket_sink}

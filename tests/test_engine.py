@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hexfock import (build_exchange_naive, build_exchange_symmetric,
                      dense_exchange, exchange_naive, exchange_symmetry,
                      generate_cluster)
+from hexfock.integrals import eri_elementwise
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
                               build_partition, leaf_cache)
 
@@ -110,6 +111,69 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
     assert c.eri_shell_quartets > 0
     assert tally["quartets"] == c.eri_shell_quartets
     assert tally["leaf_cache"] == 2 * c.leaf_contractions
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_leaf_eris_are_batched_across_leaf_tasks(monkeypatch, driver):
+    # the engine buffers leaf tasks' kept quartets and evaluates them with
+    # one eri_elementwise call per _ERI_BATCH of them, not one per leaf task
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    sizes = []
+
+    def counting(bra, ket, ia, ib):
+        sizes.append(len(ia))
+        return eri_elementwise(bra, ket, ia, ib)
+
+    for mod in (exchange_naive, exchange_symmetry):
+        monkeypatch.setattr(mod, "eri_elementwise", counting)
+    if driver == "naive":
+        _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+    else:
+        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8)
+    quartets = c.eri_shell_quartets
+    assert sum(sizes) == quartets
+    assert len(sizes) <= -(-quartets // exchange_naive._ERI_BATCH) + 1
+    assert 10 * len(sizes) < c.leaf_contractions
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_k_does_not_depend_on_the_eri_batch(monkeypatch, driver):
+    # a batch of one leaf task is leaf-by-leaf evaluation; batching must
+    # not change one ERI, one addition to K or the quartet log
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    runs = []
+    for batch in (1, exchange_naive._ERI_BATCH):
+        monkeypatch.setattr(exchange_naive, "_ERI_BATCH", batch)
+        log = []
+        if driver == "naive":
+            K, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8,
+                                        quartet_log=log)
+        else:
+            K, c = build_exchange_symmetric(pairs, P_tree, 1e-8,
+                                            quartet_log=log)
+        runs.append((K.tobytes(), c, log))
+    assert runs[0] == runs[1]
+
+
+def test_naive_driver_reads_bra_and_ket_ids_from_their_own_trees():
+    # two pair trees built separately over one partition give the one-tree
+    # result bit for bit
+    system, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    part = pairs.row
+    ket = build_pair_tree(system, part, tau_ovlp=1e-11)
+    K_one, c_one = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+    K_two, c_two = build_exchange_naive(pairs, ket, P_tree, 1e-8)
+    assert K_two.tobytes() == K_one.tobytes()
+    assert c_two == c_one
+    # unpruned ket tree: a longer ket table, so a ket id read from the
+    # bra's table would name another pair (or none); K moves only by the
+    # quartets of the pairs the bra tree prunes
+    full = build_pair_tree(system, part, tau_ovlp=0.0)
+    assert full.pairs.n_pairs > pairs.pairs.n_pairs
+    K_mixed, _ = build_exchange_naive(pairs, full, P_tree, 1e-8)
+    K_full, _ = build_exchange_naive(full, full, P_tree, 1e-8)
+    assert np.abs(K_mixed - K_full).max() <= 1e-10
+    assert np.abs(K_mixed - K_one).max() <= 1e-10
 
 
 def _leaves(node):

@@ -72,6 +72,17 @@ def test_partition_mismatch_rejected():
         build_exchange_naive(pairs_a, pairs_a, P_tree)
 
 
+def test_pair_subtree_rejected():
+    # a diagonal child with a density tree over its own span passes the
+    # partition check, but only a tree root holds the pair table
+    _, pairs, _, P = build_setup(5, leaf_size=3)
+    sub = pairs.child(0, 0)
+    lo, hi = sub.row.shell_lo, sub.row.shell_hi
+    P_tree = build_matrix_tree(P[lo:hi, lo:hi], sub.row)
+    with pytest.raises(InvalidArgumentError, match="roots of pair trees"):
+        build_exchange_naive(sub, sub, P_tree)
+
+
 # ---------------------------------------------------------------- exactness
 
 def test_exact_against_dense_oracle():

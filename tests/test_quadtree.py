@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hexfock import build_exchange_naive, build_exchange_symmetric
 from hexfock.basis import Atom, BasisSystem, GaussianShell, generate_cluster
 from hexfock.integrals import (InvalidArgumentError, build_pair_data,
                                diagonal_values, eri_quartet, overlap)
-from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
-                              build_partition, shell_overlap_matrix)
+from hexfock.quadtree import (_PAIR_CHUNK, build_matrix_tree,
+                              build_pair_tree, build_partition, leaf_cache,
+                              shell_overlap_matrix)
 
 from conftest import build_setup, leaf_spans
 
@@ -284,3 +286,73 @@ def test_pair_tree_leaf_diag_matches_own_canonical_table(leaf_size, kinds):
         if ii.shape[0] != ii.shape[1]:
             seen.add("ragged")
     assert seen == kinds
+
+
+def _surviving_leaves(node):
+    """Non-pruned leaves of a pair tree, in build order."""
+    if node.pruned:
+        return []
+    if node.is_leaf:
+        return [node]
+    return [leaf for ch in node.children.values()
+            for leaf in _surviving_leaves(ch)]
+
+
+def test_pair_table_ids_index_the_root_table():
+    # leaf_cache's pair ids, in both orientations, name the leaf's (row
+    # shell, col shell) pairs in the root's table: a density index on the
+    # row span leaves its free index on the col span, and vice versa
+    system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    table = pairs.pairs
+    leaves = _surviving_leaves(pairs)
+    assert len(leaves) > 1
+    for leaf in leaves:
+        nr, nc = leaf.row.n_functions, leaf.col.n_functions
+        rows = leaf.row.shell_lo + np.arange(nr)
+        cols = leaf.col.shell_lo + np.arange(nc)
+        for canonical in (False, True):
+            pair = leaf_cache(leaf, canonical=canonical)["pair"]
+            assert np.array_equal(table.i_shell[pair[:nr, :nc]],
+                                  np.broadcast_to(rows[:, None], (nr, nc)))
+            assert np.array_equal(table.j_shell[pair[:nr, :nc]],
+                                  np.broadcast_to(cols[None, :], (nr, nc)))
+            assert np.array_equal(table.i_shell[pair[nr:, :nr]],
+                                  np.broadcast_to(rows[None, :], (nc, nr)))
+            assert np.array_equal(table.j_shell[pair[nr:, :nr]],
+                                  np.broadcast_to(cols[:, None], (nc, nr)))
+
+
+def test_chunked_pair_table_equals_one_build():
+    # the root's table is built in _PAIR_CHUNK-sized pieces; joined, they
+    # must be bitwise one build_pair_data call over the same pair list
+    system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    grids = []
+    for leaf in _surviving_leaves(pairs):
+        assert leaf.base == sum(len(g) for g in grids)
+        ii, jj = np.mgrid[leaf.row.shell_lo:leaf.row.shell_hi,
+                          leaf.col.shell_lo:leaf.col.shell_hi]
+        grids.append(np.column_stack((ii.ravel(), jj.ravel())))
+    pair_list = np.concatenate(grids)
+    assert len(pair_list) > 2 * _PAIR_CHUNK
+    want = build_pair_data(system.shells, pair_list)
+    got = pairs.pairs
+    for name in ("i_shell", "j_shell", "offsets", "p", "center", "weight"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_fully_pruned_tree_has_an_empty_pair_table():
+    # every overlap of normalized shells is at most 1, so all is pruned;
+    # the drivers still run on the empty table
+    system = _line_system(4, spacing=100.0)
+    part = build_partition(system, leaf_size=2)
+    tree = build_pair_tree(system, part, tau_ovlp=2.0)
+    assert tree.pruned
+    assert tree.pairs.n_pairs == 0
+    assert list(tree.pairs.offsets) == [0]
+    P_tree = build_matrix_tree(np.eye(4), part)
+    K, c = build_exchange_naive(tree, tree, P_tree)
+    assert not K.any() and c.eri_shell_quartets == 0
+    K, c = build_exchange_symmetric(tree, P_tree)
+    assert not K.any() and c.eri_shell_quartets == 0
