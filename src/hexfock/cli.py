@@ -108,6 +108,8 @@ class RunConfig:
         if kind != "water":
             raise InvalidArgumentError(
                 "--series requires a water:N system (sizes replace N)")
+        if self.reference is not None:
+            raise InvalidArgumentError("--reference cannot be used with --series")
 
 
 def _parse_system_spec(spec: str):

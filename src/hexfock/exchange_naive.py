@@ -14,11 +14,13 @@ prefiltered with the largest factors its quartets can have, only the
 surviving entries are expanded and tested per quartet, and the culled bound
 of the pruned entries is summed in closed form. The leaf task then buffers
 the union of its links' kept quartets, as ids into the pair trees' root
-tables, with its scatter records. Once the buffered unions reach
-_ERI_BATCH quartets, one eri_elementwise call evaluates them all, and each
-buffered leaf's bincount scatter and K block adds are replayed in walk
-order; every ERI and every addition to K is the one a leaf-by-leaf
-evaluation makes, so K does not depend on the batch size.
+tables, with each kept quartet's density weight and its flat index into K by
+global shell: a K of one extra row and column, where index 0 on either
+side discards the transposed i == j pairs of a diagonal node. Once the
+buffered unions reach _ERI_BATCH quartets, one eri_elementwise call
+evaluates them all, and one np.add.at adds every kept quartet's
+contribution to K, one at a time in walk order; K is thus the same for
+every batch size.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -141,17 +143,19 @@ class Traversal:
     and per-case tallies, which need SymmetryCounters. ``quartet_log``,
     when given, collects every evaluated shell quartet. Bra pair ids index
     ``bra``'s root table and ket pair ids ``ket``'s; after the walk, flush()
-    evaluates what the last leaf tasks left buffered.
+    evaluates what the last leaf tasks left buffered, and K[1:, 1:] is the
+    exchange matrix.
     """
 
     def __init__(self, bra: ShellPairNode, ket: ShellPairNode, tau_2e: float,
                  mode: str, evaluate: bool, counters: TraversalCounters,
                  case_label=None, quartet_log: list | None = None):
         n = bra.row.n_functions
-        self.K = np.zeros((n, n))
+        # K over 1 + global shell; row and column 0 take the discards
+        self.K = np.zeros((n + 1, n + 1))
         self.bra_pairs = bra.pairs
         self.ket_pairs = ket.pairs
-        self.buffer = []     # scatter records of leaf tasks not yet evaluated
+        self.buffer = []     # leaf tasks' unions and scatters not yet evaluated
         self.n_buffered = 0  # quartets in their unions
         self.c = counters
         self.tau_2e = tau_2e
@@ -216,10 +220,10 @@ class Traversal:
 
     def _contract(self, b, k, live):
         """Leaf task: screen every link on its candidate density entries
-        (_screen), then buffer the union of kept quartets for flush() with
-        the records of its scatter: each kept quartet's union index, K
-        sink and density weight, and the task's placement (b, k, live and
-        the blocks of the bra and ket spans).
+        (_screen), then buffer for flush() the union of kept quartets and,
+        for each kept quartet, its index in the union, its flat index into
+        K (leaf_cache's bra_free row, ket_free column) and its density
+        weight.
 
         The links' density leaves are the blocks of one array whose rows
         run over the bra's row span then its col span, and whose columns
@@ -256,40 +260,29 @@ class Traversal:
         c.eri_shell_quartets += len(union)
         if not self.evaluate:
             return
-        # every link's kept quartets, in quartet order, into the K spaces
-        # of both sides (each with its discard slot)
-        ks = len(B["q"]) + 1
-        sink = (A["bra_sink"][d1, f1] * ks + B["ket_sink"][d2, f2])[order]
+        # each kept quartet's flat index into K (row and column 0 discard)
+        free = A["bra_free"][d1, f1] * len(self.K) + B["ket_free"][d2, f2]
         self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
-                            sink, p[d1, d2][order], b, k, live, bra, ket))
+                            free[order], p[d1, d2][order]))
         self.n_buffered += len(union)
         if self.n_buffered >= _ERI_BATCH:
             self.flush()
 
     def flush(self):
         """Evaluate the buffered unions with one eri_elementwise call, then
-        replay each buffered leaf task's scatter in walk order."""
+        add each kept quartet's contribution to K, one at a time in walk
+        order."""
         if not self.buffer:
             return
-        ia, ib = np.divmod(np.concatenate([r[0] for r in self.buffer]),
-                           self.ket_pairs.n_pairs)
-        e_all = -0.5 * eri_elementwise(self.bra_pairs, self.ket_pairs, ia, ib)
+        union, at, free, weight = (np.concatenate(r) for r in zip(*self.buffer))
+        ia, ib = np.divmod(union, self.ket_pairs.n_pairs)
+        e = -0.5 * eri_elementwise(self.bra_pairs, self.ket_pairs, ia, ib)
         if self.qlog is not None:
             pb, pk = self.bra_pairs, self.ket_pairs
             self.qlog.extend(zip(
                 pb.i_shell[ia].tolist(), pb.j_shell[ia].tolist(),
                 pk.i_shell[ib].tolist(), pk.j_shell[ib].tolist()))
-        for _, at, sink, weight, b, k, live, bra, ket in self.buffer:
-            # K spaces with their discard slots, after each side's col span
-            ks = ket[1].stop + 1
-            dk = np.bincount(sink, e_all[at] * weight,
-                             minlength=(bra[1].stop + 1) * ks).reshape(-1, ks)
-            for tb, tk, _ in live:
-                # K takes the span of each side that the density does not
-                rows = b.col if tb else b.row
-                cols = k.row if tk else k.col
-                self.K[rows.shell_lo:rows.shell_hi,
-                       cols.shell_lo:cols.shell_hi] += dk[bra[tb], ket[not tk]]
+        np.add.at(self.K.reshape(-1), free, e[at] * weight)
         self.buffer = []
         self.n_buffered = 0
 
@@ -347,4 +340,4 @@ def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
                   quartet_log=quartet_log)
     t.visit(bra, ket, [(False, False, P)])
     t.flush()
-    return t.K, t.c
+    return t.K[1:, 1:], t.c

@@ -159,5 +159,5 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
                   case_label=classify_quartet, quartet_log=quartet_log)
     t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
     t.flush()
-    K = symmetrize_final(t.K) if evaluate else t.K
-    return K, t.c
+    K = t.K[1:, 1:]
+    return (symmetrize_final(K) if evaluate else K), t.c

@@ -217,8 +217,11 @@ def build_pair_tree(system: BasisSystem, root: Span,
     below tau_ovlp; pruned subtrees are not expanded. The root's ``pairs``
     table holds the pairs of every surviving leaf, each leaf's (row shell, col
     shell) grid row-major from its ``base``, in leaf order; a one-leaf tree's
-    pair i*n + j is shell pair (i, j).
+    pair i*n + j is shell pair (i, j). A negative or NaN tau_ovlp raises
+    InvalidArgumentError.
     """
+    if not tau_ovlp >= 0.0:
+        raise InvalidArgumentError(f"tau_ovlp must be non-negative, got {tau_ovlp!r}")
     s_abs = np.abs(shell_overlap_matrix(system))
     # one canonical pass, so mirrored leaves get exactly transposed blocks
     q = _pair_matrix(system, lambda shells, pair_list:
@@ -300,14 +303,14 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     q holds (ij|ij), sq its square root, pair the pair's id in the tree
     root's pair table (the node's base plus its row-major place in the
     node's grid); qmax, sqmax and sqsum reduce q and sq over the free index.
-    bra_sink and ket_sink place each (density index, free index) entry in
-    the K space of the row span then the col span, plus one discard slot:
-    a transposed diagonal node sends its i == j pairs there, as the
-    untransposed orientation covers them. canonical=True restricts a
-    diagonal node to its upper-triangular (i <= j) pairs: its factors are
-    zero below the diagonal, so no bound there is kept and each adds 0 to
-    the ledger. Cached in ``node.cache`` under "canon" or "full", one entry
-    per orientation.
+    bra_free and ket_free hold 1 + the global shell of the free index, which
+    is the K row of a bra and the K column of a ket, or 0, the discard: a
+    transposed diagonal node's i == j pairs go there, as the untransposed
+    orientation covers them. canonical=True restricts a diagonal node to its
+    upper-triangular (i <= j) pairs: its factors are zero below the
+    diagonal, so no bound there is kept and each adds 0 to the ledger.
+    Cached in ``node.cache`` under "canon" or "full", one entry per
+    orientation.
     """
     if node.cache is None:
         node.cache = {}
@@ -329,21 +332,21 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
         f[:nr, :nc] = q
         f[nr:, :nr] = q.T
         grid = node.base + np.arange(nr * nc).reshape(nr, nc)
-        pair, bra_sink, ket_sink = idx = np.zeros((3,) + shape, dtype=np.intp)
+        pair, bra_free, ket_free = idx = np.zeros((3,) + shape, dtype=np.intp)
         pair[:nr, :nc] = grid
         pair[nr:, :nr] = grid.T
         # a density index on the row span leaves a free index on the col
-        # span, which sits after the row span in K space, and vice versa
-        idx[1:, :nr, :nc] = nr + np.arange(nc)
-        idx[1:, nr:, :nr] = np.arange(nr)
+        # span, and vice versa
+        idx[1:, :nr, :nc] = 1 + node.col.shell_lo + np.arange(nc)
+        idx[1:, nr:, :nr] = 1 + node.row.shell_lo + np.arange(nr)
         if diagonal:
             i = np.arange(nr)
-            bra_sink[i, i] = nr + nc       # mu == nu, transposed
-            ket_sink[nr + i, i] = nr + nc  # lam == sig, transposed
+            bra_free[i, i] = 0       # mu == nu, transposed
+            ket_free[nr + i, i] = 0  # lam == sig, transposed
         sq = np.sqrt(f)
         cached = {"m": m, "q": f, "sq": sq,
                   "qmax": f.max(axis=1), "sqmax": sq.max(axis=1),
                   "sqsum": sq.sum(axis=1), "pair": pair,
-                  "bra_sink": bra_sink, "ket_sink": ket_sink}
+                  "bra_free": bra_free, "ket_free": ket_free}
         node.cache[key] = cached
     return cached

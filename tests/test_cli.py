@@ -65,11 +65,15 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
          "--out"),
         (["--system", "water:1", "--out", str(tmp_path)], "--out"),
         (["--series", "1", "--out", str(tmp_path)], "--out"),
+        (["--series", "1", "--reference", "naive",
+          "--out", str(tmp_path / "s.csv")],
+         "--reference cannot be used with --series"),
     ]:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert flag in captured.err, argv
         assert captured.out == "", argv  # no CSV header or row
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_invalid_series_leaves_out_file_untouched(tmp_path):

@@ -174,6 +174,15 @@ def test_pair_tree_far_clusters_pruned():
     assert not tree.child(1, 1).pruned
 
 
+@pytest.mark.parametrize("tau", [-1.0, math.nan])
+def test_pair_tree_rejects_negative_or_nan_tau_ovlp(tau):
+    # either would prune nothing, silently
+    system = generate_cluster(3, seed=3)
+    part = build_partition(system, leaf_size=3)
+    with pytest.raises(InvalidArgumentError, match="tau_ovlp"):
+        build_pair_tree(system, part, tau_ovlp=tau)
+
+
 def test_pair_tree_pruning_soundness():
     system, pairs, _, _ = build_setup(5, tau_ovlp=1e-11)
     s_abs = np.abs(shell_overlap_matrix(system))
@@ -311,7 +320,8 @@ def test_pair_table_ids_index_the_root_table():
         rows = leaf.row.shell_lo + np.arange(nr)
         cols = leaf.col.shell_lo + np.arange(nc)
         for canonical in (False, True):
-            pair = leaf_cache(leaf, canonical=canonical)["pair"]
+            cache = leaf_cache(leaf, canonical=canonical)
+            pair = cache["pair"]
             assert np.array_equal(table.i_shell[pair[:nr, :nc]],
                                   np.broadcast_to(rows[:, None], (nr, nc)))
             assert np.array_equal(table.j_shell[pair[:nr, :nc]],
@@ -320,6 +330,23 @@ def test_pair_table_ids_index_the_root_table():
                                   np.broadcast_to(rows[None, :], (nc, nr)))
             assert np.array_equal(table.j_shell[pair[nr:, :nr]],
                                   np.broadcast_to(cols[:, None], (nc, nr)))
+            # 1 + the free index's shell, the other shell of that pair, or
+            # 0 exactly at a diagonal node's transposed i == j entries: the
+            # bra's transposed rows are its row span, the ket's its col span
+            valid = np.zeros(pair.shape, dtype=bool)
+            valid[:nr, :nc] = valid[nr:, :nr] = True
+            other = np.where(np.arange(len(pair))[:, None] < nr,
+                             table.j_shell[pair], table.i_shell[pair])
+            for name, transposed in (("bra_free", slice(0, nr)),
+                                     ("ket_free", slice(nr, None))):
+                free = cache[name]
+                discard = np.zeros(pair.shape, dtype=bool)
+                if leaf.row is leaf.col:
+                    discard[transposed][np.arange(nr), np.arange(nr)] = True
+                kept = valid & ~discard
+                assert np.array_equal(free[valid] == 0, discard[valid])
+                assert np.array_equal(free[kept] - 1, other[kept])
+    assert any(leaf.row is leaf.col for leaf in leaves)
 
 
 def test_chunked_pair_table_equals_one_build():
