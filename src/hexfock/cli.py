@@ -26,13 +26,13 @@ import numpy as np
 from .basis import (FormatError, InvalidArgumentError, UnsupportedElementError,
                     generate_cluster, hilbert_order, load_xyz)
 from .density import DEFAULT_GAMMA, DensityModel, build_density
-from .exchange_naive import BOUND_MODES, build_exchange_naive
+from .exchange_naive import build_exchange_naive
 from .exchange_symmetry import CASE_LABELS, build_exchange_symmetric
 from .oracle import compare, dense_exchange, dense_exchange_screened
 from .quadtree import (DEFAULT_LEAF_SIZE, build_matrix_tree, build_pair_tree,
                        build_partition)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MODES = ("naive", "symmetry", "dense", "dense-screened")
 ORDERINGS = ("hilbert", "input")
 
@@ -60,7 +60,6 @@ class RunConfig:
     tau_ovlp: float = 1e-11
     leaf_size: int = DEFAULT_LEAF_SIZE
     mode: str = "symmetry"
-    bound: str = "schwarz"
     order: str = "hilbert"
     seed: int = 3
     reference: str | None = None
@@ -83,9 +82,6 @@ class RunConfig:
         if self.reference is not None and self.reference not in MODES:
             raise InvalidArgumentError(
                 f"--reference must be one of {MODES}, got {self.reference!r}")
-        if self.bound not in BOUND_MODES:
-            raise InvalidArgumentError(
-                f"--bound must be one of {BOUND_MODES}, got {self.bound!r}")
         if self.order not in ORDERINGS:
             raise InvalidArgumentError(
                 f"--order must be one of {ORDERINGS}, got {self.order!r}")
@@ -115,7 +111,7 @@ class RunConfig:
 def _parse_system_spec(spec: str):
     kind, sep, arg = spec.partition(":")
     if kind == "water":
-        if not sep or not arg.isdigit() or int(arg) < 1:
+        if not sep or not arg.isdecimal() or int(arg) < 1:
             raise InvalidArgumentError(
                 "--system water:N requires a positive integer N")
         return ("water", int(arg))
@@ -184,19 +180,16 @@ def _execute(config: RunConfig, mode: str, system, P):
     if mode == "dense":
         K = dense_exchange(system, P)
     elif mode == "dense-screened":
-        K, skipped = dense_exchange_screened(system, P, config.tau_2e,
-                                             mode=config.bound)
+        K, skipped = dense_exchange_screened(system, P, config.tau_2e)
         counters = {"skipped_bound_sum": skipped}
     else:
         root = build_partition(system, leaf_size=config.leaf_size)
         pairs = build_pair_tree(system, root, tau_ovlp=config.tau_ovlp)
         P_tree = build_matrix_tree(P, root)
         if mode == "naive":
-            K, c = build_exchange_naive(
-                pairs, pairs, P_tree, config.tau_2e, mode=config.bound)
+            K, c = build_exchange_naive(pairs, pairs, P_tree, config.tau_2e)
         else:
-            K, c = build_exchange_symmetric(
-                pairs, P_tree, config.tau_2e, mode=config.bound)
+            K, c = build_exchange_symmetric(pairs, P_tree, config.tau_2e)
         counters = c.to_dict()
     return K, counters, counters.get("case_tasks",
                                      dict.fromkeys(CASE_LABELS, 0))
@@ -313,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaf-size", type=int, default=d.leaf_size,
                    dest="leaf_size", help="max shells per tree leaf")
     p.add_argument("--mode", default=d.mode, choices=MODES)
-    p.add_argument("--bound", default=d.bound, choices=BOUND_MODES,
-                   help="screening bound form")
     p.add_argument("--order", default=d.order, choices=ORDERINGS,
                    help="shell ordering")
     p.add_argument("--system", default=d.system,

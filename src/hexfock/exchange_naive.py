@@ -73,31 +73,24 @@ def screening_bound(f_bra, p, f_ket):
     return bound
 
 
-BOUND_MODES = ("schwarz", "literal")
-
-
-def check_screening(tau_2e: float, mode: str) -> None:
-    """Reject a negative or NaN threshold and an unknown bound form."""
+def check_screening(tau_2e: float) -> None:
+    """Reject a negative or NaN threshold."""
     if not tau_2e >= 0.0:
         raise InvalidArgumentError(f"tau_2e must be non-negative, got {tau_2e!r}")
-    if mode not in BOUND_MODES:
-        raise InvalidArgumentError(f"unknown screening mode {mode!r}")
 
 
 def screening_test(bra_norm: float, p_norm: float, ket_norm: float,
-                   tau_2e: float, mode: str = "schwarz") -> bool:
+                   tau_2e: float) -> bool:
     """True when the blocked Almlof-Ahlrichs bound says: cull this task.
 
-    literal multiplies the diagonal-block Frobenius norms as-is; schwarz
-    takes their square roots first (the provably sound form).
+    The bra and ket diagonal-block Frobenius norms enter as their square
+    roots, the Schwarz form |(ab|cd)| <= (ab|ab)^1/2 (cd|cd)^1/2.
     """
-    check_screening(tau_2e, mode)
+    check_screening(tau_2e)
     if bra_norm < 0.0 or p_norm < 0.0 or ket_norm < 0.0:
         raise InvalidArgumentError("screening norms must be non-negative")
-    if mode == "schwarz":
-        bra_norm = math.sqrt(bra_norm)
-        ket_norm = math.sqrt(ket_norm)
-    return screening_bound(bra_norm, p_norm, ket_norm) <= tau_2e
+    return screening_bound(math.sqrt(bra_norm), p_norm,
+                           math.sqrt(ket_norm)) <= tau_2e
 
 
 def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
@@ -114,10 +107,10 @@ def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
     return 0.5 * p_norm * math.sqrt(max(bra_sum, 0.0)) * math.sqrt(max(ket_sum, 0.0))
 
 
-def check_driver_args(bra, ket, p, tau_2e: float, mode: str) -> None:
+def check_driver_args(bra, ket, p, tau_2e: float) -> None:
     """check_screening, then reject trees over different partitions and
     pair nodes that are not tree roots (only a root holds a pair table)."""
-    check_screening(tau_2e, mode)
+    check_screening(tau_2e)
     roots = {id(bra.row), id(bra.col), id(ket.row), id(ket.col), id(p.row), id(p.col)}
     if len(roots) != 1:
         raise InvalidArgumentError("bra, ket and P must be built over the same partition")
@@ -148,7 +141,7 @@ class Traversal:
     """
 
     def __init__(self, bra: ShellPairNode, ket: ShellPairNode, tau_2e: float,
-                 mode: str, evaluate: bool, counters: TraversalCounters,
+                 evaluate: bool, counters: TraversalCounters,
                  case_label=None, quartet_log: list | None = None):
         n = bra.row.n_functions
         # K over 1 + global shell; row and column 0 take the discards
@@ -159,7 +152,6 @@ class Traversal:
         self.n_buffered = 0  # quartets in their unions
         self.c = counters
         self.tau_2e = tau_2e
-        self.schwarz = mode == "schwarz"
         self.evaluate = evaluate
         self.canonical = case_label is not None
         self.case_label = case_label
@@ -171,9 +163,7 @@ class Traversal:
         if b.pruned or k.pruned:
             c.tasks_culled_absent += 1
             return
-        fb, fk = b.diag_norm, k.diag_norm
-        if self.schwarz:
-            fb, fk = math.sqrt(fb), math.sqrt(fk)
+        fb, fk = math.sqrt(b.diag_norm), math.sqrt(k.diag_norm)
         live = []
         n_absent = n_screened = 0
         for link in links:
@@ -235,13 +225,12 @@ class Traversal:
         B = leaf_cache(k, canonical=self.canonical)
         nr, nl = b.row.n_functions, k.row.n_functions
         # each side's row span, then its col span
-        bra = (slice(0, nr), slice(nr, len(A["q"])))
-        ket = (slice(0, nl), slice(nl, len(B["q"])))
-        p = np.zeros((len(A["q"]), len(B["q"])))
+        bra = (slice(0, nr), slice(nr, len(A["sq"])))
+        ket = (slice(0, nl), slice(nl, len(B["sq"])))
+        p = np.zeros((len(A["sq"]), len(B["sq"])))
         for tb, tk, ref in live:
             p[bra[not tb], ket[tk]] = ref.leaf
-        ledger, d1, d2, f1, f2 = _screen(A, B, p, self.tau_2e,
-                                         "sq" if self.schwarz else "q")
+        ledger, d1, d2, f1, f2 = _screen(A, B, p, self.tau_2e)
         c.quartets_culled_leaf += len(live) * A["m"] * B["m"] - len(d1)
         c.culled_bound_ledger += 0.5 * float(ledger)
         if not len(d1):
@@ -287,23 +276,23 @@ class Traversal:
         self.n_buffered = 0
 
 
-def _screen(A: dict, B: dict, p: np.ndarray, tau: float, f: str):
+def _screen(A: dict, B: dict, p: np.ndarray, tau: float):
     """Kept quartets of a leaf task, and the bound sum of the culled ones.
 
-    p is the density over the rows of A's and B's tables; f names the screening
-    factor, "sq" (schwarz) or "q" (literal), of a quartet's screening_bound. A
-    density entry can keep a quartet only if its bound on the maxima of the
-    factors over the free indices exceeds tau: rounding is monotone, so this
-    prefilter loses no kept quartet. Only the candidate entries are expanded
-    over the free indices and tested per quartet, the conventional direct-SCF
-    test, which makes the kept set independent of leaf blocking. The culled sum
-    uses the sq factors: |p| * (sum fb) * (sum fk) in closed form for a pruned
-    entry, plus the culled quartets of the candidates. Returns (culled sum,
-    density indices d1, d2 and free indices f1, f2 of each kept quartet); no
-    candidate-sized array outlives the call.
+    p is the density over the rows of A's and B's tables; a quartet's
+    screening_bound takes the sq (Schwarz) factors. A density entry can keep
+    a quartet only if its bound on the maxima of the factors over the free
+    indices exceeds tau: rounding is monotone, so this prefilter loses no kept
+    quartet. Only the candidate entries are expanded over the free indices and
+    tested per quartet, the conventional direct-SCF test, which makes the kept
+    set independent of leaf blocking. The culled sum is |p| * (sum fb) *
+    (sum fk) in closed form for a pruned entry, plus the culled quartets'
+    bounds of the candidates. Returns (culled sum, density indices d1, d2 and
+    free indices f1, f2 of each kept quartet); no candidate-sized array
+    outlives the call.
     """
     pa = np.abs(p)
-    cand = screening_bound(A[f + "max"][:, None], pa, B[f + "max"]) > tau
+    cand = screening_bound(A["sqmax"][:, None], pa, B["sqmax"]) > tau
     d1, d2 = np.nonzero(cand)
     pc = pa[d1, d2][:, None, None]
     pa[cand] = 0.0
@@ -311,11 +300,8 @@ def _screen(A: dict, B: dict, p: np.ndarray, tau: float, f: str):
     if not len(d1):
         return ledger, d1, d2, d1, d2
     # (candidate, free bra index, free ket index)
-    bound = screening_bound(A[f][d1][:, :, None], pc, B[f][d2][:, None, :])
+    bound = screening_bound(A["sq"][d1][:, :, None], pc, B["sq"][d2][:, None, :])
     keep = bound > tau
-    if f != "sq":
-        bound = screening_bound(A["sq"][d1][:, :, None], pc,
-                                B["sq"][d2][:, None, :])
     ledger += bound.sum(where=~keep)
     j, f1, f2 = np.nonzero(keep)
     return ledger, d1[j], d2[j], f1, f2
@@ -323,7 +309,7 @@ def _screen(A: dict, B: dict, p: np.ndarray, tau: float, f: str):
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
                          P: MatrixQuadtree, tau_2e: float = 0.0,
-                         mode: str = "schwarz", quartet_log: list | None = None,
+                         quartet_log: list | None = None,
                          evaluate: bool = True):
     """Exchange matrix K = -1/2 sum P_nl (mn|ls) by naive hextree traversal.
 
@@ -335,8 +321,8 @@ def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
     walks the task tree and fills counters without computing integrals
     (K stays zero).
     """
-    check_driver_args(bra, ket, P, tau_2e, mode)
-    t = Traversal(bra, ket, tau_2e, mode, evaluate, TraversalCounters(),
+    check_driver_args(bra, ket, P, tau_2e)
+    t = Traversal(bra, ket, tau_2e, evaluate, TraversalCounters(),
                   quartet_log=quartet_log)
     t.visit(bra, ket, [(False, False, P)])
     t.flush()

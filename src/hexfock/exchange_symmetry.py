@@ -139,7 +139,7 @@ def symmetrize_final(K_raw: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
-                             tau_2e: float = 0.0, mode: str = "schwarz",
+                             tau_2e: float = 0.0,
                              quartet_log: list | None = None,
                              evaluate: bool = True):
     """Exchange matrix via canonical-pair traversal with 4-way scatter.
@@ -154,8 +154,8 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     evaluate behaves as in build_exchange_naive; quartet_log collects
     evaluated canonical quartets.
     """
-    check_driver_args(pairs, pairs, P, tau_2e, mode)
-    t = Traversal(pairs, pairs, tau_2e, mode, evaluate, SymmetryCounters(),
+    check_driver_args(pairs, pairs, P, tau_2e)
+    t = Traversal(pairs, pairs, tau_2e, evaluate, SymmetryCounters(),
                   case_label=classify_quartet, quartet_log=quartet_log)
     t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
     t.flush()

@@ -83,22 +83,22 @@ def dense_exchange(system: BasisSystem, P: np.ndarray) -> np.ndarray:
 
 
 def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
-                            mode: str = "schwarz", quartet_log: list | None = None):
+                            quartet_log: list | None = None):
     """Per-shell-quartet screened reference (the direct-SCF baseline).
 
     A quartet (mn|ls) is evaluated iff the drivers' bound
-    screening_bound(f(Q_mn), |P_nl|, f(Q_ls)) exceeds tau_2e. tau_2e and mode
-    pass the drivers' check_screening. Returns (K, skipped_bound_sum);
-    quartet_log, when given, collects the evaluated (mu, nu, lam, sig) tuples.
+    screening_bound(Q_mn^1/2, |P_nl|, Q_ls^1/2) exceeds tau_2e. tau_2e passes
+    the drivers' check_screening. Returns (K, skipped_bound_sum); quartet_log,
+    when given, collects the evaluated (mu, nu, lam, sig) tuples.
     """
-    check_screening(tau_2e, mode)
+    check_screening(tau_2e)
     n = system.n_shells
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise InvalidArgumentError("density dimension does not match system")
     tree = build_pair_tree(system, build_partition(system, leaf_size=n))
     pd = tree.pairs  # one leaf at base 0: pair a = i * n + j, row-major
-    f = np.sqrt(tree.diag) if mode == "schwarz" else tree.diag  # of (ij|ij)
+    f = np.sqrt(tree.diag)  # Schwarz factors (ij|ij)^1/2
     p_abs = np.abs(P)
     K = np.zeros((n, n))
     skipped = 0.0

@@ -300,9 +300,9 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     m is the number of pairs a walk covers. Each table below has one row per
     density index, over the row span then the col span, and one column per
     free index (the other shell of the pair), zero-padded to the longer span.
-    q holds (ij|ij), sq its square root, pair the pair's id in the tree
+    sq holds the Schwarz factor (ij|ij)^1/2, pair the pair's id in the tree
     root's pair table (the node's base plus its row-major place in the
-    node's grid); qmax, sqmax and sqsum reduce q and sq over the free index.
+    node's grid); sqmax and sqsum reduce sq over the free index.
     bra_free and ket_free hold 1 + the global shell of the free index, which
     is the K row of a bra and the K column of a ket, or 0, the discard: a
     transposed diagonal node's i == j pairs go there, as the untransposed
@@ -317,7 +317,7 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     key = "canon" if canonical else "full"
     cached = node.cache.get(key)
     if cached is None:
-        q = node.diag
+        q = np.sqrt(node.diag)
         nr, nc = q.shape
         diagonal = node.row is node.col
         m = nr * nc
@@ -328,9 +328,9 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
         # rows: density index over the row span, then over the col span;
         # columns: the free index, zero-padded to the longer span
         shape = (nr + nc, max(nr, nc))
-        f = np.zeros(shape)
-        f[:nr, :nc] = q
-        f[nr:, :nr] = q.T
+        sq = np.zeros(shape)
+        sq[:nr, :nc] = q
+        sq[nr:, :nr] = q.T
         grid = node.base + np.arange(nr * nc).reshape(nr, nc)
         pair, bra_free, ket_free = idx = np.zeros((3,) + shape, dtype=np.intp)
         pair[:nr, :nc] = grid
@@ -343,9 +343,7 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
             i = np.arange(nr)
             bra_free[i, i] = 0       # mu == nu, transposed
             ket_free[nr + i, i] = 0  # lam == sig, transposed
-        sq = np.sqrt(f)
-        cached = {"m": m, "q": f, "sq": sq,
-                  "qmax": f.max(axis=1), "sqmax": sq.max(axis=1),
+        cached = {"m": m, "sq": sq, "sqmax": sq.max(axis=1),
                   "sqsum": sq.sum(axis=1), "pair": pair,
                   "bra_free": bra_free, "ket_free": ket_free}
         node.cache[key] = cached

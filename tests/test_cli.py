@@ -31,10 +31,10 @@ from hexfock.integrals import InvalidArgumentError
     ("tau_ovlp", math.inf, "--tau-ovlp"),
     ("leaf_size", 0, "--leaf-size"),
     ("mode", "bogus", "--mode"),
-    ("bound", "bogus", "--bound"),
     ("order", "bogus", "--order"),
     ("reference", "bogus", "--reference"),
     ("system", "water:abc", "--system"),
+    ("system", "water:\u00b2", "--system"),  # a digit, but not decimal
     ("system", "nonsense", "--system"),
     ("density", "exp:gamma=abc", "--density"),
     ("density", "nonsense", "--density"),
@@ -55,6 +55,7 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
     for argv, flag in [
         (["--tau-2e", "-1"], "--tau-2e"),
         (["--system", "water:abc"], "--system"),
+        (["--system", "water:\u00b2"], "--system"),
         (["--series", "3,2"], "--series"),
         (["--series", "1,x"], "--series"),
         (["--series", "0,2"], "--series"),
@@ -81,6 +82,16 @@ def test_invalid_series_leaves_out_file_untouched(tmp_path):
     out.write_bytes(b"rows of an earlier run\n")
     assert main(["--series", "3,2", "--out", str(out)]) == 2
     assert out.read_bytes() == b"rows of an earlier run\n"
+
+
+def test_bound_flag_is_rejected(tmp_path, capsys):
+    # every run screens with the Schwarz bound; there is no form to choose
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--bound", "literal", "--system", "water:1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parser_defaults_are_run_config_defaults():

@@ -21,32 +21,29 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_counters.json").read_text())
 
 
-def _count_only(n, driver, leaf_size, mode):
+def _count_only(n, driver, leaf_size):
     _, pairs, P_tree, _ = build_setup(n, tau_ovlp=1e-11, leaf_size=leaf_size)
     if driver == "naive":
-        _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8, mode=mode,
+        _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8,
                                     evaluate=False)
     else:
-        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8, mode=mode,
-                                        evaluate=False)
+        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8, evaluate=False)
     return c.to_dict()
 
 
-# golden-row suffix -> (leaf size, screening bound)
-_VARIANTS = {"": (10, "schwarz"), "leaf40": (40, "schwarz"),
-             "literal": (10, "literal")}
+# golden-row suffix -> leaf size
+_VARIANTS = {"": 10, "leaf40": 40}
 
 
-@pytest.mark.parametrize("case", ["10", "30", "10-leaf40", "30-leaf40",
-                                  "10-literal", "30-literal"])
+@pytest.mark.parametrize("case", ["10", "30", "10-leaf40", "30-leaf40"])
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
 def test_counters_match_golden(case, driver):
     # golden values: count-only builds at (tau_2e, tau_ovlp) = (1e-8, 1e-11);
-    # the leaf-10 schwarz rows were recorded before the two drivers shared
-    # one engine, the leaf-40 and literal rows before leaves were contracted
-    # as (mu nu|lam sig) blocks
+    # the leaf-10 rows were recorded before the two drivers shared one
+    # engine, the leaf-40 rows before leaves were contracted as
+    # (mu nu|lam sig) blocks
     n, _, variant = case.partition("-")
-    got = _count_only(int(n), driver, *_VARIANTS[variant])
+    got = _count_only(int(n), driver, _VARIANTS[variant])
     want = dict(GOLDEN[f"water:{n}/{variant}" if variant else f"water:{n}"][driver])
     assert got.keys() == want.keys()
     ledger = got.pop("culled_bound_ledger")
@@ -55,14 +52,13 @@ def test_counters_match_golden(case, driver):
 
 
 # quartets each driver keeps at water:10, (tau_2e, tau_ovlp) = (1e-8, 1e-11)
-_KEPT_WATER10 = {("naive", "schwarz"): 23966, ("naive", "literal"): 8264,
-                 ("symmetry", "schwarz"): 14429, ("symmetry", "literal"): 4895}
+_KEPT_WATER10 = {"naive": 23966, "symmetry": 14429}
 
 
-@pytest.mark.parametrize("mode", ["schwarz", "literal"])
-@pytest.mark.parametrize("driver", ["naive", "symmetry"])
-def test_kept_quartets_do_not_depend_on_leaf_size(cluster_setup, driver,
-                                                  mode):
+# the ids name the Schwarz bound, which every build screens with
+@pytest.mark.parametrize("driver", ["naive", "symmetry"],
+                         ids=["naive-schwarz", "symmetry-schwarz"])
+def test_kept_quartets_do_not_depend_on_leaf_size(cluster_setup, driver):
     # every quartet is kept or culled by its own bound, so the leaf kernel's
     # candidate prefilter and blocking must not change the kept set, from
     # one-shell leaves to a single leaf over all 40 shells
@@ -72,13 +68,11 @@ def test_kept_quartets_do_not_depend_on_leaf_size(cluster_setup, driver,
                                             leaf_size=leaf_size)
         log = []
         if driver == "naive":
-            build_exchange_naive(pairs, pairs, P_tree, 1e-8, mode=mode,
-                                 quartet_log=log)
+            build_exchange_naive(pairs, pairs, P_tree, 1e-8, quartet_log=log)
         else:
-            build_exchange_symmetric(pairs, P_tree, 1e-8, mode=mode,
-                                     quartet_log=log)
+            build_exchange_symmetric(pairs, P_tree, 1e-8, quartet_log=log)
         kept = set(log)
-        assert len(kept) == len(log) == _KEPT_WATER10[driver, mode]
+        assert len(kept) == len(log) == _KEPT_WATER10[driver]
         if want is None:
             want = kept
         assert kept == want, leaf_size

@@ -36,19 +36,16 @@ def test_infinite_threshold_culls_at_root():
 
 
 def test_screening_test_trivial_cases():
-    assert screening_test(0.0, 1.0, 1.0, 0.0, mode="literal")
-    assert not screening_test(1.0, 1.0, 1.0, 1e-8, mode="literal")
-    assert screening_test(1e-6, 1e-3, 1e-6, 1e-10, mode="literal")
-    # schwarz square-roots the bra/ket factors: bound is 1e-4 * 1 * 1e-4
-    assert screening_test(1e-8, 1.0, 1e-8, 1e-7, mode="schwarz")
-    assert not screening_test(1e-8, 1.0, 1e-8, 1e-9, mode="schwarz")
+    assert screening_test(0.0, 1.0, 1.0, 0.0)
+    assert not screening_test(1.0, 1.0, 1.0, 1e-8)
+    # the bra/ket factors enter as square roots: bound is 1e-4 * 1 * 1e-4
+    assert screening_test(1e-8, 1.0, 1e-8, 1e-7)
+    assert not screening_test(1e-8, 1.0, 1e-8, 1e-9)
 
 
 def test_screening_test_errors():
     with pytest.raises(InvalidArgumentError):
         screening_test(-1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        screening_test(1.0, 1.0, 1.0, 0.0, mode="bogus")
     # NaN compares false with every bound: it would keep every task
     with pytest.raises(InvalidArgumentError, match="tau_2e"):
         screening_test(1.0, 1.0, 1.0, math.nan)

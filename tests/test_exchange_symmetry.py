@@ -211,5 +211,3 @@ def test_quartet_log_and_validation():
         build_exchange_symmetric(pairs, P_tree, tau_2e=-1.0)
     with pytest.raises(InvalidArgumentError, match="tau_2e"):
         build_exchange_symmetric(pairs, P_tree, tau_2e=float("nan"))
-    with pytest.raises(InvalidArgumentError):
-        build_exchange_symmetric(pairs, P_tree, mode="bogus")

@@ -52,19 +52,15 @@ def test_dense_dimension_mismatch():
         dense_exchange_screened(system, np.eye(3), 0.0)
 
 
-@pytest.mark.parametrize("tau_2e,mode,match", [
-    (1e-8, "schwartz", "screening mode"),
-    (math.nan, "schwarz", "tau_2e"),
-    (-1.0, "schwarz", "tau_2e"),
-])
-def test_screened_rejects_what_the_drivers_reject(tau_2e, mode, match):
+@pytest.mark.parametrize("tau_2e", [math.nan, -1.0],
+                         ids=["nan-schwarz-tau_2e", "-1.0-schwarz-tau_2e"])
+def test_screened_rejects_what_the_drivers_reject(tau_2e):
     # the screened oracle runs the drivers' screening contract; without it
-    # a misspelt bound form screens as literal and a NaN threshold skips
-    # every quartet, returning K = 0
+    # a NaN threshold skips every quartet, returning K = 0
     system = generate_cluster(2, seed=3)
     P = build_density(system, DensityModel())
-    with pytest.raises(InvalidArgumentError, match=match):
-        dense_exchange_screened(system, P, tau_2e, mode=mode)
+    with pytest.raises(InvalidArgumentError, match="tau_2e"):
+        dense_exchange_screened(system, P, tau_2e)
 
 
 def test_screened_zero_threshold_equals_dense():
@@ -152,14 +148,22 @@ def test_compare_worst_element_location():
                       "worst_row", "worst_col"}
 
 
-def _tied_threshold(system, P, mode, kind, rank):
+def _tied_threshold(system, P, kind, rank):
     """A tau_2e at a tie, from the drivers' screening_bound. "quartet": the
-    rank-th largest quartet bound. "entry": one float below the rank-th
-    largest density-entry bound, the largest bound of the entry's quartets,
-    which is also the value the leaf prefilter computes for that entry."""
+    rank-th largest quartet bound. "mirror": the rank-th largest bound in
+    bra-then-ket order, (f_bra * |P|) * f_ket, among the quartets whose
+    mirror (sig lam|nu mu) rounds larger in that order; a product that is
+    not exact under the bra/ket swap culls such a quartet and keeps its
+    mirror. "entry": one float below the rank-th largest density-entry
+    bound, the largest bound of the entry's quartets, which is also the
+    value the leaf prefilter computes for that entry."""
     q = build_pair_tree(system, build_partition(system,
                                                 leaf_size=system.n_shells)).diag
-    f = np.sqrt(q) if mode == "schwarz" else q
+    f = np.sqrt(q)
+    if kind == "mirror":
+        ordered = f[:, :, None, None] * np.abs(P)[None, :, :, None] * f
+        return float(np.sort(
+            ordered[ordered.transpose(3, 2, 1, 0) > ordered])[-rank])
     if kind == "quartet":
         bound = screening_bound(f[:, :, None, None],
                                 np.abs(P)[None, :, :, None], f)
@@ -169,38 +173,37 @@ def _tied_threshold(system, P, mode, kind, rank):
     return float(np.nextafter(np.sort(bound, axis=None)[-rank], 0.0))
 
 
-@pytest.mark.parametrize("n,leaf_size,tau_2e,mode,quartets", [
-    (10, 10, 1e-8, "schwarz", 23966),
-    (10, 4, 1e-6, "schwarz", 9514),
-    (10, 10, 1e-8, "literal", 8264),
-    (8, 40, 1e-10, "schwarz", 29842),
+@pytest.mark.parametrize("n,leaf_size,tau_2e,quartets", [
+    # the ids name the Schwarz bound, which every build screens with
+    pytest.param(10, 10, 1e-8, 23966, id="10-10-1e-08-schwarz-23966"),
+    pytest.param(10, 4, 1e-6, 9514, id="10-4-1e-06-schwarz-9514"),
+    pytest.param(8, 40, 1e-10, 29842, id="8-40-1e-10-schwarz-29842"),
     # tau_2e at a realised bound culls the tied quartets, a tied mirror
-    # pair together; one float below an entry's largest bound keeps that
-    # quartet, which the leaf prefilter, having no safety margin, must pass
-    # on (leaf 40, and ragged leaf 3)
-    pytest.param(8, 40, ("quartet", 10_000), "schwarz", 9998,
-                 id="at-tie-leaf40"),
-    pytest.param(8, 40, ("entry", 300), "schwarz", 4714,
-                 id="below-tie-leaf40"),
-    pytest.param(5, 3, ("quartet", 1_000), "literal", 998, id="at-tie-leaf3"),
-    pytest.param(5, 3, ("entry", 100), "literal", 584, id="below-tie-leaf3"),
+    # pair together (leaf 40); at ragged leaf 3 it sits where the
+    # bra-then-ket product rounds a quartet and its mirror apart, which the
+    # swap-exact bound keeps together; one float below an entry's largest
+    # bound keeps that quartet, which the leaf prefilter, having no safety
+    # margin, must pass on (leaf 40, and leaf 3)
+    pytest.param(8, 40, ("quartet", 10_000), 9998, id="at-tie-leaf40"),
+    pytest.param(8, 40, ("entry", 300), 4714, id="below-tie-leaf40"),
+    pytest.param(5, 3, ("mirror", 1_000), 8836, id="at-tie-leaf3"),
+    pytest.param(5, 3, ("entry", 100), 1538, id="below-tie-leaf3"),
 ])
-def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e, mode,
+def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e,
                                               quartets):
     # at tau_ovlp = 0 the naive driver keeps exactly the direct-SCF quartets:
     # both screen every quartet on the same (ij|ij) values
     system, pairs, P_tree, P = build_setup(n, tau_ovlp=0.0,
                                            leaf_size=leaf_size)
     if isinstance(tau_2e, tuple):
-        tau_2e = _tied_threshold(system, P, mode, *tau_2e)
+        tau_2e = _tied_threshold(system, P, *tau_2e)
     log = []
-    build_exchange_naive(pairs, pairs, P_tree, tau_2e, mode=mode,
-                         quartet_log=log)
+    build_exchange_naive(pairs, pairs, P_tree, tau_2e, quartet_log=log)
     ref = []
-    dense_exchange_screened(system, P, tau_2e, mode=mode, quartet_log=ref)
+    dense_exchange_screened(system, P, tau_2e, quartet_log=ref)
     assert len(log) == len(ref) == quartets
     assert set(log) == set(ref)
     # every screening decision treats a quartet and its bra/ket mirror
     # alike, so the symmetry driver's K passes symmetrize_final
     assert {(d, c, b, a) for a, b, c, d in log} == set(log)
-    build_exchange_symmetric(pairs, P_tree, tau_2e, mode=mode)
+    build_exchange_symmetric(pairs, P_tree, tau_2e)
