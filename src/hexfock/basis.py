@@ -10,6 +10,7 @@ byte-identical systems across platforms.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -132,11 +133,25 @@ class SplitMix64:
                 return v / math.sqrt(n2)
 
 
-def _shells_for(element: str, center) -> list:
+def _shells_for(element: str, center, normalized: dict) -> list:
+    """The shell table's shells of ``element`` at ``center``.
+
+    ``normalized`` maps each element met so far to its shells at the origin,
+    so one caller normalizes each table entry once; the shells it returns
+    share those exponent and weight arrays.
+    """
     if element not in DEFAULT_SHELL_TABLE:
         raise UnsupportedElementError(f"no shells defined for element {element!r}")
-    return [GaussianShell(center=np.array(center, dtype=float), primitives=list(prims))
+    if element not in normalized:
+        normalized[element] = [
+            GaussianShell(center=np.zeros(3), primitives=list(prims))
             for prims in DEFAULT_SHELL_TABLE[element]]
+    shells = []
+    for proto in normalized[element]:
+        sh = copy.copy(proto)
+        sh.center = np.array(center, dtype=float)
+        shells.append(sh)
+    return shells
 
 
 def _sample_in_sphere(rng: SplitMix64, radius: float) -> np.ndarray:
@@ -150,7 +165,9 @@ def generate_cluster(n_molecules: int, seed: int) -> BasisSystem:
     """Deterministic synthetic water-like cluster at roughly STP number density.
 
     Heavy centers are packed with a minimum separation of 4 Bohr, each with
-    two light satellites at 1.81 Bohr and a 104.5 degree angle.
+    two light satellites at 1.81 Bohr and a 104.5 degree angle. A sampled
+    center is tested against all placed ones at once, with the distances
+    rounded as np.linalg.norm rounds one of them.
     """
     if n_molecules < 1:
         raise InvalidArgumentError("n_molecules must be >= 1")
@@ -158,18 +175,19 @@ def generate_cluster(n_molecules: int, seed: int) -> BasisSystem:
     volume = n_molecules / WATER_NUMBER_DENSITY
     radius = (3.0 * volume / (4.0 * math.pi)) ** (1.0 / 3.0)
 
-    centers = [np.zeros(3)]
-    while len(centers) < n_molecules:
+    centers = np.zeros((n_molecules, 3))
+    for placed in range(1, n_molecules):
         for _ in range(100000):
             cand = _sample_in_sphere(rng, radius)
-            if all(np.linalg.norm(cand - c) >= MIN_HEAVY_SEPARATION for c in centers):
+            d = centers[:placed] - cand
+            if np.all(np.sqrt(np.vecdot(d, d)) >= MIN_HEAVY_SEPARATION):
                 break
         else:
             raise InvalidArgumentError(
                 "packing failed; density/min-distance constraints unsatisfiable")
-        centers.append(cand)
+        centers[placed] = cand
 
-    atoms, shells = [], []
+    atoms, shells, normalized = [], [], {}
     for ctr in centers:
         e1 = rng.unit_vector()
         raw = rng.unit_vector()
@@ -183,9 +201,9 @@ def generate_cluster(n_molecules: int, seed: int) -> BasisSystem:
         atoms.append(Atom("O", ctr))
         atoms.append(Atom("H", h1))
         atoms.append(Atom("H", h2))
-        shells.extend(_shells_for("O", ctr))
-        shells.extend(_shells_for("H", h1))
-        shells.extend(_shells_for("H", h2))
+        shells.extend(_shells_for("O", ctr, normalized))
+        shells.extend(_shells_for("H", h1, normalized))
+        shells.extend(_shells_for("H", h2, normalized))
     return BasisSystem(shells=shells, atoms=atoms)
 
 
@@ -204,7 +222,7 @@ def load_xyz(path) -> BasisSystem:
     if len(lines) < natoms + 2:
         raise FormatError(f"expected {natoms} atom lines, file has {len(lines) - 2}",
                           len(lines))
-    atoms, shells = [], []
+    atoms, shells, normalized = [], [], {}
     for k in range(natoms):
         ln = k + 3
         parts = lines[k + 2].split()
@@ -218,49 +236,52 @@ def load_xyz(path) -> BasisSystem:
         if not np.all(np.isfinite(pos)):
             raise FormatError(f"non-finite coordinate in {lines[k + 2]!r}", ln)
         atoms.append(Atom(element, pos))
-        shells.extend(_shells_for(element, pos))
+        shells.extend(_shells_for(element, pos, normalized))
     return BasisSystem(shells=shells, atoms=atoms)
 
 
-def hilbert_index_3d(coords, bits: int) -> int:
-    """Hilbert index of one integer lattice point via the transposed-bits
-    (Skilling) algorithm."""
-    x = [int(c) for c in coords]
-    n = 3
+def _hilbert_keys(lattice: np.ndarray, bits: int) -> np.ndarray:
+    """Hilbert index of each row of an (n, 3) integer lattice array, by the
+    transposed-bits (Skilling) algorithm run on all rows at once."""
+    x = [col.astype(np.int64) for col in np.asarray(lattice).reshape(-1, 3).T]
     m = 1 << (bits - 1)
     q = m
     while q > 1:
         p = q - 1
-        for i in range(n):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
+        for i in range(3):
+            high = (x[i] & q) != 0
+            # a set bit inverts x[0]'s low bits, a clear one exchanges them
+            # with x[i]'s
+            t = np.where(high, 0, (x[0] ^ x[i]) & p)
+            x[0] ^= np.where(high, p, 0) | t
+            x[i] ^= t
         q >>= 1
-    for i in range(1, n):
+    for i in range(1, 3):
         x[i] ^= x[i - 1]
-    t = 0
+    t = np.zeros_like(x[0])
     q = m
     while q > 1:
-        if x[n - 1] & q:
-            t ^= q - 1
+        t ^= np.where((x[2] & q) != 0, q - 1, 0)
         q >>= 1
-    for i in range(n):
-        x[i] ^= t
-    h = 0
+    h = np.zeros_like(x[0])
     for b in range(bits - 1, -1, -1):
-        for i in range(n):
-            h = (h << 1) | ((x[i] >> b) & 1)
+        for i in range(3):
+            h = (h << 1) | (((x[i] ^ t) >> b) & 1)
     return h
+
+
+def hilbert_index_3d(coords, bits: int) -> int:
+    """Hilbert index of one integer lattice point."""
+    return int(_hilbert_keys(np.asarray(coords), bits)[0])
 
 
 def hilbert_order(system: BasisSystem):
     """Stably sort shells by the Hilbert index of their centers.
 
-    Returns (reordered system, permutation) where permutation[k] is the old
-    shell position now at k; use it to reorder externally supplied matrices.
+    Centers are scaled onto a 2^HILBERT_BITS lattice per axis, and every
+    lattice point's key comes from one vectorized pass. Returns (reordered
+    system, permutation) where permutation[k] is the old shell position now
+    at k; use it to reorder externally supplied matrices.
     """
     centers = np.array([sh.center for sh in system.shells])
     lo = centers.min(axis=0)
@@ -270,7 +291,6 @@ def hilbert_order(system: BasisSystem):
     for ax in range(3):
         if extent[ax] > 0.0:
             lattice[:, ax] = np.rint((centers[:, ax] - lo[ax]) / extent[ax] * side)
-    keys = np.array([hilbert_index_3d(pt, HILBERT_BITS) for pt in lattice])
-    perm = np.argsort(keys, kind="stable")
+    perm = np.argsort(_hilbert_keys(lattice, HILBERT_BITS), kind="stable")
     return BasisSystem(shells=[system.shells[k] for k in perm],
                        atoms=system.atoms), perm

@@ -209,7 +209,8 @@ def run(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     K, counters, cases = _execute(config, config.mode, system, P)
     wall = time.perf_counter() - t0
-    k_frobenius = float(np.linalg.norm(K))  # not finite if any K entry is not
+    with np.errstate(over="ignore"):  # checked below
+        k_frobenius = float(np.linalg.norm(K))  # not finite if K overflows
     ledger = counters.get("culled_bound_ledger",
                           counters.get("skipped_bound_sum", 0.0))
     if not (math.isfinite(k_frobenius) and math.isfinite(ledger)):

@@ -114,8 +114,10 @@ def _primitive_pairs(shells, pair_list):
     a = first[li][pair] + k // nb[pair]
     b = first[lj][pair] + k % nb[pair]
     ca, cb = centers[li], centers[lj]
-    # vecdot rounds like the np.dot of one shell pair's center difference
-    r2 = np.vecdot(ca - cb, ca - cb)[pair]
+    # vecdot rounds like the np.dot of one shell pair's center difference;
+    # centers too far apart for it give r2 = inf, and so weight 0
+    with np.errstate(over="ignore"):
+        r2 = np.vecdot(ca - cb, ca - cb)[pair]
     return offsets, exps[a], exps[b], wts[a], wts[b], ca[pair], cb[pair], r2
 
 

@@ -6,6 +6,12 @@ row and column ranges of every matrix block.
 Norms are accumulated with math.fsum (correctly rounded), so the cached norm
 of a block and of its transpose are bit-identical. Screening decisions in the
 traversal drivers rely on that.
+
+Shell-pair tree set-up works on the pairs that can survive: overlaps only
+for the candidate pairs a sweep finds within a provable radius, and
+(ij|ij) values and primitive pair data only for the canonical pairs of the
+surviving leaves. ``shell_overlap_matrix`` forms the dense overlap matrix
+for callers that want it; the pair tree does not use it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ def _rss(values) -> float:
 
 
 def _frobenius(block: np.ndarray) -> float:
-    return math.sqrt(math.fsum((block.astype(float) ** 2).ravel().tolist()))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf
+        squares = block.astype(float) ** 2
+    return math.sqrt(math.fsum(squares.ravel().tolist()))
 
 
 @dataclass
@@ -189,23 +197,79 @@ class ShellPairNode(_Block):
 # passes by at most 0.4 MB.
 _PAIR_CHUNK = 512
 
+# Relative slack on each candidate radius, so that rounding in the bound,
+# the distances or the overlaps can only add candidates.
+_RADIUS_MARGIN = 1e-6
 
-def _pair_matrix(system: BasisSystem, values) -> np.ndarray:
-    """Exactly symmetric matrix of values(shells, pair_list) over i <= j."""
+# Center pairs tested per piece of the candidate sweep.
+_SWEEP_CHUNK = 1 << 14
+
+
+def shell_overlap_matrix(system: BasisSystem) -> np.ndarray:
+    """Exactly symmetric matrix of contracted shell-shell overlaps."""
     n = system.n_shells
     iu, ju = np.triu_indices(n)
     m = np.zeros((n, n))
     for lo in range(0, len(iu), _PAIR_CHUNK):
         i, j = iu[lo:lo + _PAIR_CHUNK], ju[lo:lo + _PAIR_CHUNK]
-        v = values(system.shells, np.column_stack((i, j)))
+        v = integrals.pair_overlaps(system.shells, np.column_stack((i, j)))
         m[i, j] = v
         m[j, i] = v
     return m
 
 
-def shell_overlap_matrix(system: BasisSystem) -> np.ndarray:
-    """Exactly symmetric matrix of contracted shell-shell overlaps."""
-    return _pair_matrix(system, integrals.pair_overlaps)
+def _candidate_pairs(shells, tau_ovlp: float) -> np.ndarray:
+    """Canonical (i <= j) shell pairs that can have |S_ij| >= tau_ovlp.
+
+    Shells with the same exponents and weights form a class. For classes a
+    and b, |S| <= C_ab exp(-mu_min r^2) with C_ab = sum |w_i w_j| (pi/p)^1.5
+    and mu_min = min alpha_i beta_j / p over their primitive pairs, so no
+    pair farther apart than r^2 = ln(C_ab / tau_ovlp) / mu_min reaches
+    tau_ovlp. A sweep over the centers sorted by x tests only the pairs
+    whose x distance is within the largest class radius, each against its
+    own class radius; diagonal pairs are always kept. At tau_ovlp = 0 every
+    radius is infinite and every pair is kept. Sorted row-major.
+    """
+    kinds = {}
+    cls = np.array([kinds.setdefault((sh.exponents.tobytes(),
+                                      sh.weights.tobytes()), len(kinds))
+                    for sh in shells], dtype=np.intp)
+    reps = [shells[k] for k in np.unique(cls, return_index=True)[1]]
+    log_c = np.empty((len(reps), len(reps)))
+    mu_min = np.empty_like(log_c)
+    for a, sa in enumerate(reps):
+        for b, sb in enumerate(reps):
+            ea, eb = sa.exponents[:, None], sb.exponents[None, :]
+            p = ea + eb
+            c = np.sum(np.abs(sa.weights[:, None] * sb.weights[None, :])
+                       * (np.pi / p) ** 1.5)
+            log_c[a, b] = math.log(c)
+            mu_min[a, b] = (ea * eb / p).min()
+    with np.errstate(divide="ignore"):  # tau_ovlp = 0: every radius is inf
+        log_tau = np.log(tau_ovlp)
+    r2 = np.maximum(log_c - log_tau + _RADIUS_MARGIN, 0.0) / mu_min \
+        * (1.0 + _RADIUS_MARGIN)
+    centers = np.array([sh.center for sh in shells]).reshape(-1, 3)
+    order = np.argsort(centers[:, 0], kind="stable")
+    x = centers[order, 0]
+    # sorted center k meets the centers after it up to reach[k]
+    reach = np.searchsorted(
+        x, x + math.sqrt(r2.max()) * (1.0 + _RADIUS_MARGIN), side="right")
+    count = reach - np.arange(len(x)) - 1
+    start = np.cumsum(count) - count
+    diag = np.arange(len(shells))
+    found = [np.column_stack((diag, diag))]
+    total = int(count.sum())
+    for lo in range(0, total, _SWEEP_CHUNK):
+        flat = np.arange(lo, min(lo + _SWEEP_CHUNK, total))
+        k = np.searchsorted(start, flat, side="right") - 1
+        i, j = order[k], order[k + 1 + flat - start[k]]
+        with np.errstate(over="ignore"):  # r^2 = inf is beyond every radius
+            d = centers[i] - centers[j]
+            keep = np.vecdot(d, d) <= r2[cls[i], cls[j]]
+        found.append(np.sort(np.column_stack((i[keep], j[keep])), axis=1))
+    cand = np.concatenate(found)
+    return cand[np.lexsort((cand[:, 1], cand[:, 0]))]
 
 
 def build_pair_tree(system: BasisSystem, root: Span,
@@ -214,83 +278,151 @@ def build_pair_tree(system: BasisSystem, root: Span,
     cached diagonal norms.
 
     A node is pruned iff every shell-pair overlap magnitude in its span is
-    below tau_ovlp; pruned subtrees are not expanded. The root's ``pairs``
-    table holds the pairs of every surviving leaf, each leaf's (row shell, col
-    shell) grid row-major from its ``base``, in leaf order; a one-leaf tree's
-    pair i*n + j is shell pair (i, j). A negative or NaN tau_ovlp raises
-    InvalidArgumentError.
+    below tau_ovlp; pruned subtrees are not expanded. Overlaps are evaluated
+    only for the candidate pairs of ``_candidate_pairs``, as every other
+    pair is provably below tau_ovlp; a node survives iff it holds a leaf
+    block with a candidate at or above tau_ovlp. The (ij|ij) values and the
+    root's pair table come from one pass over the canonical pairs of the
+    surviving leaves (``_pair_table``). The root's ``pairs`` table holds the
+    pairs of every surviving leaf, each leaf's (row shell, col shell) grid
+    row-major from its ``base``, in leaf order; a one-leaf tree's pair
+    i*n + j is shell pair (i, j). No n x n array is formed. A negative or
+    NaN tau_ovlp raises InvalidArgumentError.
     """
     if not tau_ovlp >= 0.0:
         raise InvalidArgumentError(f"tau_ovlp must be non-negative, got {tau_ovlp!r}")
-    s_abs = np.abs(shell_overlap_matrix(system))
-    # one canonical pass, so mirrored leaves get exactly transposed blocks
-    q = _pair_matrix(system, lambda shells, pair_list:
-                     diagonal_values(build_pair_data(shells, pair_list)))
-    grids = []  # each surviving leaf's pair list
+    shells = system.shells
+    cand = _candidate_pairs(shells, tau_ovlp)
+    s_abs = np.concatenate([np.empty(0)] + [
+        np.abs(integrals.pair_overlaps(shells, cand[lo:lo + _PAIR_CHUNK]))
+        for lo in range(0, len(cand), _PAIR_CHUNK)])
+    # first shell of each shell's leaf; a leaf block is keyed by the first
+    # shells of its row and col leaves, in both orientations
+    leaf_lo = np.repeat(*np.array([(s.shell_lo, s.n_functions)
+                                   for s in _leaves(root)], dtype=np.intp).T)
+    i, j = cand[~(s_abs < tau_ovlp)].T
+    n = system.n_shells
+    keys = np.unique(np.concatenate((leaf_lo[i] * n + leaf_lo[j],
+                                     leaf_lo[j] * n + leaf_lo[i])))
+    leaves = []  # surviving leaves, in build order
     n_pairs = 0
 
-    def build(row: Span, col: Span) -> ShellPairNode:
+    def build(row: Span, col: Span, blocks) -> ShellPairNode:
+        # blocks: (row leaf, col leaf) first shells of the live leaf blocks
+        # inside this node
         nonlocal n_pairs
         node = ShellPairNode(row, col)
-        block = np.s_[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi]
-        if s_abs[block].max() < tau_ovlp:
+        if not blocks.size:
             node.pruned = True
             return node
         if node.is_leaf:
-            ii, jj = np.mgrid[block]
-            grids.append(np.column_stack((ii.ravel(), jj.ravel())))
+            leaves.append(node)
             node.base = n_pairs
-            n_pairs += len(grids[-1])
-            d = node.diag = q[block]
-            node.diag_norm = _frobenius(d)
-            node.rowsum_max = float(d.sum(axis=1).max())
-            node.colsum_max = float(d.sum(axis=0).max())
+            n_pairs += row.n_functions * col.n_functions
             return node
-        rowkids = row.children()
-        colkids = col.children()
-        for a in range(len(rowkids)):
-            for b in range(len(colkids)):
-                node.children[(a, b)] = build(rowkids[a], colkids[b])
-        # a child holds the block's largest overlap, so one is always live
-        live = [ch for ch in node.children.values() if not ch.pruned]
-        node.diag_norm = _rss(ch.diag_norm for ch in live)
-        node.rowsum_max = max(
-            math.fsum(node.children[(a, b)].rowsum_max for b in range(len(colkids)))
-            for a in range(len(rowkids)))
-        node.colsum_max = max(
-            math.fsum(node.children[(a, b)].colsum_max for a in range(len(rowkids)))
-            for b in range(len(colkids)))
+        row_lo, col_lo = blocks
+        for a, r in enumerate(row.children()):
+            in_r = (row_lo >= r.shell_lo) & (row_lo < r.shell_hi)
+            for b, c in enumerate(col.children()):
+                inside = in_r & (col_lo >= c.shell_lo) & (col_lo < c.shell_hi)
+                node.children[(a, b)] = build(r, c, blocks[:, inside])
         return node
 
-    tree = build(root, root)
+    tree = build(root, root, np.array((keys // n, keys % n)))
     # the recursive closure is a reference cycle; unbroken, it would keep
-    # s_abs, q and grids until the cyclic collector runs
+    # its arrays until the cyclic collector runs
     del build
-    tree.pairs = _pair_table(system.shells, np.concatenate(
-        [np.empty((0, 2), dtype=np.intp)] + grids))
+    tree.pairs = _pair_table(shells, leaves)
+    _set_norms(tree)
     return tree
 
 
-def _pair_table(shells, pair_list) -> PairData:
-    """build_pair_data(shells, pair_list), built _PAIR_CHUNK pairs at a time
-    into arrays of the full table's size: set-up then holds the table and
-    one piece, not the temporaries of one call over every pair or a second
-    copy made by joining the pieces."""
-    n_prim = np.array([len(sh.exponents) for sh in shells])
-    offsets = np.zeros(len(pair_list) + 1, dtype=np.intp)
-    np.cumsum(n_prim[pair_list[:, 0]] * n_prim[pair_list[:, 1]],
-              out=offsets[1:])
+def _leaves(span: Span) -> list:
+    return [span] if span.is_leaf else _leaves(span.left) + _leaves(span.right)
+
+
+def _set_norms(node: ShellPairNode):
+    """diag_norm, rowsum_max and colsum_max of a live node, from its leaves'
+    diag blocks up."""
+    if node.pruned:
+        return
+    if node.is_leaf:
+        d = node.diag
+        node.diag_norm = _frobenius(d)
+        node.rowsum_max = float(d.sum(axis=1).max())
+        node.colsum_max = float(d.sum(axis=0).max())
+        return
+    for ch in node.children.values():
+        _set_norms(ch)
+    nr, nc = len(node.row.children()), len(node.col.children())
+    # a live node holds a live leaf block, so one child is always live
+    node.diag_norm = _rss(ch.diag_norm for ch in node.children.values()
+                          if not ch.pruned)
+    node.rowsum_max = max(
+        math.fsum(node.children[(a, b)].rowsum_max for b in range(nc))
+        for a in range(nr))
+    node.colsum_max = max(
+        math.fsum(node.children[(a, b)].colsum_max for a in range(nr))
+        for b in range(nc))
+
+
+def _pair_table(shells, leaves) -> PairData:
+    """Root pair table over the grids of ``leaves``, and each leaf's diag.
+
+    build_pair_data and then diagonal_values run once per canonical (i <= j)
+    pair of the table, _PAIR_CHUNK pairs at a time, and each piece is
+    copied into arrays of the full table's size: set-up then holds the
+    table and one piece, not the temporaries of one call over every pair
+    or a second copy made by joining the pieces. A pair (i, j) and its
+    mirror (j, i) share p, center and weight, which are symmetric in the
+    two primitives, so the mirror takes the canonical rows in transposed
+    primitive order and the table is bytewise build_pair_data over its
+    pair list. Each leaf's diag is its grid's row-major block of one
+    (ij|ij) array over the table, so mirrored leaves are exact transposes.
+    """
+    n_prim = np.array([len(sh.exponents) for sh in shells], dtype=np.intp)
+    base_at = {(lf.row.shell_lo, lf.col.shell_lo): lf.base for lf in leaves}
+    r0, c0, nr, nc, base, mirror_base = np.array(
+        [(lf.row.shell_lo, lf.col.shell_lo, lf.row.n_functions,
+          lf.col.n_functions, lf.base, base_at[lf.col.shell_lo, lf.row.shell_lo])
+         for lf in leaves], dtype=np.intp).reshape(-1, 6).T
+    leaf = np.repeat(np.arange(len(leaves)), nr * nc)
+    k = np.arange(len(leaf)) - base[leaf]
+    i_shell = r0[leaf] + k // nc[leaf]
+    j_shell = c0[leaf] + k % nc[leaf]
+    # each canonical pair's id in the table, and its mirror's
+    own = np.flatnonzero(i_shell <= j_shell)
+    leaf = leaf[own]
+    mirrored = (mirror_base[leaf] + (j_shell[own] - c0[leaf]) * nr[leaf]
+                + i_shell[own] - r0[leaf])
+    del leaf, k
+    offsets = np.zeros(len(i_shell) + 1, dtype=np.intp)
+    np.cumsum(n_prim[i_shell] * n_prim[j_shell], out=offsets[1:])
     n = offsets[-1]
-    table = PairData(i_shell=pair_list[:, 0].copy(),
-                     j_shell=pair_list[:, 1].copy(), offsets=offsets,
+    table = PairData(i_shell=i_shell, j_shell=j_shell, offsets=offsets,
                      p=np.empty(n), center=np.empty((n, 3)),
                      weight=np.empty(n))
-    for lo in range(0, len(pair_list), _PAIR_CHUNK):
-        piece = build_pair_data(shells, pair_list[lo:lo + _PAIR_CHUNK])
-        at = slice(offsets[lo], offsets[lo] + len(piece.p))
-        table.p[at] = piece.p
-        table.center[at] = piece.center
-        table.weight[at] = piece.weight
+    q = np.empty(len(i_shell))
+    for lo in range(0, len(own), _PAIR_CHUNK):
+        ids = own[lo:lo + _PAIR_CHUNK]
+        mids = mirrored[lo:lo + _PAIR_CHUNK]
+        piece = build_pair_data(shells, np.column_stack((i_shell[ids],
+                                                         j_shell[ids])))
+        q[ids] = q[mids] = diagonal_values(piece)
+        pair = np.repeat(np.arange(piece.n_pairs), np.diff(piece.offsets))
+        k = np.arange(len(piece.p)) - piece.offsets[pair]
+        nb = n_prim[j_shell[ids]][pair]
+        # row-major (alpha_i, beta_j) in the pair's own block, (beta_j,
+        # alpha_i) in its mirror's
+        for rows in (offsets[ids][pair] + k,
+                     offsets[mids][pair] + k % nb * n_prim[i_shell[ids]][pair]
+                     + k // nb):
+            table.p[rows] = piece.p
+            table.center[rows] = piece.center
+            table.weight[rows] = piece.weight
+    for lf in leaves:
+        shape = (lf.row.n_functions, lf.col.n_functions)
+        lf.diag = q[lf.base:lf.base + shape[0] * shape[1]].reshape(shape)
     return table
 
 

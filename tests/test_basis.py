@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import strategies as st
 from hexfock import (Atom, BasisSystem, FormatError, InvalidArgumentError,
                      UnsupportedElementError, generate_cluster, hilbert_order,
                      load_xyz)
-from hexfock.basis import (BOHR_PER_ANGSTROM, GaussianShell, OH_DISTANCE,
-                           SplitMix64, hilbert_index_3d)
+from hexfock.basis import (BOHR_PER_ANGSTROM, HILBERT_BITS, GaussianShell,
+                           OH_DISTANCE, SplitMix64, _hilbert_keys,
+                           hilbert_index_3d)
 from hexfock.integrals import overlap
 
 
@@ -102,6 +106,47 @@ def test_hilbert_corner_indices_match_reference():
     assert sorted(idx) == list(range(8))
 
 
+def _scalar_hilbert_index(coords, bits):
+    """Reference: Skilling's transposed-bits algorithm on one point, in
+    Python integers."""
+    x = [int(c) for c in coords]
+    m = 1 << (bits - 1)
+    q = m
+    while q > 1:
+        p = q - 1
+        for i in range(3):
+            if x[i] & q:
+                x[0] ^= p
+            else:
+                t = (x[0] ^ x[i]) & p
+                x[0] ^= t
+                x[i] ^= t
+        q >>= 1
+    for i in range(1, 3):
+        x[i] ^= x[i - 1]
+    t = 0
+    q = m
+    while q > 1:
+        if x[2] & q:
+            t ^= q - 1
+        q >>= 1
+    h = 0
+    for b in range(bits - 1, -1, -1):
+        for i in range(3):
+            h = (h << 1) | (((x[i] ^ t) >> b) & 1)
+    return h
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, HILBERT_BITS])
+def test_hilbert_keys_match_scalar_reference(bits):
+    rng = np.random.default_rng(bits)
+    lattice = rng.integers(0, 1 << bits, size=(500, 3))
+    lattice[:8] = (1 << bits) - 1  # the far corner, and some repeats
+    lattice[:4, 1] = 0
+    want = [_scalar_hilbert_index(pt, bits) for pt in lattice]
+    assert _hilbert_keys(lattice, bits).tolist() == want
+
+
 def test_splitmix64_reference_values():
     # first outputs for seed 1234567 from the published splitmix64 recurrence
     rng = SplitMix64(1234567)
@@ -121,3 +166,29 @@ def test_shell_normalization_unit_self_overlap(exponents, seed):
     shell = GaussianShell(center=rng.normal(size=3),
                           primitives=list(zip(exponents, coeffs)))
     assert abs(overlap(shell, shell) - 1.0) <= 1e-12
+
+
+GOLDEN_SYSTEMS = json.loads(
+    (Path(__file__).parent / "data" / "generated_systems.json").read_text())
+
+
+def system_digest(n_molecules, seed):
+    """sha256 of a generated cluster's shell centers, exponents and weights,
+    shell by shell, then of its Hilbert permutation."""
+    system = generate_cluster(n_molecules, seed=seed)
+    _, perm = hilbert_order(system)
+    h = hashlib.sha256()
+    for sh in system.shells:
+        for a in (sh.center, sh.exponents, sh.weights):
+            h.update(np.asarray(a, dtype="<f8").tobytes())
+    h.update(np.asarray(perm, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("size", sorted(GOLDEN_SYSTEMS, key=lambda k: int(k[6:])))
+def test_generated_systems_match_golden_digests(size):
+    # pins the packing test, the shell normalization and the Hilbert keys
+    # byte for byte, seeds 0-9 at each size
+    n = int(size.removeprefix("water:"))
+    got = {str(seed): system_digest(n, seed) for seed in range(10)}
+    assert got == GOLDEN_SYSTEMS[size]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hexfock.cli import (SERIES_COLUMNS, RunConfig, build_parser,
                          load_report_schema, main, run as run_report,
                          scaling_series)
 from hexfock.density import save_density_file
+from hexfock.oracle import dense_exchange
 from hexfock.integrals import InvalidArgumentError
 
 
@@ -198,6 +200,22 @@ def test_overflowing_density_exits_2(tmp_path, capsys, scale):
                                                   DensityModel()))
     assert main(["--system", "water:2", "--density", f"file:{dens}"]) == 2
     assert "density magnitude" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["naive", "symmetry"])
+def test_far_apart_atoms_run_without_warnings(tmp_path, mode):
+    # |A - B|^2 overflows between these centers; the pair weight is then
+    # exp(-inf) = 0, the right value, and nothing may warn about it
+    xyz = tmp_path / "far.xyz"
+    xyz.write_text("3\n\nH 0 0 0\nH 0 0 1e200\nH 0 0 -1e200\n")
+    config = RunConfig(system=f"xyz:{xyz}", mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system, _, P = cli._build_inputs(config)
+        K, _, _ = cli._execute(config, mode, system, P)
+        assert np.array_equal(K, dense_exchange(system, P))
+        assert main(["--system", f"xyz:{xyz}", "--mode", mode,
+                     "--out", str(tmp_path / "report.json")]) == 0
 
 
 @pytest.mark.parametrize("text,message", [

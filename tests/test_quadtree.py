@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexfock import build_exchange_naive, build_exchange_symmetric
+from hexfock import (build_exchange_naive, build_exchange_symmetric,
+                     hilbert_order, integrals, quadtree)
 from hexfock.basis import Atom, BasisSystem, GaussianShell, generate_cluster
 from hexfock.integrals import (InvalidArgumentError, build_pair_data,
                                diagonal_values, eri_quartet, overlap)
-from hexfock.quadtree import (_PAIR_CHUNK, build_matrix_tree,
-                              build_pair_tree, build_partition, leaf_cache,
+from hexfock.quadtree import (_PAIR_CHUNK, _candidate_pairs,
+                              build_matrix_tree, build_pair_tree,
+                              build_partition, leaf_cache,
                               shell_overlap_matrix)
 
 from conftest import build_setup, leaf_spans
@@ -184,14 +188,15 @@ def test_pair_tree_rejects_negative_or_nan_tau_ovlp(tau):
 
 
 def test_pair_tree_pruning_soundness():
+    # pruned iff the block's largest overlap is below tau_ovlp
     system, pairs, _, _ = build_setup(5, tau_ovlp=1e-11)
     s_abs = np.abs(shell_overlap_matrix(system))
 
     def walk(node):
+        block = s_abs[node.row.shell_lo:node.row.shell_hi,
+                      node.col.shell_lo:node.col.shell_hi]
+        assert node.pruned == (block.max() < 1e-11)
         if node.pruned:
-            block = s_abs[node.row.shell_lo:node.row.shell_hi,
-                          node.col.shell_lo:node.col.shell_hi]
-            assert block.max() < 1e-11
             return
         for ch in node.children.values():
             walk(ch)
@@ -383,3 +388,63 @@ def test_fully_pruned_tree_has_an_empty_pair_table():
     assert not K.any() and c.eri_shell_quartets == 0
     K, c = build_exchange_symmetric(tree, P_tree)
     assert not K.any() and c.eri_shell_quartets == 0
+
+
+# ------------------------------------------------ candidates and set-up work
+
+_PRIMITIVES = st.lists(st.tuples(st.floats(0.1, 100.0), st.floats(0.2, 1.0)),
+                       min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_PRIMITIVES, st.sampled_from(
+                    [[(0.27, 1.0)], [(1.24, 1.0)], [(0.1, 0.5), (100.0, 1.0)]])),
+                          st.integers(0, 7)),
+                min_size=1, max_size=14),
+       st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-6]),
+       st.integers(0, 2 ** 32 - 1))
+def test_candidate_pairs_hold_every_pair_reaching_tau(specs, tau, seed):
+    # shells on one of 8 random sites, so some share a center and some
+    # share a class; every canonical pair with |S| >= tau is a candidate
+    sites = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(8, 3))
+    shells = [GaussianShell(center=sites[site], primitives=prims)
+              for prims, site in specs]
+    system = BasisSystem(shells=shells, atoms=[])
+    n = len(shells)
+    s_abs = np.abs(shell_overlap_matrix(system))
+    cand = _candidate_pairs(shells, tau)
+    assert np.all(cand[:, 0] <= cand[:, 1])
+    got = set(map(tuple, cand.tolist()))
+    assert len(got) == len(cand)
+    need = {(i, j) for i in range(n) for j in range(i, n)
+            if s_abs[i, j] >= tau}
+    assert need <= got
+    if tau == 0.0:
+        assert len(got) == n * (n + 1) // 2
+
+
+def test_pair_tree_set_up_follows_the_pairs_that_can_survive(monkeypatch):
+    # overlaps only for candidates; primitive pair data only for the
+    # canonical (i <= j) pairs of surviving leaves, each once
+    system, _ = hilbert_order(generate_cluster(30, seed=3))
+    part = build_partition(system, leaf_size=10)
+    seen = {"overlaps": 0, "pair_data": 0}
+
+    def counted(name, real):
+        def call(shells, pair_list):
+            seen[name] += len(pair_list)
+            return real(shells, pair_list)
+        return call
+
+    monkeypatch.setattr(integrals, "pair_overlaps",
+                        counted("overlaps", integrals.pair_overlaps))
+    monkeypatch.setattr(quadtree, "build_pair_data",
+                        counted("pair_data", quadtree.build_pair_data))
+    tree = build_pair_tree(system, part, tau_ovlp=1e-9)
+    n = system.n_shells
+    assert seen["overlaps"] < n * (n + 1) // 2 / 3
+    canonical = sum(
+        int(np.sum(leaf.row.shell_lo + np.arange(leaf.row.n_functions)[:, None]
+                   <= leaf.col.shell_lo + np.arange(leaf.col.n_functions)))
+        for leaf in _surviving_leaves(tree))
+    assert seen["pair_data"] == canonical == 6094
