@@ -35,6 +35,10 @@ LIGHT_SHELLS = [[(1.24, 1.0)]]
 
 DEFAULT_SHELL_TABLE = {"O": HEAVY_SHELLS, "H": LIGHT_SHELLS}
 
+# load_xyz keeps each exponent * coordinate term of a pair center <= DBL_MAX/2
+_TWICE_MAX_EXPONENT = 2.0 * max(e for table in DEFAULT_SHELL_TABLE.values()
+                                for prims in table for e, _ in prims)
+
 HILBERT_BITS = 10  # lattice bits per axis for hilbert_order
 
 
@@ -230,11 +234,17 @@ def load_xyz(path) -> BasisSystem:
             raise FormatError(f"expected 'El x y z', got {lines[k + 2]!r}", ln)
         element = parts[0]
         try:
-            pos = np.array([float(v) for v in parts[1:4]]) * BOHR_PER_ANGSTROM
+            pos = np.array([float(v) for v in parts[1:4]])
         except ValueError:
             raise FormatError(f"bad coordinate in {lines[k + 2]!r}", ln)
         if not np.all(np.isfinite(pos)):
             raise FormatError(f"non-finite coordinate in {lines[k + 2]!r}", ln)
+        with np.errstate(over="ignore"):  # an inf product is out of range
+            pos *= BOHR_PER_ANGSTROM
+            huge = np.abs(pos).max() * _TWICE_MAX_EXPONENT > np.finfo(float).max
+        if huge:
+            raise FormatError(f"coordinate in {lines[k + 2]!r} is so large "
+                              "that shell-pair centers overflow", ln)
         atoms.append(Atom(element, pos))
         shells.extend(_shells_for(element, pos, normalized))
     return BasisSystem(shells=shells, atoms=atoms)
@@ -268,11 +278,6 @@ def _hilbert_keys(lattice: np.ndarray, bits: int) -> np.ndarray:
         for i in range(3):
             h = (h << 1) | (((x[i] ^ t) >> b) & 1)
     return h
-
-
-def hilbert_index_3d(coords, bits: int) -> int:
-    """Hilbert index of one integer lattice point."""
-    return int(_hilbert_keys(np.asarray(coords), bits)[0])
 
 
 def hilbert_order(system: BasisSystem):

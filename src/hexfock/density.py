@@ -48,7 +48,8 @@ def build_density(system: BasisSystem, model: DensityModel) -> np.ndarray:
     d = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
     dist = np.maximum(dist, dist.T)  # exact symmetry regardless of fp noise
-    return np.exp(-model.gamma * dist)
+    with np.errstate(over="ignore"):  # -inf for a large gamma: P_ij = 0
+        return np.exp(-model.gamma * dist)
 
 
 def load_density_file(path) -> np.ndarray:

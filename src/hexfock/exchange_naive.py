@@ -44,6 +44,10 @@ from .quadtree import MatrixQuadtree, ShellPairNode, leaf_cache
 # calls, not 3,227), small enough that its temporaries stay near 1 MB.
 _ERI_BATCH = 4096
 
+# Quartets a leaf task's screening expands per piece (16 MB of bounds); no
+# leaf task of the benchmark workloads, at most 1.13 M quartets, needs two.
+_SCREEN_CHUNK = 1 << 21
+
 
 class LogicError(RuntimeError):
     """Internal traversal invariant violated; indicates a driver bug."""
@@ -284,12 +288,13 @@ def _screen(A: dict, B: dict, p: np.ndarray, tau: float):
     a quartet only if its bound on the maxima of the factors over the free
     indices exceeds tau: rounding is monotone, so this prefilter loses no kept
     quartet. Only the candidate entries are expanded over the free indices and
-    tested per quartet, the conventional direct-SCF test, which makes the kept
-    set independent of leaf blocking. The culled sum is |p| * (sum fb) *
-    (sum fk) in closed form for a pruned entry, plus the culled quartets'
-    bounds of the candidates. Returns (culled sum, density indices d1, d2 and
-    free indices f1, f2 of each kept quartet); no candidate-sized array
-    outlives the call.
+    tested per quartet (_expand), the conventional direct-SCF test, which
+    makes the kept set independent of leaf blocking; beyond _SCREEN_CHUNK
+    quartets they are expanded in pieces, so no temporary grows with the
+    leaf size. The culled sum is |p| * (sum fb) * (sum fk) in closed form for
+    a pruned entry, plus the culled quartets' bounds of the candidates.
+    Returns (culled sum, density indices d1, d2 and free indices f1, f2 of
+    each kept quartet); no candidate-sized array outlives the call.
     """
     pa = np.abs(p)
     cand = screening_bound(A["sqmax"][:, None], pa, B["sqmax"]) > tau
@@ -299,6 +304,21 @@ def _screen(A: dict, B: dict, p: np.ndarray, tau: float):
     ledger = A["sqsum"] @ pa @ B["sqsum"]
     if not len(d1):
         return ledger, d1, d2, d1, d2
+    n_free = A["sq"].shape[1] * B["sq"].shape[1]
+    if len(d1) * n_free <= _SCREEN_CHUNK:
+        return _expand(A, B, d1, d2, pc, ledger, tau)
+    step = max(1, _SCREEN_CHUNK // n_free)
+    kept = []
+    for lo in range(0, len(d1), step):
+        ledger, *piece = _expand(A, B, d1[lo:lo + step], d2[lo:lo + step],
+                                 pc[lo:lo + step], ledger, tau)
+        kept.append(piece)
+    return (ledger, *(np.concatenate(r) for r in zip(*kept)))
+
+
+def _expand(A, B, d1, d2, pc, ledger, tau):
+    """_screen's per-quartet test of candidate entries (d1, d2) of density
+    magnitude pc: ledger plus the culled bounds, and the kept quartets."""
     # (candidate, free bra index, free ket index)
     bound = screening_bound(A["sq"][d1][:, :, None], pc, B["sq"][d2][:, None, :])
     keep = bound > tau

@@ -61,10 +61,6 @@ class EriQuartetBlock:
     """Dense ERI block over one (bra pair) x (ket pair) shell quartet."""
 
     values: np.ndarray  # shape (n_mu, n_nu, n_lam, n_sig); all 1 for s shells
-    mu: int
-    nu: int
-    lam: int
-    sig: int
 
 
 @dataclass
@@ -209,8 +205,7 @@ def eri_quartet(mu: GaussianShell, nu: GaussianShell,
     bra = build_pair_data([mu, nu], [(0, 1)])
     ket = build_pair_data([lam, sig], [(0, 1)])
     val = eri_cross(bra, ket)[0, 0]
-    return EriQuartetBlock(values=np.full((1, 1, 1, 1), val),
-                           mu=0, nu=1, lam=0, sig=1)
+    return EriQuartetBlock(values=np.full((1, 1, 1, 1), val))
 
 
 def diagonal_values(pairs: PairData) -> np.ndarray:

@@ -8,10 +8,12 @@ of a block and of its transpose are bit-identical. Screening decisions in the
 traversal drivers rely on that.
 
 Shell-pair tree set-up works on the pairs that can survive: overlaps only
-for the candidate pairs a sweep finds within a provable radius, and
-(ij|ij) values and primitive pair data only for the canonical pairs of the
-surviving leaves. ``shell_overlap_matrix`` forms the dense overlap matrix
-for callers that want it; the pair tree does not use it.
+for the candidate pairs a sweep finds within a provable radius, then a
+(leaves x leaves) table of the live leaf blocks. The root's pair table,
+with (ij|ij) values and primitive pair data for the canonical pairs of the
+live blocks only, is laid out from that table, and one recursion prunes,
+places and normalizes every node. ``shell_overlap_matrix`` forms the dense
+overlap matrix for callers that want it; the pair tree does not use it.
 """
 
 from __future__ import annotations
@@ -73,16 +75,16 @@ def build_partition(system: BasisSystem, leaf_size: int = DEFAULT_LEAF_SIZE) -> 
     """
     if leaf_size < 1:
         raise InvalidArgumentError("leaf_size must be >= 1")
+    return _split(0, system.n_shells, leaf_size)
 
-    def split(lo, hi):
-        node = Span(lo, hi)
-        if hi - lo > leaf_size:
-            mid = (lo + hi) // 2
-            node.left = split(lo, mid)
-            node.right = split(mid, hi)
-        return node
 
-    return split(0, system.n_shells)
+def _split(lo: int, hi: int, leaf_size: int) -> Span:
+    node = Span(lo, hi)
+    if hi - lo > leaf_size:
+        mid = (lo + hi) // 2
+        node.left = _split(lo, mid, leaf_size)
+        node.right = _split(mid, hi, leaf_size)
+    return node
 
 
 class _Block:
@@ -139,32 +141,31 @@ def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
     if dense.shape != (n, n):
         raise InvalidArgumentError(
             f"matrix shape {dense.shape} does not match partition size {n}")
-
-    def build(row: Span, col: Span):
-        if row.is_leaf and col.is_leaf:
-            block = dense[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi]
-            norm = _frobenius(block)
-            if norm == 0.0:  # exactly zero, or its squares underflow
-                return None
-            return MatrixQuadtree(row, col, norm, leaf=block)
-        children = {}
-        for a, r in enumerate(row.children()):
-            for b, c in enumerate(col.children()):
-                ch = build(r, c)
-                if ch is not None:
-                    children[(a, b)] = ch
-        if not children:
-            return None
-        norm = _rss(ch.norm for ch in children.values())
-        return MatrixQuadtree(row, col, norm, children=children)
-
-    tree = build(root, root)
-    del build  # a reference cycle that would keep dense (see build_pair_tree)
+    tree = _build_matrix(dense, root, root)
     if tree is None:
         # all-zero matrix: keep an explicit root with norm 0 and no children
         tree = MatrixQuadtree(root, root, 0.0,
                               leaf=dense if root.is_leaf else None)
     return tree
+
+
+def _build_matrix(dense: np.ndarray, row: Span, col: Span):
+    if row.is_leaf and col.is_leaf:
+        block = dense[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi]
+        norm = _frobenius(block)
+        if norm == 0.0:  # exactly zero, or its squares underflow
+            return None
+        return MatrixQuadtree(row, col, norm, leaf=block)
+    children = {}
+    for a, r in enumerate(row.children()):
+        for b, c in enumerate(col.children()):
+            ch = _build_matrix(dense, r, c)
+            if ch is not None:
+                children[(a, b)] = ch
+    if not children:
+        return None
+    norm = _rss(ch.norm for ch in children.values())
+    return MatrixQuadtree(row, col, norm, children=children)
 
 
 class ShellPairNode(_Block):
@@ -186,7 +187,9 @@ class ShellPairNode(_Block):
         self.colsum_max = 0.0
         self.pruned = False
         self.pairs = None   # at the root: PairData of all surviving leaves
-        self.base = 0       # at a surviving leaf: its first id in that table
+        # at a surviving leaf: the first id of its block in that table, whose
+        # blocks run row-major by (row leaf, col leaf)
+        self.base = 0
         self.diag = None    # its block of the system's (ab|ab) matrix
         self.cache = None   # driver-level leaf scratch (see leaf_cache)
 
@@ -280,14 +283,12 @@ def build_pair_tree(system: BasisSystem, root: Span,
     A node is pruned iff every shell-pair overlap magnitude in its span is
     below tau_ovlp; pruned subtrees are not expanded. Overlaps are evaluated
     only for the candidate pairs of ``_candidate_pairs``, as every other
-    pair is provably below tau_ovlp; a node survives iff it holds a leaf
-    block with a candidate at or above tau_ovlp. The (ij|ij) values and the
-    root's pair table come from one pass over the canonical pairs of the
-    surviving leaves (``_pair_table``). The root's ``pairs`` table holds the
-    pairs of every surviving leaf, each leaf's (row shell, col shell) grid
-    row-major from its ``base``, in leaf order; a one-leaf tree's pair
-    i*n + j is shell pair (i, j). No n x n array is formed. A negative or
-    NaN tau_ovlp raises InvalidArgumentError.
+    pair is provably below tau_ovlp. A (row leaf, col leaf) block is live
+    iff it or its mirror holds a candidate at or above tau_ovlp. The root's
+    pair table and (ij|ij) values are laid out from that (leaves x leaves)
+    liveness table (``_pair_table``), and one recursion (``_build_pairs``)
+    then builds the tree. No n x n array is formed. A negative or NaN
+    tau_ovlp raises InvalidArgumentError.
     """
     if not tau_ovlp >= 0.0:
         raise InvalidArgumentError(f"tau_ovlp must be non-negative, got {tau_ovlp!r}")
@@ -296,44 +297,15 @@ def build_pair_tree(system: BasisSystem, root: Span,
     s_abs = np.concatenate([np.empty(0)] + [
         np.abs(integrals.pair_overlaps(shells, cand[lo:lo + _PAIR_CHUNK]))
         for lo in range(0, len(cand), _PAIR_CHUNK)])
-    # first shell of each shell's leaf; a leaf block is keyed by the first
-    # shells of its row and col leaves, in both orientations
-    leaf_lo = np.repeat(*np.array([(s.shell_lo, s.n_functions)
-                                   for s in _leaves(root)], dtype=np.intp).T)
+    leaves = _leaves(root)
+    leaf_of = np.repeat(np.arange(len(leaves)), [lf.n_functions for lf in leaves])
     i, j = cand[~(s_abs < tau_ovlp)].T
-    n = system.n_shells
-    keys = np.unique(np.concatenate((leaf_lo[i] * n + leaf_lo[j],
-                                     leaf_lo[j] * n + leaf_lo[i])))
-    leaves = []  # surviving leaves, in build order
-    n_pairs = 0
-
-    def build(row: Span, col: Span, blocks) -> ShellPairNode:
-        # blocks: (row leaf, col leaf) first shells of the live leaf blocks
-        # inside this node
-        nonlocal n_pairs
-        node = ShellPairNode(row, col)
-        if not blocks.size:
-            node.pruned = True
-            return node
-        if node.is_leaf:
-            leaves.append(node)
-            node.base = n_pairs
-            n_pairs += row.n_functions * col.n_functions
-            return node
-        row_lo, col_lo = blocks
-        for a, r in enumerate(row.children()):
-            in_r = (row_lo >= r.shell_lo) & (row_lo < r.shell_hi)
-            for b, c in enumerate(col.children()):
-                inside = in_r & (col_lo >= c.shell_lo) & (col_lo < c.shell_hi)
-                node.children[(a, b)] = build(r, c, blocks[:, inside])
-        return node
-
-    tree = build(root, root, np.array((keys // n, keys % n)))
-    # the recursive closure is a reference cycle; unbroken, it would keep
-    # its arrays until the cyclic collector runs
-    del build
-    tree.pairs = _pair_table(shells, leaves)
-    _set_norms(tree)
+    live = np.zeros((len(leaves), len(leaves)), dtype=bool)
+    live[leaf_of[i], leaf_of[j]] = True
+    live |= live.T
+    table, base, q = _pair_table(shells, leaves, live)
+    tree = _build_pairs(root, root, live, leaf_of.tolist(), base, q)
+    tree.pairs = table
     return tree
 
 
@@ -341,61 +313,71 @@ def _leaves(span: Span) -> list:
     return [span] if span.is_leaf else _leaves(span.left) + _leaves(span.right)
 
 
-def _set_norms(node: ShellPairNode):
-    """diag_norm, rowsum_max and colsum_max of a live node, from its leaves'
-    diag blocks up."""
-    if node.pruned:
-        return
+def _build_pairs(row: Span, col: Span, live, leaf_of, base, q) -> ShellPairNode:
+    """Pair node over (row, col), pruned iff its slice of ``live`` is all
+    False; a surviving leaf takes its ``base`` and its grid of ``q`` as
+    ``diag``, a live node its norms from its children's on the way up."""
+    node = ShellPairNode(row, col)
+    rows = slice(leaf_of[row.shell_lo], leaf_of[row.shell_hi - 1] + 1)
+    cols = slice(leaf_of[col.shell_lo], leaf_of[col.shell_hi - 1] + 1)
+    if not live[rows, cols].any():
+        node.pruned = True
+        return node
     if node.is_leaf:
-        d = node.diag
+        node.base = int(base[rows.start, cols.start])
+        shape = (row.n_functions, col.n_functions)
+        d = node.diag = q[node.base:node.base + shape[0] * shape[1]].reshape(shape)
         node.diag_norm = _frobenius(d)
         node.rowsum_max = float(d.sum(axis=1).max())
         node.colsum_max = float(d.sum(axis=0).max())
-        return
-    for ch in node.children.values():
-        _set_norms(ch)
-    nr, nc = len(node.row.children()), len(node.col.children())
-    # a live node holds a live leaf block, so one child is always live
-    node.diag_norm = _rss(ch.diag_norm for ch in node.children.values()
-                          if not ch.pruned)
-    node.rowsum_max = max(
-        math.fsum(node.children[(a, b)].rowsum_max for b in range(nc))
-        for a in range(nr))
-    node.colsum_max = max(
-        math.fsum(node.children[(a, b)].colsum_max for a in range(nr))
-        for b in range(nc))
+        return node
+    grid = [[_build_pairs(r, c, live, leaf_of, base, q) for c in col.children()]
+            for r in row.children()]
+    node.children = {(a, b): ch for a, chs in enumerate(grid)
+                     for b, ch in enumerate(chs)}
+    # a pruned child's norms are 0, which leaves each exact sum unchanged
+    node.diag_norm = _rss(ch.diag_norm for ch in node.children.values())
+    node.rowsum_max = max(math.fsum(ch.rowsum_max for ch in chs) for chs in grid)
+    node.colsum_max = max(math.fsum(ch.colsum_max for ch in chs)
+                          for chs in zip(*grid))
+    return node
 
 
-def _pair_table(shells, leaves) -> PairData:
-    """Root pair table over the grids of ``leaves``, and each leaf's diag.
+def _pair_table(shells, leaves, live):
+    """Root pair table over the live blocks of ``live``, each block's first
+    id in it as a (leaves x leaves) array, and each pair's (ij|ij) value.
 
-    build_pair_data and then diagonal_values run once per canonical (i <= j)
-    pair of the table, _PAIR_CHUNK pairs at a time, and each piece is
-    copied into arrays of the full table's size: set-up then holds the
-    table and one piece, not the temporaries of one call over every pair
-    or a second copy made by joining the pieces. A pair (i, j) and its
-    mirror (j, i) share p, center and weight, which are symmetric in the
-    two primitives, so the mirror takes the canonical rows in transposed
-    primitive order and the table is bytewise build_pair_data over its
-    pair list. Each leaf's diag is its grid's row-major block of one
-    (ij|ij) array over the table, so mirrored leaves are exact transposes.
+    Each block's (row shell, col shell) grid is row-major from its first id,
+    the blocks row-major by (row leaf, col leaf); a one-leaf tree's pair
+    i*n + j is shell pair (i, j). build_pair_data and then diagonal_values
+    run once per canonical (i <= j) pair of the table, _PAIR_CHUNK pairs at
+    a time, and each piece is copied into arrays of the full table's size:
+    set-up then holds the table and one piece, not the temporaries of one
+    call over every pair or a second copy made by joining the pieces. A pair
+    (i, j) and its mirror (j, i) share p, center and weight, which are
+    symmetric in the two primitives, so the mirror takes the canonical rows
+    in transposed primitive order and the table is bytewise build_pair_data
+    over its pair list. Each leaf's diag is its grid's row-major block of q,
+    so mirrored leaves are exact transposes.
     """
     n_prim = np.array([len(sh.exponents) for sh in shells], dtype=np.intp)
-    base_at = {(lf.row.shell_lo, lf.col.shell_lo): lf.base for lf in leaves}
-    r0, c0, nr, nc, base, mirror_base = np.array(
-        [(lf.row.shell_lo, lf.col.shell_lo, lf.row.n_functions,
-          lf.col.n_functions, lf.base, base_at[lf.col.shell_lo, lf.row.shell_lo])
-         for lf in leaves], dtype=np.intp).reshape(-1, 6).T
-    leaf = np.repeat(np.arange(len(leaves)), nr * nc)
-    k = np.arange(len(leaf)) - base[leaf]
-    i_shell = r0[leaf] + k // nc[leaf]
-    j_shell = c0[leaf] + k % nc[leaf]
+    first, size = np.array([(lf.shell_lo, lf.n_functions) for lf in leaves],
+                           dtype=np.intp).T
+    rl, cl = np.nonzero(live)
+    r0, c0, nr, nc = first[rl], first[cl], size[rl], size[cl]
+    count = nr * nc
+    base = np.zeros(live.shape, dtype=np.intp)
+    base[rl, cl] = start = np.cumsum(count) - count
+    block = np.repeat(np.arange(len(rl)), count)
+    k = np.arange(len(block)) - start[block]
+    i_shell = r0[block] + k // nc[block]
+    j_shell = c0[block] + k % nc[block]
     # each canonical pair's id in the table, and its mirror's
     own = np.flatnonzero(i_shell <= j_shell)
-    leaf = leaf[own]
-    mirrored = (mirror_base[leaf] + (j_shell[own] - c0[leaf]) * nr[leaf]
-                + i_shell[own] - r0[leaf])
-    del leaf, k
+    block = block[own]
+    mirrored = (base[cl, rl][block] + (j_shell[own] - c0[block]) * nr[block]
+                + i_shell[own] - r0[block])
+    del block, k
     offsets = np.zeros(len(i_shell) + 1, dtype=np.intp)
     np.cumsum(n_prim[i_shell] * n_prim[j_shell], out=offsets[1:])
     n = offsets[-1]
@@ -420,10 +402,7 @@ def _pair_table(shells, leaves) -> PairData:
             table.p[rows] = piece.p
             table.center[rows] = piece.center
             table.weight[rows] = piece.weight
-    for lf in leaves:
-        shape = (lf.row.n_functions, lf.col.n_functions)
-        lf.diag = q[lf.base:lf.base + shape[0] * shape[1]].reshape(shape)
-    return table
+    return table, base, q
 
 
 def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:

@@ -12,8 +12,7 @@ from hexfock import (Atom, BasisSystem, FormatError, InvalidArgumentError,
                      UnsupportedElementError, generate_cluster, hilbert_order,
                      load_xyz)
 from hexfock.basis import (BOHR_PER_ANGSTROM, HILBERT_BITS, GaussianShell,
-                           OH_DISTANCE, SplitMix64, _hilbert_keys,
-                           hilbert_index_3d)
+                           OH_DISTANCE, SplitMix64, _hilbert_keys)
 from hexfock.integrals import overlap
 
 
@@ -102,7 +101,7 @@ def test_hilbert_order_stable_for_identical_centers():
 def test_hilbert_corner_indices_match_reference():
     # 8 unit-cube corners: indices must be distinct and cover one curve pass
     corners = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    idx = [hilbert_index_3d(np.array(c), 1) for c in corners]
+    idx = _hilbert_keys(np.array(corners), 1).tolist()
     assert sorted(idx) == list(range(8))
 
 

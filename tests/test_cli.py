@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hexfock import DensityModel, build_density, cli, generate_cluster
+from hexfock.basis import BOHR_PER_ANGSTROM, DEFAULT_SHELL_TABLE
 from hexfock.cli import (SERIES_COLUMNS, RunConfig, build_parser,
                          load_report_schema, main, run as run_report,
                          scaling_series)
@@ -216,6 +217,41 @@ def test_far_apart_atoms_run_without_warnings(tmp_path, mode):
         assert np.array_equal(K, dense_exchange(system, P))
         assert main(["--system", f"xyz:{xyz}", "--mode", mode,
                      "--out", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "1\n\nO 0 0 1e306\n",
+    "2\n\nH 0 0 9e307\nH 0 0 -9e307\n",
+    "1\n\nO 0 0 1e308\n",  # overflows on the way to Bohr
+])
+def test_coordinates_beyond_the_pair_center_range_exit_2(tmp_path, capsys,
+                                                         text):
+    # finite coordinates whose exponent-weighted sums overflow are a fault
+    # of the input file, named by its line, not of the density
+    xyz = tmp_path / "huge.xyz"
+    xyz.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--system", f"xyz:{xyz}"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: coordinate" in err and "overflow" in err
+    assert "density" not in err
+
+
+def test_coordinates_just_inside_the_pair_center_range_run(tmp_path):
+    # in Bohr, |z| * 2 * (largest exponent) stays within the largest double
+    emax = max(e for table in DEFAULT_SHELL_TABLE.values()
+               for prims in table for e, _ in prims)
+    z = float(np.finfo(float).max) / (2.0 * emax) / BOHR_PER_ANGSTROM \
+        * (1 - 1e-9)
+    for i, text in enumerate(["1\n\nO 0 0 1e305\n",
+                              f"2\n\nO 0 0 {z!r}\nO 0 0 {-z!r}\n"]):
+        xyz = tmp_path / f"far{i}.xyz"
+        xyz.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--system", f"xyz:{xyz}",
+                         "--out", str(tmp_path / "report.json")]) == 0
 
 
 @pytest.mark.parametrize("text,message", [

@@ -21,6 +21,13 @@ def test_gamma_infinity_limit_is_diagonal():
                 assert P[i, j] == 0.0
 
 
+def test_huge_gamma_gives_the_limit_without_warnings():
+    # -gamma * dist overflows to -inf, and exp(-inf) = 0 is the right value
+    system = generate_cluster(2, seed=1)
+    P = build_density(system, DensityModel(gamma=1e308))
+    assert np.array_equal(P, build_density(system, DensityModel(gamma=1e6)))
+
+
 def test_same_center_functions_get_diagonal_value():
     system = generate_cluster(1, seed=2)
     P = build_density(system, DensityModel(gamma=0.7))

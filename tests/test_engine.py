@@ -1,6 +1,7 @@
 """Contract tests of the traversal engine both exchange drivers share."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,48 @@ def test_k_does_not_depend_on_the_eri_batch(monkeypatch, driver):
                                             quartet_log=log)
         runs.append((K.tobytes(), c, log))
     assert runs[0] == runs[1]
+
+
+def _build(driver, pairs, P_tree, **kwargs):
+    if driver == "naive":
+        return build_exchange_naive(pairs, pairs, P_tree, 1e-8, **kwargs)
+    return build_exchange_symmetric(pairs, P_tree, 1e-8, **kwargs)
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_one_leaf_screening_memory_is_bounded(driver):
+    # one leaf task over the whole system expands each candidate density
+    # entry over every free bra and ket index; screened in pieces, its
+    # temporaries stay bounded at any leaf size
+    _, pairs, P_tree, _ = build_setup(20, tau_ovlp=1e-11, leaf_size=80)
+    assert pairs.is_leaf
+    tracemalloc.start()
+    try:
+        _, c = _build(driver, pairs, P_tree, evaluate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.leaf_contractions > 0 and c.eri_shell_quartets > 0
+    assert peak <= 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_screening_pieces_keep_the_same_quartets(monkeypatch, driver):
+    # a one-leaf task screened in one piece, then in one piece per density
+    # entry, keeps the same quartets in the same order; only the
+    # culled-bound ledger may be summed differently
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=40)
+    runs = []
+    for piece in (1 << 62, 64):
+        monkeypatch.setattr(exchange_naive, "_SCREEN_CHUNK", piece)
+        log = []
+        K, c = _build(driver, pairs, P_tree, quartet_log=log)
+        runs.append((K.tobytes(), log, c.to_dict()))
+    (k0, log0, c0), (k1, log1, c1) = runs
+    assert k0 == k1 and log0 == log1
+    assert c1.pop("culled_bound_ledger") == pytest.approx(
+        c0.pop("culled_bound_ledger"), rel=1e-14)
+    assert c0 == c1
 
 
 def test_naive_driver_reads_bra_and_ket_ids_from_their_own_trees():

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -359,7 +360,7 @@ def test_chunked_pair_table_equals_one_build():
     # must be bitwise one build_pair_data call over the same pair list
     system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     grids = []
-    for leaf in _surviving_leaves(pairs):
+    for leaf in sorted(_surviving_leaves(pairs), key=lambda lf: lf.base):
         assert leaf.base == sum(len(g) for g in grids)
         ii, jj = np.mgrid[leaf.row.shell_lo:leaf.row.shell_hi,
                           leaf.col.shell_lo:leaf.col.shell_hi]
@@ -388,6 +389,21 @@ def test_fully_pruned_tree_has_an_empty_pair_table():
     assert not K.any() and c.eri_shell_quartets == 0
     K, c = build_exchange_symmetric(tree, P_tree)
     assert not K.any() and c.eri_shell_quartets == 0
+
+
+def test_tree_builds_leave_no_reference_cycles():
+    # a cycle would keep the builds' arrays alive until the cyclic collector
+    # runs; plain recursion leaves none
+    system, _, _, P = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    gc.collect()
+    gc.disable()
+    try:
+        part = build_partition(system, leaf_size=3)
+        build_pair_tree(system, part, tau_ovlp=1e-11)
+        build_matrix_tree(P, part)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------ candidates and set-up work
