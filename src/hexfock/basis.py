@@ -35,7 +35,8 @@ LIGHT_SHELLS = [[(1.24, 1.0)]]
 
 DEFAULT_SHELL_TABLE = {"O": HEAVY_SHELLS, "H": LIGHT_SHELLS}
 
-# load_xyz keeps each exponent * coordinate term of a pair center <= DBL_MAX/2
+# load_xyz rejects a coordinate whose product with this exceeds DBL_MAX, so
+# the sum and the difference of two shell centers are always finite
 _TWICE_MAX_EXPONENT = 2.0 * max(e for table in DEFAULT_SHELL_TABLE.values()
                                 for prims in table for e, _ in prims)
 

@@ -14,13 +14,13 @@ prefiltered with the largest factors its quartets can have, only the
 surviving entries are expanded and tested per quartet, and the culled bound
 of the pruned entries is summed in closed form. The leaf task then buffers
 the union of its links' kept quartets, as ids into the pair trees' root
-tables, with each kept quartet's density weight and its flat index into K by
-global shell: a K of one extra row and column, where index 0 on either
-side discards the transposed i == j pairs of a diagonal node. Once the
-buffered unions reach _ERI_BATCH quartets, one eri_elementwise call
-evaluates them all, and one np.add.at adds every kept quartet's
-contribution to K, one at a time in walk order; K is thus the same for
-every batch size.
+tables, with each kept quartet's density weight and the orientation of
+its bra and ket. Once the buffered unions reach _ERI_BATCH quartets, one
+eri_elementwise call evaluates them all; each kept quartet's K row and
+column are the free shells of its pairs in the root tables, and one
+np.add.at adds every contribution to K, one at a time in walk order, so
+K is the same for every batch size. A transposed i == j pair adds
+nothing: its untransposed orientation covers it.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -140,16 +140,15 @@ class Traversal:
     and per-case tallies, which need SymmetryCounters. ``quartet_log``,
     when given, collects every evaluated shell quartet. Bra pair ids index
     ``bra``'s root table and ket pair ids ``ket``'s; after the walk, flush()
-    evaluates what the last leaf tasks left buffered, and K[1:, 1:] is the
-    exchange matrix.
+    evaluates what the last leaf tasks left buffered, and K is the exchange
+    matrix.
     """
 
     def __init__(self, bra: ShellPairNode, ket: ShellPairNode, tau_2e: float,
                  evaluate: bool, counters: TraversalCounters,
                  case_label=None, quartet_log: list | None = None):
         n = bra.row.n_functions
-        # K over 1 + global shell; row and column 0 take the discards
-        self.K = np.zeros((n + 1, n + 1))
+        self.K = np.zeros((n, n))
         self.bra_pairs = bra.pairs
         self.ket_pairs = ket.pairs
         self.buffer = []     # leaf tasks' unions and scatters not yet evaluated
@@ -215,14 +214,14 @@ class Traversal:
     def _contract(self, b, k, live):
         """Leaf task: screen every link on its candidate density entries
         (_screen), then buffer for flush() the union of kept quartets and,
-        for each kept quartet, its index in the union, its flat index into
-        K (leaf_cache's bra_free row, ket_free column) and its density
-        weight.
+        for each kept quartet, its index in the union, whether its bra and
+        its ket are transposed, and its density weight.
 
         The links' density leaves are the blocks of one array whose rows
         run over the bra's row span then its col span, and whose columns
-        over the ket's; a link's transposes pick its block, as they pick
-        the rows of leaf_cache's tables.
+        over the ket's; a link's transposes pick its block (a transposed
+        bra its row span, a transposed ket its col span), as they pick the
+        rows of leaf_cache's tables.
         """
         c = self.c
         A = leaf_cache(b, canonical=self.canonical)
@@ -253,10 +252,9 @@ class Traversal:
         c.eri_shell_quartets += len(union)
         if not self.evaluate:
             return
-        # each kept quartet's flat index into K (row and column 0 discard)
-        free = A["bra_free"][d1, f1] * len(self.K) + B["ket_free"][d2, f2]
         self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
-                            free[order], p[d1, d2][order]))
+                            (d1 < nr)[order], (d2 >= nl)[order],
+                            p[d1, d2][order]))
         self.n_buffered += len(union)
         if self.n_buffered >= _ERI_BATCH:
             self.flush()
@@ -264,18 +262,28 @@ class Traversal:
     def flush(self):
         """Evaluate the buffered unions with one eri_elementwise call, then
         add each kept quartet's contribution to K, one at a time in walk
-        order."""
+        order, at K row mu (nu if the bra is transposed) and column sig
+        (lam if the ket is transposed); a transposed i == j pair is dropped.
+        """
         if not self.buffer:
             return
-        union, at, free, weight = (np.concatenate(r) for r in zip(*self.buffer))
-        ia, ib = np.divmod(union, self.ket_pairs.n_pairs)
-        e = -0.5 * eri_elementwise(self.bra_pairs, self.ket_pairs, ia, ib)
+        union, at, tb, tk, weight = (np.concatenate(r)
+                                     for r in zip(*self.buffer))
+        pb, pk = self.bra_pairs, self.ket_pairs
+        ia, ib = np.divmod(union, pk.n_pairs)
+        e = -0.5 * eri_elementwise(pb, pk, ia, ib)
+        mu, nu, lam, sig = (pb.i_shell[ia], pb.j_shell[ia],
+                            pk.i_shell[ib], pk.j_shell[ib])
         if self.qlog is not None:
-            pb, pk = self.bra_pairs, self.ket_pairs
-            self.qlog.extend(zip(
-                pb.i_shell[ia].tolist(), pb.j_shell[ia].tolist(),
-                pk.i_shell[ib].tolist(), pk.j_shell[ib].tolist()))
-        np.add.at(self.K.reshape(-1), free, e[at] * weight)
+            self.qlog.extend(zip(mu.tolist(), nu.tolist(), lam.tolist(),
+                                 sig.tolist()))
+        # K rows and columns, untransposed then transposed; -1 drops i == j
+        u = len(union)
+        row = np.concatenate((mu, np.where(mu == nu, -1, nu)))[at + u * tb]
+        col = np.concatenate((sig, np.where(lam == sig, -1, lam)))[at + u * tk]
+        keep = (row >= 0) & (col >= 0)
+        np.add.at(self.K.reshape(-1), (row * len(self.K) + col)[keep],
+                  (e[at] * weight)[keep])
         self.buffer = []
         self.n_buffered = 0
 
@@ -346,4 +354,4 @@ def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
                   quartet_log=quartet_log)
     t.visit(bra, ket, [(False, False, P)])
     t.flush()
-    return t.K[1:, 1:], t.c
+    return t.K, t.c

@@ -49,6 +49,9 @@ CASE_LABELS = ("A", "B", "C", "D", "E", "F1", "F2", "H", "SPARSE")
 # (transpose_bra, transpose_ket) of slots 1-4 in the module docstring
 _SLOT_TRANSPOSES = ((False, False), (True, False), (False, True), (True, True))
 
+# symmetrize_final's asymmetry limit, relative to max(1, max|K|)
+_SYMMETRY_TOL = 1e-10
+
 
 @dataclass
 class SymmetryCounters(TraversalCounters):
@@ -119,18 +122,19 @@ def classify_quartet(bra: ShellPairNode, ket: ShellPairNode,
     return "D"
 
 
-def symmetrize_final(K_raw: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def symmetrize_final(K_raw: np.ndarray) -> np.ndarray:
     """Fold accumulated updates into an exactly symmetric K.
 
     The scattered updates populate both triangles independently, so any
     asymmetry beyond rounding means a missing or double-counted symmetry
-    update; that is a driver bug, not an input problem. Rounding grows with
-    the entries, so ``tol`` is relative to max(1, max|K_raw|).
+    update; that is a driver bug, not an input problem, and raises
+    LogicError. Rounding grows with the entries, so the limit is
+    _SYMMETRY_TOL * max(1, max|K_raw|).
     """
     K_raw = np.asarray(K_raw, dtype=float)
     if not K_raw.size:
         return K_raw
-    limit = tol * max(1.0, float(np.abs(K_raw).max()))
+    limit = _SYMMETRY_TOL * max(1.0, float(np.abs(K_raw).max()))
     asym = float(np.abs(K_raw - K_raw.T).max())
     if asym > limit:
         raise LogicError(f"asymmetry {asym:.3e} exceeds {limit:.1e}; "
@@ -159,5 +163,4 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
                   case_label=classify_quartet, quartet_log=quartet_log)
     t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
     t.flush()
-    K = t.K[1:, 1:]
-    return (symmetrize_final(K) if evaluate else K), t.c
+    return (symmetrize_final(t.K) if evaluate else t.K), t.c

@@ -122,8 +122,9 @@ def build_pair_data(shells, pair_list) -> PairData:
     ij = np.asarray(pair_list, dtype=np.intp).reshape(-1, 2)
     offsets, ea, eb, wa, wb, ca, cb, r2 = _primitive_pairs(shells, ij)
     p = ea + eb
-    center = ea[:, None] * ca + eb[:, None] * cb
-    center /= p[:, None]
+    # the midpoint plus a shift along B - A: exact when A == B, and bitwise
+    # the same for the pair (j, i)
+    center = 0.5 * (ca + cb) + (0.5 * (eb - ea) / p)[:, None] * (cb - ca)
     i_shell, j_shell = ij.T.copy()
     return PairData(i_shell=i_shell, j_shell=j_shell, offsets=offsets,
                     p=p, center=center,

@@ -414,14 +414,10 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     sq holds the Schwarz factor (ij|ij)^1/2, pair the pair's id in the tree
     root's pair table (the node's base plus its row-major place in the
     node's grid); sqmax and sqsum reduce sq over the free index.
-    bra_free and ket_free hold 1 + the global shell of the free index, which
-    is the K row of a bra and the K column of a ket, or 0, the discard: a
-    transposed diagonal node's i == j pairs go there, as the untransposed
-    orientation covers them. canonical=True restricts a diagonal node to its
-    upper-triangular (i <= j) pairs: its factors are zero below the
-    diagonal, so no bound there is kept and each adds 0 to the ledger.
-    Cached in ``node.cache`` under "canon" or "full", one entry per
-    orientation.
+    canonical=True restricts a diagonal node to its upper-triangular
+    (i <= j) pairs: its factors are zero below the diagonal, so no bound
+    there is kept and each adds 0 to the ledger. Cached in ``node.cache``
+    under "canon" or "full".
     """
     if node.cache is None:
         node.cache = {}
@@ -430,9 +426,8 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     if cached is None:
         q = np.sqrt(node.diag)
         nr, nc = q.shape
-        diagonal = node.row is node.col
         m = nr * nc
-        if canonical and diagonal:
+        if canonical and node.row is node.col:
             q = np.triu(q)
             m = nr * (nr + 1) // 2
 
@@ -443,19 +438,10 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
         sq[:nr, :nc] = q
         sq[nr:, :nr] = q.T
         grid = node.base + np.arange(nr * nc).reshape(nr, nc)
-        pair, bra_free, ket_free = idx = np.zeros((3,) + shape, dtype=np.intp)
+        pair = np.zeros(shape, dtype=np.intp)
         pair[:nr, :nc] = grid
         pair[nr:, :nr] = grid.T
-        # a density index on the row span leaves a free index on the col
-        # span, and vice versa
-        idx[1:, :nr, :nc] = 1 + node.col.shell_lo + np.arange(nc)
-        idx[1:, nr:, :nr] = 1 + node.row.shell_lo + np.arange(nr)
-        if diagonal:
-            i = np.arange(nr)
-            bra_free[i, i] = 0       # mu == nu, transposed
-            ket_free[nr + i, i] = 0  # lam == sig, transposed
         cached = {"m": m, "sq": sq, "sqmax": sq.max(axis=1),
-                  "sqsum": sq.sum(axis=1), "pair": pair,
-                  "bra_free": bra_free, "ket_free": ket_free}
+                  "sqsum": sq.sum(axis=1), "pair": pair}
         node.cache[key] = cached
     return cached

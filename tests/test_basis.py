@@ -42,6 +42,16 @@ def test_generate_cluster_zero_molecules_rejected():
         generate_cluster(0, seed=1)
 
 
+def test_shell_with_zero_exponent_rejected():
+    with pytest.raises(InvalidArgumentError, match="exponents must be positive"):
+        GaussianShell(center=np.zeros(3), primitives=[(0.0, 1.0)])
+
+
+def test_atom_with_nan_position_rejected():
+    with pytest.raises(InvalidArgumentError, match="position must be finite"):
+        Atom("O", [0.0, math.nan, 0.0])
+
+
 def test_minimum_heavy_separation():
     system = generate_cluster(30, seed=1)
     heavies = np.array([a.position for a in system.atoms if a.element == "O"])

@@ -43,6 +43,10 @@ from hexfock.integrals import InvalidArgumentError
     ("density", "nonsense", "--density"),
     ("density", "exp:gamma=nan", "--density"),
     ("density", "exp:gamma=inf", "--density"),
+    ("system", "xyz:", "--system xyz:PATH requires a path"),
+    ("density", "exp:gamma", "--density exp takes the form exp:gamma=G"),
+    ("density", "exp:foo=1", "--density exp takes the form exp:gamma=G"),
+    ("density", "file:", "--density file:PATH requires a path"),
     ("out", ".", "--out"),
 ])
 def test_config_validation_names_offending_flag(field, value, flag):
@@ -239,19 +243,26 @@ def test_coordinates_beyond_the_pair_center_range_exit_2(tmp_path, capsys,
 
 
 def test_coordinates_just_inside_the_pair_center_range_run(tmp_path):
-    # in Bohr, |z| * 2 * (largest exponent) stays within the largest double
+    # in Bohr, |z| * 2 * (largest exponent) stays within the largest double;
+    # K depends only on the atoms' relative places, so each far file's K
+    # norm is that of the same atoms near the origin
     emax = max(e for table in DEFAULT_SHELL_TABLE.values()
                for prims in table for e, _ in prims)
     z = float(np.finfo(float).max) / (2.0 * emax) / BOHR_PER_ANGSTROM \
         * (1 - 1e-9)
-    for i, text in enumerate(["1\n\nO 0 0 1e305\n",
-                              f"2\n\nO 0 0 {z!r}\nO 0 0 {-z!r}\n"]):
+    norms = []
+    for i, text in enumerate(["1\n\nO 0 0 1e305\n", "1\n\nO 0 0 0\n",
+                              f"2\n\nO 0 0 {z!r}\nO 0 0 {-z!r}\n",
+                              "2\n\nO 0 0 1e3\nO 0 0 0\n"]):
         xyz = tmp_path / f"far{i}.xyz"
         xyz.write_text(text)
+        report = tmp_path / f"report{i}.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["--system", f"xyz:{xyz}",
-                         "--out", str(tmp_path / "report.json")]) == 0
+            assert main(["--system", f"xyz:{xyz}", "--out", str(report)]) == 0
+        norms.append(json.loads(report.read_text())["k_frobenius"])
+    assert norms[0] == norms[1] > 0.0
+    assert norms[2] == norms[3] > norms[1]
 
 
 @pytest.mark.parametrize("text,message", [
@@ -260,6 +271,8 @@ def test_coordinates_just_inside_the_pair_center_range_run(tmp_path):
     ("1\n\nXx 0 0 0\n", "'Xx'"),
     ("0\n\n", "line 1: atom count must be >= 1, got 0"),
     ("-1\n\n", "line 1: atom count must be >= 1, got -1"),
+    ("1\n\nO 0 0\n", "line 3: expected 'El x y z'"),
+    ("1\n\nO 0 x 0\n", "line 3: bad coordinate"),
     pytest.param("1\n\nO nan 0 0\n", "line 3: non-finite coordinate",
                  id="nan-coordinate"),
     pytest.param(b"1\n\nO 0 0 \xff\n", "--system xyz: 'utf-8' codec",

@@ -125,8 +125,9 @@ def _pair_data_loop(shells, pair_list):
         ab = (ea * eb).ravel()
         r2 = float(np.dot(a.center - b.center, a.center - b.center))
         w = (a.weights[:, None] * b.weights[None, :]).ravel() * np.exp(-ab / p * r2)
-        ctr = (ea[..., None] * a.center + eb[..., None] * b.center).reshape(-1, 3)
-        ctr /= p[:, None]
+        ctr = (0.5 * (a.center + b.center)
+               + (0.5 * (eb - ea) / (ea + eb))[..., None]
+               * (b.center - a.center)).reshape(-1, 3)
         i_sh.append(i)
         j_sh.append(j)
         offsets.append(offsets[-1] + len(p))

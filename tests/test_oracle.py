@@ -186,7 +186,7 @@ def _tied_threshold(system, P, kind, rank):
     # margin, must pass on (leaf 40, and leaf 3)
     pytest.param(8, 40, ("quartet", 10_000), 9998, id="at-tie-leaf40"),
     pytest.param(8, 40, ("entry", 300), 4714, id="below-tie-leaf40"),
-    pytest.param(5, 3, ("mirror", 1_000), 8836, id="at-tie-leaf3"),
+    pytest.param(5, 3, ("mirror", 1_000), 8786, id="at-tie-leaf3"),
     pytest.param(5, 3, ("entry", 100), 1538, id="below-tie-leaf3"),
 ])
 def test_screened_log_equals_naive_driver_log(n, leaf_size, tau_2e,

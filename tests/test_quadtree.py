@@ -336,22 +336,6 @@ def test_pair_table_ids_index_the_root_table():
                                   np.broadcast_to(rows[None, :], (nc, nr)))
             assert np.array_equal(table.j_shell[pair[nr:, :nr]],
                                   np.broadcast_to(cols[:, None], (nc, nr)))
-            # 1 + the free index's shell, the other shell of that pair, or
-            # 0 exactly at a diagonal node's transposed i == j entries: the
-            # bra's transposed rows are its row span, the ket's its col span
-            valid = np.zeros(pair.shape, dtype=bool)
-            valid[:nr, :nc] = valid[nr:, :nr] = True
-            other = np.where(np.arange(len(pair))[:, None] < nr,
-                             table.j_shell[pair], table.i_shell[pair])
-            for name, transposed in (("bra_free", slice(0, nr)),
-                                     ("ket_free", slice(nr, None))):
-                free = cache[name]
-                discard = np.zeros(pair.shape, dtype=bool)
-                if leaf.row is leaf.col:
-                    discard[transposed][np.arange(nr), np.arange(nr)] = True
-                kept = valid & ~discard
-                assert np.array_equal(free[valid] == 0, discard[valid])
-                assert np.array_equal(free[kept] - 1, other[kept])
     assert any(leaf.row is leaf.col for leaf in leaves)
 
 
