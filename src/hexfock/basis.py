@@ -35,11 +35,6 @@ LIGHT_SHELLS = [[(1.24, 1.0)]]
 
 DEFAULT_SHELL_TABLE = {"O": HEAVY_SHELLS, "H": LIGHT_SHELLS}
 
-# load_xyz rejects a coordinate whose product with this exceeds DBL_MAX, so
-# the sum and the difference of two shell centers are always finite
-_TWICE_MAX_EXPONENT = 2.0 * max(e for table in DEFAULT_SHELL_TABLE.values()
-                                for prims in table for e, _ in prims)
-
 HILBERT_BITS = 10  # lattice bits per axis for hilbert_order
 
 
@@ -240,12 +235,15 @@ def load_xyz(path) -> BasisSystem:
             raise FormatError(f"bad coordinate in {lines[k + 2]!r}", ln)
         if not np.all(np.isfinite(pos)):
             raise FormatError(f"non-finite coordinate in {lines[k + 2]!r}", ln)
+        # twice |x| in Bohr within the largest double keeps the sum and the
+        # difference of two shell centers finite
         with np.errstate(over="ignore"):  # an inf product is out of range
             pos *= BOHR_PER_ANGSTROM
-            huge = np.abs(pos).max() * _TWICE_MAX_EXPONENT > np.finfo(float).max
+            huge = 2.0 * np.abs(pos).max() > np.finfo(float).max
         if huge:
             raise FormatError(f"coordinate in {lines[k + 2]!r} is so large "
-                              "that shell-pair centers overflow", ln)
+                              "that two shell centers' sum or difference "
+                              "overflows", ln)
         atoms.append(Atom(element, pos))
         shells.extend(_shells_for(element, pos, normalized))
     return BasisSystem(shells=shells, atoms=atoms)

@@ -7,20 +7,16 @@ and a transposed side swaps that pair's two indices in both the density
 gather and the K sink. A task is culled when a pair node is overlap-pruned,
 or when every link is absent or fails the blocked Almlof-Ahlrichs bound;
 otherwise it expands into the child tasks of the blocked contraction, each
-surviving link following its own density child. A leaf task's quartets
-are the (mu nu|lam sig) block over the four leaf shell spans, but its work
-follows the quartets it keeps: each density entry of a link is first
-prefiltered with the largest factors its quartets can have, only the
-surviving entries are expanded and tested per quartet, and the culled bound
-of the pruned entries is summed in closed form. The leaf task then buffers
-the union of its links' kept quartets, as ids into the pair trees' root
-tables, with each kept quartet's density weight and the orientation of
-its bra and ket. Once the buffered unions reach _ERI_BATCH quartets, one
-eri_elementwise call evaluates them all; each kept quartet's K row and
-column are the free shells of its pairs in the root tables, and one
-np.add.at adds every contribution to K, one at a time in walk order, so
-K is the same for every batch size. A transposed i == j pair adds
-nothing: its untransposed orientation covers it.
+surviving link following its own density child.
+
+The walk runs in bounded array passes over flattened trees: frontier pieces
+of tasks are screened per link in vector form, and leaf tasks in groups
+over padded per-leaf factor tables. A leaf task's work follows the quartets
+it keeps, not its (mu nu|lam sig) block: a density entry culled on its
+largest factors is summed in closed form, the others are tested per
+quartet. Kept quartets, as ids into the pair trees' root tables, are
+evaluated _ERI_BATCH at a time and added to K one at a time in walk order;
+a transposed i == j pair adds nothing (its untransposed one covers it).
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -30,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,16 +34,26 @@ import numpy as np
 # stays bound only because perfbench/run.py's tracer wraps it on both driver
 # modules.
 from .integrals import InvalidArgumentError, eri_cross, eri_elementwise
-from .quadtree import MatrixQuadtree, ShellPairNode, leaf_cache
+from .quadtree import (MatrixQuadtree, ShellPairNode, flatten, leaf_cache,
+                       leaf_spans)
 
-# Kept quartets buffered before one eri_elementwise call: large enough that
-# the kernel's per-call cost vanishes (a water:24 build at leaf 10 makes 14
-# calls, not 3,227), small enough that its temporaries stay near 1 MB.
+# Union quartets per eri_elementwise call: large enough that the kernel's
+# per-call cost vanishes (a water:24 build at leaf 10 makes 14 calls, not
+# 3,227), small enough that its temporaries stay near 1 MB.
 _ERI_BATCH = 4096
 
 # Quartets a leaf task's screening expands per piece (16 MB of bounds); no
 # leaf task of the benchmark workloads, at most 1.13 M quartets, needs two.
 _SCREEN_CHUNK = 1 << 21
+
+# Tasks per frontier piece of the walk. A piece's temporaries and the pieces
+# awaiting expansion, one per tree level, are (tasks x links) arrays of 8
+# bytes: 128 KB each at 2^12 tasks with four links.
+_WALK_PIECE = 1 << 12
+
+# Density entries a slice of leaf tasks prefilters at once, and quartets a
+# group of whole leaf tasks expands at once: 2^14 float64 bounds are 128 KB.
+_LEAF_GROUP = 1 << 14
 
 
 class LogicError(RuntimeError):
@@ -97,18 +104,14 @@ def screening_test(bra_norm: float, p_norm: float, ket_norm: float,
                            math.sqrt(ket_norm)) <= tau_2e
 
 
-def culled_task_bound(bra: ShellPairNode, p_norm: float, ket: ShellPairNode,
-                      transpose_bra: bool = False,
-                      transpose_ket: bool = False) -> float:
-    """Rigorous max-abs bound on the K contribution of one culled task.
-
-    |sum_qr P_qr (pq|rs)| <= ||P||_F * sqrt(sum_q (pq|pq)) * sqrt(sum_r (rs|rs))
-    via Cauchy-Schwarz over (q, r); the row/column sums are bounded by the
-    cached per-node maxima.
-    """
-    bra_sum = bra.colsum_max if transpose_bra else bra.rowsum_max
-    ket_sum = ket.rowsum_max if transpose_ket else ket.colsum_max
-    return 0.5 * p_norm * math.sqrt(max(bra_sum, 0.0)) * math.sqrt(max(ket_sum, 0.0))
+def culled_task_bound(bra_sum, p_norm, ket_sum):
+    """Rigorous max-abs bound on the K contribution of culled tasks, per
+    element: |sum_qr P_qr (pq|rs)| <= ||P||_F * sqrt(sum_q (pq|pq)) *
+    sqrt(sum_r (rs|rs)) via Cauchy-Schwarz over (q, r); the sums are bounded
+    by the bra's rowsum_max (colsum_max if transposed) and the ket's
+    colsum_max (rowsum_max if transposed)."""
+    return (0.5 * p_norm * np.sqrt(np.maximum(bra_sum, 0.0))
+            * np.sqrt(np.maximum(ket_sum, 0.0)))
 
 
 def check_driver_args(bra, ket, p, tau_2e: float) -> None:
@@ -122,217 +125,301 @@ def check_driver_args(bra, ket, p, tau_2e: float) -> None:
         raise InvalidArgumentError("bra and ket must be roots of pair trees")
 
 
-def _child_keys(node: ShellPairNode, canonical: bool):
-    nr = len(node.row.children())
-    nc = len(node.col.children())
-    if canonical and node.row is node.col:
-        return [(a, b) for a in range(nr) for b in range(a, nc)]
-    return [(a, b) for a in range(nr) for b in range(nc)]
+class _PairArrays:
+    """Node arrays of a pair tree, cached in its root's ``flat`` by its first
+    build; holding no node, the cache makes no cycle. A span is named by its
+    first shell, unique on its tree level. Live leaves have factor-table
+    slots, canonical ones (row span not after col span) first."""
+
+    def __init__(self, root: ShellPairNode):
+        nodes, self.child = flatten(root)
+        self.row, self.col = np.array([(n.row.shell_lo, n.col.shell_lo)
+                                       for n in nodes], dtype=np.intp).T
+        self.leaf, self.pruned = np.array([(n.is_leaf, n.pruned)
+                                           for n in nodes]).T
+        f, self.rowsum, self.colsum = np.array(
+            [(n.diag_norm, n.rowsum_max, n.colsum_max) for n in nodes]).T
+        self.f = np.sqrt(f)
+        live = np.flatnonzero(self.leaf & ~self.pruned)
+        upper = self.row[live] <= self.col[live]
+        self.leaves = np.concatenate((live[upper], live[~upper]))  # by slot
+        self.slot = np.full(len(nodes), -1, dtype=np.intp)
+        self.slot[self.leaves] = np.arange(len(live))
+        self.nr = np.array([nodes[i].row.n_functions for i in self.leaves],
+                           dtype=np.intp)
+        self.n_canon = int(upper.sum())
+        # the longest leaf span: tables pad the free index to it
+        self.width = max(s.n_functions for s in leaf_spans(root.row))
+        self.tables = {}
+
+
+def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
+    """A density tree's flatten() child ids (-1: an absent block), norms,
+    and leaf blocks zero-padded to width x width, indexed by leaf slot."""
+    nodes, child = flatten(P)
+    leaves = [n for n in nodes if n.is_leaf]
+    blocks = np.zeros((len(leaves), width, width))
+    for block, n in zip(blocks, leaves):
+        block[:n.leaf.shape[0], :n.leaf.shape[1]] = n.leaf
+    return SimpleNamespace(child=child, norm=np.array([n.norm for n in nodes]),
+                           slot=np.cumsum([n.is_leaf for n in nodes]) - 1,
+                           blocks=blocks)
 
 
 class Traversal:
-    """One traversal's K accumulator and counters, and how it walks.
+    """One build's K accumulator and counters, and how it walks.
 
-    ``case_label(b, k, present)``, when given, makes the walk canonical:
-    both sides keep only canonical (upper-triangular) child keys and leaf
-    pairs. It labels each surviving task from the presence flags of its
-    links (exchange_symmetry.classify_quartet) and turns on the per-link
-    and per-case tallies, which need SymmetryCounters. ``quartet_log``,
-    when given, collects every evaluated shell quartet. Bra pair ids index
-    ``bra``'s root table and ket pair ids ``ket``'s; after the walk, flush()
-    evaluates what the last leaf tasks left buffered, and K is the exchange
-    matrix.
-    """
+    ``case_label`` (exchange_symmetry._case_index), when given, makes the
+    walk canonical (upper-triangular child keys and leaf pairs only) and
+    turns on SymmetryCounters' per-link and per-case tallies. ``quartet_log``
+    collects every evaluated shell quartet."""
 
     def __init__(self, bra: ShellPairNode, ket: ShellPairNode, tau_2e: float,
                  evaluate: bool, counters: TraversalCounters,
                  case_label=None, quartet_log: list | None = None):
-        n = bra.row.n_functions
-        self.K = np.zeros((n, n))
-        self.bra_pairs = bra.pairs
-        self.ket_pairs = ket.pairs
-        self.buffer = []     # leaf tasks' unions and scatters not yet evaluated
+        self.K = np.zeros((bra.row.n_functions,) * 2)
+        for root in (bra, ket):
+            if root.flat is None:
+                root.flat = _PairArrays(root)
+        self.roots = (bra, ket)
+        self.bra, self.ket = bra.flat, ket.flat
+        self.buffer = []     # unions and kept quartets not yet evaluated
         self.n_buffered = 0  # quartets in their unions
-        self.c = counters
-        self.tau_2e = tau_2e
-        self.evaluate = evaluate
-        self.canonical = case_label is not None
-        self.case_label = case_label
-        self.qlog = quartet_log
+        self.c, self.tau_2e, self.evaluate = counters, tau_2e, evaluate
+        self.case_label, self.canonical = case_label, case_label is not None
+        self.qlog, self.nodes = quartet_log, {}  # flatten() nodes, by root
 
-    def visit(self, b, k, links):
-        c = self.c
-        c.tasks_visited += 1
-        if b.pruned or k.pruned:
-            c.tasks_culled_absent += 1
-            return
-        fb, fk = math.sqrt(b.diag_norm), math.sqrt(k.diag_norm)
-        live = []
-        n_absent = n_screened = 0
-        for link in links:
-            tb, tk, ref = link
-            if ref is None:
-                n_absent += 1
-            elif screening_bound(fb, ref.norm, fk) <= self.tau_2e:
-                n_screened += 1
-                c.culled_bound_ledger += culled_task_bound(b, ref.norm, k, tb, tk)
-            else:
-                live.append(link)
-        if self.case_label is not None:
-            c.links_culled_absent += n_absent
-            c.links_culled_screening += n_screened
-        if not live:
-            if n_screened:
-                c.tasks_culled_screening += 1
-            else:
-                c.tasks_culled_absent += 1
-            return
-        at_leaf = b.is_leaf and k.is_leaf
-        if self.case_label is not None:
-            present = [ref is not None for _, _, ref in links]
-            label = self.case_label(b, k, present)
-            c.case_tasks[label] += 1
-            if at_leaf:
-                c.case_leaf_tasks[label] += 1
-        if at_leaf:
-            c.leaf_contractions += 1
-            self._contract(b, k, live)
-            return
-        c.tasks_expanded += 1
-        kkeys = _child_keys(k, self.canonical)
-        # fixed child order (bra, then ket) for deterministic fp sums; links
-        # that died here are dropped, while an absent density child stays
-        # as None so the child task counts it
-        for a, cc in _child_keys(b, self.canonical):
-            bch = b.child(a, cc)
-            for d, bb in kkeys:
-                c.children_spawned += 1
-                self.visit(bch, k.child(d, bb), [
-                    (tb, tk, ref.child(a if tb else cc, bb if tk else d))
-                    for tb, tk, ref in live])
+    def walk(self, P: MatrixQuadtree, slots) -> None:
+        """Visit every task from the roots, with a link to P's root per slot
+        (transpose_bra, transpose_ket), then flush."""
+        self.P = _density_arrays(P, self.bra.width)
+        self.tb, self.tk = np.array(slots, dtype=bool).reshape(-1, 2).T
+        root = np.zeros(1, dtype=np.intp)
+        self._walk(root, root, np.zeros((1, len(slots)), dtype=np.intp))
+        self.flush(final=True)
+        self.P = None  # its leaf blocks are as large as P
 
-    def _contract(self, b, k, live):
-        """Leaf task: screen every link on its candidate density entries
-        (_screen), then buffer for flush() the union of kept quartets and,
-        for each kept quartet, its index in the union, whether its bra and
-        its ket are transposed, and its density weight.
+    def _walk(self, b, k, links):
+        """Visit a piece, then walk its inner tasks' children, _WALK_PIECE //
+        16 parents at a time: memory follows the tree depth, not its width."""
+        b, k, links = self._visit(b, k, links)
+        step = max(1, _WALK_PIECE // 16)
+        for lo in range(0, len(b), step):
+            s = slice(lo, lo + step)
+            self._walk(*self._children(b[s], k[s], links[s]))
 
-        The links' density leaves are the blocks of one array whose rows
-        run over the bra's row span then its col span, and whose columns
-        over the ket's; a link's transposes pick its block (a transposed
-        bra its row span, a transposed ket its col span), as they pick the
-        rows of leaf_cache's tables.
-        """
-        c = self.c
-        A = leaf_cache(b, canonical=self.canonical)
-        B = leaf_cache(k, canonical=self.canonical)
-        nr, nl = b.row.n_functions, k.row.n_functions
-        # each side's row span, then its col span
-        bra = (slice(0, nr), slice(nr, len(A["sq"])))
-        ket = (slice(0, nl), slice(nl, len(B["sq"])))
-        p = np.zeros((len(A["sq"]), len(B["sq"])))
-        for tb, tk, ref in live:
-            p[bra[not tb], ket[tk]] = ref.leaf
-        ledger, d1, d2, f1, f2 = _screen(A, B, p, self.tau_2e)
-        c.quartets_culled_leaf += len(live) * A["m"] * B["m"] - len(d1)
-        c.culled_bound_ledger += 0.5 * float(ledger)
-        if not len(d1):
-            return
-        # the union of the links' kept quartets, in (bra id, ket id) order;
+    def _visit(self, b, k, links):
+        """Screen a piece of tasks (bra ids, ket ids, link states), contract
+        its leaf tasks; return its live inner tasks, dead links set to -2."""
+        c, bt, kt = self.c, self.bra, self.ket
+        c.tasks_visited += len(b)
+        ok = ~(bt.pruned[b] | kt.pruned[k])
+        c.tasks_culled_absent += len(b) - int(ok.sum())
+        b, k, links = b[ok], k[ok], links[ok]
+        present = links >= 0
+        norm = self.P.norm[np.where(present, links, 0)]
+        bound = screening_bound(np.broadcast_to(bt.f[b][:, None], links.shape),
+                                norm,
+                                np.broadcast_to(kt.f[k][:, None], links.shape))
+        screened = present & (bound <= self.tau_2e)
+        live = present & ~screened
+        t, l = np.nonzero(screened)
+        c.culled_bound_ledger += float(culled_task_bound(
+            np.where(self.tb[l], bt.colsum[b[t]], bt.rowsum[b[t]]), norm[t, l],
+            np.where(self.tk[l], kt.rowsum[k[t]], kt.colsum[k[t]])).sum())
+        del present, norm, bound, t, l
+        if self.canonical:
+            c.links_culled_absent += int((links == -1).sum())
+            c.links_culled_screening += int(screened.sum())
+        alive = live.any(axis=1)
+        n_screened = int((screened.any(axis=1) & ~alive).sum())
+        c.tasks_culled_screening += n_screened
+        c.tasks_culled_absent += len(b) - int(alive.sum()) - n_screened
+        complete = (links[alive] != -1).all(axis=1)
+        b, k, links = b[alive], k[alive], np.where(live, links, -2)[alive]
+        leaf = bt.leaf[b] & kt.leaf[k]
+        if self.canonical:
+            label = self.case_label(bt.row[b], bt.col[b], kt.row[k], kt.col[k],
+                                    b == k, complete)
+            for counts, x in ((c.case_tasks, label),
+                              (c.case_leaf_tasks, label[leaf])):
+                tally = np.bincount(x, minlength=len(counts)).tolist()
+                for name, n in zip(counts, tally):
+                    counts[name] += n
+        c.leaf_contractions += int(leaf.sum())
+        bl, kl, ll = bt.slot[b[leaf]], kt.slot[k[leaf]], links[leaf]
+        A, B = self._tables(0, bl), self._tables(1, kl)
+        step = max(1, _LEAF_GROUP // (2 * bt.width) ** 2)  # density entries
+        for lo in range(0, len(bl), step):
+            s = slice(lo, lo + step)
+            self._screen(A, B, bl[s], kl[s], ll[s])
+        inner = ~leaf
+        c.tasks_expanded += int(inner.sum())
+        return b[inner], k[inner], links[inner]
+
+    def _children(self, b, k, links):
+        """Child tasks of inner tasks, per parent by bra key then ket key,
+        each live link following its density child."""
+        bt, kt = self.bra, self.ket
+        bc, kc = bt.child[b], kt.child[k]
+        vb, vk = bc >= 0, kc >= 0
+        if self.canonical:
+            vb[:, 2] &= bt.row[b] != bt.col[b]
+            vk[:, 2] &= kt.row[k] != kt.col[k]
+        t, bpos, kpos = np.nonzero(vb[:, :, None] & vk[:, None, :])
+        self.c.children_spawned += len(t)
+        parent = links[t]
+        # density child (a or cc, d or bb) of bra key (a, cc), ket key (d, bb)
+        dpos = (2 * np.where(self.tb, bpos[:, None] >> 1, bpos[:, None] & 1)
+                + np.where(self.tk, kpos[:, None] & 1, kpos[:, None] >> 1))
+        child = self.P.child[np.maximum(parent, 0), dpos]
+        return bc[t, bpos], kc[t, kpos], np.where(parent >= 0, child, -2)
+
+    def _tables(self, side: int, slots) -> dict:
+        """Side's leaf_cache tables in the walk's orientation by slot, padded
+        to 2 * width density rows and width free columns; the rows of
+        ``slots`` are filled through leaf_cache where no build has yet."""
+        tree, root = (self.bra, self.ket)[side], self.roots[side]
+        if self.canonical not in tree.tables:
+            n = tree.n_canon if self.canonical else len(tree.nr)
+            w = tree.width
+            # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
+            tree.tables[self.canonical] = dict(
+                sq=np.zeros((n, 2 * w, w)), sqmax=np.zeros((n, 2 * w)),
+                sqsum=np.zeros((n, 2 * w)), m=np.zeros(n, dtype=np.intp),
+                pair=np.zeros((n, 2 * w, w), dtype=np.int32),
+                filled=np.zeros(n, bool))
+        t = tree.tables[self.canonical]
+        new = np.unique(slots[~t["filled"][slots]])
+        if len(new) and id(root) not in self.nodes:
+            self.nodes[id(root)] = flatten(root)[0]
+        for s in new.tolist():
+            cache = leaf_cache(self.nodes[id(root)][tree.leaves[s]],
+                               canonical=self.canonical)
+            for key in ("sq", "pair", "sqmax", "sqsum"):
+                t[key][s][tuple(map(slice, cache[key].shape))] = cache[key]
+            t["m"][s] = cache["m"]
+        t["filled"][new] = True
+        return t
+
+    def _screen(self, A, B, bl, kl, links):
+        """Screen a slice of leaf tasks. Each live link's leaf block fills a
+        block of a task's density p over its tables' rows: a transposed bra
+        its row span (rows from 0), else its col span (from nr); a transposed
+        ket its col span (columns from nl), else its row span. An entry whose
+        screening_bound on the largest free factors is within tau keeps no
+        quartet (rounding is monotone) and adds |p| * (sum fb) * (sum fk) to
+        the ledger. Whole tasks are grouped by _LEAF_GROUP quartets of
+        candidate expansion."""
+        c, tau, w = self.c, self.tau_2e, self.bra.width
+        nr, nl = self.bra.nr[bl], self.ket.nr[kl]
+        p, ar = np.zeros((len(bl), 2 * w, 2 * w)), np.arange(w)
+        for l, (tb, tk) in enumerate(zip(self.tb, self.tk)):
+            t = np.flatnonzero(links[:, l] >= 0)
+            rows = np.where(tb, 0, nr[t])[:, None, None] + ar[:, None]
+            cols = np.where(tk, nl[t], 0)[:, None, None] + ar
+            p[t[:, None, None], rows, cols] += \
+                self.P.blocks[self.P.slot[links[t, l]]]
+        pa = np.abs(p)
+        keep = screening_bound(A["sqmax"][bl][:, :, None], pa,
+                               B["sqmax"][kl][:, None, :]) > tau
+        t, d1, d2 = np.nonzero(keep)
+        pc = pa[t, d1, d2]
+        pa[keep] = 0.0
+        c.culled_bound_ledger += 0.5 * float(
+            (A["sqsum"][bl][:, :, None] * pa * B["sqsum"][kl][:, None, :]).sum())
+        # per candidate: its rows in the bra's and the ket's tables, whether
+        # its bra and its ket are transposed, and its density weight
+        cand = (bl[t] * 2 * w + d1, kl[t] * 2 * w + d2, d1 < nr[t],
+                d2 >= nl[t], p[t, d1, d2])
+        del p, pa, keep, d1, d2
+        # each task's first candidate; a group ends where the expansion before
+        # a task crosses a multiple of _LEAF_GROUP; a larger task is alone in one
+        first = np.searchsorted(t, np.arange(len(bl) + 1))
+        big = np.diff(first) * w * w >= _LEAF_GROUP
+        ends = np.flatnonzero((np.diff(first[:-1] * w * w // _LEAF_GROUP) > 0)
+                              | big[1:] | big[:-1]) + 1
+        first = first[np.r_[0, ends, len(bl)]]
+        live = (links >= 0).sum(axis=1)
+        c.quartets_culled_leaf += int((live * A["m"][bl] * B["m"][kl]).sum())
+        for g in map(slice, first[:-1], first[1:]):
+            self._group(A, B, [x[g] for x in cand], pc[g])
+
+    def _group(self, A, B, group, pc):
+        """Test each quartet of a group's candidates, in pieces of
+        _SCREEN_CHUNK (the direct-SCF test: the kept set does not depend on
+        leaf blocking); count the kept quartets' union of root-table ids and
+        buffer it with each one's place in it, transposes and weight."""
+        rb, rk, tb, tk, weight = group
+        tau, w = self.tau_2e, self.bra.width
+        sq_b, sq_k = A["sq"].reshape(-1, w), B["sq"].reshape(-1, w)
+        step = max(1, _SCREEN_CHUNK // (w * w))
+        kept = []
+        for lo in range(0, len(rb) or 1, step):
+            s = slice(lo, lo + step)
+            # (candidate, free bra index, free ket index)
+            bound = screening_bound(sq_b[rb[s]][:, :, None], pc[s, None, None],
+                                    sq_k[rk[s]][:, None, :])
+            keep = bound > tau
+            self.c.culled_bound_ledger += 0.5 * float(bound.sum(where=~keep))
+            j, f1, f2 = np.nonzero(keep)
+            kept.append((j + lo, f1, f2))
+        del bound, keep
+        c, f1, f2 = kept[0] if len(kept) == 1 else map(np.concatenate,
+                                                        zip(*kept))
+        self.c.quartets_culled_leaf -= len(c)
+        quartet = (A["pair"].reshape(-1, w)[rb[c], f1].astype(np.intp)
+                   * self.roots[1].pairs.n_pairs
+                   + B["pair"].reshape(-1, w)[rk[c], f2])
         # sorted and scanned here, as np.unique's per-call cost exceeds a
-        # small leaf's whole screening
-        n_ket = self.ket_pairs.n_pairs
-        quartet = A["pair"][d1, f1] * n_ket + B["pair"][d2, f2]
+        # small group's whole screening
         order = quartet.argsort()
         quartet = quartet[order]
-        first = np.empty(len(quartet), dtype=bool)
-        first[0] = True
+        first = np.ones(len(quartet), dtype=bool)
         np.not_equal(quartet[1:], quartet[:-1], out=first[1:])
         union = quartet[first]
-        c.eri_shell_quartets += len(union)
-        if not self.evaluate:
-            return
-        self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
-                            (d1 < nr)[order], (d2 >= nl)[order],
-                            p[d1, d2][order]))
-        self.n_buffered += len(union)
-        if self.n_buffered >= _ERI_BATCH:
-            self.flush()
+        self.c.eri_shell_quartets += len(union)
+        if self.evaluate and len(union):
+            c = c[order]
+            self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
+                                tb[c], tk[c], weight[c]))
+            self.n_buffered += len(union)
+            if self.n_buffered >= _ERI_BATCH:
+                self.flush()
 
-    def flush(self):
-        """Evaluate the buffered unions with one eri_elementwise call, then
-        add each kept quartet's contribution to K, one at a time in walk
-        order, at K row mu (nu if the bra is transposed) and column sig
-        (lam if the ket is transposed); a transposed i == j pair is dropped.
-        """
-        if not self.buffer:
+    def flush(self, final: bool = False):
+        """Evaluate the buffered unions, _ERI_BATCH quartets per call (the
+        rest waits unless ``final``), and add each kept quartet to K at row
+        mu (nu if the bra is transposed) and column sig (lam if the ket is),
+        dropping a transposed i == j pair, one at a time in walk order: K is
+        the same for every batch size."""
+        size = _ERI_BATCH
+        m = self.n_buffered if final else self.n_buffered // size * size
+        if not m:
             return
-        union, at, tb, tk, weight = (np.concatenate(r)
-                                     for r in zip(*self.buffer))
-        pb, pk = self.bra_pairs, self.ket_pairs
-        ia, ib = np.divmod(union, pk.n_pairs)
-        e = -0.5 * eri_elementwise(pb, pk, ia, ib)
+        union, at, tb, tk, weight = map(np.concatenate, zip(*self.buffer))
+        self.buffer = []
+        pb, pk = self.roots[0].pairs, self.roots[1].pairs
+        ia, ib = np.divmod(union[:m], pk.n_pairs)
+        e = -0.5 * np.concatenate([
+            eri_elementwise(pb, pk, ia[lo:lo + size], ib[lo:lo + size])
+            for lo in range(0, m, size)])
         mu, nu, lam, sig = (pb.i_shell[ia], pb.j_shell[ia],
                             pk.i_shell[ib], pk.j_shell[ib])
         if self.qlog is not None:
             self.qlog.extend(zip(mu.tolist(), nu.tolist(), lam.tolist(),
                                  sig.tolist()))
         # K rows and columns, untransposed then transposed; -1 drops i == j
-        u = len(union)
-        row = np.concatenate((mu, np.where(mu == nu, -1, nu)))[at + u * tb]
-        col = np.concatenate((sig, np.where(lam == sig, -1, lam)))[at + u * tk]
+        cut = np.searchsorted(at, m)
+        self.buffer = [(union[m:], at[cut:] - m, tb[cut:], tk[cut:],
+                        weight[cut:])]
+        self.n_buffered -= m
+        a, tb, tk = at[:cut], tb[:cut], tk[:cut]
+        row = np.concatenate((mu, np.where(mu == nu, -1, nu)))[a + m * tb]
+        col = np.concatenate((sig, np.where(lam == sig, -1, lam)))[a + m * tk]
         keep = (row >= 0) & (col >= 0)
         np.add.at(self.K.reshape(-1), (row * len(self.K) + col)[keep],
-                  (e[at] * weight)[keep])
-        self.buffer = []
-        self.n_buffered = 0
-
-
-def _screen(A: dict, B: dict, p: np.ndarray, tau: float):
-    """Kept quartets of a leaf task, and the bound sum of the culled ones.
-
-    p is the density over the rows of A's and B's tables; a quartet's
-    screening_bound takes the sq (Schwarz) factors. A density entry can keep
-    a quartet only if its bound on the maxima of the factors over the free
-    indices exceeds tau: rounding is monotone, so this prefilter loses no kept
-    quartet. Only the candidate entries are expanded over the free indices and
-    tested per quartet (_expand), the conventional direct-SCF test, which
-    makes the kept set independent of leaf blocking; beyond _SCREEN_CHUNK
-    quartets they are expanded in pieces, so no temporary grows with the
-    leaf size. The culled sum is |p| * (sum fb) * (sum fk) in closed form for
-    a pruned entry, plus the culled quartets' bounds of the candidates.
-    Returns (culled sum, density indices d1, d2 and free indices f1, f2 of
-    each kept quartet); no candidate-sized array outlives the call.
-    """
-    pa = np.abs(p)
-    cand = screening_bound(A["sqmax"][:, None], pa, B["sqmax"]) > tau
-    d1, d2 = np.nonzero(cand)
-    pc = pa[d1, d2][:, None, None]
-    pa[cand] = 0.0
-    ledger = A["sqsum"] @ pa @ B["sqsum"]
-    if not len(d1):
-        return ledger, d1, d2, d1, d2
-    n_free = A["sq"].shape[1] * B["sq"].shape[1]
-    if len(d1) * n_free <= _SCREEN_CHUNK:
-        return _expand(A, B, d1, d2, pc, ledger, tau)
-    step = max(1, _SCREEN_CHUNK // n_free)
-    kept = []
-    for lo in range(0, len(d1), step):
-        ledger, *piece = _expand(A, B, d1[lo:lo + step], d2[lo:lo + step],
-                                 pc[lo:lo + step], ledger, tau)
-        kept.append(piece)
-    return (ledger, *(np.concatenate(r) for r in zip(*kept)))
-
-
-def _expand(A, B, d1, d2, pc, ledger, tau):
-    """_screen's per-quartet test of candidate entries (d1, d2) of density
-    magnitude pc: ledger plus the culled bounds, and the kept quartets."""
-    # (candidate, free bra index, free ket index)
-    bound = screening_bound(A["sq"][d1][:, :, None], pc, B["sq"][d2][:, None, :])
-    keep = bound > tau
-    ledger += bound.sum(where=~keep)
-    j, f1, f2 = np.nonzero(keep)
-    return ledger, d1[j], d2[j], f1, f2
+                  (e[a] * weight[:cut])[keep])
 
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
@@ -352,6 +439,5 @@ def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
     check_driver_args(bra, ket, P, tau_2e)
     t = Traversal(bra, ket, tau_2e, evaluate, TraversalCounters(),
                   quartet_log=quartet_log)
-    t.visit(bra, ket, [(False, False, P)])
-    t.flush()
+    t.walk(P, [(False, False)])
     return t.K, t.c

@@ -19,14 +19,14 @@ symmetrize_final).
 
 The traversal is the engine of exchange_naive run with these four slots
 over canonical pairs (the naive driver runs it with slot 1 alone over all
-ordered pairs). Each slot carries its own density-node reference down the
-recursion and is screened with exchange_naive.screening_bound, as the naive
-driver screens the corresponding permuted task chain: the bound commutes
-bra and ket and transposed pair blocks cache bit-identical norms, so the
-surviving contributions -- and hence K, up to reassociation rounding --
-match the naive driver at every threshold, ties included. A task dies only
-when all four slots are dead, which is the same decision as screening on
-the maximum participating density sub-block norm.
+ordered pairs). Each slot carries its own density-node link down the walk
+and is screened with exchange_naive.screening_bound, as the naive driver
+screens the corresponding permuted task chain: the bound commutes bra and
+ket and transposed pair blocks cache bit-identical norms, so the surviving
+contributions -- and hence K, up to reassociation rounding -- match the
+naive driver at every threshold, ties included. A task dies only when all
+four slots are dead, which is the same decision as screening on the maximum
+participating density sub-block norm.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# eri_cross, eri_elementwise and leaf_cache are not used here: the engine in
-# exchange_naive calls leaf_cache per leaf task and eri_elementwise once per
-# batch of leaf tasks (and never eri_cross). They stay bound in this module
-# only because perfbench/run.py's tracer wraps them on both driver modules.
+# eri_cross, eri_elementwise and leaf_cache are not used here (the engine in
+# exchange_naive calls leaf_cache and eri_elementwise, and never eri_cross);
+# they stay bound in this module only because perfbench/run.py's tracer
+# wraps them on both driver modules.
 from .exchange_naive import (LogicError, Traversal, TraversalCounters,
                              check_driver_args, eri_cross, eri_elementwise,
                              leaf_cache)
@@ -95,31 +95,28 @@ def classify_quartet(bra: ShellPairNode, ket: ShellPairNode,
     F2: nu = sig coincidence (shared column span).
     H: both pair nodes diagonal.
     """
-    mu, nu, lam, sig = bra.row, bra.col, ket.row, ket.col
-    if mu.shell_lo > nu.shell_lo or lam.shell_lo > sig.shell_lo:
+    spans = (bra.row, bra.col, ket.row, ket.col)
+    label = _case_index(*np.array([[s.shell_lo] for s in spans]),
+                        np.array([bra is ket]), np.array([all(present)]))
+    return CASE_LABELS[label[0]]
+
+
+def _case_index(mu, nu, lam, sig, same, present):
+    """classify_quartet's case, as an index into CASE_LABELS, of each task
+    of a piece, from the first shells of its four spans (which tell apart
+    the spans of one tree level), whether bra and ket are one node and
+    whether every link is present."""
+    if np.any((mu > nu) | (lam > sig)):
         raise LogicError("non-canonical task: pair spans out of order")
-    if not all(present):
-        return "SPARSE"
-    bra_diag = mu is nu
-    ket_diag = lam is sig
-    if bra is ket:
-        return "E"
-    if bra_diag and ket_diag:
-        return "H"
-    if bra_diag or ket_diag:
-        return "B"
-    if nu is lam or mu is sig:
-        return "A"
-    if mu is lam:
-        return "F1"
-    if nu is sig:
-        return "F2"
-    # four distinct spans: separated / nested / interleaved
-    if nu.shell_lo < lam.shell_lo or sig.shell_lo < mu.shell_lo:
-        return "A"
-    if (lam.shell_lo < mu.shell_lo) != (sig.shell_lo < nu.shell_lo):
-        return "C"
-    return "D"
+    bra_diag, ket_diag = mu == nu, lam == sig
+    return np.select(
+        [~present, same, bra_diag & ket_diag, bra_diag | ket_diag,
+         (nu == lam) | (mu == sig), mu == lam, nu == sig,
+         # four distinct spans: separated / nested / interleaved
+         (nu < lam) | (sig < mu), (lam < mu) != (sig < nu)],
+        [CASE_LABELS.index(c)
+         for c in ("SPARSE", "E", "H", "B", "A", "F1", "F2", "A", "C")],
+        default=CASE_LABELS.index("D"))
 
 
 def symmetrize_final(K_raw: np.ndarray) -> np.ndarray:
@@ -160,7 +157,6 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     """
     check_driver_args(pairs, pairs, P, tau_2e)
     t = Traversal(pairs, pairs, tau_2e, evaluate, SymmetryCounters(),
-                  case_label=classify_quartet, quartet_log=quartet_log)
-    t.visit(pairs, pairs, [(tb, tk, P) for tb, tk in _SLOT_TRANSPOSES])
-    t.flush()
+                  case_label=_case_index, quartet_log=quartet_log)
+    t.walk(P, _SLOT_TRANSPOSES)
     return (symmetrize_final(t.K) if evaluate else t.K), t.c

@@ -123,6 +123,22 @@ class MatrixQuadtree(_Block):
         return out
 
 
+def flatten(root: _Block):
+    """The nodes under ``root``, parents first, and each one's child ids: row
+    x holds at 2 * a + b the id of child (a, b), -1 where there is none, and
+    a leaf stands in for itself at 0."""
+    nodes = [root]
+    for node in nodes:
+        nodes.extend(node.children.values())
+    index = {id(node): i for i, node in enumerate(nodes)}
+    child = np.full((len(nodes), 4), -1, dtype=np.intp)
+    for i, node in enumerate(nodes):
+        child[i, 0] = i if node.is_leaf else -1
+        for (a, b), ch in node.children.items():
+            child[i, 2 * a + b] = index[id(ch)]
+    return nodes, child
+
+
 def _fill_dense(node, out, row0, col0):
     if node.is_leaf:
         r, c = node.row, node.col
@@ -178,7 +194,7 @@ class ShellPairNode(_Block):
     """
 
     __slots__ = ("diag_norm", "rowsum_max", "colsum_max", "pruned", "pairs",
-                 "base", "diag", "cache")
+                 "base", "diag", "cache", "flat")
 
     def __init__(self, row: Span, col: Span):
         super().__init__(row, col, {})
@@ -192,6 +208,7 @@ class ShellPairNode(_Block):
         self.base = 0
         self.diag = None    # its block of the system's (ab|ab) matrix
         self.cache = None   # driver-level leaf scratch (see leaf_cache)
+        self.flat = None    # at the root: the engine's node arrays of the tree
 
 
 # Canonical pairs per pass, in the overlap and the (ij|ij) pass alike. Small
@@ -297,7 +314,7 @@ def build_pair_tree(system: BasisSystem, root: Span,
     s_abs = np.concatenate([np.empty(0)] + [
         np.abs(integrals.pair_overlaps(shells, cand[lo:lo + _PAIR_CHUNK]))
         for lo in range(0, len(cand), _PAIR_CHUNK)])
-    leaves = _leaves(root)
+    leaves = leaf_spans(root)
     leaf_of = np.repeat(np.arange(len(leaves)), [lf.n_functions for lf in leaves])
     i, j = cand[~(s_abs < tau_ovlp)].T
     live = np.zeros((len(leaves), len(leaves)), dtype=bool)
@@ -309,8 +326,8 @@ def build_pair_tree(system: BasisSystem, root: Span,
     return tree
 
 
-def _leaves(span: Span) -> list:
-    return [span] if span.is_leaf else _leaves(span.left) + _leaves(span.right)
+def leaf_spans(span: Span) -> list:
+    return [span] if span.is_leaf else leaf_spans(span.left) + leaf_spans(span.right)
 
 
 def _build_pairs(row: Span, col: Span, live, leaf_of, base, q) -> ShellPairNode:
@@ -417,7 +434,8 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     canonical=True restricts a diagonal node to its upper-triangular
     (i <= j) pairs: its factors are zero below the diagonal, so no bound
     there is kept and each adds 0 to the ledger. Cached in ``node.cache``
-    under "canon" or "full".
+    under "canon" or "full"; the exchange engine calls this once per leaf
+    and orientation per tree, copying the tables into its padded ones.
     """
     if node.cache is None:
         node.cache = {}

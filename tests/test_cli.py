@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hexfock import DensityModel, build_density, cli, generate_cluster
-from hexfock.basis import BOHR_PER_ANGSTROM, DEFAULT_SHELL_TABLE
+from hexfock.basis import BOHR_PER_ANGSTROM
 from hexfock.cli import (SERIES_COLUMNS, RunConfig, build_parser,
                          load_report_schema, main, run as run_report,
                          scaling_series)
@@ -223,15 +223,19 @@ def test_far_apart_atoms_run_without_warnings(tmp_path, mode):
                      "--out", str(tmp_path / "report.json")]) == 0
 
 
+# the largest |z| in Angstrom whose double in Bohr is a finite double
+_Z_LIMIT = float(np.finfo(float).max) / 2.0 / BOHR_PER_ANGSTROM
+
+
 @pytest.mark.parametrize("text", [
-    "1\n\nO 0 0 1e306\n",
+    f"1\n\nO 0 0 {_Z_LIMIT * (1 + 1e-9)!r}\n",  # just past the limit
     "2\n\nH 0 0 9e307\nH 0 0 -9e307\n",
     "1\n\nO 0 0 1e308\n",  # overflows on the way to Bohr
 ])
 def test_coordinates_beyond_the_pair_center_range_exit_2(tmp_path, capsys,
                                                          text):
-    # finite coordinates whose exponent-weighted sums overflow are a fault
-    # of the input file, named by its line, not of the density
+    # finite coordinates whose center sums or differences overflow are a
+    # fault of the input file, named by its line, not of the density
     xyz = tmp_path / "huge.xyz"
     xyz.write_text(text)
     with warnings.catch_warnings():
@@ -243,15 +247,13 @@ def test_coordinates_beyond_the_pair_center_range_exit_2(tmp_path, capsys,
 
 
 def test_coordinates_just_inside_the_pair_center_range_run(tmp_path):
-    # in Bohr, |z| * 2 * (largest exponent) stays within the largest double;
-    # K depends only on the atoms' relative places, so each far file's K
-    # norm is that of the same atoms near the origin
-    emax = max(e for table in DEFAULT_SHELL_TABLE.values()
-               for prims in table for e, _ in prims)
-    z = float(np.finfo(float).max) / (2.0 * emax) / BOHR_PER_ANGSTROM \
-        * (1 - 1e-9)
+    # in Bohr, 2 * |z| stays within the largest double; K depends only on
+    # the atoms' relative places, so each far file's K norm is that of the
+    # same atoms near the origin
+    z = _Z_LIMIT * (1 - 1e-9)
     norms = []
     for i, text in enumerate(["1\n\nO 0 0 1e305\n", "1\n\nO 0 0 0\n",
+                              "1\n\nO 0 0 1e306\n",
                               f"2\n\nO 0 0 {z!r}\nO 0 0 {-z!r}\n",
                               "2\n\nO 0 0 1e3\nO 0 0 0\n"]):
         xyz = tmp_path / f"far{i}.xyz"
@@ -261,8 +263,8 @@ def test_coordinates_just_inside_the_pair_center_range_run(tmp_path):
             warnings.simplefilter("error")
             assert main(["--system", f"xyz:{xyz}", "--out", str(report)]) == 0
         norms.append(json.loads(report.read_text())["k_frobenius"])
-    assert norms[0] == norms[1] > 0.0
-    assert norms[2] == norms[3] > norms[1]
+    assert norms[0] == norms[1] == norms[2] > 0.0
+    assert norms[3] == norms[4] > norms[1]
 
 
 @pytest.mark.parametrize("text,message", [

@@ -1,5 +1,6 @@
 """Contract tests of the traversal engine both exchange drivers share."""
 
+import gc
 import json
 import tracemalloc
 from pathlib import Path
@@ -99,13 +100,19 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
             mod.eri_elementwise, "quartets", lambda b, k, ia, ib: len(ia)))
         monkeypatch.setattr(mod, "leaf_cache", counting(
             mod.leaf_cache, "leaf_cache", lambda node: 1))
-    if driver == "naive":
-        _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
-    else:
-        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8)
-    assert c.eri_shell_quartets > 0
-    assert tally["quartets"] == c.eri_shell_quartets
-    assert tally["leaf_cache"] == 2 * c.leaf_contractions
+    for build in range(2):
+        tally.update(quartets=0, leaf_cache=0)
+        if driver == "naive":
+            _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+        else:
+            _, c = build_exchange_symmetric(pairs, P_tree, 1e-8)
+        assert c.eri_shell_quartets > 0
+        assert tally["quartets"] == c.eri_shell_quartets
+        # the first build fills the tables of each leaf it contracts once,
+        # through leaf_cache; a second build on the same tree calls it no more
+        contracted = sum(leaf.cache is not None for leaf in _leaves(pairs))
+        assert contracted > 0
+        assert tally["leaf_cache"] == (contracted if build == 0 else 0)
 
 
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
@@ -190,6 +197,61 @@ def test_screening_pieces_keep_the_same_quartets(monkeypatch, driver):
     assert c1.pop("culled_bound_ledger") == pytest.approx(
         c0.pop("culled_bound_ledger"), rel=1e-14)
     assert c0 == c1
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_walk_pieces_do_not_change_the_result(monkeypatch, driver):
+    # one-task frontier pieces and one-quartet leaf groups against the
+    # defaults: the same tasks, tallies and kept quartets; K and the ledger
+    # move by reassociation only
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    runs = []
+    for piece, group in ((1, 1), (exchange_naive._WALK_PIECE,
+                                  exchange_naive._LEAF_GROUP)):
+        monkeypatch.setattr(exchange_naive, "_WALK_PIECE", piece)
+        monkeypatch.setattr(exchange_naive, "_LEAF_GROUP", group)
+        log = []
+        K, c = _build(driver, pairs, P_tree, quartet_log=log)
+        runs.append((K, set(log), c.to_dict()))
+    (k0, log0, c0), (k1, log1, c1) = runs
+    assert log0 == log1 and len(log0) == c0["eri_shell_quartets"]
+    assert np.abs(k0 - k1).max() <= 1e-14 * max(1.0, float(np.abs(k0).max()))
+    assert c1.pop("culled_bound_ledger") == pytest.approx(
+        c0.pop("culled_bound_ledger"), rel=1e-13)
+    assert c0 == c1
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_walk_memory_is_bounded(driver):
+    # the frontier moves in pieces and leaf tasks are screened in bounded
+    # groups, so an evaluated water:70 build at leaf 10 stays small; one
+    # unpieced frontier peaks far higher
+    _, pairs, P_tree, _ = build_setup(70, tau_ovlp=1e-11, leaf_size=10)
+    tracemalloc.start()
+    try:
+        _, c = _build(driver, pairs, P_tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.leaf_contractions > 0 and c.eri_shell_quartets > 0
+    assert peak <= 8 * 2 ** 20
+
+
+def test_driver_builds_leave_no_reference_cycles():
+    # the node arrays cached on a pair tree's root hold no node, so a tree
+    # and everything its builds cached go as soon as the last name does
+    system, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    gc.collect()
+    gc.disable()
+    try:
+        tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+        build_exchange_naive(tree, tree, P_tree, 1e-8)
+        build_exchange_symmetric(tree, P_tree, 1e-8)
+        assert tree.flat is not None
+        del tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_naive_driver_reads_bra_and_ket_ids_from_their_own_trees():
