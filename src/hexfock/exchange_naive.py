@@ -10,13 +10,15 @@ otherwise it expands into the child tasks of the blocked contraction, each
 surviving link following its own density child.
 
 The walk runs in bounded array passes over flattened trees: frontier pieces
-of tasks are screened per link in vector form, and leaf tasks in groups
-over padded per-leaf factor tables. A leaf task's work follows the quartets
-it keeps, not its (mu nu|lam sig) block: a density entry culled on its
-largest factors is summed in closed form, the others are tested per
-quartet. Kept quartets, as ids into the pair trees' root tables, are
-evaluated _ERI_BATCH at a time and added to K one at a time in walk order;
-a transposed i == j pair adds nothing (its untransposed one covers it).
+of tasks are screened per link in vector form, and leaf tasks in groups,
+each live link over its own density leaf block, against per-leaf factor
+tables laid out by orientation (density index on the row span, or on the
+col span). A leaf task's work follows the quartets it keeps, not its
+(mu nu|lam sig) block: a density entry culled on its largest factors is
+summed in closed form, the others are tested per quartet. Kept quartets,
+as ids into the pair trees' root tables, are evaluated _ERI_BATCH at a time
+and added to K one at a time in walk order; a transposed i == j pair adds
+nothing (its untransposed one covers it).
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -145,8 +147,6 @@ class _PairArrays:
         self.leaves = np.concatenate((live[upper], live[~upper]))  # by slot
         self.slot = np.full(len(nodes), -1, dtype=np.intp)
         self.slot[self.leaves] = np.arange(len(live))
-        self.nr = np.array([nodes[i].row.n_functions for i in self.leaves],
-                           dtype=np.intp)
         self.n_canon = int(upper.sum())
         # the longest leaf span: tables pad the free index to it
         self.width = max(s.n_functions for s in leaf_spans(root.row))
@@ -249,7 +249,8 @@ class Traversal:
         c.leaf_contractions += int(leaf.sum())
         bl, kl, ll = bt.slot[b[leaf]], kt.slot[k[leaf]], links[leaf]
         A, B = self._tables(0, bl), self._tables(1, kl)
-        step = max(1, _LEAF_GROUP // (2 * bt.width) ** 2)  # density entries
+        # density entries: width x width per link
+        step = max(1, _LEAF_GROUP // (links.shape[1] * bt.width ** 2))
         for lo in range(0, len(bl), step):
             s = slice(lo, lo + step)
             self._screen(A, B, bl[s], kl[s], ll[s])
@@ -276,18 +277,18 @@ class Traversal:
         return bc[t, bpos], kc[t, kpos], np.where(parent >= 0, child, -2)
 
     def _tables(self, side: int, slots) -> dict:
-        """Side's leaf_cache tables in the walk's orientation by slot, padded
-        to 2 * width density rows and width free columns; the rows of
-        ``slots`` are filled through leaf_cache where no build has yet."""
+        """Side's leaf_cache tables in the walk's orientation by slot, each
+        orientation padded to width x width; the rows of ``slots`` are
+        filled through leaf_cache where no build has yet."""
         tree, root = (self.bra, self.ket)[side], self.roots[side]
         if self.canonical not in tree.tables:
-            n = tree.n_canon if self.canonical else len(tree.nr)
+            n = tree.n_canon if self.canonical else len(tree.leaves)
             w = tree.width
             # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
             tree.tables[self.canonical] = dict(
-                sq=np.zeros((n, 2 * w, w)), sqmax=np.zeros((n, 2 * w)),
-                sqsum=np.zeros((n, 2 * w)), m=np.zeros(n, dtype=np.intp),
-                pair=np.zeros((n, 2 * w, w), dtype=np.int32),
+                sq=np.zeros((n, 2, w, w)), sqmax=np.zeros((n, 2, w)),
+                sqsum=np.zeros((n, 2, w)), m=np.zeros(n, dtype=np.intp),
+                pair=np.zeros((n, 2, w, w), dtype=np.int32),
                 filled=np.zeros(n, bool))
         t = tree.tables[self.canonical]
         new = np.unique(slots[~t["filled"][slots]])
@@ -303,45 +304,41 @@ class Traversal:
         return t
 
     def _screen(self, A, B, bl, kl, links):
-        """Screen a slice of leaf tasks. Each live link's leaf block fills a
-        block of a task's density p over its tables' rows: a transposed bra
-        its row span (rows from 0), else its col span (from nr); a transposed
-        ket its col span (columns from nl), else its row span. An entry whose
-        screening_bound on the largest free factors is within tau keeps no
-        quartet (rounding is monotone) and adds |p| * (sum fb) * (sum fk) to
-        the ledger. Whole tasks are grouped by _LEAF_GROUP quartets of
-        candidate expansion."""
+        """Screen a slice of leaf tasks, each live link over its own density
+        leaf block, whose rows are its bra's density index and columns its
+        ket's: the bra reads its tables in orientation 1 - tb (the density
+        index on its col span unless transposed), the ket in orientation tk.
+        An entry whose screening_bound on the largest free factors is within
+        tau keeps no quartet (rounding is monotone) and adds |p| * (sum fb)
+        * (sum fk) to the ledger. Whole tasks are grouped by _LEAF_GROUP
+        quartets of candidate expansion."""
         c, tau, w = self.c, self.tau_2e, self.bra.width
-        nr, nl = self.bra.nr[bl], self.ket.nr[kl]
-        p, ar = np.zeros((len(bl), 2 * w, 2 * w)), np.arange(w)
-        for l, (tb, tk) in enumerate(zip(self.tb, self.tk)):
-            t = np.flatnonzero(links[:, l] >= 0)
-            rows = np.where(tb, 0, nr[t])[:, None, None] + ar[:, None]
-            cols = np.where(tk, nl[t], 0)[:, None, None] + ar
-            p[t[:, None, None], rows, cols] += \
-                self.P.blocks[self.P.slot[links[t, l]]]
+        t, l = np.nonzero(links >= 0)  # by task, then link
+        p = self.P.blocks[self.P.slot[links[t, l]]]
+        # each live link's bra and ket table, as (slot, orientation) rows
+        ob, ok = bl[t] * 2 + 1 - self.tb[l], kl[t] * 2 + self.tk[l]
         pa = np.abs(p)
-        keep = screening_bound(A["sqmax"][bl][:, :, None], pa,
-                               B["sqmax"][kl][:, None, :]) > tau
-        t, d1, d2 = np.nonzero(keep)
-        pc = pa[t, d1, d2]
+        keep = screening_bound(A["sqmax"].reshape(-1, w)[ob][:, :, None], pa,
+                               B["sqmax"].reshape(-1, w)[ok][:, None, :]) > tau
+        i, d1, d2 = np.nonzero(keep)
+        pc = pa[i, d1, d2]
         pa[keep] = 0.0
         c.culled_bound_ledger += 0.5 * float(
-            (A["sqsum"][bl][:, :, None] * pa * B["sqsum"][kl][:, None, :]).sum())
+            (A["sqsum"].reshape(-1, w)[ob][:, :, None] * pa
+             * B["sqsum"].reshape(-1, w)[ok][:, None, :]).sum())
         # per candidate: its rows in the bra's and the ket's tables, whether
         # its bra and its ket are transposed, and its density weight
-        cand = (bl[t] * 2 * w + d1, kl[t] * 2 * w + d2, d1 < nr[t],
-                d2 >= nl[t], p[t, d1, d2])
+        cand = (ob[i] * w + d1, ok[i] * w + d2, self.tb[l[i]], self.tk[l[i]],
+                p[i, d1, d2])
         del p, pa, keep, d1, d2
         # each task's first candidate; a group ends where the expansion before
         # a task crosses a multiple of _LEAF_GROUP; a larger task is alone in one
-        first = np.searchsorted(t, np.arange(len(bl) + 1))
+        first = np.searchsorted(t[i], np.arange(len(bl) + 1))
         big = np.diff(first) * w * w >= _LEAF_GROUP
         ends = np.flatnonzero((np.diff(first[:-1] * w * w // _LEAF_GROUP) > 0)
                               | big[1:] | big[:-1]) + 1
         first = first[np.r_[0, ends, len(bl)]]
-        live = (links >= 0).sum(axis=1)
-        c.quartets_culled_leaf += int((live * A["m"][bl] * B["m"][kl]).sum())
+        c.quartets_culled_leaf += int((A["m"][bl[t]] * B["m"][kl[t]]).sum())
         for g in map(slice, first[:-1], first[1:]):
             self._group(A, B, [x[g] for x in cand], pc[g])
 

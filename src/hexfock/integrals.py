@@ -173,30 +173,30 @@ def eri_elementwise(bra: PairData, ket: PairData, idx_a, idx_b) -> np.ndarray:
     """Contracted ERIs (bra_a | ket_b) for selected index pairs only.
 
     Grouped by primitive-count category so each group vectorizes with a
-    fixed (n, na, nb) shape.
+    fixed (n, na, nb) shape. Only the categories present are visited, found
+    by one stable sort, so each group's indices stay ascending.
     """
     idx_a = np.asarray(idx_a, dtype=np.intp)
     idx_b = np.asarray(idx_b, dtype=np.intp)
     out = np.zeros(len(idx_a))
     na = bra.offsets[idx_a + 1] - bra.offsets[idx_a]
     nb = ket.offsets[idx_b + 1] - ket.offsets[idx_b]
-    for ca in np.unique(na):
-        for cb in np.unique(nb):
-            sel = np.nonzero((na == ca) & (nb == cb))[0]
-            if len(sel) == 0:
-                continue
-            ga = bra.offsets[idx_a[sel], None] + np.arange(ca)[None, :]
-            gb = ket.offsets[idx_b[sel], None] + np.arange(cb)[None, :]
-            p1, w1, c1 = bra.p[ga], bra.weight[ga], bra.center[ga]
-            p2, w2, c2 = ket.p[gb], ket.weight[gb], ket.center[gb]
-            pq = p1[:, :, None] * p2[:, None, :]
-            psum = p1[:, :, None] + p2[:, None, :]
-            d = c1[:, :, None, :] - c2[:, None, :, :]
-            r2 = np.einsum("nijk,nijk->nij", d, d)
-            f0 = boys_f0((pq / psum * r2).ravel()).reshape(pq.shape)
-            vals = TWO_PI_POW_2_5 / (pq * np.sqrt(psum)) * f0
-            vals *= w1[:, :, None] * w2[:, None, :]
-            out[sel] = vals.sum(axis=(1, 2))
+    order = np.lexsort((nb, na))
+    cuts = np.flatnonzero(np.diff(na[order]) | np.diff(nb[order])) + 1
+    for sel in np.split(order, cuts) if len(order) else ():
+        ca, cb = na[sel[0]], nb[sel[0]]
+        ga = bra.offsets[idx_a[sel], None] + np.arange(ca)[None, :]
+        gb = ket.offsets[idx_b[sel], None] + np.arange(cb)[None, :]
+        p1, w1, c1 = bra.p[ga], bra.weight[ga], bra.center[ga]
+        p2, w2, c2 = ket.p[gb], ket.weight[gb], ket.center[gb]
+        pq = p1[:, :, None] * p2[:, None, :]
+        psum = p1[:, :, None] + p2[:, None, :]
+        d = c1[:, :, None, :] - c2[:, None, :, :]
+        r2 = np.einsum("nijk,nijk->nij", d, d)
+        f0 = boys_f0((pq / psum * r2).ravel()).reshape(pq.shape)
+        vals = TWO_PI_POW_2_5 / (pq * np.sqrt(psum)) * f0
+        vals *= w1[:, :, None] * w2[:, None, :]
+        out[sel] = vals.sum(axis=(1, 2))
     return out
 
 

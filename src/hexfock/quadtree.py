@@ -425,9 +425,10 @@ def _pair_table(shells, leaves, live):
 def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     """Pair ids and screening factors of a leaf pair node.
 
-    m is the number of pairs a walk covers. Each table below has one row per
-    density index, over the row span then the col span, and one column per
-    free index (the other shell of the pair), zero-padded to the longer span.
+    m is the number of pairs a walk covers. Each table below is laid out by
+    orientation, (2, a, a) with a the longer span: orientation 0 has one row
+    per density index on the row span and one column per free index (the
+    col shell), orientation 1 is its transpose, and both are zero-padded.
     sq holds the Schwarz factor (ij|ij)^1/2, pair the pair's id in the tree
     root's pair table (the node's base plus its row-major place in the
     node's grid); sqmax and sqsum reduce sq over the free index.
@@ -449,17 +450,13 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
             q = np.triu(q)
             m = nr * (nr + 1) // 2
 
-        # rows: density index over the row span, then over the col span;
-        # columns: the free index, zero-padded to the longer span
-        shape = (nr + nc, max(nr, nc))
+        shape = (2,) + (max(nr, nc),) * 2
         sq = np.zeros(shape)
-        sq[:nr, :nc] = q
-        sq[nr:, :nr] = q.T
+        sq[0, :nr, :nc], sq[1, :nc, :nr] = q, q.T
         grid = node.base + np.arange(nr * nc).reshape(nr, nc)
         pair = np.zeros(shape, dtype=np.intp)
-        pair[:nr, :nc] = grid
-        pair[nr:, :nr] = grid.T
-        cached = {"m": m, "sq": sq, "sqmax": sq.max(axis=1),
-                  "sqsum": sq.sum(axis=1), "pair": pair}
+        pair[0, :nr, :nc], pair[1, :nc, :nr] = grid, grid.T
+        cached = {"m": m, "sq": sq, "sqmax": sq.max(axis=2),
+                  "sqsum": sq.sum(axis=2), "pair": pair}
         node.cache[key] = cached
     return cached

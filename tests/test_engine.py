@@ -139,6 +139,33 @@ def test_leaf_eris_are_batched_across_leaf_tasks(monkeypatch, driver):
 
 
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_leaf_prefilter_bounds_one_block_per_live_link(monkeypatch, driver):
+    # a leaf task's prefilter bounds each live link's width x width density
+    # block on its own: the naive driver's one link, at most four for the
+    # symmetry driver, never a (2 width) x (2 width) density per task
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    w = max(s.n_functions for s in leaf_spans(pairs.row))
+    shapes, bound = [], exchange_naive.screening_bound
+
+    def recording(f_bra, p, f_ket):
+        shapes.append(np.shape(p))
+        return bound(f_bra, p, f_ket)
+
+    monkeypatch.setattr(exchange_naive, "screening_bound", recording)
+    if driver == "naive":
+        _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+    else:
+        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8)
+    entries = sum(n * w * w for n, *block in shapes if block == [w, w])
+    assert c.leaf_contractions > 0
+    if driver == "naive":
+        assert entries == c.leaf_contractions * w * w
+    else:
+        assert c.leaf_contractions * w * w <= entries
+        assert entries <= 4 * c.leaf_contractions * w * w
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
 def test_k_does_not_depend_on_the_eri_batch(monkeypatch, driver):
     # a batch of one leaf task is leaf-by-leaf evaluation; batching must
     # not change one ERI, one addition to K or the quartet log

@@ -315,8 +315,9 @@ def _surviving_leaves(node):
 
 def test_pair_table_ids_index_the_root_table():
     # leaf_cache's pair ids, in both orientations, name the leaf's (row
-    # shell, col shell) pairs in the root's table: a density index on the
-    # row span leaves its free index on the col span, and vice versa
+    # shell, col shell) pairs in the root's table: orientation 0 puts the
+    # density index on the row span and the free index on the col span,
+    # orientation 1 the other way round
     system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     table = pairs.pairs
     leaves = _surviving_leaves(pairs)
@@ -328,13 +329,13 @@ def test_pair_table_ids_index_the_root_table():
         for canonical in (False, True):
             cache = leaf_cache(leaf, canonical=canonical)
             pair = cache["pair"]
-            assert np.array_equal(table.i_shell[pair[:nr, :nc]],
+            assert np.array_equal(table.i_shell[pair[0, :nr, :nc]],
                                   np.broadcast_to(rows[:, None], (nr, nc)))
-            assert np.array_equal(table.j_shell[pair[:nr, :nc]],
+            assert np.array_equal(table.j_shell[pair[0, :nr, :nc]],
                                   np.broadcast_to(cols[None, :], (nr, nc)))
-            assert np.array_equal(table.i_shell[pair[nr:, :nr]],
+            assert np.array_equal(table.i_shell[pair[1, :nc, :nr]],
                                   np.broadcast_to(rows[None, :], (nc, nr)))
-            assert np.array_equal(table.j_shell[pair[nr:, :nr]],
+            assert np.array_equal(table.j_shell[pair[1, :nc, :nr]],
                                   np.broadcast_to(cols[:, None], (nc, nr)))
     assert any(leaf.row is leaf.col for leaf in leaves)
 
