@@ -13,9 +13,12 @@ The walk runs in bounded array passes over flattened trees: frontier pieces
 of tasks are screened per link in vector form, and leaf tasks in groups,
 each live link over its own density leaf block, against per-leaf factor
 tables laid out by orientation (density index on the row span, or on the
-col span). A leaf task's work follows the quartets it keeps, not its
-(mu nu|lam sig) block: a density entry culled on its largest factors is
-summed in closed form, the others are tested per quartet. Kept quartets,
+col span), each row of factors sorted in descending order. A leaf task's
+work follows the quartets it keeps, not its (mu nu|lam sig) block: a
+density entry culled on its largest factors is summed in closed form; for
+each other entry a range query finds the box of free bra and free ket
+indices that can pass, a prefix of each sorted row, and only that box is
+tested per quartet, the rest summed in closed form. Kept quartets,
 as ids into the pair trees' root tables, are evaluated _ERI_BATCH at a time
 and added to K one at a time in walk order; a transposed i == j pair adds
 nothing (its untransposed one covers it).
@@ -44,17 +47,19 @@ from .quadtree import (MatrixQuadtree, ShellPairNode, flatten, leaf_cache,
 # 3,227), small enough that its temporaries stay near 1 MB.
 _ERI_BATCH = 4096
 
-# Quartets a leaf task's screening expands per piece (16 MB of bounds); no
-# leaf task of the benchmark workloads, at most 1.13 M quartets, needs two.
-_SCREEN_CHUNK = 1 << 21
+# Box quartets a leaf task's screening expands per piece: each holds about
+# 64 bytes of indices, factors and bound, so a piece stays near 16 MB.
+_SCREEN_CHUNK = 1 << 18
 
 # Tasks per frontier piece of the walk. A piece's temporaries and the pieces
 # awaiting expansion, one per tree level, are (tasks x links) arrays of 8
 # bytes: 128 KB each at 2^12 tasks with four links.
 _WALK_PIECE = 1 << 12
 
-# Density entries a slice of leaf tasks prefilters at once, and quartets a
-# group of whole leaf tasks expands at once: 2^14 float64 bounds are 128 KB.
+# Density entries a slice of leaf tasks prefilters at once (2^14 float64
+# bounds are 128 KB), and four times the box quartets a group of whole leaf
+# tasks expands at once: most box quartets are kept, and a kept one also
+# carries its pair ids, its place in the union and its ERI-buffer entry.
 _LEAF_GROUP = 1 << 14
 
 
@@ -278,16 +283,17 @@ class Traversal:
 
     def _tables(self, side: int, slots) -> dict:
         """Side's leaf_cache tables in the walk's orientation by slot, each
-        orientation padded to width x width; the rows of ``slots`` are
-        filled through leaf_cache where no build has yet."""
+        orientation padded to width x width (tail to width x width + 1); the
+        rows of ``slots`` are filled through leaf_cache where no build has
+        yet."""
         tree, root = (self.bra, self.ket)[side], self.roots[side]
         if self.canonical not in tree.tables:
             n = tree.n_canon if self.canonical else len(tree.leaves)
             w = tree.width
             # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
             tree.tables[self.canonical] = dict(
-                sq=np.zeros((n, 2, w, w)), sqmax=np.zeros((n, 2, w)),
-                sqsum=np.zeros((n, 2, w)), m=np.zeros(n, dtype=np.intp),
+                sq=np.zeros((n, 2, w, w)), tail=np.zeros((n, 2, w, w + 1)),
+                m=np.zeros(n, dtype=np.intp),
                 pair=np.zeros((n, 2, w, w), dtype=np.int32),
                 filled=np.zeros(n, bool))
         t = tree.tables[self.canonical]
@@ -297,7 +303,7 @@ class Traversal:
         for s in new.tolist():
             cache = leaf_cache(self.nodes[id(root)][tree.leaves[s]],
                                canonical=self.canonical)
-            for key in ("sq", "pair", "sqmax", "sqsum"):
+            for key in ("sq", "pair", "tail"):
                 t[key][s][tuple(map(slice, cache[key].shape))] = cache[key]
             t["m"][s] = cache["m"]
         t["filled"][new] = True
@@ -308,60 +314,101 @@ class Traversal:
         leaf block, whose rows are its bra's density index and columns its
         ket's: the bra reads its tables in orientation 1 - tb (the density
         index on its col span unless transposed), the ket in orientation tk.
-        An entry whose screening_bound on the largest free factors is within
-        tau keeps no quartet (rounding is monotone) and adds |p| * (sum fb)
-        * (sum fk) to the ledger. Whole tasks are grouped by _LEAF_GROUP
-        quartets of candidate expansion."""
+        An entry whose screening_bound on the largest free factors (each
+        sorted row's first) is within tau keeps no quartet (rounding is
+        monotone) and adds |p| * (sum fb) * (sum fk) to the ledger. Each
+        other entry is a candidate: _edges finds its box, and whole tasks
+        are grouped by _LEAF_GROUP // 4 box quartets for _group."""
         c, tau, w = self.c, self.tau_2e, self.bra.width
         t, l = np.nonzero(links >= 0)  # by task, then link
         p = self.P.blocks[self.P.slot[links[t, l]]]
         # each live link's bra and ket table, as (slot, orientation) rows
         ob, ok = bl[t] * 2 + 1 - self.tb[l], kl[t] * 2 + self.tk[l]
         pa = np.abs(p)
-        keep = screening_bound(A["sqmax"].reshape(-1, w)[ob][:, :, None], pa,
-                               B["sqmax"].reshape(-1, w)[ok][:, None, :]) > tau
+        # by density index: the largest free factor (its sorted row's first)
+        # and the sum of its row
+        sq_b, sq_k = A["sq"].reshape(-1, w, w), B["sq"].reshape(-1, w, w)
+        keep = screening_bound(sq_b[ob, :, :1], pa,
+                               sq_k[ok, :, 0][:, None]) > tau
         i, d1, d2 = np.nonzero(keep)
         pc = pa[i, d1, d2]
         pa[keep] = 0.0
+        tail_b = A["tail"].reshape(-1, w, w + 1)
+        tail_k = B["tail"].reshape(-1, w, w + 1)
         c.culled_bound_ledger += 0.5 * float(
-            (A["sqsum"].reshape(-1, w)[ob][:, :, None] * pa
-             * B["sqsum"].reshape(-1, w)[ok][:, None, :]).sum())
-        # per candidate: its rows in the bra's and the ket's tables, whether
-        # its bra and its ket are transposed, and its density weight
-        cand = (ob[i] * w + d1, ok[i] * w + d2, self.tb[l[i]], self.tk[l[i]],
-                p[i, d1, d2])
+            (tail_b[ob, :, :1] * pa * tail_k[ok, :, 0][:, None]).sum())
+        rb, rk, weight = ob[i] * w + d1, ok[i] * w + d2, p[i, d1, d2]
         del p, pa, keep, d1, d2
-        # each task's first candidate; a group ends where the expansion before
-        # a task crosses a multiple of _LEAF_GROUP; a larger task is alone in one
+        nb, nk = self._edges(A, B, rb, rk, pc)
+        # per candidate: its rows in the bra's and the ket's tables, whether
+        # its bra and its ket are transposed, its density weight and |weight|
+        # and its box
+        cand = (rb, rk, self.tb[l[i]], self.tk[l[i]], weight, pc, nb, nk)
+        # each task's first candidate; a group ends where the boxes before a
+        # task cross a multiple of _LEAF_GROUP // 4 quartets; a larger task
+        # is alone in one
+        group = max(1, _LEAF_GROUP // 4)
         first = np.searchsorted(t[i], np.arange(len(bl) + 1))
-        big = np.diff(first) * w * w >= _LEAF_GROUP
-        ends = np.flatnonzero((np.diff(first[:-1] * w * w // _LEAF_GROUP) > 0)
+        before = np.r_[0, np.cumsum(nb * nk)][first]
+        big = np.diff(before) >= group
+        ends = np.flatnonzero((np.diff(before[:-1] // group) > 0)
                               | big[1:] | big[:-1]) + 1
         first = first[np.r_[0, ends, len(bl)]]
         c.quartets_culled_leaf += int((A["m"][bl[t]] * B["m"][kl[t]]).sum())
         for g in map(slice, first[:-1], first[1:]):
-            self._group(A, B, [x[g] for x in cand], pc[g])
+            self._group(A, B, *[x[g] for x in cand])
+            if self.n_buffered >= _ERI_BATCH:
+                self.flush()
 
-    def _group(self, A, B, group, pc):
-        """Test each quartet of a group's candidates, in pieces of
-        _SCREEN_CHUNK (the direct-SCF test: the kept set does not depend on
-        leaf blocking); count the kept quartets' union of root-table ids and
-        buffer it with each one's place in it, transposes and weight."""
-        rb, rk, tb, tk, weight = group
+    def _edges(self, A, B, rb, rk, pc):
+        """The range query: each candidate's box of free indices, with bra
+        row a, ket row b and weight |p|, _LEAF_GROUP // width candidates at
+        a time. nb = #(screening_bound(a, |p|, b[0]) > tau) and nk =
+        #(screening_bound(a[0], |p|, b) > tau) count prefixes of the sorted
+        rows, as rounding is monotone, and every quartet outside the nb x nk
+        box fails its own test. Their bounds add |p| * (tail_a[nb] *
+        tail_b[0] + (sum_{f<nb} a) * tail_b[nk]) to the ledger: positive
+        terms only, so no subtraction can cancel."""
         tau, w = self.tau_2e, self.bra.width
         sq_b, sq_k = A["sq"].reshape(-1, w), B["sq"].reshape(-1, w)
-        step = max(1, _SCREEN_CHUNK // (w * w))
-        kept = []
-        for lo in range(0, len(rb) or 1, step):
+        tail_b = A["tail"].reshape(-1, w + 1)
+        tail_k = B["tail"].reshape(-1, w + 1)
+        nb, nk = np.empty((2, len(pc)), dtype=np.intp)
+        step = max(1, _LEAF_GROUP // w)
+        for lo in range(0, len(pc), step):
             s = slice(lo, lo + step)
-            # (candidate, free bra index, free ket index)
-            bound = screening_bound(sq_b[rb[s]][:, :, None], pc[s, None, None],
-                                    sq_k[rk[s]][:, None, :])
+            a, b, pw = sq_b[rb[s]], sq_k[rk[s]], pc[s, None]
+            in_b = screening_bound(a, pw, b[:, :1]) > tau
+            nb[s] = in_b.sum(axis=1)
+            nk[s] = (screening_bound(a[:, :1], pw, b) > tau).sum(axis=1)
+            self.c.culled_bound_ledger += 0.5 * float((pc[s] * (
+                tail_b[rb[s], nb[s]] * tail_k[rk[s], 0]
+                + a.sum(axis=1, where=in_b) * tail_k[rk[s], nk[s]])).sum())
+        return nb, nk
+
+    def _group(self, A, B, rb, rk, tb, tk, weight, pc, nb, nk):
+        """Test each quartet in the boxes of a group's candidates with
+        screening_bound, in pieces of whole candidates of about
+        _SCREEN_CHUNK quartets (the direct-SCF test: the kept set does not
+        depend on leaf blocking); count the kept quartets' union of
+        root-table ids and buffer it with each one's place in it,
+        transposes and weight."""
+        tau, w = self.tau_2e, self.bra.width
+        sq_b, sq_k = A["sq"].reshape(-1, w), B["sq"].reshape(-1, w)
+        box = nb * nk
+        start = np.r_[0, np.cumsum(box)]  # each candidate's first quartet
+        cut = np.flatnonzero(np.diff(start[:-1] // _SCREEN_CHUNK)) + 1
+        kept = []
+        for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(rb)]):
+            # (candidate, free bra index, free ket index), row-major per box
+            j = np.repeat(np.arange(lo, hi), box[lo:hi])
+            f1, f2 = np.divmod(np.arange(start[lo], start[hi]) - start[j],
+                               nk[j])
+            bound = screening_bound(sq_b[rb[j], f1], pc[j], sq_k[rk[j], f2])
             keep = bound > tau
             self.c.culled_bound_ledger += 0.5 * float(bound.sum(where=~keep))
-            j, f1, f2 = np.nonzero(keep)
-            kept.append((j + lo, f1, f2))
-        del bound, keep
+            kept.append((j[keep], f1[keep], f2[keep]))
+        del j, bound, keep
         c, f1, f2 = kept[0] if len(kept) == 1 else map(np.concatenate,
                                                         zip(*kept))
         self.c.quartets_culled_leaf -= len(c)
@@ -381,42 +428,42 @@ class Traversal:
             self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
                                 tb[c], tk[c], weight[c]))
             self.n_buffered += len(union)
-            if self.n_buffered >= _ERI_BATCH:
-                self.flush()
 
     def flush(self, final: bool = False):
         """Evaluate the buffered unions, _ERI_BATCH quartets per call (the
-        rest waits unless ``final``), and add each kept quartet to K at row
-        mu (nu if the bra is transposed) and column sig (lam if the ket is),
-        dropping a transposed i == j pair, one at a time in walk order: K is
-        the same for every batch size."""
+        rest waits unless ``final``), and after each call add its kept
+        quartets to K at row mu (nu if the bra is transposed) and column
+        sig (lam if the ket is), dropping a transposed i == j pair, one at
+        a time in walk order: K is the same for every batch size."""
         size = _ERI_BATCH
         m = self.n_buffered if final else self.n_buffered // size * size
         if not m:
             return
         union, at, tb, tk, weight = map(np.concatenate, zip(*self.buffer))
-        self.buffer = []
-        pb, pk = self.roots[0].pairs, self.roots[1].pairs
-        ia, ib = np.divmod(union[:m], pk.n_pairs)
-        e = -0.5 * np.concatenate([
-            eri_elementwise(pb, pk, ia[lo:lo + size], ib[lo:lo + size])
-            for lo in range(0, m, size)])
-        mu, nu, lam, sig = (pb.i_shell[ia], pb.j_shell[ia],
-                            pk.i_shell[ib], pk.j_shell[ib])
-        if self.qlog is not None:
-            self.qlog.extend(zip(mu.tolist(), nu.tolist(), lam.tolist(),
-                                 sig.tolist()))
-        # K rows and columns, untransposed then transposed; -1 drops i == j
-        cut = np.searchsorted(at, m)
-        self.buffer = [(union[m:], at[cut:] - m, tb[cut:], tk[cut:],
-                        weight[cut:])]
+        # each batch's first kept quartet; the last cut starts the rest
+        cut = np.searchsorted(at, np.r_[0:m:size, m])
+        rest = slice(cut[-1], None)
+        self.buffer = [(union[m:], at[rest] - m, tb[rest], tk[rest],
+                        weight[rest])]
         self.n_buffered -= m
-        a, tb, tk = at[:cut], tb[:cut], tk[:cut]
-        row = np.concatenate((mu, np.where(mu == nu, -1, nu)))[a + m * tb]
-        col = np.concatenate((sig, np.where(lam == sig, -1, lam)))[a + m * tk]
-        keep = (row >= 0) & (col >= 0)
-        np.add.at(self.K.reshape(-1), (row * len(self.K) + col)[keep],
-                  (e[a] * weight[:cut])[keep])
+        pb, pk = self.roots[0].pairs, self.roots[1].pairs
+        for lo, k in zip(range(0, m, size), map(slice, cut[:-1], cut[1:])):
+            ia, ib = np.divmod(union[lo:lo + size], pk.n_pairs)
+            e = -0.5 * eri_elementwise(pb, pk, ia, ib)
+            mu, nu, lam, sig = (pb.i_shell[ia], pb.j_shell[ia],
+                                pk.i_shell[ib], pk.j_shell[ib])
+            if self.qlog is not None:
+                self.qlog.extend(zip(mu.tolist(), nu.tolist(), lam.tolist(),
+                                     sig.tolist()))
+            # K rows and columns, untransposed then transposed; -1 drops
+            # i == j
+            a, n = at[k] - lo, len(ia)
+            row = np.concatenate((mu, np.where(mu == nu, -1, nu)))
+            col = np.concatenate((sig, np.where(lam == sig, -1, lam)))
+            row, col = row[a + n * tb[k]], col[a + n * tk[k]]
+            keep = (row >= 0) & (col >= 0)
+            np.add.at(self.K.reshape(-1), (row * len(self.K) + col)[keep],
+                      (e[a] * weight[k])[keep])
 
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,

@@ -429,9 +429,13 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
     orientation, (2, a, a) with a the longer span: orientation 0 has one row
     per density index on the row span and one column per free index (the
     col shell), orientation 1 is its transpose, and both are zero-padded.
-    sq holds the Schwarz factor (ij|ij)^1/2, pair the pair's id in the tree
-    root's pair table (the node's base plus its row-major place in the
-    node's grid); sqmax and sqsum reduce sq over the free index.
+    sq holds the Schwarz factor (ij|ij)^1/2, each row sorted in descending
+    order (stable), and pair the id in the tree root's pair table (the
+    node's base plus the grid's row-major place) of the pair at each sq
+    entry. tail, (2, a, a + 1), holds sq's suffix sums along each row:
+    tail[..., k] = sum over f >= k of sq[..., f], so tail[..., a] = 0.
+    Sorted rows make the engine's range query a prefix of each row; zero
+    padding to any longer width leaves both tables correct.
     canonical=True restricts a diagonal node to its upper-triangular
     (i <= j) pairs: its factors are zero below the diagonal, so no bound
     there is kept and each adds 0 to the ledger. Cached in ``node.cache``
@@ -454,9 +458,14 @@ def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
         sq = np.zeros(shape)
         sq[0, :nr, :nc], sq[1, :nc, :nr] = q, q.T
         grid = node.base + np.arange(nr * nc).reshape(nr, nc)
-        pair = np.zeros(shape, dtype=np.intp)
+        # int32 ids, as the exchange engine keeps them
+        pair = np.zeros(shape, dtype=np.int32)
         pair[0, :nr, :nc], pair[1, :nc, :nr] = grid, grid.T
-        cached = {"m": m, "sq": sq, "sqmax": sq.max(axis=2),
-                  "sqsum": sq.sum(axis=2), "pair": pair}
+        order = np.argsort(-sq, axis=2, kind="stable")
+        sq = np.take_along_axis(sq, order, axis=2)
+        tail = np.zeros(shape[:2] + (shape[2] + 1,))
+        tail[..., :-1] = np.cumsum(sq[..., ::-1], axis=2)[..., ::-1]
+        cached = {"m": m, "sq": sq, "tail": tail,
+                  "pair": np.take_along_axis(pair, order, axis=2)}
         node.cache[key] = cached
     return cached

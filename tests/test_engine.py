@@ -165,6 +165,27 @@ def test_leaf_prefilter_bounds_one_block_per_live_link(monkeypatch, driver):
         assert entries <= 4 * c.leaf_contractions * w * w
 
 
+@pytest.mark.parametrize("driver,per_quartet",
+                         [("naive", 8), ("symmetry", 32)])
+def test_leaf_screening_tests_follow_the_kept_quartets(monkeypatch, driver,
+                                                       per_quartet):
+    # one leaf over all of water:10 at leaf 40: a surviving density entry
+    # tests only its box of free bra and ket indices, not every one of the
+    # leaf's 40 x 40, so the bounds evaluated follow the quartets kept
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=40)
+    evaluated, bound = [0], exchange_naive.screening_bound
+
+    def counting(f_bra, p, f_ket):
+        result = bound(f_bra, p, f_ket)
+        evaluated[0] += np.size(result)
+        return result
+
+    monkeypatch.setattr(exchange_naive, "screening_bound", counting)
+    _, c = _build(driver, pairs, P_tree, evaluate=False)
+    assert c.eri_shell_quartets > 0
+    assert evaluated[0] <= per_quartet * c.eri_shell_quartets
+
+
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
 def test_k_does_not_depend_on_the_eri_batch(monkeypatch, driver):
     # a batch of one leaf task is leaf-by-leaf evaluation; batching must

@@ -156,10 +156,19 @@ def _tied_threshold(system, P, kind, rank):
     not exact under the bra/ket swap culls such a quartet and keeps its
     mirror. "entry": one float below the rank-th largest density-entry
     bound, the largest bound of the entry's quartets, which is also the
-    value the leaf prefilter computes for that entry."""
+    value the leaf prefilter computes for that entry. "edge" (at) and
+    "below-edge" (one float below): the rank-th largest edge bound
+    screening_bound(f[mu,nu], |P[nu,lam]|, max_sig f[lam,sig]), the test
+    that bounds a density entry's box of free bra indices in the leaf
+    kernel's range query."""
     q = build_pair_tree(system, build_partition(system,
                                                 leaf_size=system.n_shells)).diag
     f = np.sqrt(q)
+    if kind in ("edge", "below-edge"):
+        bound = screening_bound(f[:, :, None], np.abs(P)[None],
+                                f.max(axis=1)[None, None, :])
+        edge = float(np.sort(bound, axis=None)[-rank])
+        return edge if kind == "edge" else float(np.nextafter(edge, 0.0))
     if kind == "mirror":
         ordered = f[:, :, None, None] * np.abs(P)[None, :, :, None] * f
         return float(np.sort(
@@ -183,9 +192,14 @@ def _tied_threshold(system, P, kind, rank):
     # bra-then-ket product rounds a quartet and its mirror apart, which the
     # swap-exact bound keeps together; one float below an entry's largest
     # bound keeps that quartet, which the leaf prefilter, having no safety
-    # margin, must pass on (leaf 40, and leaf 3)
+    # margin, must pass on (leaf 40, and leaf 3); at and one float below
+    # an edge bound, the leaf 40 range query's box edge (one leaf spans
+    # every shell), drops and keeps the quartet at that edge
     pytest.param(8, 40, ("quartet", 10_000), 9998, id="at-tie-leaf40"),
     pytest.param(8, 40, ("entry", 300), 4714, id="below-tie-leaf40"),
+    pytest.param(8, 40, ("edge", 3_000), 12548, id="at-edge-leaf40"),
+    pytest.param(8, 40, ("below-edge", 3_000), 12550,
+                 id="below-edge-leaf40"),
     pytest.param(5, 3, ("mirror", 1_000), 8786, id="at-tie-leaf3"),
     pytest.param(5, 3, ("entry", 100), 1538, id="below-tie-leaf3"),
 ])

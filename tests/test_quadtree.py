@@ -314,10 +314,12 @@ def _surviving_leaves(node):
 
 
 def test_pair_table_ids_index_the_root_table():
-    # leaf_cache's pair ids, in both orientations, name the leaf's (row
-    # shell, col shell) pairs in the root's table: orientation 0 puts the
-    # density index on the row span and the free index on the col span,
-    # orientation 1 the other way round
+    # leaf_cache's tables, in both orientations: orientation 0 has a row per
+    # row shell (density index) and a column per col shell (free index),
+    # orientation 1 the other way round. Each pair row is a permutation of
+    # the leaf's grid row (grid column) of root-table ids, ordered so that
+    # sq, the Schwarz factor at each id's grid place, does not increase
+    # along it; tail holds sq's suffix sums; the padding is zero
     system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     table = pairs.pairs
     leaves = _surviving_leaves(pairs)
@@ -326,18 +328,32 @@ def test_pair_table_ids_index_the_root_table():
         nr, nc = leaf.row.n_functions, leaf.col.n_functions
         rows = leaf.row.shell_lo + np.arange(nr)
         cols = leaf.col.shell_lo + np.arange(nc)
+        grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
+        assert np.array_equal(table.i_shell[grid],
+                              np.broadcast_to(rows[:, None], (nr, nc)))
+        assert np.array_equal(table.j_shell[grid],
+                              np.broadcast_to(cols[None, :], (nr, nc)))
         for canonical in (False, True):
             cache = leaf_cache(leaf, canonical=canonical)
-            pair = cache["pair"]
-            assert np.array_equal(table.i_shell[pair[0, :nr, :nc]],
-                                  np.broadcast_to(rows[:, None], (nr, nc)))
-            assert np.array_equal(table.j_shell[pair[0, :nr, :nc]],
-                                  np.broadcast_to(cols[None, :], (nr, nc)))
-            assert np.array_equal(table.i_shell[pair[1, :nc, :nr]],
-                                  np.broadcast_to(rows[None, :], (nc, nr)))
-            assert np.array_equal(table.j_shell[pair[1, :nc, :nr]],
-                                  np.broadcast_to(cols[:, None], (nc, nr)))
+            sq, pair, tail = cache["sq"], cache["pair"], cache["tail"]
+            q = np.sqrt(leaf.diag)
+            if canonical and leaf.row is leaf.col:
+                q = np.triu(q)
+            for o, ids in ((0, grid), (1, grid.T)):
+                n, m = ids.shape
+                assert np.array_equal(np.sort(pair[o, :n, :m], axis=1), ids)
+                i = table.i_shell[pair[o, :n, :m]] - leaf.row.shell_lo
+                j = table.j_shell[pair[o, :n, :m]] - leaf.col.shell_lo
+                assert np.array_equal(sq[o, :n, :m], q[i, j])
+                assert not sq[o, n:].any() and not sq[o, :, m:].any()
+            assert (np.diff(sq, axis=2) <= 0).all()
+            a = sq.shape[2]
+            suffix = np.stack([sq[..., k:].sum(axis=2) for k in range(a + 1)],
+                              axis=2)
+            np.testing.assert_allclose(tail, suffix, rtol=1e-14, atol=0)
     assert any(leaf.row is leaf.col for leaf in leaves)
+    assert any(leaf.row.n_functions != leaf.col.n_functions
+               for leaf in leaves)
 
 
 def test_chunked_pair_table_equals_one_build():
