@@ -11,9 +11,10 @@ surviving link following its own density child.
 
 The walk runs in bounded array passes over flattened trees: frontier pieces
 of tasks are screened per link in vector form, and leaf tasks in groups,
-each live link over its own density leaf block, against per-leaf factor
-tables laid out by orientation (density index on the row span, or on the
-col span), each row of factors sorted in descending order. A leaf task's
+each live link over its own density leaf block, against factor tables
+that leaf_cache builds once per pair tree and kind, for every live leaf,
+laid out by orientation (density index on the row span, or on the col
+span), each row of factors sorted in descending order. A leaf task's
 work follows the quartets it keeps, not its (mu nu|lam sig) block: a
 density entry culled on its largest factors is summed in closed form; for
 each other entry a range query finds the box of free bra and free ket
@@ -39,8 +40,7 @@ import numpy as np
 # stays bound only because perfbench/run.py's tracer wraps it on both driver
 # modules.
 from .integrals import InvalidArgumentError, eri_cross, eri_elementwise
-from .quadtree import (MatrixQuadtree, ShellPairNode, flatten, leaf_cache,
-                       leaf_spans)
+from .quadtree import MatrixQuadtree, ShellPairNode, flatten, leaf_spans
 
 # Union quartets per eri_elementwise call: large enough that the kernel's
 # per-call cost vanishes (a water:24 build at leaf 10 makes 14 calls, not
@@ -155,7 +155,59 @@ class _PairArrays:
         self.n_canon = int(upper.sum())
         # the longest leaf span: tables pad the free index to it
         self.width = max(s.n_functions for s in leaf_spans(root.row))
-        self.tables = {}
+
+
+def leaf_cache(root: ShellPairNode, canonical: bool = False) -> dict:
+    """Pair ids and screening factors of a pair tree's live leaves, by
+    _PairArrays slot: the canonical slots only, or all of them.
+
+    m is the number of pairs a walk covers per slot. Each table is laid out
+    by slot and orientation, (slots, 2, w, w) with w the longest leaf span:
+    orientation 0 has one row per density index on the leaf's row span and
+    one column per free index (the col shell), orientation 1 is its
+    transpose, and both are zero-padded. sq holds the Schwarz factor
+    (ij|ij)^1/2, each row sorted in descending order (stable), and pair the
+    id in the root's pair table (the leaf's base plus the grid's row-major
+    place) of the pair at each sq entry. tail, (slots, 2, w, w + 1), holds
+    sq's suffix sums along each row: tail[..., k] = sum over f >= k of
+    sq[..., f], so tail[..., w] = 0. Sorted rows make the engine's range
+    query a prefix of each row. canonical=True restricts a diagonal leaf to
+    its upper-triangular (i <= j) pairs: its factors are zero below the
+    diagonal, so no bound there is kept and each adds 0 to the ledger.
+    Built once per tree and kind, with the tree's ``flat`` node arrays
+    where it has none yet, and kept in ``root.cache`` under "canon" or
+    "full"; no other node holds a cache.
+    """
+    if root.flat is None:
+        root.flat = _PairArrays(root)
+    if root.cache is None:
+        root.cache = {}
+    key = "canon" if canonical else "full"
+    if key not in root.cache:
+        tree, nodes = root.flat, flatten(root)[0]
+        slots = tree.leaves[:tree.n_canon if canonical else None]
+        shape = (len(slots), 2, tree.width, tree.width)
+        sq = np.zeros(shape)
+        # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
+        pair = np.zeros(shape, dtype=np.int32)
+        m = np.zeros(len(slots), dtype=np.intp)
+        for s, leaf in enumerate(nodes[i] for i in slots.tolist()):
+            q = np.sqrt(leaf.diag)
+            nr, nc = q.shape
+            m[s] = nr * nc
+            if canonical and leaf.row is leaf.col:
+                q, m[s] = np.triu(q), nr * (nr + 1) // 2
+            grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
+            sq[s, 0, :nr, :nc], sq[s, 1, :nc, :nr] = q, q.T
+            pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = grid, grid.T
+        order = np.argsort(-sq, axis=3, kind="stable")
+        sq = np.take_along_axis(sq, order, axis=3)
+        pair = np.take_along_axis(pair, order, axis=3)
+        del order
+        tail = np.zeros(shape[:3] + (shape[3] + 1,))
+        tail[..., :-1] = np.cumsum(sq[..., ::-1], axis=3)[..., ::-1]
+        root.cache[key] = {"m": m, "sq": sq, "tail": tail, "pair": pair}
+    return root.cache[key]
 
 
 def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
@@ -183,16 +235,17 @@ class Traversal:
                  evaluate: bool, counters: TraversalCounters,
                  case_label=None, quartet_log: list | None = None):
         self.K = np.zeros((bra.row.n_functions,) * 2)
-        for root in (bra, ket):
-            if root.flat is None:
-                root.flat = _PairArrays(root)
+        self.case_label, self.canonical = case_label, case_label is not None
+        # the leaf tables of each side, one leaf_cache call per distinct root
+        self.A = leaf_cache(bra, canonical=self.canonical)
+        self.B = (self.A if ket is bra
+                  else leaf_cache(ket, canonical=self.canonical))
         self.roots = (bra, ket)
         self.bra, self.ket = bra.flat, ket.flat
         self.buffer = []     # unions and kept quartets not yet evaluated
         self.n_buffered = 0  # quartets in their unions
         self.c, self.tau_2e, self.evaluate = counters, tau_2e, evaluate
-        self.case_label, self.canonical = case_label, case_label is not None
-        self.qlog, self.nodes = quartet_log, {}  # flatten() nodes, by root
+        self.qlog = quartet_log
 
     def walk(self, P: MatrixQuadtree, slots) -> None:
         """Visit every task from the roots, with a link to P's root per slot
@@ -253,12 +306,11 @@ class Traversal:
                     counts[name] += n
         c.leaf_contractions += int(leaf.sum())
         bl, kl, ll = bt.slot[b[leaf]], kt.slot[k[leaf]], links[leaf]
-        A, B = self._tables(0, bl), self._tables(1, kl)
         # density entries: width x width per link
         step = max(1, _LEAF_GROUP // (links.shape[1] * bt.width ** 2))
         for lo in range(0, len(bl), step):
             s = slice(lo, lo + step)
-            self._screen(A, B, bl[s], kl[s], ll[s])
+            self._screen(bl[s], kl[s], ll[s])
         inner = ~leaf
         c.tasks_expanded += int(inner.sum())
         return b[inner], k[inner], links[inner]
@@ -281,35 +333,7 @@ class Traversal:
         child = self.P.child[np.maximum(parent, 0), dpos]
         return bc[t, bpos], kc[t, kpos], np.where(parent >= 0, child, -2)
 
-    def _tables(self, side: int, slots) -> dict:
-        """Side's leaf_cache tables in the walk's orientation by slot, each
-        orientation padded to width x width (tail to width x width + 1); the
-        rows of ``slots`` are filled through leaf_cache where no build has
-        yet."""
-        tree, root = (self.bra, self.ket)[side], self.roots[side]
-        if self.canonical not in tree.tables:
-            n = tree.n_canon if self.canonical else len(tree.leaves)
-            w = tree.width
-            # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
-            tree.tables[self.canonical] = dict(
-                sq=np.zeros((n, 2, w, w)), tail=np.zeros((n, 2, w, w + 1)),
-                m=np.zeros(n, dtype=np.intp),
-                pair=np.zeros((n, 2, w, w), dtype=np.int32),
-                filled=np.zeros(n, bool))
-        t = tree.tables[self.canonical]
-        new = np.unique(slots[~t["filled"][slots]])
-        if len(new) and id(root) not in self.nodes:
-            self.nodes[id(root)] = flatten(root)[0]
-        for s in new.tolist():
-            cache = leaf_cache(self.nodes[id(root)][tree.leaves[s]],
-                               canonical=self.canonical)
-            for key in ("sq", "pair", "tail"):
-                t[key][s][tuple(map(slice, cache[key].shape))] = cache[key]
-            t["m"][s] = cache["m"]
-        t["filled"][new] = True
-        return t
-
-    def _screen(self, A, B, bl, kl, links):
+    def _screen(self, bl, kl, links):
         """Screen a slice of leaf tasks, each live link over its own density
         leaf block, whose rows are its bra's density index and columns its
         ket's: the bra reads its tables in orientation 1 - tb (the density
@@ -319,7 +343,7 @@ class Traversal:
         monotone) and adds |p| * (sum fb) * (sum fk) to the ledger. Each
         other entry is a candidate: _edges finds its box, and whole tasks
         are grouped by _LEAF_GROUP // 4 box quartets for _group."""
-        c, tau, w = self.c, self.tau_2e, self.bra.width
+        c, tau, w, A, B = self.c, self.tau_2e, self.bra.width, self.A, self.B
         t, l = np.nonzero(links >= 0)  # by task, then link
         p = self.P.blocks[self.P.slot[links[t, l]]]
         # each live link's bra and ket table, as (slot, orientation) rows
@@ -339,7 +363,7 @@ class Traversal:
             (tail_b[ob, :, :1] * pa * tail_k[ok, :, 0][:, None]).sum())
         rb, rk, weight = ob[i] * w + d1, ok[i] * w + d2, p[i, d1, d2]
         del p, pa, keep, d1, d2
-        nb, nk = self._edges(A, B, rb, rk, pc)
+        nb, nk = self._edges(rb, rk, pc)
         # per candidate: its rows in the bra's and the ket's tables, whether
         # its bra and its ket are transposed, its density weight and |weight|
         # and its box
@@ -356,11 +380,11 @@ class Traversal:
         first = first[np.r_[0, ends, len(bl)]]
         c.quartets_culled_leaf += int((A["m"][bl[t]] * B["m"][kl[t]]).sum())
         for g in map(slice, first[:-1], first[1:]):
-            self._group(A, B, *[x[g] for x in cand])
+            self._group(*[x[g] for x in cand])
             if self.n_buffered >= _ERI_BATCH:
                 self.flush()
 
-    def _edges(self, A, B, rb, rk, pc):
+    def _edges(self, rb, rk, pc):
         """The range query: each candidate's box of free indices, with bra
         row a, ket row b and weight |p|, _LEAF_GROUP // width candidates at
         a time. nb = #(screening_bound(a, |p|, b[0]) > tau) and nk =
@@ -369,7 +393,7 @@ class Traversal:
         box fails its own test. Their bounds add |p| * (tail_a[nb] *
         tail_b[0] + (sum_{f<nb} a) * tail_b[nk]) to the ledger: positive
         terms only, so no subtraction can cancel."""
-        tau, w = self.tau_2e, self.bra.width
+        tau, w, A, B = self.tau_2e, self.bra.width, self.A, self.B
         sq_b, sq_k = A["sq"].reshape(-1, w), B["sq"].reshape(-1, w)
         tail_b = A["tail"].reshape(-1, w + 1)
         tail_k = B["tail"].reshape(-1, w + 1)
@@ -386,14 +410,14 @@ class Traversal:
                 + a.sum(axis=1, where=in_b) * tail_k[rk[s], nk[s]])).sum())
         return nb, nk
 
-    def _group(self, A, B, rb, rk, tb, tk, weight, pc, nb, nk):
+    def _group(self, rb, rk, tb, tk, weight, pc, nb, nk):
         """Test each quartet in the boxes of a group's candidates with
         screening_bound, in pieces of whole candidates of about
         _SCREEN_CHUNK quartets (the direct-SCF test: the kept set does not
         depend on leaf blocking); count the kept quartets' union of
         root-table ids and buffer it with each one's place in it,
         transposes and weight."""
-        tau, w = self.tau_2e, self.bra.width
+        tau, w, A, B = self.tau_2e, self.bra.width, self.A, self.B
         sq_b, sq_k = A["sq"].reshape(-1, w), B["sq"].reshape(-1, w)
         box = nb * nk
         start = np.r_[0, np.cumsum(box)]  # each candidate's first quartet

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # eri_cross, eri_elementwise and leaf_cache are not used here (the engine in
-# exchange_naive calls leaf_cache and eri_elementwise, and never eri_cross);
-# they stay bound in this module only because perfbench/run.py's tracer
-# wraps them on both driver modules.
+# exchange_naive calls its own leaf_cache, once per pair tree and build, and
+# eri_elementwise, and never eri_cross); they stay bound in this module only
+# because perfbench/run.py's tracer wraps them on both driver modules.
 from .exchange_naive import (LogicError, Traversal, TraversalCounters,
                              check_driver_args, eri_cross, eri_elementwise,
                              leaf_cache)
@@ -148,12 +148,13 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     The traversal engine of exchange_naive with the four slots of
     _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
     driver uses; the canonical restriction is applied during traversal
-    (upper-triangular child selection) and at leaves (leaf_cache's canonical
-    factors, zero below a diagonal node's diagonal), so the cached norms
-    feeding the screening tests are shared with the naive driver bit for
-    bit. Returns (K, SymmetryCounters); K passes through symmetrize_final.
-    evaluate behaves as in build_exchange_naive; quartet_log collects
-    evaluated canonical quartets.
+    (upper-triangular child selection) and at leaves (the tree's canonical
+    leaf tables from leaf_cache, with factors zero below a diagonal leaf's
+    diagonal, kept on the root next to the naive driver's full ones), so
+    the cached norms feeding the screening tests are shared with the naive
+    driver bit for bit. Returns (K, SymmetryCounters); K passes through
+    symmetrize_final. evaluate behaves as in build_exchange_naive;
+    quartet_log collects evaluated canonical quartets.
     """
     check_driver_args(pairs, pairs, P, tau_2e)
     t = Traversal(pairs, pairs, tau_2e, evaluate, SymmetryCounters(),

@@ -14,6 +14,9 @@ with (ij|ij) values and primitive pair data for the canonical pairs of the
 live blocks only, is laid out from that table, and one recursion prunes,
 places and normalizes every node. ``shell_overlap_matrix`` forms the dense
 overlap matrix for callers that want it; the pair tree does not use it.
+The exchange engine keeps what it derives from a pair tree on the root
+only: its node arrays (``flat``) and its leaf factor tables (``cache``,
+built by exchange_naive.leaf_cache).
 """
 
 from __future__ import annotations
@@ -117,11 +120,6 @@ class MatrixQuadtree(_Block):
         self.norm = norm
         self.leaf = leaf
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.row.n_functions, self.col.n_functions))
-        _fill_dense(self, out, self.row.shell_lo, self.col.shell_lo)
-        return out
-
 
 def flatten(root: _Block):
     """The nodes under ``root``, parents first, and each one's child ids: row
@@ -137,16 +135,6 @@ def flatten(root: _Block):
         for (a, b), ch in node.children.items():
             child[i, 2 * a + b] = index[id(ch)]
     return nodes, child
-
-
-def _fill_dense(node, out, row0, col0):
-    if node.is_leaf:
-        r, c = node.row, node.col
-        out[r.shell_lo - row0:r.shell_hi - row0,
-            c.shell_lo - col0:c.shell_hi - col0] = node.leaf
-        return
-    for ch in node.children.values():
-        _fill_dense(ch, out, row0, col0)
 
 
 def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
@@ -207,8 +195,10 @@ class ShellPairNode(_Block):
         # blocks run row-major by (row leaf, col leaf)
         self.base = 0
         self.diag = None    # its block of the system's (ab|ab) matrix
-        self.cache = None   # driver-level leaf scratch (see leaf_cache)
-        self.flat = None    # at the root: the engine's node arrays of the tree
+        # at the root: the engine's leaf tables of the tree, by kind (see
+        # exchange_naive.leaf_cache), and its node arrays
+        self.cache = None
+        self.flat = None
 
 
 # Canonical pairs per pass, in the overlap and the (ij|ij) pass alike. Small
@@ -420,52 +410,3 @@ def _pair_table(shells, leaves, live):
             table.center[rows] = piece.center
             table.weight[rows] = piece.weight
     return table, base, q
-
-
-def leaf_cache(node: ShellPairNode, canonical: bool = False) -> dict:
-    """Pair ids and screening factors of a leaf pair node.
-
-    m is the number of pairs a walk covers. Each table below is laid out by
-    orientation, (2, a, a) with a the longer span: orientation 0 has one row
-    per density index on the row span and one column per free index (the
-    col shell), orientation 1 is its transpose, and both are zero-padded.
-    sq holds the Schwarz factor (ij|ij)^1/2, each row sorted in descending
-    order (stable), and pair the id in the tree root's pair table (the
-    node's base plus the grid's row-major place) of the pair at each sq
-    entry. tail, (2, a, a + 1), holds sq's suffix sums along each row:
-    tail[..., k] = sum over f >= k of sq[..., f], so tail[..., a] = 0.
-    Sorted rows make the engine's range query a prefix of each row; zero
-    padding to any longer width leaves both tables correct.
-    canonical=True restricts a diagonal node to its upper-triangular
-    (i <= j) pairs: its factors are zero below the diagonal, so no bound
-    there is kept and each adds 0 to the ledger. Cached in ``node.cache``
-    under "canon" or "full"; the exchange engine calls this once per leaf
-    and orientation per tree, copying the tables into its padded ones.
-    """
-    if node.cache is None:
-        node.cache = {}
-    key = "canon" if canonical else "full"
-    cached = node.cache.get(key)
-    if cached is None:
-        q = np.sqrt(node.diag)
-        nr, nc = q.shape
-        m = nr * nc
-        if canonical and node.row is node.col:
-            q = np.triu(q)
-            m = nr * (nr + 1) // 2
-
-        shape = (2,) + (max(nr, nc),) * 2
-        sq = np.zeros(shape)
-        sq[0, :nr, :nc], sq[1, :nc, :nr] = q, q.T
-        grid = node.base + np.arange(nr * nc).reshape(nr, nc)
-        # int32 ids, as the exchange engine keeps them
-        pair = np.zeros(shape, dtype=np.int32)
-        pair[0, :nr, :nc], pair[1, :nc, :nr] = grid, grid.T
-        order = np.argsort(-sq, axis=2, kind="stable")
-        sq = np.take_along_axis(sq, order, axis=2)
-        tail = np.zeros(shape[:2] + (shape[2] + 1,))
-        tail[..., :-1] = np.cumsum(sq[..., ::-1], axis=2)[..., ::-1]
-        cached = {"m": m, "sq": sq, "tail": tail,
-                  "pair": np.take_along_axis(pair, order, axis=2)}
-        node.cache[key] = cached
-    return cached

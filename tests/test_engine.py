@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from hexfock import (build_exchange_naive, build_exchange_symmetric,
                      dense_exchange, exchange_naive, exchange_symmetry,
                      generate_cluster)
+from hexfock.exchange_naive import leaf_cache
 from hexfock.integrals import eri_elementwise
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
-                              build_partition, leaf_cache)
+                              build_partition, flatten)
 
 from conftest import build_setup, leaf_spans
 
@@ -100,7 +101,7 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
             mod.eri_elementwise, "quartets", lambda b, k, ia, ib: len(ia)))
         monkeypatch.setattr(mod, "leaf_cache", counting(
             mod.leaf_cache, "leaf_cache", lambda node: 1))
-    for build in range(2):
+    for _ in range(2):
         tally.update(quartets=0, leaf_cache=0)
         if driver == "naive":
             _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
@@ -108,11 +109,9 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
             _, c = build_exchange_symmetric(pairs, P_tree, 1e-8)
         assert c.eri_shell_quartets > 0
         assert tally["quartets"] == c.eri_shell_quartets
-        # the first build fills the tables of each leaf it contracts once,
-        # through leaf_cache; a second build on the same tree calls it no more
-        contracted = sum(leaf.cache is not None for leaf in _leaves(pairs))
-        assert contracted > 0
-        assert tally["leaf_cache"] == (contracted if build == 0 else 0)
+        # every build reads the tree's leaf tables through one leaf_cache
+        # call per distinct root; only the first fills them
+        assert tally["leaf_cache"] == 1
 
 
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
@@ -272,8 +271,9 @@ def test_walk_pieces_do_not_change_the_result(monkeypatch, driver):
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
 def test_walk_memory_is_bounded(driver):
     # the frontier moves in pieces and leaf tasks are screened in bounded
-    # groups, so an evaluated water:70 build at leaf 10 stays small; one
-    # unpieced frontier peaks far higher
+    # groups, and the leaf tables exist once, on the pair tree's root, so an
+    # evaluated water:70 build at leaf 10 stays small; one unpieced frontier
+    # peaks far higher
     _, pairs, P_tree, _ = build_setup(70, tau_ovlp=1e-11, leaf_size=10)
     tracemalloc.start()
     try:
@@ -282,12 +282,13 @@ def test_walk_memory_is_bounded(driver):
     finally:
         tracemalloc.stop()
     assert c.leaf_contractions > 0 and c.eri_shell_quartets > 0
-    assert peak <= 8 * 2 ** 20
+    assert peak <= 6 * 2 ** 20
 
 
 def test_driver_builds_leave_no_reference_cycles():
-    # the node arrays cached on a pair tree's root hold no node, so a tree
-    # and everything its builds cached go as soon as the last name does
+    # the node arrays and leaf tables cached on a pair tree's root hold no
+    # node, so a tree and everything its builds cached go as soon as the
+    # last name does
     system, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     gc.collect()
     gc.disable()
@@ -295,7 +296,7 @@ def test_driver_builds_leave_no_reference_cycles():
         tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
         build_exchange_naive(tree, tree, P_tree, 1e-8)
         build_exchange_symmetric(tree, P_tree, 1e-8)
-        assert tree.flat is not None
+        assert tree.flat is not None and set(tree.cache) == {"full", "canon"}
         del tree
         assert gc.collect() == 0
     finally:
@@ -323,40 +324,38 @@ def test_naive_driver_reads_bra_and_ket_ids_from_their_own_trees():
     assert np.abs(K_mixed - K_one).max() <= 1e-10
 
 
-def _leaves(node):
-    if node.is_leaf:
-        return [node]
-    return [leaf for ch in node.children.values() for leaf in _leaves(ch)]
+@pytest.mark.parametrize("order", [("naive", "symmetry"),
+                                   ("symmetry", "naive")],
+                         ids=["naive-first", "symmetry-first"])
+def test_leaf_cache_keeps_one_table_set_per_kind_on_the_root(monkeypatch,
+                                                            order):
+    # perfbench/run.py counts leaf-table fills by reading root.cache for the
+    # driver's key. Both drivers on one tree, in either order, give their
+    # fresh-tree K and counters bit for bit, each fills its own kind once on
+    # the root and no other node, and a warm build reads back the same
+    # tables
+    system, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
+    fresh = {}
+    for driver in order:
+        tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+        K, c = _build(driver, tree, P_tree)
+        fresh[driver] = (K.tobytes(), c.to_dict())
+    returned = []
 
-
-@pytest.mark.parametrize("driver,key", [("naive", "full"),
-                                        ("symmetry", "canon")])
-def test_leaf_cache_holds_one_key_per_contracted_leaf(monkeypatch, driver,
-                                                      key):
-    # perfbench/run.py counts leaf-cache fills by reading node.cache for
-    # the driver's key; a build fills it once on every leaf it contracts,
-    # touches no other leaf, and a second build on the same tree fills
-    # nothing more
-    _, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
-    contracted = set()
-
-    def recording(node, canonical=False):
-        contracted.add(id(node))
-        return leaf_cache(node, canonical=canonical)
+    def recording(root, canonical=False):
+        returned.append(leaf_cache(root, canonical=canonical))
+        return returned[-1]
 
     monkeypatch.setattr(exchange_naive, "leaf_cache", recording)
     for _ in range(2):
-        if driver == "naive":
-            build_exchange_naive(pairs, pairs, P_tree, 1e-8)
-        else:
-            build_exchange_symmetric(pairs, P_tree, 1e-8)
-        leaves = _leaves(pairs)
-        assert 0 < len(contracted) < len(leaves)
-        for leaf in leaves:
-            if id(leaf) in contracted:
-                assert list(leaf.cache) == [key]
-            else:
-                assert leaf.cache is None
+        for driver in order:
+            K, c = _build(driver, pairs, P_tree)
+            assert (K.tobytes(), c.to_dict()) == fresh[driver]
+    assert set(pairs.cache) == {"full", "canon"}
+    key = {"naive": "full", "symmetry": "canon"}
+    assert ([id(t) for t in returned]
+            == [id(pairs.cache[key[driver]]) for driver in order] * 2)
+    assert all(node.cache is None for node in flatten(pairs)[0][1:])
 
 
 @st.composite

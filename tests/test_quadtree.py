@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexfock import (build_exchange_naive, build_exchange_symmetric,
-                     hilbert_order, integrals, quadtree)
+                     exchange_naive, hilbert_order, integrals, quadtree)
 from hexfock.basis import Atom, BasisSystem, GaussianShell, generate_cluster
 from hexfock.integrals import (InvalidArgumentError, build_pair_data,
                                diagonal_values, eri_quartet, overlap)
 from hexfock.quadtree import (_PAIR_CHUNK, _candidate_pairs,
                               build_matrix_tree, build_pair_tree,
-                              build_partition, leaf_cache,
-                              shell_overlap_matrix)
+                              build_partition, flatten, shell_overlap_matrix)
 
 from conftest import build_setup, leaf_spans
 
@@ -87,6 +86,19 @@ def test_partition_depth_scales_logarithmically():
 
 # ---------------------------------------------------------------- matrix tree
 
+def _assert_leaves_tile(tree, m):
+    """Each leaf block of ``tree`` is bitwise its slice of ``m``, and ``m``
+    is zero outside the leaf blocks."""
+    rest = m.copy()
+    for node in flatten(tree)[0]:
+        if node.is_leaf:
+            block = (slice(node.row.shell_lo, node.row.shell_hi),
+                     slice(node.col.shell_lo, node.col.shell_hi))
+            assert node.leaf.tobytes() == m[block].tobytes()
+            rest[block] = 0.0
+    assert not rest.any()
+
+
 def test_matrix_tree_zero_matrix():
     system = _line_system(12)
     part = build_partition(system, leaf_size=4)
@@ -110,7 +122,7 @@ def test_matrix_tree_identity_offdiag_absent():
         assert (1, 0) not in node.children
 
     walk(tree)
-    assert np.array_equal(tree.dense(), np.eye(12))
+    _assert_leaves_tile(tree, np.eye(12))
 
 
 def test_matrix_tree_roundtrip_bitwise():
@@ -119,7 +131,7 @@ def test_matrix_tree_roundtrip_bitwise():
     part = build_partition(system, leaf_size=7)
     m = rng.normal(size=(40, 40))
     tree = build_matrix_tree(m, part)
-    assert np.array_equal(tree.dense(), m)
+    _assert_leaves_tile(tree, m)
 
 
 def test_matrix_tree_dimension_mismatch():
@@ -314,46 +326,61 @@ def _surviving_leaves(node):
 
 
 def test_pair_table_ids_index_the_root_table():
-    # leaf_cache's tables, in both orientations: orientation 0 has a row per
-    # row shell (density index) and a column per col shell (free index),
-    # orientation 1 the other way round. Each pair row is a permutation of
-    # the leaf's grid row (grid column) of root-table ids, ordered so that
-    # sq, the Schwarz factor at each id's grid place, does not increase
-    # along it; tail holds sq's suffix sums; the padding is zero
+    # leaf_cache's tables of the tree, slot s holding the leaf
+    # root.flat.leaves[s] (canonical slots first), in both orientations:
+    # orientation 0 has a row per row shell (density index) and a column per
+    # col shell (free index), orientation 1 the other way round. Each pair
+    # row is a permutation of the leaf's grid row (grid column) of
+    # root-table ids, ordered so that sq, the Schwarz factor at each id's
+    # grid place, does not increase along it; tail holds sq's suffix sums;
+    # m counts the leaf's pairs a walk covers; the padding up to the longest
+    # leaf span w is zero
     system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     table = pairs.pairs
-    leaves = _surviving_leaves(pairs)
-    assert len(leaves) > 1
-    for leaf in leaves:
-        nr, nc = leaf.row.n_functions, leaf.col.n_functions
-        rows = leaf.row.shell_lo + np.arange(nr)
-        cols = leaf.col.shell_lo + np.arange(nc)
-        grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
-        assert np.array_equal(table.i_shell[grid],
-                              np.broadcast_to(rows[:, None], (nr, nc)))
-        assert np.array_equal(table.j_shell[grid],
-                              np.broadcast_to(cols[None, :], (nr, nc)))
-        for canonical in (False, True):
-            cache = leaf_cache(leaf, canonical=canonical)
-            sq, pair, tail = cache["sq"], cache["pair"], cache["tail"]
+    nodes = flatten(pairs)[0]
+    for canonical in (False, True):
+        t = exchange_naive.leaf_cache(pairs, canonical=canonical)
+        flat, w = pairs.flat, pairs.flat.width
+        n = flat.n_canon if canonical else len(flat.leaves)
+        assert t["sq"].shape == t["pair"].shape == (n, 2, w, w)
+        assert t["tail"].shape == (n, 2, w, w + 1) and t["m"].shape == (n,)
+        leaves = [nodes[i] for i in flat.leaves[:n]]
+        if not canonical:
+            assert ({id(leaf) for leaf in leaves}
+                    == {id(leaf) for leaf in _surviving_leaves(pairs)})
+        for s, leaf in enumerate(leaves):
+            assert not leaf.pruned
+            assert not canonical or leaf.row.shell_lo <= leaf.col.shell_lo
+            nr, nc = leaf.row.n_functions, leaf.col.n_functions
+            rows = leaf.row.shell_lo + np.arange(nr)
+            cols = leaf.col.shell_lo + np.arange(nc)
+            grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
+            assert np.array_equal(table.i_shell[grid],
+                                  np.broadcast_to(rows[:, None], (nr, nc)))
+            assert np.array_equal(table.j_shell[grid],
+                                  np.broadcast_to(cols[None, :], (nr, nc)))
+            sq, pair, tail = t["sq"][s], t["pair"][s], t["tail"][s]
             q = np.sqrt(leaf.diag)
             if canonical and leaf.row is leaf.col:
                 q = np.triu(q)
+                assert t["m"][s] == nr * (nr + 1) // 2
+            else:
+                assert t["m"][s] == nr * nc
             for o, ids in ((0, grid), (1, grid.T)):
-                n, m = ids.shape
-                assert np.array_equal(np.sort(pair[o, :n, :m], axis=1), ids)
-                i = table.i_shell[pair[o, :n, :m]] - leaf.row.shell_lo
-                j = table.j_shell[pair[o, :n, :m]] - leaf.col.shell_lo
-                assert np.array_equal(sq[o, :n, :m], q[i, j])
-                assert not sq[o, n:].any() and not sq[o, :, m:].any()
+                a, b = ids.shape
+                assert np.array_equal(np.sort(pair[o, :a, :b], axis=1), ids)
+                i = table.i_shell[pair[o, :a, :b]] - leaf.row.shell_lo
+                j = table.j_shell[pair[o, :a, :b]] - leaf.col.shell_lo
+                assert np.array_equal(sq[o, :a, :b], q[i, j])
+                for x in (sq, pair):
+                    assert not x[o, a:].any() and not x[o, :, b:].any()
             assert (np.diff(sq, axis=2) <= 0).all()
-            a = sq.shape[2]
-            suffix = np.stack([sq[..., k:].sum(axis=2) for k in range(a + 1)],
-                              axis=2)
+            suffix = np.stack([sq[..., k:].sum(axis=2)
+                               for k in range(w + 1)], axis=2)
             np.testing.assert_allclose(tail, suffix, rtol=1e-14, atol=0)
-    assert any(leaf.row is leaf.col for leaf in leaves)
-    assert any(leaf.row.n_functions != leaf.col.n_functions
-               for leaf in leaves)
+        assert any(leaf.row is leaf.col for leaf in leaves)
+        assert any(leaf.row.n_functions != leaf.col.n_functions
+                   for leaf in leaves)
 
 
 def test_chunked_pair_table_equals_one_build():
