@@ -237,7 +237,7 @@ def run(config: RunConfig) -> dict:
     if config.reference is not None:
         K_ref, _, _ = _execute(config, config.reference, system, P)
         report["comparison"] = {"reference_mode": config.reference,
-                                **compare(K, K_ref).to_dict()}
+                                **asdict(compare(K, K_ref))}
     return report
 
 

@@ -71,11 +71,3 @@ def load_density_file(path) -> np.ndarray:
         raise InvalidArgumentError("density file holds NaN or infinite values")
     p = vals.reshape(n, n)
     return 0.5 * (p + p.T)
-
-
-def save_density_file(path, p: np.ndarray) -> None:
-    n = p.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"{n}\n")
-        for row in p:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -12,7 +12,7 @@ surviving link following its own density child.
 The walk runs in bounded array passes over flattened trees: frontier pieces
 of tasks are screened per link in vector form, and leaf tasks in groups,
 each live link over its own density leaf block, against factor tables
-that leaf_cache builds once per pair tree and kind, for every live leaf,
+that leaf_cache builds once per pair tree, for every live leaf,
 laid out by orientation (density index on the row span, or on the col
 span), each row of factors sorted in descending order. A leaf task's
 work follows the quartets it keeps, not its (mu nu|lam sig) block: a
@@ -21,8 +21,7 @@ each other entry a range query finds the box of free bra and free ket
 indices that can pass, a prefix of each sorted row, and only that box is
 tested per quartet, the rest summed in closed form. Kept quartets,
 as ids into the pair trees' root tables, are evaluated _ERI_BATCH at a time
-and added to K one at a time in walk order; a transposed i == j pair adds
-nothing (its untransposed one covers it).
+and added to K one at a time in walk order.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -136,7 +135,7 @@ class _PairArrays:
     """Node arrays of a pair tree, cached in its root's ``flat`` by its first
     build; holding no node, the cache makes no cycle. A span is named by its
     first shell, unique on its tree level. Live leaves have factor-table
-    slots, canonical ones (row span not after col span) first."""
+    slots, in node order."""
 
     def __init__(self, root: ShellPairNode):
         nodes, self.child = flatten(root)
@@ -147,22 +146,19 @@ class _PairArrays:
         f, self.rowsum, self.colsum = np.array(
             [(n.diag_norm, n.rowsum_max, n.colsum_max) for n in nodes]).T
         self.f = np.sqrt(f)
-        live = np.flatnonzero(self.leaf & ~self.pruned)
-        upper = self.row[live] <= self.col[live]
-        self.leaves = np.concatenate((live[upper], live[~upper]))  # by slot
+        self.leaves = np.flatnonzero(self.leaf & ~self.pruned)  # by slot
         self.slot = np.full(len(nodes), -1, dtype=np.intp)
-        self.slot[self.leaves] = np.arange(len(live))
-        self.n_canon = int(upper.sum())
+        self.slot[self.leaves] = np.arange(len(self.leaves))
         # the longest leaf span: tables pad the free index to it
         self.width = max(s.n_functions for s in leaf_spans(root.row))
 
 
-def leaf_cache(root: ShellPairNode, canonical: bool = False) -> dict:
+def leaf_cache(root: ShellPairNode) -> dict:
     """Pair ids and screening factors of a pair tree's live leaves, by
-    _PairArrays slot: the canonical slots only, or all of them.
+    _PairArrays slot, for both drivers.
 
-    m is the number of pairs a walk covers per slot. Each table is laid out
-    by slot and orientation, (slots, 2, w, w) with w the longest leaf span:
+    m is the number of pairs of each slot. Each table is laid out by slot
+    and orientation, (slots, 2, w, w) with w the longest leaf span:
     orientation 0 has one row per density index on the leaf's row span and
     one column per free index (the col shell), orientation 1 is its
     transpose, and both are zero-padded. sq holds the Schwarz factor
@@ -171,32 +167,25 @@ def leaf_cache(root: ShellPairNode, canonical: bool = False) -> dict:
     place) of the pair at each sq entry. tail, (slots, 2, w, w + 1), holds
     sq's suffix sums along each row: tail[..., k] = sum over f >= k of
     sq[..., f], so tail[..., w] = 0. Sorted rows make the engine's range
-    query a prefix of each row. canonical=True restricts a diagonal leaf to
-    its upper-triangular (i <= j) pairs: its factors are zero below the
-    diagonal, so no bound there is kept and each adds 0 to the ledger.
-    Built once per tree and kind, with the tree's ``flat`` node arrays
-    where it has none yet, and kept in ``root.cache`` under "canon" or
-    "full"; no other node holds a cache.
+    query a prefix of each row. A diagonal leaf's factor block is exactly
+    symmetric, so its two orientations hold equal sq rows and, at each
+    place, mirrored pairs (j, i) for (i, j). Built once per tree, with the
+    tree's ``flat`` node arrays where it has none yet, and kept in
+    ``root.cache`` under "full"; no other node holds a cache.
     """
     if root.flat is None:
         root.flat = _PairArrays(root)
     if root.cache is None:
-        root.cache = {}
-    key = "canon" if canonical else "full"
-    if key not in root.cache:
         tree, nodes = root.flat, flatten(root)[0]
-        slots = tree.leaves[:tree.n_canon if canonical else None]
-        shape = (len(slots), 2, tree.width, tree.width)
+        shape = (len(tree.leaves), 2, tree.width, tree.width)
         sq = np.zeros(shape)
         # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
         pair = np.zeros(shape, dtype=np.int32)
-        m = np.zeros(len(slots), dtype=np.intp)
-        for s, leaf in enumerate(nodes[i] for i in slots.tolist()):
+        m = np.zeros(len(tree.leaves), dtype=np.intp)
+        for s, leaf in enumerate(nodes[i] for i in tree.leaves.tolist()):
             q = np.sqrt(leaf.diag)
             nr, nc = q.shape
             m[s] = nr * nc
-            if canonical and leaf.row is leaf.col:
-                q, m[s] = np.triu(q), nr * (nr + 1) // 2
             grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
             sq[s, 0, :nr, :nc], sq[s, 1, :nc, :nr] = q, q.T
             pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = grid, grid.T
@@ -206,8 +195,8 @@ def leaf_cache(root: ShellPairNode, canonical: bool = False) -> dict:
         del order
         tail = np.zeros(shape[:3] + (shape[3] + 1,))
         tail[..., :-1] = np.cumsum(sq[..., ::-1], axis=3)[..., ::-1]
-        root.cache[key] = {"m": m, "sq": sq, "tail": tail, "pair": pair}
-    return root.cache[key]
+        root.cache = {"full": {"m": m, "sq": sq, "tail": tail, "pair": pair}}
+    return root.cache["full"]
 
 
 def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
@@ -227,9 +216,10 @@ class Traversal:
     """One build's K accumulator and counters, and how it walks.
 
     ``case_label`` (exchange_symmetry._case_index), when given, makes the
-    walk canonical (upper-triangular child keys and leaf pairs only) and
-    turns on SymmetryCounters' per-link and per-case tallies. ``quartet_log``
-    collects every evaluated shell quartet."""
+    walk canonical (upper-triangular child keys, kept quartets logged and
+    evaluated as canonical pairs) and turns on SymmetryCounters' per-link
+    and per-case tallies. ``quartet_log`` collects every evaluated shell
+    quartet."""
 
     def __init__(self, bra: ShellPairNode, ket: ShellPairNode, tau_2e: float,
                  evaluate: bool, counters: TraversalCounters,
@@ -237,9 +227,8 @@ class Traversal:
         self.K = np.zeros((bra.row.n_functions,) * 2)
         self.case_label, self.canonical = case_label, case_label is not None
         # the leaf tables of each side, one leaf_cache call per distinct root
-        self.A = leaf_cache(bra, canonical=self.canonical)
-        self.B = (self.A if ket is bra
-                  else leaf_cache(ket, canonical=self.canonical))
+        self.A = leaf_cache(bra)
+        self.B = self.A if ket is bra else leaf_cache(ket)
         self.roots = (bra, ket)
         self.bra, self.ket = bra.flat, ket.flat
         self.buffer = []     # unions and kept quartets not yet evaluated
@@ -305,7 +294,13 @@ class Traversal:
                 for name, n in zip(counts, tally):
                     counts[name] += n
         c.leaf_contractions += int(leaf.sum())
-        bl, kl, ll = bt.slot[b[leaf]], kt.slot[k[leaf]], links[leaf]
+        lb, lk = b[leaf], k[leaf]
+        # a link transposed on a diagonal leaf (only the canonical walk has
+        # one) followed the same density path, with the same norms, as its
+        # untransposed twin, whose full pair grid covers both: it dies here
+        dead = ((self.tb & (bt.row[lb] == bt.col[lb])[:, None])
+                | (self.tk & (kt.row[lk] == kt.col[lk])[:, None]))
+        bl, kl, ll = bt.slot[lb], kt.slot[lk], np.where(dead, -2, links[leaf])
         # density entries: width x width per link
         step = max(1, _LEAF_GROUP // (links.shape[1] * bt.width ** 2))
         for lo in range(0, len(bl), step):
@@ -432,13 +427,28 @@ class Traversal:
             keep = bound > tau
             self.c.culled_bound_ledger += 0.5 * float(bound.sum(where=~keep))
             kept.append((j[keep], f1[keep], f2[keep]))
-        del j, bound, keep
         c, f1, f2 = kept[0] if len(kept) == 1 else map(np.concatenate,
                                                         zip(*kept))
+        del j, bound, keep, kept
         self.c.quartets_culled_leaf -= len(c)
-        quartet = (A["pair"].reshape(-1, w)[rb[c], f1].astype(np.intp)
-                   * self.roots[1].pairs.n_pairs
-                   + B["pair"].reshape(-1, w)[rk[c], f2])
+        pair_b, pair_k = A["pair"].reshape(-1, w), B["pair"].reshape(-1, w)
+        ib, ik = pair_b[rb[c], f1].astype(np.intp), pair_k[rk[c], f2]
+        tb, tk = tb[c], tk[c]
+        if self.canonical:
+            # a pair below a diagonal leaf's diagonal, read untransposed
+            # (bra orientation 1, ket 0), takes its mirror's id from the
+            # same place of the other orientation, and that side transposed
+            for ids, table, rows, f, t, step, pairs in (
+                    (ib, pair_b, rb, f1, tb, -w, self.roots[0].pairs),
+                    (ik, pair_k, rk, f2, tk, w, self.roots[1].pairs)):
+                lower = pairs.i_shell[ids] > pairs.j_shell[ids]
+                ids[lower] = table[rows[c[lower]] + step, f[lower]]
+                t |= lower
+        # the quartet ids, bra id * ket pairs + ket id, formed in place
+        quartet = ib
+        quartet *= self.roots[1].pairs.n_pairs
+        quartet += ik
+        del ib, ik, f1, f2
         # sorted and scanned here, as np.unique's per-call cost exceeds a
         # small group's whole screening
         order = quartet.argsort()
@@ -448,17 +458,16 @@ class Traversal:
         union = quartet[first]
         self.c.eri_shell_quartets += len(union)
         if self.evaluate and len(union):
-            c = c[order]
             self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
-                                tb[c], tk[c], weight[c]))
+                                tb[order], tk[order], weight[c[order]]))
             self.n_buffered += len(union)
 
     def flush(self, final: bool = False):
         """Evaluate the buffered unions, _ERI_BATCH quartets per call (the
         rest waits unless ``final``), and after each call add its kept
         quartets to K at row mu (nu if the bra is transposed) and column
-        sig (lam if the ket is), dropping a transposed i == j pair, one at
-        a time in walk order: K is the same for every batch size."""
+        sig (lam if the ket is), one at a time in walk order: K is the same
+        for every batch size."""
         size = _ERI_BATCH
         m = self.n_buffered if final else self.n_buffered // size * size
         if not m:
@@ -479,15 +488,11 @@ class Traversal:
             if self.qlog is not None:
                 self.qlog.extend(zip(mu.tolist(), nu.tolist(), lam.tolist(),
                                      sig.tolist()))
-            # K rows and columns, untransposed then transposed; -1 drops
-            # i == j
-            a, n = at[k] - lo, len(ia)
-            row = np.concatenate((mu, np.where(mu == nu, -1, nu)))
-            col = np.concatenate((sig, np.where(lam == sig, -1, lam)))
-            row, col = row[a + n * tb[k]], col[a + n * tk[k]]
-            keep = (row >= 0) & (col >= 0)
-            np.add.at(self.K.reshape(-1), (row * len(self.K) + col)[keep],
-                      (e[a] * weight[k])[keep])
+            a = at[k] - lo
+            row = np.where(tb[k], nu[a], mu[a])
+            col = np.where(tk[k], lam[a], sig[a])
+            np.add.at(self.K.reshape(-1), row * len(self.K) + col,
+                      e[a] * weight[k])
 
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,

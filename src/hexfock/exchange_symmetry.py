@@ -12,9 +12,13 @@ block into up to four K sub-blocks:
     slot 4: K[nu,lam] += c * P[mu,sig] * (mu nu|lam sig)    weight [mu!=nu][lam!=sig]
 
 with c = -1/2; P is gathered from the full symmetric density tree, so no
-above-diagonal doubling factors arise. The indicator weights remove the
-double counting on diagonal pairs, and bra/ket-swapped block tasks are both
-traversed, which keeps K symmetric by construction (enforced at the end by
+above-diagonal doubling factors arise. The indicator weights come from how
+a diagonal leaf is read: there slots 2 and 4 (slots 3 and 4 for a diagonal
+ket leaf) die, and the surviving slots run over the leaf's full pair grid,
+a pair below the diagonal taking its canonical mirror's quartet with that
+side transposed. A pair mu == nu thus enters once and any other pair of the
+leaf in both orientations. Bra/ket-swapped block tasks are both traversed,
+which keeps K symmetric by construction (enforced at the end by
 symmetrize_final).
 
 The traversal is the engine of exchange_naive run with these four slots
@@ -148,13 +152,15 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     The traversal engine of exchange_naive with the four slots of
     _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
     driver uses; the canonical restriction is applied during traversal
-    (upper-triangular child selection) and at leaves (the tree's canonical
-    leaf tables from leaf_cache, with factors zero below a diagonal leaf's
-    diagonal, kept on the root next to the naive driver's full ones), so
-    the cached norms feeding the screening tests are shared with the naive
-    driver bit for bit. Returns (K, SymmetryCounters); K passes through
-    symmetrize_final. evaluate behaves as in build_exchange_naive;
-    quartet_log collects evaluated canonical quartets.
+    (upper-triangular child selection). At leaves the driver reads the
+    naive driver's leaf tables from leaf_cache, so the cached norms and
+    factors feeding the screening tests are shared with it bit for bit; a
+    diagonal leaf drops its transposed slots and is read over its full pair
+    grid, each pair below the diagonal evaluated as its canonical mirror,
+    so each kept link-quartet is one quartet the naive driver keeps.
+    Returns (K, SymmetryCounters); K passes through symmetrize_final.
+    evaluate behaves as in build_exchange_naive; quartet_log collects
+    evaluated canonical quartets.
     """
     check_driver_args(pairs, pairs, P, tau_2e)
     t = Traversal(pairs, pairs, tau_2e, evaluate, SymmetryCounters(),

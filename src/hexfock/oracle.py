@@ -37,15 +37,6 @@ class ComparisonReport:
     worst_row: int
     worst_col: int
 
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_diff": self.max_abs_diff,
-            "frobenius_diff": self.frobenius_diff,
-            "relative_frobenius": self.relative_frobenius,
-            "worst_row": self.worst_row,
-            "worst_col": self.worst_col,
-        }
-
 
 def _all_pairs(system: BasisSystem):
     n = system.n_shells

@@ -195,7 +195,7 @@ class ShellPairNode(_Block):
         # blocks run row-major by (row leaf, col leaf)
         self.base = 0
         self.diag = None    # its block of the system's (ab|ab) matrix
-        # at the root: the engine's leaf tables of the tree, by kind (see
+        # at the root: the engine's leaf tables of the tree (see
         # exchange_naive.leaf_cache), and its node arrays
         self.cache = None
         self.flat = None

@@ -36,6 +36,14 @@ def build_setup(n_molecules, seed=DEFAULT_SEED, tau_ovlp=0.0, gamma=None,
     return system, pairs, P_tree, P
 
 
+def write_density_file(path, p):
+    """Write ``p`` as a density file: N, then the N*N values row-major,
+    each as its repr, which reads back to the same float."""
+    p = np.asarray(p, dtype=float)
+    path.write_text(f"{len(p)}\n" + " ".join(map(repr, p.ravel().tolist()))
+                    + "\n")
+
+
 def leaf_spans(span):
     """Leaf spans under ``span``, left to right."""
     if span.is_leaf:

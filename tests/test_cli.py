@@ -18,9 +18,10 @@ from hexfock.basis import BOHR_PER_ANGSTROM
 from hexfock.cli import (SERIES_COLUMNS, RunConfig, build_parser,
                          load_report_schema, main, run as run_report,
                          scaling_series)
-from hexfock.density import save_density_file
 from hexfock.oracle import dense_exchange
 from hexfock.integrals import InvalidArgumentError
+
+from conftest import write_density_file
 
 
 # ---------------------------------------------------------------- validation
@@ -155,7 +156,7 @@ def test_xyz_and_file_density_roundtrip(tmp_path):
     xyz = tmp_path / "sys.xyz"
     xyz.write_text("2\n\nH 0 0 0\nH 0.6 0 0\n")
     dens = tmp_path / "p.txt"
-    save_density_file(dens, np.eye(2))
+    write_density_file(dens, np.eye(2))
     config = RunConfig(system=f"xyz:{xyz}", density=f"file:{dens}",
                        mode="naive", tau_2e=0.0, tau_ovlp=0.0,
                        reference="dense")
@@ -201,8 +202,8 @@ def test_negative_density_file_count_exits_2(tmp_path, capsys):
 def test_overflowing_density_exits_2(tmp_path, capsys, scale):
     # finite density values whose K norms overflow double precision
     dens = tmp_path / "p.txt"
-    save_density_file(dens, scale * build_density(generate_cluster(2, seed=3),
-                                                  DensityModel()))
+    write_density_file(dens, scale * build_density(generate_cluster(2, seed=3),
+                                                   DensityModel()))
     assert main(["--system", "water:2", "--density", f"file:{dens}"]) == 2
     assert "density magnitude" in capsys.readouterr().err
 
@@ -372,7 +373,7 @@ def test_mid_series_failure_preserves_partial_csv(tmp_path, capsys):
     # density file fits the 1-molecule system only; size 2 must fail at
     # runtime, leaving the size-1 rows plus a trailing error record
     dens = tmp_path / "p4.txt"
-    save_density_file(dens, np.eye(4))
+    write_density_file(dens, np.eye(4))
     out = tmp_path / "partial.csv"
     code = main(["--series", "1,2", "--density", f"file:{dens}",
                  "--out", str(out)])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hexfock import DensityModel, build_density, generate_cluster
-from hexfock.density import load_density_file, save_density_file
+from hexfock.density import load_density_file
 from hexfock.integrals import InvalidArgumentError
+
+from conftest import write_density_file
 
 
 def test_gamma_infinity_limit_is_diagonal():
@@ -63,7 +65,7 @@ def test_density_file_roundtrip(tmp_path):
     p = rng.normal(size=(6, 6))
     p = 0.5 * (p + p.T)
     path = tmp_path / "dens.txt"
-    save_density_file(path, p)
+    write_density_file(path, p)
     loaded = load_density_file(path)
     assert np.array_equal(loaded, p)
 
@@ -71,7 +73,7 @@ def test_density_file_roundtrip(tmp_path):
 def test_density_file_symmetrized_on_load(tmp_path):
     p = np.array([[1.0, 2.0], [4.0, 3.0]])
     path = tmp_path / "asym.txt"
-    save_density_file(path, p)
+    write_density_file(path, p)
     loaded = load_density_file(path)
     assert np.array_equal(loaded, 0.5 * (p + p.T))
 
@@ -79,7 +81,7 @@ def test_density_file_symmetrized_on_load(tmp_path):
 def test_density_file_dimension_mismatch(tmp_path):
     system = generate_cluster(1, seed=1)  # 4 functions
     path = tmp_path / "wrong.txt"
-    save_density_file(path, np.eye(3))
+    write_density_file(path, np.eye(3))
     with pytest.raises(InvalidArgumentError):
         build_density(system, DensityModel(kind="file", path=str(path)))
 

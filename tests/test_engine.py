@@ -296,7 +296,7 @@ def test_driver_builds_leave_no_reference_cycles():
         tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
         build_exchange_naive(tree, tree, P_tree, 1e-8)
         build_exchange_symmetric(tree, P_tree, 1e-8)
-        assert tree.flat is not None and set(tree.cache) == {"full", "canon"}
+        assert tree.flat is not None and set(tree.cache) == {"full"}
         del tree
         assert gc.collect() == 0
     finally:
@@ -327,13 +327,12 @@ def test_naive_driver_reads_bra_and_ket_ids_from_their_own_trees():
 @pytest.mark.parametrize("order", [("naive", "symmetry"),
                                    ("symmetry", "naive")],
                          ids=["naive-first", "symmetry-first"])
-def test_leaf_cache_keeps_one_table_set_per_kind_on_the_root(monkeypatch,
-                                                            order):
+def test_leaf_cache_keeps_one_table_set_on_the_root(monkeypatch, order):
     # perfbench/run.py counts leaf-table fills by reading root.cache for the
-    # driver's key. Both drivers on one tree, in either order, give their
-    # fresh-tree K and counters bit for bit, each fills its own kind once on
-    # the root and no other node, and a warm build reads back the same
-    # tables
+    # "full" key. Both drivers on one tree, in either order, give their
+    # fresh-tree K and counters bit for bit, the first fills the one table
+    # set once on the root and no other node, and every build reads back
+    # the same dict
     system, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
     fresh = {}
     for driver in order:
@@ -342,8 +341,8 @@ def test_leaf_cache_keeps_one_table_set_per_kind_on_the_root(monkeypatch,
         fresh[driver] = (K.tobytes(), c.to_dict())
     returned = []
 
-    def recording(root, canonical=False):
-        returned.append(leaf_cache(root, canonical=canonical))
+    def recording(root):
+        returned.append(leaf_cache(root))
         return returned[-1]
 
     monkeypatch.setattr(exchange_naive, "leaf_cache", recording)
@@ -351,10 +350,8 @@ def test_leaf_cache_keeps_one_table_set_per_kind_on_the_root(monkeypatch,
         for driver in order:
             K, c = _build(driver, pairs, P_tree)
             assert (K.tobytes(), c.to_dict()) == fresh[driver]
-    assert set(pairs.cache) == {"full", "canon"}
-    key = {"naive": "full", "symmetry": "canon"}
-    assert ([id(t) for t in returned]
-            == [id(pairs.cache[key[driver]]) for driver in order] * 2)
+    assert set(pairs.cache) == {"full"}
+    assert [id(t) for t in returned] == [id(pairs.cache["full"])] * 4
     assert all(node.cache is None for node in flatten(pairs)[0][1:])
 
 
@@ -394,6 +391,8 @@ def test_drivers_agree_with_dense_and_ledger(problem, tau):
     K_n, c_n = build_exchange_naive(pairs, pairs, P_tree, tau)
     K_s, c_s = build_exchange_symmetric(pairs, P_tree, tau)
     assert np.abs(K_n - K_s).max() <= 1e-11 * scale
+    # each symmetry link-quartet at a leaf is exactly one naive quartet
+    assert c_s.quartets_culled_leaf == c_n.quartets_culled_leaf
     # screening error is bounded by the ledger, up to reassociation rounding
     for K, c in ((K_n, c_n), (K_s, c_s)):
         err = float(np.abs(K - K_dense).max())

@@ -106,10 +106,11 @@ def test_symmetrize_tolerance_scales_with_k():
 def test_matches_naive_driver_exact_and_screened():
     for n, tau in ((2, 0.0), (3, 1e-9), (5, 1e-8)):
         _, pairs, P_tree, _ = build_setup(n)
-        K_n, _ = build_exchange_naive(pairs, pairs, P_tree, tau_2e=tau)
-        K_s, _ = build_exchange_symmetric(pairs, P_tree, tau_2e=tau)
+        K_n, c_n = build_exchange_naive(pairs, pairs, P_tree, tau_2e=tau)
+        K_s, c_s = build_exchange_symmetric(pairs, P_tree, tau_2e=tau)
         scale = max(1.0, np.abs(K_n).max())
         assert np.abs(K_s - K_n).max() <= 1e-11 * scale
+        assert c_s.quartets_culled_leaf == c_n.quartets_culled_leaf
 
 
 def test_identity_density_no_double_counting():

@@ -327,60 +327,60 @@ def _surviving_leaves(node):
 
 def test_pair_table_ids_index_the_root_table():
     # leaf_cache's tables of the tree, slot s holding the leaf
-    # root.flat.leaves[s] (canonical slots first), in both orientations:
-    # orientation 0 has a row per row shell (density index) and a column per
-    # col shell (free index), orientation 1 the other way round. Each pair
-    # row is a permutation of the leaf's grid row (grid column) of
-    # root-table ids, ordered so that sq, the Schwarz factor at each id's
-    # grid place, does not increase along it; tail holds sq's suffix sums;
-    # m counts the leaf's pairs a walk covers; the padding up to the longest
-    # leaf span w is zero
+    # root.flat.leaves[s], in both orientations: orientation 0 has a row per
+    # row shell (density index) and a column per col shell (free index),
+    # orientation 1 the other way round. Each pair row is a permutation of
+    # the leaf's grid row (grid column) of root-table ids, ordered so that
+    # sq, the Schwarz factor at each id's grid place, does not increase
+    # along it; tail holds sq's suffix sums; m counts the leaf's pairs; the
+    # padding up to the longest leaf span w is zero
     system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     table = pairs.pairs
     nodes = flatten(pairs)[0]
-    for canonical in (False, True):
-        t = exchange_naive.leaf_cache(pairs, canonical=canonical)
-        flat, w = pairs.flat, pairs.flat.width
-        n = flat.n_canon if canonical else len(flat.leaves)
-        assert t["sq"].shape == t["pair"].shape == (n, 2, w, w)
-        assert t["tail"].shape == (n, 2, w, w + 1) and t["m"].shape == (n,)
-        leaves = [nodes[i] for i in flat.leaves[:n]]
-        if not canonical:
-            assert ({id(leaf) for leaf in leaves}
-                    == {id(leaf) for leaf in _surviving_leaves(pairs)})
-        for s, leaf in enumerate(leaves):
-            assert not leaf.pruned
-            assert not canonical or leaf.row.shell_lo <= leaf.col.shell_lo
-            nr, nc = leaf.row.n_functions, leaf.col.n_functions
-            rows = leaf.row.shell_lo + np.arange(nr)
-            cols = leaf.col.shell_lo + np.arange(nc)
-            grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
-            assert np.array_equal(table.i_shell[grid],
-                                  np.broadcast_to(rows[:, None], (nr, nc)))
-            assert np.array_equal(table.j_shell[grid],
-                                  np.broadcast_to(cols[None, :], (nr, nc)))
-            sq, pair, tail = t["sq"][s], t["pair"][s], t["tail"][s]
-            q = np.sqrt(leaf.diag)
-            if canonical and leaf.row is leaf.col:
-                q = np.triu(q)
-                assert t["m"][s] == nr * (nr + 1) // 2
-            else:
-                assert t["m"][s] == nr * nc
-            for o, ids in ((0, grid), (1, grid.T)):
-                a, b = ids.shape
-                assert np.array_equal(np.sort(pair[o, :a, :b], axis=1), ids)
-                i = table.i_shell[pair[o, :a, :b]] - leaf.row.shell_lo
-                j = table.j_shell[pair[o, :a, :b]] - leaf.col.shell_lo
-                assert np.array_equal(sq[o, :a, :b], q[i, j])
-                for x in (sq, pair):
-                    assert not x[o, a:].any() and not x[o, :, b:].any()
-            assert (np.diff(sq, axis=2) <= 0).all()
-            suffix = np.stack([sq[..., k:].sum(axis=2)
-                               for k in range(w + 1)], axis=2)
-            np.testing.assert_allclose(tail, suffix, rtol=1e-14, atol=0)
-        assert any(leaf.row is leaf.col for leaf in leaves)
-        assert any(leaf.row.n_functions != leaf.col.n_functions
-                   for leaf in leaves)
+    t = exchange_naive.leaf_cache(pairs)
+    flat, w = pairs.flat, pairs.flat.width
+    n = len(flat.leaves)
+    assert t["sq"].shape == t["pair"].shape == (n, 2, w, w)
+    assert t["tail"].shape == (n, 2, w, w + 1) and t["m"].shape == (n,)
+    leaves = [nodes[i] for i in flat.leaves]
+    assert ({id(leaf) for leaf in leaves}
+            == {id(leaf) for leaf in _surviving_leaves(pairs)})
+    for s, leaf in enumerate(leaves):
+        assert not leaf.pruned
+        nr, nc = leaf.row.n_functions, leaf.col.n_functions
+        rows = leaf.row.shell_lo + np.arange(nr)
+        cols = leaf.col.shell_lo + np.arange(nc)
+        grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
+        assert np.array_equal(table.i_shell[grid],
+                              np.broadcast_to(rows[:, None], (nr, nc)))
+        assert np.array_equal(table.j_shell[grid],
+                              np.broadcast_to(cols[None, :], (nr, nc)))
+        sq, pair, tail = t["sq"][s], t["pair"][s], t["tail"][s]
+        q = np.sqrt(leaf.diag)
+        assert t["m"][s] == nr * nc
+        for o, ids in ((0, grid), (1, grid.T)):
+            a, b = ids.shape
+            assert np.array_equal(np.sort(pair[o, :a, :b], axis=1), ids)
+            i = table.i_shell[pair[o, :a, :b]] - leaf.row.shell_lo
+            j = table.j_shell[pair[o, :a, :b]] - leaf.col.shell_lo
+            assert np.array_equal(sq[o, :a, :b], q[i, j])
+            for x in (sq, pair):
+                assert not x[o, a:].any() and not x[o, :, b:].any()
+        assert (np.diff(sq, axis=2) <= 0).all()
+        suffix = np.stack([sq[..., k:].sum(axis=2)
+                           for k in range(w + 1)], axis=2)
+        np.testing.assert_allclose(tail, suffix, rtol=1e-14, atol=0)
+        if leaf.row is leaf.col:
+            # the symmetry driver reads a pair below the diagonal as its
+            # mirror, found at the same place of the other orientation
+            assert sq[0].tobytes() == sq[1].tobytes()
+            assert np.array_equal(table.i_shell[pair[1, :nr, :nr]],
+                                  table.j_shell[pair[0, :nr, :nr]])
+            assert np.array_equal(table.j_shell[pair[1, :nr, :nr]],
+                                  table.i_shell[pair[0, :nr, :nr]])
+    assert any(leaf.row is leaf.col for leaf in leaves)
+    assert any(leaf.row.n_functions != leaf.col.n_functions
+               for leaf in leaves)
 
 
 def test_chunked_pair_table_equals_one_build():
