@@ -43,7 +43,8 @@ from .quadtree import MatrixQuadtree, ShellPairNode, flatten, leaf_spans
 
 # Union quartets per eri_elementwise call: large enough that the kernel's
 # per-call cost vanishes (a water:24 build at leaf 10 makes 14 calls, not
-# 3,227), small enough that its temporaries stay near 1 MB.
+# 3,227). The kernel's own passes bound its temporaries (near 2 MB, see
+# integrals._ERI_PIECE); this bounds the buffered ids, weights and values.
 _ERI_BATCH = 4096
 
 # Box quartets a leaf task's screening expands per piece: each holds about

@@ -3,7 +3,10 @@
 Everything here is stateless and vectorized at shell-pair granularity: a
 flattened table of primitive pair data (PairData) is precomputed per block of
 shell pairs, and ERI evaluation reduces to elementwise math over primitive
-pair combinations followed by segment sums.
+pair combinations followed by segment sums. eri_elementwise, the kernel of
+both drivers and of the Schwarz diagonals, does that math in flat 1-D passes
+over primitive quartets, bounded in size, and rounds each contracted value
+the same whatever call it is evaluated in.
 """
 
 from __future__ import annotations
@@ -24,25 +27,34 @@ TWO_PI_POW_2_5 = 2.0 * math.pi ** 2.5
 _F0_TINY = 1e-6
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 
+# Primitive quartets one pass of eri_elementwise evaluates at once. A pass
+# holds about 128 bytes of temporaries per primitive quartet (ids, center
+# differences, exponents, the Boys function's arrays), so it stays near 2 MB
+# however many primitives the call's quartets have.
+_ERI_PIECE = 1 << 14
+
 
 def boys_f0(t):
     """Boys function F0(t) = int_0^1 exp(-t u^2) du.
 
-    Accepts a scalar or ndarray, t >= 0. Uses the erf closed form
+    Accepts a scalar or ndarray, t >= 0; a negative or NaN t raises
+    InvalidArgumentError. Uses the erf closed form
     F0(t) = sqrt(pi / t) erf(sqrt(t)) / 2, and its Taylor series below
     t = 1e-6.
     """
     scalar = np.ndim(t) == 0
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    tiny = t_arr < _F0_TINY
+    # NaN fails every comparison, so it joins the small-t branch and is
+    # rejected there, with no extra pass over the whole array
+    tiny = ~(t_arr >= _F0_TINY)
     st = np.sqrt(np.maximum(t_arr, _F0_TINY))
     out = erf(st)
     out *= _HALF_SQRT_PI
     out /= st
     if tiny.any():
         tt = t_arr[tiny]
-        if np.any(tt < 0.0):
-            raise InvalidArgumentError("boys_f0 requires t >= 0")
+        if not np.all(tt >= 0.0):
+            raise InvalidArgumentError("boys_f0 requires t >= 0, not NaN")
         out[tiny] = 1.0 - tt / 3.0 + tt * tt / 10.0
     return float(out[0]) if scalar else out
 
@@ -172,31 +184,41 @@ def eri_cross(bra: PairData, ket: PairData) -> np.ndarray:
 def eri_elementwise(bra: PairData, ket: PairData, idx_a, idx_b) -> np.ndarray:
     """Contracted ERIs (bra_a | ket_b) for selected index pairs only.
 
-    Grouped by primitive-count category so each group vectorizes with a
-    fixed (n, na, nb) shape. Only the categories present are visited, found
-    by one stable sort, so each group's indices stay ascending.
+    The quartets are sorted once, stably, by primitive count na * nb. Each
+    count's primitive quartets, row-major over (bra primitive, ket
+    primitive), are evaluated in flat passes of whole quartets, at most
+    _ERI_PIECE primitive quartets each, and summed as one (n, count) array
+    along its rows. Every value is rounded as one quartet alone rounds it,
+    whatever else the call holds.
     """
     idx_a = np.asarray(idx_a, dtype=np.intp)
     idx_b = np.asarray(idx_b, dtype=np.intp)
     out = np.zeros(len(idx_a))
-    na = bra.offsets[idx_a + 1] - bra.offsets[idx_a]
-    nb = ket.offsets[idx_b + 1] - ket.offsets[idx_b]
-    order = np.lexsort((nb, na))
-    cuts = np.flatnonzero(np.diff(na[order]) | np.diff(nb[order])) + 1
-    for sel in np.split(order, cuts) if len(order) else ():
-        ca, cb = na[sel[0]], nb[sel[0]]
-        ga = bra.offsets[idx_a[sel], None] + np.arange(ca)[None, :]
-        gb = ket.offsets[idx_b[sel], None] + np.arange(cb)[None, :]
-        p1, w1, c1 = bra.p[ga], bra.weight[ga], bra.center[ga]
-        p2, w2, c2 = ket.p[gb], ket.weight[gb], ket.center[gb]
-        pq = p1[:, :, None] * p2[:, None, :]
-        psum = p1[:, :, None] + p2[:, None, :]
-        d = c1[:, :, None, :] - c2[:, None, :, :]
-        r2 = np.einsum("nijk,nijk->nij", d, d)
-        f0 = boys_f0((pq / psum * r2).ravel()).reshape(pq.shape)
-        vals = TWO_PI_POW_2_5 / (pq * np.sqrt(psum)) * f0
-        vals *= w1[:, :, None] * w2[:, None, :]
-        out[sel] = vals.sum(axis=(1, 2))
+    oa, ob = bra.offsets[idx_a], ket.offsets[idx_b]
+    nb = ket.offsets[idx_b + 1] - ob
+    count = (bra.offsets[idx_a + 1] - oa) * nb
+    order = np.argsort(count, kind="stable")
+    cuts = np.flatnonzero(np.diff(count[order])) + 1
+    for group in np.split(order, cuts) if len(order) else ():
+        c = count[group[0]]
+        k = np.arange(c)
+        step = max(1, _ERI_PIECE // c)
+        for lo in range(0, len(group), step):
+            sel = group[lo:lo + step]
+            pa, pb = np.divmod(k, nb[sel, None])
+            pa += oa[sel, None]
+            pb += ob[sel, None]
+            pa, pb = pa.ravel(), pb.ravel()
+            d = np.take(bra.center, pa, axis=0)
+            d -= np.take(ket.center, pb, axis=0)
+            r2 = np.einsum("ij,ij->i", d, d)
+            p1, p2 = np.take(bra.p, pa), np.take(ket.p, pb)
+            pq = p1 * p2
+            psum = p1 + p2
+            f0 = boys_f0(pq / psum * r2)
+            vals = TWO_PI_POW_2_5 / (pq * np.sqrt(psum)) * f0
+            vals *= np.take(bra.weight, pa) * np.take(ket.weight, pb)
+            out[sel] = vals.reshape(len(sel), c).sum(axis=1)
     return out
 
 

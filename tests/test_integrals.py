@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from hexfock.basis import BasisSystem, GaussianShell
-from hexfock.integrals import (InvalidArgumentError, _F0_TINY, boys_f0,
-                               build_pair_data, diagonal_values, eri_cross,
-                               eri_elementwise, eri_quartet, overlap)
+from hexfock.integrals import (TWO_PI_POW_2_5, InvalidArgumentError,
+                               _F0_TINY, boys_f0, build_pair_data,
+                               diagonal_values, eri_cross, eri_elementwise,
+                               eri_quartet, overlap)
 from hexfock.quadtree import build_pair_tree, build_partition
 
 from conftest import quadrature_eri
@@ -78,6 +80,15 @@ def test_boys_f0_rejects_negative():
         boys_f0(-1e-9)
     with pytest.raises(InvalidArgumentError):
         boys_f0(np.array([0.5, -0.5]))
+
+
+def test_boys_f0_rejects_nan():
+    # NaN fails t < 0 as it fails every comparison; it must not pass through
+    # as a NaN value
+    with pytest.raises(InvalidArgumentError):
+        boys_f0(math.nan)
+    with pytest.raises(InvalidArgumentError):
+        boys_f0(np.array([0.5, math.nan, 2.0]))
 
 
 def test_boys_f0_array_shape_and_scalar_type():
@@ -227,6 +238,85 @@ def test_eri_cross_elementwise_quartet_consistency():
     a, b = i * 4 + j, k * 4 + l
     v = eri_quartet(shells[i], shells[j], shells[k], shells[l]).values[0, 0, 0, 0]
     assert full[a, b] == pytest.approx(v, rel=1e-13)
+
+
+def _one_and_three_primitive_table():
+    """Pair table over 1- and 3-primitive shells: pairs of 1, 3 and 9
+    primitives, so quartets of 1, 3, 9, 27 and 81."""
+    rng = np.random.default_rng(17)
+    shells = [_shell(rng.normal(scale=2.0, size=3),
+                     zip(rng.uniform(0.1, 20.0, n), rng.uniform(0.2, 1.0, n)))
+              for n in (1, 3, 3, 1)]
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    return build_pair_data(shells, pairs)
+
+
+def _eri_one(pd, a, b):
+    """Reference (a|b): one quartet's (na, nb) primitive grid, in the
+    kernel's order of operations."""
+    ga = slice(pd.offsets[a], pd.offsets[a + 1])
+    gb = slice(pd.offsets[b], pd.offsets[b + 1])
+    p1, p2 = pd.p[ga][:, None], pd.p[gb][None, :]
+    pq, psum = p1 * p2, p1 + p2
+    d = pd.center[ga][:, None, :] - pd.center[gb][None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", d, d)
+    vals = TWO_PI_POW_2_5 / (pq * np.sqrt(psum)) * boys_f0(pq / psum * r2)
+    vals *= pd.weight[ga][:, None] * pd.weight[gb][None, :]
+    return vals.sum()
+
+
+def test_eri_elementwise_rounds_each_quartet_as_alone():
+    # node.diag, the golden counters and the oracle's tie cases rest on each
+    # value being rounded the same whatever else its call holds
+    pd = _one_and_three_primitive_table()
+    n_prim = np.diff(pd.offsets)
+    ia = np.arange(pd.n_pairs).repeat(pd.n_pairs)
+    ib = np.tile(np.arange(pd.n_pairs), pd.n_pairs)
+    na, nb = n_prim[ia], n_prim[ib]
+    assert set((na * nb).tolist()) == {1, 3, 9, 27, 81}
+    assert np.any((na == 1) & (nb == 3)) and np.any((na == 3) & (nb == 1))
+    alone = np.array([eri_elementwise(pd, pd, ia[[q]], ib[[q]])[0]
+                      for q in range(len(ia))])
+    whole = eri_elementwise(pd, pd, ia, ib)
+    assert whole.tobytes() == alone.tobytes()
+    ref = np.array([_eri_one(pd, a, b) for a, b in zip(ia, ib)])
+    assert whole.tobytes() == ref.tobytes()
+    perm = np.random.default_rng(3).permutation(len(ia))
+    cuts = np.cumsum([1, 7, 33, 5, 91])
+    split = np.concatenate([eri_elementwise(pd, pd, ia[part], ib[part])
+                            for part in np.split(perm, cuts)])
+    assert split.tobytes() == alone[perm].tobytes()
+    assert eri_elementwise(pd, pd, ia[:0], ib[:0]).shape == (0,)
+
+
+def test_eri_elementwise_worst_case_memory_is_bounded():
+    # one call of 4,096 quartets of 9 x 9 primitives each (331,776 primitive
+    # quartets) runs in bounded passes; one broadcast pass over all of them
+    # peaks near 27 MiB
+    pd = _one_and_three_primitive_table()
+    nine = np.flatnonzero(np.diff(pd.offsets) == 9)
+    rng = np.random.default_rng(8)
+    ia, ib = rng.choice(nine, 4096), rng.choice(nine, 4096)
+    tracemalloc.start()
+    try:
+        vals = eri_elementwise(pd, pd, ia, ib)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(vals > 0.0)
+    assert peak <= 8 * 2 ** 20
+
+
+def test_eri_elementwise_far_apart_is_zero_and_quiet():
+    # |P - Q|^2 overflows to inf: F0 and the value are exactly 0, with no
+    # RuntimeWarning on the way
+    a = _shell([0.0, 0.0, 0.0], [(1.0, 1.0)])
+    b = _shell([1e200, 0.0, 0.0], [(1.0, 1.0)])
+    pd = build_pair_data([a, b], [(0, 0), (1, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = eri_elementwise(pd, pd, [0, 1], [1, 0])
+    assert got.tolist() == [0.0, 0.0]
 
 
 # ------------------------------------------------- diagonal norms / Schwarz
