@@ -85,6 +85,8 @@ def test_kept_quartets_do_not_depend_on_leaf_size(cluster_setup, driver):
 def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
     # perfbench/run.py wraps these names on both driver modules; the engine
     # must call them through those module globals, each call exactly once
+    # one process: a forked worker would call its own copy of the wrappers
+    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
     _, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11)
     tally = {"quartets": 0, "leaf_cache": 0}
 
@@ -118,6 +120,8 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
 def test_leaf_eris_are_batched_across_leaf_tasks(monkeypatch, driver):
     # the engine buffers leaf tasks' kept quartets and evaluates them with
     # one eri_elementwise call per _ERI_BATCH of them, not one per leaf task
+    # one process: a forked worker would call its own copy of the counter
+    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
     _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     sizes = []
 
@@ -142,6 +146,8 @@ def test_leaf_prefilter_bounds_one_block_per_live_link(monkeypatch, driver):
     # a leaf task's prefilter bounds each live link's width x width density
     # block on its own: the naive driver's one link, at most four for the
     # symmetry driver, never a (2 width) x (2 width) density per task
+    # one process: a forked worker would call its own copy of the recorder
+    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
     _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     w = max(s.n_functions for s in leaf_spans(pairs.row))
     shapes, bound = [], exchange_naive.screening_bound
@@ -171,6 +177,8 @@ def test_leaf_screening_tests_follow_the_kept_quartets(monkeypatch, driver,
     # one leaf over all of water:10 at leaf 40: a surviving density entry
     # tests only its box of free bra and ket indices, not every one of the
     # leaf's 40 x 40, so the bounds evaluated follow the quartets kept
+    # one process: a forked worker would call its own copy of the counter
+    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
     _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=40)
     evaluated, bound = [0], exchange_naive.screening_bound
 
@@ -269,11 +277,13 @@ def test_walk_pieces_do_not_change_the_result(monkeypatch, driver):
 
 
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
-def test_walk_memory_is_bounded(driver):
+def test_walk_memory_is_bounded(monkeypatch, driver):
     # the frontier moves in pieces and leaf tasks are screened in bounded
     # groups, and the leaf tables exist once, on the pair tree's root, so an
     # evaluated water:70 build at leaf 10 stays small; one unpieced frontier
     # peaks far higher
+    # one process: tracemalloc does not see a forked worker's memory
+    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
     _, pairs, P_tree, _ = build_setup(70, tau_ovlp=1e-11, leaf_size=10)
     tracemalloc.start()
     try:
