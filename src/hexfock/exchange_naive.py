@@ -19,9 +19,12 @@ work follows the quartets it keeps, not its (mu nu|lam sig) block: a
 density entry culled on its largest factors is summed in closed form; for
 each other entry a range query finds the box of free bra and free ket
 indices that can pass, a prefix of each sorted row, and only that box is
-tested per quartet, the rest summed in closed form. Kept quartets,
-as ids into the pair trees' root tables, are evaluated _ERI_BATCH at a time
-and added to K one at a time in walk order.
+tested per quartet, the rest summed in closed form. A box quartet is named
+by one flat index per side into the leaf tables, and its kept quartet by
+its ids in the pair trees' root tables; they are evaluated _ERI_BATCH at a
+time and added to K one at a time, the naive driver's in walk order (none
+can repeat), the symmetry driver's in the sorted order of each group's
+union (its four links can keep one quartet more than once).
 
 A build walks its top levels breadth-first until the frontier holds
 _SPLIT_TASKS tasks, then deals it out to _WORKERS shares, task i to share
@@ -44,6 +47,7 @@ import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass, fields
+from itertools import pairwise
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,7 +76,8 @@ _WALK_PIECE = 1 << 12
 # Density entries a slice of leaf tasks prefilters at once (2^14 float64
 # bounds are 128 KB), and four times the box quartets a group of whole leaf
 # tasks expands at once: most box quartets are kept, and a kept one also
-# carries its pair ids, its place in the union and its ERI-buffer entry.
+# carries its pair ids, its place among the buffered ids and its ERI-buffer
+# entry.
 _LEAF_GROUP = 1 << 14
 
 # Shares of one build's walk, and the frontier size that is dealt out to
@@ -190,9 +195,11 @@ def leaf_cache(root: ShellPairNode) -> dict:
     sq[..., f], so tail[..., w] = 0. Sorted rows make the engine's range
     query a prefix of each row. A diagonal leaf's factor block is exactly
     symmetric, so its two orientations hold equal sq rows and, at each
-    place, mirrored pairs (j, i) for (i, j). Built once per tree, with the
-    tree's ``flat`` node arrays where it has none yet, and kept in
-    ``root.cache`` under "full"; no other node holds a cache.
+    place, mirrored pairs (j, i) for (i, j); flip marks its places whose
+    pair lies below the diagonal (i > j), which the symmetry driver
+    evaluates as their mirrors. No other place is flipped. Built once per
+    tree, with the tree's ``flat`` node arrays where it has none yet, and
+    kept in ``root.cache`` under "full"; no other node holds a cache.
     """
     if root.flat is None:
         root.flat = _PairArrays(root)
@@ -202,6 +209,7 @@ def leaf_cache(root: ShellPairNode) -> dict:
         sq = np.zeros(shape)
         # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
         pair = np.zeros(shape, dtype=np.int32)
+        flip = np.zeros(shape, dtype=bool)
         m = np.zeros(len(tree.leaves), dtype=np.intp)
         for s, leaf in enumerate(nodes[i] for i in tree.leaves.tolist()):
             q = np.sqrt(leaf.diag)
@@ -210,13 +218,18 @@ def leaf_cache(root: ShellPairNode) -> dict:
             grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
             sq[s, 0, :nr, :nc], sq[s, 1, :nc, :nr] = q, q.T
             pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = grid, grid.T
+            if leaf.row is leaf.col:
+                flip[s, 0, :nr, :nr] = np.tri(nr, k=-1, dtype=bool)
+                flip[s, 1, :nr, :nr] = flip[s, 0, :nr, :nr].T
         order = np.argsort(-sq, axis=3, kind="stable")
         sq = np.take_along_axis(sq, order, axis=3)
         pair = np.take_along_axis(pair, order, axis=3)
+        flip = np.take_along_axis(flip, order, axis=3)
         del order
         tail = np.zeros(shape[:3] + (shape[3] + 1,))
         tail[..., :-1] = np.cumsum(sq[..., ::-1], axis=3)[..., ::-1]
-        root.cache = {"full": {"m": m, "sq": sq, "tail": tail, "pair": pair}}
+        root.cache = {"full": {"m": m, "sq": sq, "tail": tail, "pair": pair,
+                               "flip": flip}}
     return root.cache["full"]
 
 
@@ -273,8 +286,8 @@ class Traversal:
         self.B = self.A if ket is bra else leaf_cache(ket)
         self.roots = (bra, ket)
         self.bra, self.ket = bra.flat, ket.flat
-        self.buffer = []     # unions and kept quartets not yet evaluated
-        self.n_buffered = 0  # quartets in their unions
+        self.buffer = []     # quartet ids and kept quartets not yet evaluated
+        self.n_buffered = 0  # quartet ids buffered
         self.c, self.tau_2e, self.evaluate = counters, tau_2e, evaluate
         self.qlog = quartet_log
 
@@ -555,65 +568,79 @@ class Traversal:
         """Test each quartet in the boxes of a group's candidates with
         screening_bound, in pieces of whole candidates of about
         _SCREEN_CHUNK quartets (the direct-SCF test: the kept set does not
-        depend on leaf blocking); count the kept quartets' union of
-        root-table ids and buffer it with each one's place in it,
-        transposes and weight."""
+        depend on leaf blocking). A box quartet is named by one flat index
+        per side into its root's leaf tables, its candidate's row plus its
+        free index, and reads sq, pair and flip with take. The kept
+        quartets' root-table ids go to the ERI buffer, each with its place
+        among the buffered ids, transposes and weight: the naive walk's in
+        walk order, as its one untransposed link makes each kept quartet its
+        own (task, density entry, free pair), so none repeats; the canonical
+        walk's as each group's sorted union, as its four links can keep one
+        canonical quartet more than once."""
         tau, w, A, B = self.tau_2e, self.bra.width, self.A, self.B
-        sq_b, sq_k = A["sq"].reshape(-1, w), B["sq"].reshape(-1, w)
+        sq_b, sq_k = A["sq"].reshape(-1), B["sq"].reshape(-1)
+        rb, rk = rb * w, rk * w  # each candidate's row start, flat
         box = nb * nk
-        start = np.r_[0, np.cumsum(box)]  # each candidate's first quartet
+        start = np.zeros(len(rb) + 1, dtype=np.intp)
+        np.cumsum(box, out=start[1:])  # each candidate's first quartet
         cut = np.flatnonzero(np.diff(start[:-1] // _SCREEN_CHUNK)) + 1
         kept = []
-        for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(rb)]):
+        for lo, hi in pairwise([0, *cut.tolist(), len(rb)]):
             # (candidate, free bra index, free ket index), row-major per box
             j = np.repeat(np.arange(lo, hi), box[lo:hi])
-            f1, f2 = np.divmod(np.arange(start[lo], start[hi]) - start[j],
+            xb, xk = np.divmod(np.arange(start[lo], start[hi]) - start[j],
                                nk[j])
-            bound = screening_bound(sq_b[rb[j], f1], pc[j], sq_k[rk[j], f2])
+            xb += rb[j]
+            xk += rk[j]
+            bound = screening_bound(sq_b.take(xb), pc[j], sq_k.take(xk))
             keep = bound > tau
             self.c.culled_bound_ledger += 0.5 * float(bound.sum(where=~keep))
-            kept.append((j[keep], f1[keep], f2[keep]))
-        c, f1, f2 = kept[0] if len(kept) == 1 else map(np.concatenate,
+            keep = np.flatnonzero(keep)
+            kept.append((j.take(keep), xb.take(keep), xk.take(keep)))
+        c, xb, xk = kept[0] if len(kept) == 1 else map(np.concatenate,
                                                         zip(*kept))
         del j, bound, keep, kept
         self.c.quartets_culled_leaf -= len(c)
-        pair_b, pair_k = A["pair"].reshape(-1, w), B["pair"].reshape(-1, w)
-        ib, ik = pair_b[rb[c], f1].astype(np.intp), pair_k[rk[c], f2]
         tb, tk = tb[c], tk[c]
         if self.canonical:
             # a pair below a diagonal leaf's diagonal, read untransposed
             # (bra orientation 1, ket 0), takes its mirror's id from the
-            # same place of the other orientation, and that side transposed
-            for ids, table, rows, f, t, step, pairs in (
-                    (ib, pair_b, rb, f1, tb, -w, self.roots[0].pairs),
-                    (ik, pair_k, rk, f2, tk, w, self.roots[1].pairs)):
-                lower = pairs.i_shell[ids] > pairs.j_shell[ids]
-                ids[lower] = table[rows[c[lower]] + step, f[lower]]
+            # same place of the other orientation, w * w entries before
+            # (bra) or after (ket), and that side transposed
+            for x, flip, t, step in ((xb, A["flip"], tb, -w * w),
+                                     (xk, B["flip"], tk, w * w)):
+                lower = flip.reshape(-1).take(x)
+                x += lower * step
                 t |= lower
         # the quartet ids, bra id * ket pairs + ket id, formed in place
-        quartet = ib
+        quartet = A["pair"].reshape(-1).take(xb).astype(np.intp)
         quartet *= self.roots[1].pairs.n_pairs
-        quartet += ik
-        del ib, ik, f1, f2
-        # sorted and scanned here, as np.unique's per-call cost exceeds a
-        # small group's whole screening
-        order = quartet.argsort()
-        quartet = quartet[order]
-        first = np.ones(len(quartet), dtype=bool)
-        np.not_equal(quartet[1:], quartet[:-1], out=first[1:])
-        union = quartet[first]
+        quartet += B["pair"].reshape(-1).take(xk)
+        del xb, xk
+        if self.canonical:
+            # sorted and scanned here, as np.unique's per-call cost exceeds
+            # a small group's whole screening
+            order = quartet.argsort()
+            quartet = quartet[order]
+            first = np.ones(len(quartet), dtype=bool)
+            np.not_equal(quartet[1:], quartet[:-1], out=first[1:])
+            union, at = quartet[first], np.cumsum(first) - 1
+            c, tb, tk = c[order], tb[order], tk[order]
+        else:
+            union, at = quartet, np.arange(len(quartet))
         self.c.eri_shell_quartets += len(union)
         if self.evaluate and len(union):
-            self.buffer.append((union, self.n_buffered + np.cumsum(first) - 1,
-                                tb[order], tk[order], weight[c[order]]))
+            self.buffer.append((union, self.n_buffered + at, tb, tk,
+                                weight[c]))
             self.n_buffered += len(union)
 
     def flush(self, final: bool = False):
-        """Evaluate the buffered unions, _ERI_BATCH quartets per call (the
+        """Evaluate the buffered ids, _ERI_BATCH quartets per call (the
         rest waits unless ``final``), and after each call add its kept
         quartets to K at row mu (nu if the bra is transposed) and column
-        sig (lam if the ket is), one at a time in walk order: K is the same
-        for every batch size."""
+        sig (lam if the ket is), one at a time in buffer order: the naive
+        walk's in walk order, the canonical walk's in each group's sorted
+        order. K is the same for every batch size."""
         size = _ERI_BATCH
         m = self.n_buffered if final else self.n_buffered // size * size
         if not m:

@@ -192,3 +192,23 @@ def test_quartet_log_collects_evaluated_quartets():
                                 quartet_log=log)
     assert len(log) == c.eri_shell_quartets
     assert all(len(t) == 4 for t in log)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-8])
+@pytest.mark.parametrize("leaf_size", [1, 3, 10, 40])
+def test_naive_kept_quartets_never_repeat(leaf_size, tau):
+    # the naive walk buffers and counts its kept quartets as they come, with
+    # no sort and no union: with one untransposed link, each is its own
+    # (task, density entry, free bra pair, free ket pair), so none may
+    # repeat, with bra and ket on one tree or on two built separately
+    system, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11,
+                                           leaf_size=leaf_size)
+    ket = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+    for k in (pairs, ket):
+        log = []
+        _, c = build_exchange_naive(pairs, k, P_tree, tau_2e=tau,
+                                    quartet_log=log)
+        assert c.eri_shell_quartets > 0
+        assert len(log) == c.eri_shell_quartets
+        assert len(set(log)) == len(log)
+        del log

@@ -289,6 +289,30 @@ def test_eri_elementwise_rounds_each_quartet_as_alone():
     assert eri_elementwise(pd, pd, ia[:0], ib[:0]).shape == (0,)
 
 
+def test_eri_elementwise_count_past_uint16_rounds_as_alone():
+    # the quartets' primitive counts are sorted as uint16 keys only while
+    # every count fits; a quartet of two 16 x 16-primitive pairs has 65,536
+    # primitive quartets, one past uint16, so this call sorts its int64
+    # counts, and every value must still be rounded as one quartet alone
+    rng = np.random.default_rng(29)
+    shells = [_shell(rng.normal(scale=2.0, size=3),
+                     zip(rng.uniform(0.1, 20.0, n), rng.uniform(0.2, 1.0, n)))
+              for n in (16, 16, 1, 3)]
+    # pairs of 256, 1, 9 and 3 primitives
+    pd = build_pair_data(shells, [(0, 1), (2, 2), (3, 3), (2, 3)])
+    ia = np.array([1, 2, 0, 3, 1, 1, 0, 2])
+    ib = np.array([1, 1, 0, 3, 2, 1, 0, 2])
+    n_prim = np.diff(pd.offsets)
+    assert (n_prim[ia] * n_prim[ib]).tolist() == [1, 9, 65536, 9, 9, 1,
+                                                  65536, 81]
+    alone = np.array([eri_elementwise(pd, pd, ia[[q]], ib[[q]])[0]
+                      for q in range(len(ia))])
+    whole = eri_elementwise(pd, pd, ia, ib)
+    assert whole.tobytes() == alone.tobytes()
+    ref = np.array([_eri_one(pd, a, b) for a, b in zip(ia, ib)])
+    assert whole.tobytes() == ref.tobytes()
+
+
 def test_eri_elementwise_worst_case_memory_is_bounded():
     # one call of 4,096 quartets of 9 x 9 primitives each (331,776 primitive
     # quartets) runs in bounded passes; one broadcast pass over all of them

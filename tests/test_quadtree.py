@@ -332,15 +332,18 @@ def test_pair_table_ids_index_the_root_table():
     # orientation 1 the other way round. Each pair row is a permutation of
     # the leaf's grid row (grid column) of root-table ids, ordered so that
     # sq, the Schwarz factor at each id's grid place, does not increase
-    # along it; tail holds sq's suffix sums; m counts the leaf's pairs; the
-    # padding up to the longest leaf span w is zero
+    # along it; tail holds sq's suffix sums; m counts the leaf's pairs; flip
+    # marks the places of a diagonal leaf whose pair lies below the diagonal
+    # and no other, not even on a leaf below the diagonal; the padding up to
+    # the longest leaf span w is zero
     system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     table = pairs.pairs
     nodes = flatten(pairs)[0]
     t = exchange_naive.leaf_cache(pairs)
     flat, w = pairs.flat, pairs.flat.width
     n = len(flat.leaves)
-    assert t["sq"].shape == t["pair"].shape == (n, 2, w, w)
+    assert t["sq"].shape == t["pair"].shape == t["flip"].shape == (n, 2, w, w)
+    assert t["flip"].dtype == bool
     assert t["tail"].shape == (n, 2, w, w + 1) and t["m"].shape == (n,)
     leaves = [nodes[i] for i in flat.leaves]
     assert ({id(leaf) for leaf in leaves}
@@ -356,6 +359,7 @@ def test_pair_table_ids_index_the_root_table():
         assert np.array_equal(table.j_shell[grid],
                               np.broadcast_to(cols[None, :], (nr, nc)))
         sq, pair, tail = t["sq"][s], t["pair"][s], t["tail"][s]
+        flip = t["flip"][s]
         q = np.sqrt(leaf.diag)
         assert t["m"][s] == nr * nc
         for o, ids in ((0, grid), (1, grid.T)):
@@ -364,7 +368,11 @@ def test_pair_table_ids_index_the_root_table():
             i = table.i_shell[pair[o, :a, :b]] - leaf.row.shell_lo
             j = table.j_shell[pair[o, :a, :b]] - leaf.col.shell_lo
             assert np.array_equal(sq[o, :a, :b], q[i, j])
-            for x in (sq, pair):
+            lower = (table.i_shell[pair[o, :a, :b]]
+                     > table.j_shell[pair[o, :a, :b]])
+            assert np.array_equal(flip[o, :a, :b],
+                                  lower & (leaf.row is leaf.col))
+            for x in (sq, pair, flip):
                 assert not x[o, a:].any() and not x[o, :, b:].any()
         assert (np.diff(sq, axis=2) <= 0).all()
         suffix = np.stack([sq[..., k:].sum(axis=2)
@@ -378,7 +386,8 @@ def test_pair_table_ids_index_the_root_table():
                                   table.j_shell[pair[0, :nr, :nr]])
             assert np.array_equal(table.j_shell[pair[1, :nr, :nr]],
                                   table.i_shell[pair[0, :nr, :nr]])
-    assert any(leaf.row is leaf.col for leaf in leaves)
+    assert any(leaf.row is leaf.col for leaf in leaves) and t["flip"].any()
+    assert any(leaf.row.shell_lo > leaf.col.shell_lo for leaf in leaves)
     assert any(leaf.row.n_functions != leaf.col.n_functions
                for leaf in leaves)
 
