@@ -11,10 +11,11 @@ surviving link following its own density child.
 
 The walk runs in bounded array passes over flattened trees: frontier pieces
 of tasks are screened per link in vector form, and leaf tasks in groups,
-each live link over its own density leaf block, against factor tables
-that leaf_cache builds once per pair tree, for every live leaf,
-laid out by orientation (density index on the row span, or on the col
-span), each row of factors sorted in descending order. A leaf task's
+each live link over its own density leaf block. A pair tree is read
+through one index object that leaf_cache builds on its first build, in
+one flatten pass: node arrays, and factor tables for every live leaf laid
+out by orientation (density index on the row span, or on the col span),
+each row of factors sorted in descending order. A leaf task's
 work follows the quartets it keeps, not its (mu nu|lam sig) block: a
 density entry culled on its largest factors is summed in closed form; for
 each other entry a range query finds the box of free bra and free ket
@@ -157,14 +158,32 @@ def check_driver_args(bra, ket, p, tau_2e: float) -> None:
         raise InvalidArgumentError("bra and ket must be roots of pair trees")
 
 
-class _PairArrays:
-    """Node arrays of a pair tree, cached in its root's ``flat`` by its first
-    build; holding no node, the cache makes no cycle. A span is named by its
-    first shell, unique on its tree level. Live leaves have factor-table
-    slots, in node order."""
+class _PairIndex:
+    """The engine's index of a pair tree, built by leaf_cache in one flatten
+    pass; it holds no node, so caching it on the root makes no cycle. Its
+    node arrays name a span by its first shell, unique on its tree level;
+    live leaves have table slots, in node order. ``pairs`` is the root's
+    pair table and ``width`` (w) the longest leaf span.
+
+    m is the number of pairs of each slot. Each table is laid out by slot
+    and orientation, (slots, 2, w, w): orientation 0 has one row per
+    density index on the leaf's row span and one column per free index
+    (the col shell), orientation 1 is its transpose, and both are
+    zero-padded. sq holds the Schwarz factor (ij|ij)^1/2, each row sorted
+    in descending order (stable), and pair the id in the root's pair table
+    (the leaf's base plus the grid's row-major place) of the pair at each
+    sq entry. tail, (slots, 2, w, w + 1), holds sq's suffix sums along each
+    row: tail[..., k] = sum over f >= k of sq[..., f], so tail[..., w] = 0.
+    Sorted rows make the engine's range query a prefix of each row. A
+    diagonal leaf's factor block is exactly symmetric, so its two
+    orientations hold equal sq rows and, at each place, mirrored pairs
+    (j, i) for (i, j); flip marks its places whose pair lies below the
+    diagonal (i > j), which the symmetry driver evaluates as their mirrors.
+    No other place is flipped."""
 
     def __init__(self, root: ShellPairNode):
         nodes, self.child = flatten(root)
+        self.pairs = root.pairs
         self.row, self.col = np.array([(n.row.shell_lo, n.col.shell_lo)
                                        for n in nodes], dtype=np.intp).T
         self.leaf, self.pruned = np.array([(n.is_leaf, n.pruned)
@@ -175,43 +194,14 @@ class _PairArrays:
         self.leaves = np.flatnonzero(self.leaf & ~self.pruned)  # by slot
         self.slot = np.full(len(nodes), -1, dtype=np.intp)
         self.slot[self.leaves] = np.arange(len(self.leaves))
-        # the longest leaf span: tables pad the free index to it
-        self.width = max(s.n_functions for s in leaf_spans(root.row))
-
-
-def leaf_cache(root: ShellPairNode) -> dict:
-    """Pair ids and screening factors of a pair tree's live leaves, by
-    _PairArrays slot, for both drivers.
-
-    m is the number of pairs of each slot. Each table is laid out by slot
-    and orientation, (slots, 2, w, w) with w the longest leaf span:
-    orientation 0 has one row per density index on the leaf's row span and
-    one column per free index (the col shell), orientation 1 is its
-    transpose, and both are zero-padded. sq holds the Schwarz factor
-    (ij|ij)^1/2, each row sorted in descending order (stable), and pair the
-    id in the root's pair table (the leaf's base plus the grid's row-major
-    place) of the pair at each sq entry. tail, (slots, 2, w, w + 1), holds
-    sq's suffix sums along each row: tail[..., k] = sum over f >= k of
-    sq[..., f], so tail[..., w] = 0. Sorted rows make the engine's range
-    query a prefix of each row. A diagonal leaf's factor block is exactly
-    symmetric, so its two orientations hold equal sq rows and, at each
-    place, mirrored pairs (j, i) for (i, j); flip marks its places whose
-    pair lies below the diagonal (i > j), which the symmetry driver
-    evaluates as their mirrors. No other place is flipped. Built once per
-    tree, with the tree's ``flat`` node arrays where it has none yet, and
-    kept in ``root.cache`` under "full"; no other node holds a cache.
-    """
-    if root.flat is None:
-        root.flat = _PairArrays(root)
-    if root.cache is None:
-        tree, nodes = root.flat, flatten(root)[0]
-        shape = (len(tree.leaves), 2, tree.width, tree.width)
+        w = self.width = max(s.n_functions for s in leaf_spans(root.row))
+        shape = (len(self.leaves), 2, w, w)
         sq = np.zeros(shape)
         # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
         pair = np.zeros(shape, dtype=np.int32)
         flip = np.zeros(shape, dtype=bool)
-        m = np.zeros(len(tree.leaves), dtype=np.intp)
-        for s, leaf in enumerate(nodes[i] for i in tree.leaves.tolist()):
+        m = np.zeros(len(self.leaves), dtype=np.intp)
+        for s, leaf in enumerate(nodes[i] for i in self.leaves.tolist()):
             q = np.sqrt(leaf.diag)
             nr, nc = q.shape
             m[s] = nr * nc
@@ -221,15 +211,22 @@ def leaf_cache(root: ShellPairNode) -> dict:
             if leaf.row is leaf.col:
                 flip[s, 0, :nr, :nr] = np.tri(nr, k=-1, dtype=bool)
                 flip[s, 1, :nr, :nr] = flip[s, 0, :nr, :nr].T
+        # each unsorted table goes as soon as its sorted copy exists
         order = np.argsort(-sq, axis=3, kind="stable")
         sq = np.take_along_axis(sq, order, axis=3)
         pair = np.take_along_axis(pair, order, axis=3)
         flip = np.take_along_axis(flip, order, axis=3)
         del order
-        tail = np.zeros(shape[:3] + (shape[3] + 1,))
-        tail[..., :-1] = np.cumsum(sq[..., ::-1], axis=3)[..., ::-1]
-        root.cache = {"full": {"m": m, "sq": sq, "tail": tail, "pair": pair,
-                               "flip": flip}}
+        self.m, self.sq, self.pair, self.flip = m, sq, pair, flip
+        self.tail = np.zeros(shape[:3] + (w + 1,))
+        self.tail[..., :-1] = np.cumsum(sq[..., ::-1], axis=3)[..., ::-1]
+
+
+def leaf_cache(root: ShellPairNode) -> _PairIndex:
+    """A pair tree's _PairIndex, for both drivers, built on its first build
+    and kept in ``root.cache`` under "full"; no other node holds a cache."""
+    if root.cache is None:
+        root.cache = {"full": _PairIndex(root)}
     return root.cache["full"]
 
 
@@ -281,11 +278,9 @@ class Traversal:
                  case_label=None, quartet_log: list | None = None):
         self.K = np.zeros((bra.row.n_functions,) * 2)
         self.case_label, self.canonical = case_label, case_label is not None
-        # the leaf tables of each side, one leaf_cache call per distinct root
-        self.A = leaf_cache(bra)
-        self.B = self.A if ket is bra else leaf_cache(ket)
-        self.roots = (bra, ket)
-        self.bra, self.ket = bra.flat, ket.flat
+        # each side's index, one leaf_cache call per distinct root
+        self.bra = leaf_cache(bra)
+        self.ket = self.bra if ket is bra else leaf_cache(ket)
         self.buffer = []     # quartet ids and kept quartets not yet evaluated
         self.n_buffered = 0  # quartet ids buffered
         self.c, self.tau_2e, self.evaluate = counters, tau_2e, evaluate
@@ -297,9 +292,9 @@ class Traversal:
 
         The top levels are visited breadth-first until the frontier holds
         _SPLIT_TASKS tasks, which _split deals out; a frontier that empties
-        first leaves nothing to deal. The leaf tables, node arrays and
-        density arrays exist before any fork, so a worker reads the
-        caller's pages and the tree keeps its caches for the next build."""
+        first leaves nothing to deal. Each side's index and the density
+        arrays exist before any fork, so a worker reads the caller's pages
+        and the tree keeps its index for the next build."""
         self.P = _density_arrays(P, self.bra.width)
         self.tb, self.tk = np.array(slots, dtype=bool).reshape(-1, 2).T
         root = np.zeros(1, dtype=np.intp)
@@ -316,33 +311,34 @@ class Traversal:
         i % _WORKERS. Walk share 0 into this build, then add each other
         share's K, counters and quartet log, walked by _share, in share
         order. Where the process may run on _WORKERS CPUs the other shares
-        run in forked workers at the same time; elsewhere they run here, one
-        after another, to the same bits. A worker's exception is raised
-        here; if this process fails first, every worker left is killed.
-        Each worker is reaped before this returns or raises."""
+        run in forked workers at the same time; elsewhere, or where a fork
+        fails, they run here, one after another, to the same bits. A
+        worker's exception is raised here; if this process fails first,
+        every worker left is killed. Each worker is reaped before this
+        returns or raises."""
         shares = [(b[w::_WORKERS], k[w::_WORKERS], links[w::_WORKERS])
                   for w in range(_WORKERS)]
         fork = _may_fork()
-        workers = []  # (pid, read end of its pipe), by share
+        workers = []  # by share: (pid, pipe read end), or None if walked here
         try:
-            if fork:
-                for share in shares[1:]:
-                    workers.append(self._fork(share, workers))
+            for share in shares[1:]:
+                workers.append(self._fork(share, workers) if fork else None)
             self._walk(*shares[0])
             self.flush(final=True)
             for share in shares[1:]:
-                if fork:
+                if workers[0] is None:
+                    result = self._share(*share)
+                else:
                     pid, pipe = workers[0]
                     with pipe:
                         data = pipe.read()
                     status = os.waitpid(pid, 0)[1]
-                    del workers[0]
+                    workers[0] = None  # reaped
                     result = _worker_result(status, data)
-                else:
-                    result = self._share(*share)
+                del workers[0]
                 self._add(*result)
         finally:
-            for pid, pipe in workers:
+            for pid, pipe in filter(None, workers):
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -367,16 +363,22 @@ class Traversal:
         exception it raised, into a pipe, and leaves by os._exit: it runs no
         exit handler and flushes no stream it inherited. ``workers`` are
         the ones forked before; it closes their pipes. Returns (pid, the
-        pipe's read end)."""
+        pipe's read end), or None if the fork fails (a process limit, or
+        no memory): the pipe is closed and the caller walks the share."""
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return None
         if pid:
             os.close(write_fd)
             return pid, os.fdopen(read_fd, "rb")
         status = 1
         try:
             os.close(read_fd)
-            for _, pipe in workers:
+            for _, pipe in filter(None, workers):
                 pipe.close()
             try:
                 result = self._share(*share)
@@ -497,7 +499,7 @@ class Traversal:
         monotone) and adds |p| * (sum fb) * (sum fk) to the ledger. Each
         other entry is a candidate: _edges finds its box, and whole tasks
         are grouped by _LEAF_GROUP // 4 box quartets for _group."""
-        c, tau, w, A, B = self.c, self.tau_2e, self.bra.width, self.A, self.B
+        c, tau, w, A, B = self.c, self.tau_2e, self.bra.width, self.bra, self.ket
         t, l = np.nonzero(links >= 0)  # by task, then link
         p = self.P.blocks[self.P.slot[links[t, l]]]
         # each live link's bra and ket table, as (slot, orientation) rows
@@ -505,14 +507,14 @@ class Traversal:
         pa = np.abs(p)
         # by density index: the largest free factor (its sorted row's first)
         # and the sum of its row
-        sq_b, sq_k = A["sq"].reshape(-1, w, w), B["sq"].reshape(-1, w, w)
+        sq_b, sq_k = A.sq.reshape(-1, w, w), B.sq.reshape(-1, w, w)
         keep = screening_bound(sq_b[ob, :, :1], pa,
                                sq_k[ok, :, 0][:, None]) > tau
         i, d1, d2 = np.nonzero(keep)
         pc = pa[i, d1, d2]
         pa[keep] = 0.0
-        tail_b = A["tail"].reshape(-1, w, w + 1)
-        tail_k = B["tail"].reshape(-1, w, w + 1)
+        tail_b = A.tail.reshape(-1, w, w + 1)
+        tail_k = B.tail.reshape(-1, w, w + 1)
         c.culled_bound_ledger += 0.5 * float(
             (tail_b[ob, :, :1] * pa * tail_k[ok, :, 0][:, None]).sum())
         rb, rk, weight = ob[i] * w + d1, ok[i] * w + d2, p[i, d1, d2]
@@ -532,7 +534,7 @@ class Traversal:
         ends = np.flatnonzero((np.diff(before[:-1] // group) > 0)
                               | big[1:] | big[:-1]) + 1
         first = first[np.r_[0, ends, len(bl)]]
-        c.quartets_culled_leaf += int((A["m"][bl[t]] * B["m"][kl[t]]).sum())
+        c.quartets_culled_leaf += int((A.m[bl[t]] * B.m[kl[t]]).sum())
         for g in map(slice, first[:-1], first[1:]):
             self._group(*[x[g] for x in cand])
             if self.n_buffered >= _ERI_BATCH:
@@ -547,10 +549,9 @@ class Traversal:
         box fails its own test. Their bounds add |p| * (tail_a[nb] *
         tail_b[0] + (sum_{f<nb} a) * tail_b[nk]) to the ledger: positive
         terms only, so no subtraction can cancel."""
-        tau, w, A, B = self.tau_2e, self.bra.width, self.A, self.B
-        sq_b, sq_k = A["sq"].reshape(-1, w), B["sq"].reshape(-1, w)
-        tail_b = A["tail"].reshape(-1, w + 1)
-        tail_k = B["tail"].reshape(-1, w + 1)
+        tau, w, A, B = self.tau_2e, self.bra.width, self.bra, self.ket
+        sq_b, sq_k = A.sq.reshape(-1, w), B.sq.reshape(-1, w)
+        tail_b, tail_k = A.tail.reshape(-1, w + 1), B.tail.reshape(-1, w + 1)
         nb, nk = np.empty((2, len(pc)), dtype=np.intp)
         step = max(1, _LEAF_GROUP // w)
         for lo in range(0, len(pc), step):
@@ -577,8 +578,8 @@ class Traversal:
         own (task, density entry, free pair), so none repeats; the canonical
         walk's as each group's sorted union, as its four links can keep one
         canonical quartet more than once."""
-        tau, w, A, B = self.tau_2e, self.bra.width, self.A, self.B
-        sq_b, sq_k = A["sq"].reshape(-1), B["sq"].reshape(-1)
+        tau, w, A, B = self.tau_2e, self.bra.width, self.bra, self.ket
+        sq_b, sq_k = A.sq.reshape(-1), B.sq.reshape(-1)
         rb, rk = rb * w, rk * w  # each candidate's row start, flat
         box = nb * nk
         start = np.zeros(len(rb) + 1, dtype=np.intp)
@@ -607,15 +608,15 @@ class Traversal:
             # (bra orientation 1, ket 0), takes its mirror's id from the
             # same place of the other orientation, w * w entries before
             # (bra) or after (ket), and that side transposed
-            for x, flip, t, step in ((xb, A["flip"], tb, -w * w),
-                                     (xk, B["flip"], tk, w * w)):
+            for x, flip, t, step in ((xb, A.flip, tb, -w * w),
+                                     (xk, B.flip, tk, w * w)):
                 lower = flip.reshape(-1).take(x)
                 x += lower * step
                 t |= lower
         # the quartet ids, bra id * ket pairs + ket id, formed in place
-        quartet = A["pair"].reshape(-1).take(xb).astype(np.intp)
-        quartet *= self.roots[1].pairs.n_pairs
-        quartet += B["pair"].reshape(-1).take(xk)
+        quartet = A.pair.reshape(-1).take(xb).astype(np.intp)
+        quartet *= B.pairs.n_pairs
+        quartet += B.pair.reshape(-1).take(xk)
         del xb, xk
         if self.canonical:
             # sorted and scanned here, as np.unique's per-call cost exceeds
@@ -652,7 +653,7 @@ class Traversal:
         self.buffer = [(union[m:], at[rest] - m, tb[rest], tk[rest],
                         weight[rest])]
         self.n_buffered -= m
-        pb, pk = self.roots[0].pairs, self.roots[1].pairs
+        pb, pk = self.bra.pairs, self.ket.pairs
         for lo, k in zip(range(0, m, size), map(slice, cut[:-1], cut[1:])):
             ia, ib = np.divmod(union[lo:lo + size], pk.n_pairs)
             e = -0.5 * eri_elementwise(pb, pk, ia, ib)

@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # eri_cross, eri_elementwise and leaf_cache are not used here (the engine in
-# exchange_naive calls its own leaf_cache, once per pair tree and build, and
-# eri_elementwise, and never eri_cross); they stay bound in this module only
-# because perfbench/run.py's tracer wraps them on both driver modules.
+# exchange_naive calls its own leaf_cache, for the tree's one index object,
+# and eri_elementwise, and never eri_cross); they stay bound in this module
+# only because perfbench/run.py's tracer wraps them on both driver modules.
 from .exchange_naive import (LogicError, Traversal, TraversalCounters,
                              check_driver_args, eri_cross, eri_elementwise,
                              leaf_cache)
@@ -152,8 +152,8 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     The traversal engine of exchange_naive with the four slots of
     _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
     driver uses; the canonical restriction is applied during traversal
-    (upper-triangular child selection). At leaves the driver reads the
-    naive driver's leaf tables from leaf_cache, so the cached norms and
+    (upper-triangular child selection). The driver reads the naive
+    driver's index of the tree from leaf_cache, so the cached norms and
     factors feeding the screening tests are shared with it bit for bit; a
     diagonal leaf drops its transposed slots and is read over its full pair
     grid, each pair below the diagonal evaluated as its canonical mirror,

@@ -14,9 +14,8 @@ with (ij|ij) values and primitive pair data for the canonical pairs of the
 live blocks only, is laid out from that table, and one recursion prunes,
 places and normalizes every node. ``shell_overlap_matrix`` forms the dense
 overlap matrix for callers that want it; the pair tree does not use it.
-The exchange engine keeps what it derives from a pair tree on the root
-only: its node arrays (``flat``) and its leaf factor tables (``cache``,
-built by exchange_naive.leaf_cache).
+The exchange engine keeps what it derives from a pair tree, one index
+object (exchange_naive.leaf_cache), in the root's ``cache`` only.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ class ShellPairNode(_Block):
     """
 
     __slots__ = ("diag_norm", "rowsum_max", "colsum_max", "pruned", "pairs",
-                 "base", "diag", "cache", "flat")
+                 "base", "diag", "cache")
 
     def __init__(self, row: Span, col: Span):
         super().__init__(row, col, {})
@@ -195,10 +194,8 @@ class ShellPairNode(_Block):
         # blocks run row-major by (row leaf, col leaf)
         self.base = 0
         self.diag = None    # its block of the system's (ab|ab) matrix
-        # at the root: the engine's leaf tables of the tree (see
-        # exchange_naive.leaf_cache), and its node arrays
+        # at the root: the engine's index of the tree (exchange_naive.leaf_cache)
         self.cache = None
-        self.flat = None
 
 
 # Canonical pairs per pass, in the overlap and the (ij|ij) pass alike. Small

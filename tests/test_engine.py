@@ -296,9 +296,9 @@ def test_walk_memory_is_bounded(monkeypatch, driver):
 
 
 def test_driver_builds_leave_no_reference_cycles():
-    # the node arrays and leaf tables cached on a pair tree's root hold no
-    # node, so a tree and everything its builds cached go as soon as the
-    # last name does
+    # the one index object cached on a pair tree's root, its node arrays
+    # and leaf tables, holds no node, so a tree and everything its builds
+    # cached go as soon as the last name does
     system, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     gc.collect()
     gc.disable()
@@ -306,7 +306,10 @@ def test_driver_builds_leave_no_reference_cycles():
         tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
         build_exchange_naive(tree, tree, P_tree, 1e-8)
         build_exchange_symmetric(tree, P_tree, 1e-8)
-        assert tree.flat is not None and set(tree.cache) == {"full"}
+        assert set(tree.cache) == {"full"}
+        index = tree.cache["full"]
+        assert index.child is not None and index.sq is not None
+        del index
         del tree
         assert gc.collect() == 0
     finally:
@@ -340,9 +343,9 @@ def test_naive_driver_reads_bra_and_ket_ids_from_their_own_trees():
 def test_leaf_cache_keeps_one_table_set_on_the_root(monkeypatch, order):
     # perfbench/run.py counts leaf-table fills by reading root.cache for the
     # "full" key. Both drivers on one tree, in either order, give their
-    # fresh-tree K and counters bit for bit, the first fills the one table
-    # set once on the root and no other node, and every build reads back
-    # the same dict
+    # fresh-tree K and counters bit for bit, the first fills the one index
+    # object once on the root and no other node, and every build reads back
+    # the same object
     system, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
     fresh = {}
     for driver in order:
@@ -363,6 +366,31 @@ def test_leaf_cache_keeps_one_table_set_on_the_root(monkeypatch, order):
     assert set(pairs.cache) == {"full"}
     assert [id(t) for t in returned] == [id(pairs.cache["full"])] * 4
     assert all(node.cache is None for node in flatten(pairs)[0][1:])
+
+
+@pytest.mark.parametrize("order", [("naive", "symmetry"),
+                                   ("symmetry", "naive")],
+                         ids=["naive-first", "symmetry-first"])
+def test_a_fresh_pair_tree_is_flattened_once(monkeypatch, order):
+    # a pair tree's first build makes its one index object, node arrays and
+    # leaf tables alike, from one flatten pass over it; later builds, by
+    # either driver, read that object back and flatten only the density tree
+    system, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
+    tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+    calls = []
+
+    def counting(root):
+        calls.append(root)
+        return flatten(root)
+
+    monkeypatch.setattr(exchange_naive, "flatten", counting)
+    for driver, n in zip(order + order, (1, 0, 0, 0)):
+        calls.clear()
+        _build(driver, tree, P_tree)
+        assert [root is tree for root in calls].count(True) == n
+        assert [root is P_tree for root in calls].count(True) == 1
+        assert len(calls) == n + 1
+    assert not hasattr(tree, "flat")
 
 
 @st.composite

@@ -326,8 +326,8 @@ def _surviving_leaves(node):
 
 
 def test_pair_table_ids_index_the_root_table():
-    # leaf_cache's tables of the tree, slot s holding the leaf
-    # root.flat.leaves[s], in both orientations: orientation 0 has a row per
+    # the tables of leaf_cache's index of the tree, slot s holding the leaf
+    # t.leaves[s], in both orientations: orientation 0 has a row per
     # row shell (density index) and a column per col shell (free index),
     # orientation 1 the other way round. Each pair row is a permutation of
     # the leaf's grid row (grid column) of root-table ids, ordered so that
@@ -340,12 +340,12 @@ def test_pair_table_ids_index_the_root_table():
     table = pairs.pairs
     nodes = flatten(pairs)[0]
     t = exchange_naive.leaf_cache(pairs)
-    flat, w = pairs.flat, pairs.flat.width
-    n = len(flat.leaves)
-    assert t["sq"].shape == t["pair"].shape == t["flip"].shape == (n, 2, w, w)
-    assert t["flip"].dtype == bool
-    assert t["tail"].shape == (n, 2, w, w + 1) and t["m"].shape == (n,)
-    leaves = [nodes[i] for i in flat.leaves]
+    w = t.width
+    n = len(t.leaves)
+    assert t.sq.shape == t.pair.shape == t.flip.shape == (n, 2, w, w)
+    assert t.flip.dtype == bool
+    assert t.tail.shape == (n, 2, w, w + 1) and t.m.shape == (n,)
+    leaves = [nodes[i] for i in t.leaves]
     assert ({id(leaf) for leaf in leaves}
             == {id(leaf) for leaf in _surviving_leaves(pairs)})
     for s, leaf in enumerate(leaves):
@@ -358,10 +358,10 @@ def test_pair_table_ids_index_the_root_table():
                               np.broadcast_to(rows[:, None], (nr, nc)))
         assert np.array_equal(table.j_shell[grid],
                               np.broadcast_to(cols[None, :], (nr, nc)))
-        sq, pair, tail = t["sq"][s], t["pair"][s], t["tail"][s]
-        flip = t["flip"][s]
+        sq, pair, tail = t.sq[s], t.pair[s], t.tail[s]
+        flip = t.flip[s]
         q = np.sqrt(leaf.diag)
-        assert t["m"][s] == nr * nc
+        assert t.m[s] == nr * nc
         for o, ids in ((0, grid), (1, grid.T)):
             a, b = ids.shape
             assert np.array_equal(np.sort(pair[o, :a, :b], axis=1), ids)
@@ -386,7 +386,7 @@ def test_pair_table_ids_index_the_root_table():
                                   table.j_shell[pair[0, :nr, :nr]])
             assert np.array_equal(table.j_shell[pair[1, :nr, :nr]],
                                   table.i_shell[pair[0, :nr, :nr]])
-    assert any(leaf.row is leaf.col for leaf in leaves) and t["flip"].any()
+    assert any(leaf.row is leaf.col for leaf in leaves) and t.flip.any()
     assert any(leaf.row.shell_lo > leaf.col.shell_lo for leaf in leaves)
     assert any(leaf.row.n_functions != leaf.col.n_functions
                for leaf in leaves)

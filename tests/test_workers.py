@@ -96,6 +96,42 @@ def test_one_cpu_and_tiny_builds_never_fork(monkeypatch, forks,
     assert runs[0] == runs[1]
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("evaluate", [True, False],
+                         ids=["evaluated", "count-only"])
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_a_failed_fork_walks_the_share_in_the_caller(monkeypatch,
+                                                     cluster_setup, capsys,
+                                                     driver, evaluate):
+    # a fork that fails (a process limit, or no memory) closes its pipe and
+    # leaves the share to the caller: the one-CPU build's bits, no fd or
+    # child left behind, and the command line still succeeds
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    runs, tries = [], []
+
+    def failing():
+        tries.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        fds, log = _open_fds(), []
+        K, c = _build(driver, pairs, P_tree, evaluate, log)
+        runs.append((K.tobytes(), c.to_dict(), log))
+        assert _open_fds() == fds
+        assert len(tries) == len(cpus) - 1
+    _assert_no_child_left()
+    assert runs[0] == runs[1]
+    assert cli.main(["--system", "water:30"]) == 0
+    assert len(tries) == 2
+    capsys.readouterr()
+    _assert_no_child_left()
+
+
 def _failing_eri(monkeypatch, fail):
     """Make the engine's ERI kernel call ``fail()`` first in every process;
     it raises, or kills its process, where the test wants it to."""
