@@ -28,14 +28,15 @@ can repeat), the symmetry driver's in the sorted order of each group's
 union (its four links can keep one quartet more than once).
 
 A build walks its top levels breadth-first until the frontier holds
-_SPLIT_TASKS tasks, then deals it out to _WORKERS shares, task i to share
-i % _WORKERS, each walked depth-first by the same code from a zero K and
-fresh counters. The caller walks share 0; where the process may run on
-_WORKERS CPUs the other shares run at the same time in forked workers, and
-elsewhere in the caller, one after another. Their K, counters and quartet
-logs are added to the caller's in share order either way, so a build gives
-the same bits on any number of CPUs. A frontier that empties first (a tiny
-build) leaves nothing to deal and never forks.
+_SPLIT_TASKS tasks, then deals it out to _WORKERS (1 or 2) shares, task i
+to share i % _WORKERS, each walked depth-first by the same code from a zero
+K and fresh counters. The caller walks share 0; where the process may run
+on two CPUs one forked worker walks share 1 at the same time, and
+elsewhere the caller walks it after share 0. Share 1's K, counters and
+quartet log are added to the caller's after share 0 either way, so a build
+gives the same bits on one CPU or two. _reap reads the worker's result and
+reaps it. A frontier that empties first (a tiny build) leaves nothing to
+deal and never forks.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -243,15 +244,19 @@ def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
                            blocks=blocks)
 
 
-def _may_fork() -> bool:
-    """True where the process may run on _WORKERS CPUs (Linux only)."""
-    return (_WORKERS > 1 and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= _WORKERS)
-
-
-def _worker_result(status: int, data: bytes):
-    """A reaped worker's (K, counters, log) from its wait status and what
-    it wrote; raise the exception it sent, or name how it ended."""
+def _reap(pid: int, pipe):
+    """Read a forked worker's pipe to its end, reap the worker and return
+    the (K, counters, log) it sent; raise the exception it sent, or name
+    how it ended. If the read fails (an interrupt), the worker is killed
+    first: it is reaped whatever this raises."""
+    data = None
+    try:
+        with pipe:
+            data = pipe.read()
+    finally:
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
     if os.WIFSIGNALED(status):
         name = signal.Signals(os.WTERMSIG(status)).name
         raise RuntimeError(f"exchange worker killed by signal {name}")
@@ -307,46 +312,40 @@ class Traversal:
         self.P = None  # its leaf blocks are as large as P
 
     def _split(self, b, k, links):
-        """Deal a frontier out to _WORKERS shares, task i to share
-        i % _WORKERS. Walk share 0 into this build, then add each other
-        share's K, counters and quartet log, walked by _share, in share
-        order. Where the process may run on _WORKERS CPUs the other shares
-        run in forked workers at the same time; elsewhere, or where a fork
-        fails, they run here, one after another, to the same bits. A
-        worker's exception is raised here; if this process fails first,
-        every worker left is killed. Each worker is reaped before this
-        returns or raises."""
+        """Deal a frontier out to _WORKERS (1 or 2) shares, task i to share
+        i % _WORKERS. Walk share 0 into this build, then add share 1's K,
+        counters and quartet log, walked by _share. Where the process may
+        run on two CPUs a forked worker walks share 1 at the same time;
+        elsewhere, or where the fork fails, it runs here after share 0, to
+        the same bits. The worker's exception is raised here; if this
+        process fails first, the worker is killed. It is reaped before
+        this returns or raises."""
         shares = [(b[w::_WORKERS], k[w::_WORKERS], links[w::_WORKERS])
                   for w in range(_WORKERS)]
-        fork = _may_fork()
-        workers = []  # by share: (pid, pipe read end), or None if walked here
+        worker = None  # (pid, pipe read end) of the worker on share 1
+        if (_WORKERS > 1 and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) > 1):
+            worker = self._fork(shares[1])
         try:
-            for share in shares[1:]:
-                workers.append(self._fork(share, workers) if fork else None)
             self._walk(*shares[0])
             self.flush(final=True)
-            for share in shares[1:]:
-                if workers[0] is None:
-                    result = self._share(*share)
-                else:
-                    pid, pipe = workers[0]
-                    with pipe:
-                        data = pipe.read()
-                    status = os.waitpid(pid, 0)[1]
-                    workers[0] = None  # reaped
-                    result = _worker_result(status, data)
-                del workers[0]
-                self._add(*result)
-        finally:
-            for pid, pipe in filter(None, workers):
+        except BaseException:
+            if worker:
+                pid, pipe = worker
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+            raise
+        if worker:
+            self._add(*_reap(*worker))
+        elif _WORKERS > 1:
+            self._add(*self._share(*shares[1]))
 
     def _share(self, b, k, links):
-        """Walk tasks (b, k, links) from a zero K, fresh counters and an
-        empty ERI buffer and quartet log; return (K, or None if not
-        evaluated, counters, log) and put this build's own back."""
+        """Walk share 1's tasks (b, k, links), in the worker or here, from
+        a zero K, fresh counters and an empty ERI buffer and quartet log;
+        return (K, or None if not evaluated, counters, log) and put this
+        build's own back."""
         own = self.K, self.c, self.qlog
         self.K, self.c = np.zeros_like(self.K), type(self.c)()
         self.buffer, self.n_buffered = [], 0
@@ -358,13 +357,13 @@ class Traversal:
         finally:
             self.K, self.c, self.qlog = own
 
-    def _fork(self, share, workers):
-        """Fork a worker that pickles _share's result for a share, or the
+    def _fork(self, share):
+        """Fork the worker that pickles _share's result for a share, or the
         exception it raised, into a pipe, and leaves by os._exit: it runs no
-        exit handler and flushes no stream it inherited. ``workers`` are
-        the ones forked before; it closes their pipes. Returns (pid, the
-        pipe's read end), or None if the fork fails (a process limit, or
-        no memory): the pipe is closed and the caller walks the share."""
+        exit handler and flushes no stream it inherited. Returns (pid, the
+        pipe's read end) for _reap, or None if the fork fails (a process
+        limit, or no memory): the pipe is closed and the caller walks the
+        share."""
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
@@ -378,8 +377,6 @@ class Traversal:
         status = 1
         try:
             os.close(read_fd)
-            for _, pipe in filter(None, workers):
-                pipe.close()
             try:
                 result = self._share(*share)
             except BaseException as exc:

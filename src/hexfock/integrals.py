@@ -184,8 +184,9 @@ def eri_cross(bra: PairData, ket: PairData) -> np.ndarray:
 def eri_elementwise(bra: PairData, ket: PairData, idx_a, idx_b) -> np.ndarray:
     """Contracted ERIs (bra_a | ket_b) for selected index pairs only.
 
-    The quartets are sorted once, stably, by primitive count na * nb (as
-    uint16 keys, which NumPy radix-sorts, when every count fits). Each
+    The quartets are sorted once, stably, by primitive count na * nb, cast
+    to the smallest unsigned type that holds the largest count (NumPy
+    radix-sorts keys of up to 16 bits). Each
     count's primitive quartets, row-major over (bra primitive, ket
     primitive), are evaluated in flat passes of whole quartets, at most
     _ERI_PIECE primitive quartets each, and summed as one (n, count) array
@@ -198,8 +199,7 @@ def eri_elementwise(bra: PairData, ket: PairData, idx_a, idx_b) -> np.ndarray:
     oa, ob = bra.offsets[idx_a], ket.offsets[idx_b]
     nb = ket.offsets[idx_b + 1] - ob
     count = (bra.offsets[idx_a + 1] - oa) * nb
-    small = len(count) and count.max() < 1 << 16
-    order = np.argsort(count.astype(np.uint16) if small else count,
+    order = np.argsort(count.astype(np.min_scalar_type(count.max(initial=0))),
                        kind="stable")
     cuts = np.flatnonzero(np.diff(count[order])) + 1
     for group in np.split(order, cuts) if len(order) else ():

@@ -344,7 +344,7 @@ def test_series_case_counts_only_for_symmetry():
 def test_main_series_to_file(tmp_path):
     out = tmp_path / "series.csv"
     assert main(["--series", "1", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0] == SERIES_COLUMNS
     assert len(rows) == 3
 
@@ -379,7 +379,7 @@ def test_mid_series_failure_preserves_partial_csv(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 1
     assert "runtime failure" in capsys.readouterr().err
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0] == SERIES_COLUMNS
     assert len(rows) == 4  # header + 2 size-1 rows + error record
     assert rows[-1][0] == "ERROR"

@@ -290,10 +290,11 @@ def test_eri_elementwise_rounds_each_quartet_as_alone():
 
 
 def test_eri_elementwise_count_past_uint16_rounds_as_alone():
-    # the quartets' primitive counts are sorted as uint16 keys only while
-    # every count fits; a quartet of two 16 x 16-primitive pairs has 65,536
-    # primitive quartets, one past uint16, so this call sorts its int64
-    # counts, and every value must still be rounded as one quartet alone
+    # the quartets' primitive counts are sorted as keys of the smallest
+    # unsigned type that holds the largest; a quartet of two 16 x
+    # 16-primitive pairs has 65,536 primitive quartets, one past uint16, so
+    # this call sorts uint32 counts, and every value must still be rounded
+    # as one quartet alone
     rng = np.random.default_rng(29)
     shells = [_shell(rng.normal(scale=2.0, size=3),
                      zip(rng.uniform(0.1, 20.0, n), rng.uniform(0.2, 1.0, n)))

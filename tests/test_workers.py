@@ -1,7 +1,9 @@
 """The split walk: a build's frontier dealt out to forked worker processes."""
 
+import io
 import os
 import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -182,6 +184,59 @@ def test_a_killed_worker_is_named_by_its_signal(monkeypatch, forks,
     with pytest.raises(RuntimeError, match="SIGKILL"):
         _build("naive", pairs, P_tree)
     assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_worker_that_ends_without_a_result_is_named_by_its_status(
+        monkeypatch, forks, cluster_setup):
+    # a worker that leaves before it writes (here by os._exit(3)) sends no
+    # data: the build names its exit status, and leaves no fd or child
+    caller = os.getpid()
+
+    def fail():
+        if os.getpid() != caller:
+            os._exit(3)
+
+    _failing_eri(monkeypatch, fail)
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="exited with status 3$"):
+        _build("naive", pairs, P_tree)
+    assert len(forks) == 1
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_an_interrupted_read_kills_and_reaps_the_worker(monkeypatch, forks,
+                                                        cluster_setup):
+    # the caller interrupted while it reads the worker's pipe (a Ctrl-C, a
+    # timeout's signal) kills the worker, here asleep for 20 s in its first
+    # ERI call, and reaps it at once: no fd or child is left
+    caller, fdopen, slept = os.getpid(), os.fdopen, []
+
+    class Interrupted(io.BufferedReader):
+        def read(self, *args):
+            raise KeyboardInterrupt
+
+    def interrupting(fd, mode="r", *args, **kwargs):
+        if mode == "rb":
+            return Interrupted(io.FileIO(fd, "rb"))
+        return fdopen(fd, mode, *args, **kwargs)
+
+    def fail():
+        if os.getpid() != caller and not slept:
+            slept.append(1)
+            time.sleep(20)
+
+    monkeypatch.setattr(os, "fdopen", interrupting)
+    _failing_eri(monkeypatch, fail)
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    fds, start = _open_fds(), time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _build("naive", pairs, P_tree)
+    assert time.monotonic() - start < 10
+    assert len(forks) == 1
+    assert _open_fds() == fds
     _assert_no_child_left()
 
 
