@@ -31,12 +31,19 @@ A build walks its top levels breadth-first until the frontier holds
 _SPLIT_TASKS tasks, then deals it out to _WORKERS (1 or 2) shares, task i
 to share i % _WORKERS, each walked depth-first by the same code from a zero
 K and fresh counters. The caller walks share 0; where the process may run
-on two CPUs one forked worker walks share 1 at the same time, and
+on two CPUs a worker process walks share 1 at the same time, and
 elsewhere the caller walks it after share 0. Share 1's K, counters and
 quartet log are added to the caller's after share 0 either way, so a build
-gives the same bits on one CPU or two. _reap reads the worker's result and
-reaps it. A frontier that empties first (a tiny build) leaves nothing to
-deal and never forks.
+gives the same bits on one CPU or two. A frontier that empties first (a
+tiny build) leaves nothing to deal and never forks.
+
+The worker is kept: a process has at most one, bound to the pair trees'
+(bra, ket) index pair of the build that forked it. Later builds on those
+trees send it their density arrays and share 1 down a pipe instead of
+forking, and _reap reads back its result. It is ended when one of its
+trees' indexes is freed, when a build on other trees needs a worker, on
+any failure, and at interpreter exit. Being a fork, it sees this module's
+state (its kernels and constants) only as of that fork.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -44,10 +51,12 @@ pairs; exchange_symmetry runs it with four links over canonical pairs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
 import signal
+import weakref
 from dataclasses import asdict, dataclass, fields
 from itertools import pairwise
 from types import SimpleNamespace
@@ -244,27 +253,106 @@ def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
                            blocks=blocks)
 
 
-def _reap(pid: int, pipe):
-    """Read a forked worker's pipe to its end, reap the worker and return
-    the (K, counters, log) it sent; raise the exception it sent, or name
-    how it ended. If the read fails (an interrupt), the worker is killed
-    first: it is reaped whatever this raises."""
-    data = None
-    try:
-        with pipe:
-            data = pipe.read()
-    finally:
-        if data is None:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
+class _Worker:
+    """A kept worker process: its pid, the write end of its request pipe,
+    the read end of its result pipe, and ``key``, the ids of the (bra,
+    ket) _PairIndex pair it was forked with. A weakref.finalize on each
+    index ends it when that index is freed (or at interpreter exit), so
+    while it lives its key names live objects."""
+
+    def __init__(self, pid: int, requests, results, bra, ket):
+        self.pid, self.requests, self.results = pid, requests, results
+        self.key = (id(bra), id(ket))
+        self.finalizers = [weakref.finalize(index, _end, self)
+                           for index in ([bra] if ket is bra else [bra, ket])]
+
+
+# This process's kept worker (see Traversal._fork), or None.
+_worker: _Worker | None = None
+
+
+def _close(worker: _Worker) -> None:
+    """Make a kept worker no longer this process's: detach its finalizers
+    and close this process's ends of its pipes."""
+    global _worker
+    if _worker is worker:
+        _worker = None
+    for f in worker.finalizers:
+        f.detach()
+    worker.results.close()
+    with contextlib.suppress(BrokenPipeError):
+        worker.requests.close()  # a request it can no longer take is dropped
+
+
+def _end(worker: _Worker, kill: bool = False) -> int:
+    """End a kept worker and return its wait status: its pipes are closed
+    (idle, it reads the end of its request pipe and leaves) and it is
+    reaped. kill=True kills it first, for a worker that may be walking a
+    share."""
+    if kill:
+        os.kill(worker.pid, signal.SIGKILL)
+    _close(worker)
+    return os.waitpid(worker.pid, 0)[1]
+
+
+def _forget() -> None:
+    """In a child that other code forks (multiprocessing's default on
+    Linux): drop the parent's kept worker, which is not this process's
+    child, so that the worker still sees its request pipe end when the
+    parent closes it, and the parent does not wait on this process."""
+    if _worker is not None:
+        _close(_worker)
+
+
+os.register_at_fork(after_in_child=_forget)
+
+
+def _ended(status: int) -> RuntimeError:
+    """The error for a worker that ended, with this wait status, before it
+    sent its result: a signal is named, otherwise the exit status."""
     if os.WIFSIGNALED(status):
         name = signal.Signals(os.WTERMSIG(status)).name
-        raise RuntimeError(f"exchange worker killed by signal {name}")
-    if os.waitstatus_to_exitcode(status) or not data:
-        raise RuntimeError("exchange worker exited with status "
-                           f"{os.waitstatus_to_exitcode(status)}")
-    result = pickle.loads(data)
+        return RuntimeError(f"exchange worker killed by signal {name}")
+    return RuntimeError("exchange worker exited with status "
+                        f"{os.waitstatus_to_exitcode(status)}")
+
+
+def _send(pipe, obj) -> None:
+    """Write obj to a pipe as its pickle's length (8 bytes) and the pickle."""
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next object _send wrote to a pipe, or None if the pipe ends
+    first (its writer closed it, or ended)."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return pickle.loads(data)
+    return None
+
+
+def _reap(worker: _Worker):
+    """Read the kept worker's result for this build, the (K, counters, log)
+    of its share. A worker that sent an exception is ended and the
+    exception raised here, with its type and message; one whose pipe ends
+    first (a signal, or an exit) is reaped and named by how it ended. If
+    the read itself fails (an interrupt), the worker is killed and reaped
+    first. A worker that sent its result is kept for the next build."""
+    try:
+        result = _receive(worker.results)
+    except BaseException:
+        _end(worker, kill=True)
+        raise
+    if result is None:
+        raise _ended(_end(worker))
     if isinstance(result, BaseException):
+        _end(worker)
         raise result
     return result
 
@@ -298,8 +386,9 @@ class Traversal:
         The top levels are visited breadth-first until the frontier holds
         _SPLIT_TASKS tasks, which _split deals out; a frontier that empties
         first leaves nothing to deal. Each side's index and the density
-        arrays exist before any fork, so a worker reads the caller's pages
-        and the tree keeps its index for the next build."""
+        arrays exist before any fork, so a new worker reads the caller's
+        pages (a kept one is sent the density arrays), and the tree keeps
+        its index for the next build."""
         self.P = _density_arrays(P, self.bra.width)
         self.tb, self.tk = np.array(slots, dtype=bool).reshape(-1, 2).T
         root = np.zeros(1, dtype=np.intp)
@@ -315,14 +404,15 @@ class Traversal:
         """Deal a frontier out to _WORKERS (1 or 2) shares, task i to share
         i % _WORKERS. Walk share 0 into this build, then add share 1's K,
         counters and quartet log, walked by _share. Where the process may
-        run on two CPUs a forked worker walks share 1 at the same time;
-        elsewhere, or where the fork fails, it runs here after share 0, to
-        the same bits. The worker's exception is raised here; if this
-        process fails first, the worker is killed. It is reaped before
-        this returns or raises."""
+        run on two CPUs the kept worker (_fork) walks share 1 at the same
+        time; elsewhere, or where the fork fails, it runs here after share
+        0, to the same bits. The worker's exception is raised here and ends
+        it; if this process fails first, the worker is killed and reaped.
+        A worker that returned its share is kept for the next build on the
+        same trees."""
         shares = [(b[w::_WORKERS], k[w::_WORKERS], links[w::_WORKERS])
                   for w in range(_WORKERS)]
-        worker = None  # (pid, pipe read end) of the worker on share 1
+        worker = None  # the kept worker, walking share 1
         if (_WORKERS > 1 and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) > 1):
             worker = self._fork(shares[1])
@@ -331,13 +421,10 @@ class Traversal:
             self.flush(final=True)
         except BaseException:
             if worker:
-                pid, pipe = worker
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                _end(worker, kill=True)
             raise
         if worker:
-            self._add(*_reap(*worker))
+            self._add(*_reap(worker))
         elif _WORKERS > 1:
             self._add(*self._share(*shares[1]))
 
@@ -358,34 +445,84 @@ class Traversal:
             self.K, self.c, self.qlog = own
 
     def _fork(self, share):
-        """Fork the worker that pickles _share's result for a share, or the
-        exception it raised, into a pipe, and leaves by os._exit: it runs no
-        exit handler and flushes no stream it inherited. Returns (pid, the
-        pipe's read end) for _reap, or None if the fork fails (a process
-        limit, or no memory): the pipe is closed and the caller walks the
-        share."""
-        read_fd, write_fd = os.pipe()
+        """Start share 1 on this process's kept worker and return it, or
+        return None if a fork fails (a process limit, or no memory): its
+        pipes are closed and the caller walks the share.
+
+        A process keeps at most one worker, bound to the (bra, ket) index
+        pair of the build that forked it. A later build on that pair sends
+        it one request (_request) and the worker walks it with _share. A
+        build on another pair ends the old worker, then forks a new one,
+        which walks its first share from the caller's pages. A worker sees
+        this module, its kernels and constants, only as they were at its
+        fork. It is ended when one of its indexes is freed, at interpreter
+        exit, when another pair needs a worker, or on any failure (_split,
+        _reap). It ignores SIGINT, leaves when its request pipe ends (so
+        also when this process dies), and leaves by os._exit: it runs no
+        exit handler and flushes no stream it inherited."""
+        global _worker
+        worker = _worker
+        if worker is not None and worker.key == (id(self.bra), id(self.ket)):
+            try:
+                _send(worker.requests, self._request(share))
+            except BrokenPipeError:  # it ended while idle
+                raise _ended(_end(worker)) from None
+            except BaseException:
+                _end(worker, kill=True)
+                raise
+            return worker
+        if worker is not None:
+            _end(worker)
+        (request_in, request_out), (result_in, result_out) = os.pipe(), os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in (request_in, request_out, result_in, result_out):
+                os.close(fd)
             return None
         if pid:
-            os.close(write_fd)
-            return pid, os.fdopen(read_fd, "rb")
+            os.close(request_in)
+            os.close(result_out)
+            _worker = _Worker(pid, os.fdopen(request_out, "wb"),
+                              os.fdopen(result_in, "rb"), self.bra, self.ket)
+            return _worker
         status = 1
         try:
-            os.close(read_fd)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(request_out)
+            os.close(result_in)
+            with (os.fdopen(request_in, "rb") as requests,
+                  os.fdopen(result_out, "wb") as results):
+                self._serve(requests, results, share)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _request(self, share):
+        """A later build's request to the kept worker: the state of this
+        build that its copy of the first build's Traversal lacks (density
+        arrays, slots, walk kind, tau, evaluate, and counters and log of the
+        right kinds, empty), and share 1's tasks."""
+        state = {name: getattr(self, name) for name in (
+            "P", "tb", "tk", "case_label", "canonical", "tau_2e", "evaluate")}
+        state.update(c=type(self.c)(), qlog=None if self.qlog is None else [])
+        return state, share
+
+    def _serve(self, requests, results, share):
+        """The kept worker's loop: walk a share with _share and send its
+        result, or the exception it raised; then take the next request on
+        the same trees, until the request pipe ends."""
+        while True:
             try:
                 result = self._share(*share)
             except BaseException as exc:
                 result = exc
-            with os.fdopen(write_fd, "wb") as out:
-                pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
+            _send(results, result)
+            request = _receive(requests)
+            if request is None:
+                return
+            state, share = request
+            vars(self).update(state)
 
     def _add(self, K, counters, qlog):
         """Add a share's K, counters and quartet log to this build's."""

@@ -13,10 +13,26 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hexfock import DensityModel, build_density, generate_cluster, hilbert_order
+from hexfock import (DensityModel, build_density, exchange_naive,
+                     generate_cluster, hilbert_order)
 from hexfock.quadtree import build_matrix_tree, build_pair_tree, build_partition
 
 DEFAULT_SEED = 3
+
+
+def end_worker():
+    """End the engine's kept worker, if there is one."""
+    if exchange_naive._worker is not None:
+        exchange_naive._end(exchange_naive._worker)
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_a_test():
+    # a kept worker is a snapshot of this process at its fork: left running,
+    # one test's monkeypatched kernel or constant could walk in another
+    # test's build
+    yield
+    end_worker()
 
 
 def build_setup(n_molecules, seed=DEFAULT_SEED, tau_ovlp=0.0, gamma=None,

@@ -18,7 +18,7 @@ from hexfock.integrals import eri_elementwise
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
                               build_partition, flatten)
 
-from conftest import build_setup, leaf_spans
+from conftest import build_setup, end_worker, leaf_spans
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_counters.json").read_text())
@@ -201,6 +201,7 @@ def test_k_does_not_depend_on_the_eri_batch(monkeypatch, driver):
     runs = []
     for batch in (1, exchange_naive._ERI_BATCH):
         monkeypatch.setattr(exchange_naive, "_ERI_BATCH", batch)
+        end_worker()  # a kept worker would walk at the batch of its fork
         log = []
         if driver == "naive":
             K, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8,
@@ -244,6 +245,7 @@ def test_screening_pieces_keep_the_same_quartets(monkeypatch, driver):
     runs = []
     for piece in (1 << 62, 64):
         monkeypatch.setattr(exchange_naive, "_SCREEN_CHUNK", piece)
+        end_worker()  # a kept worker would screen at the piece of its fork
         log = []
         K, c = _build(driver, pairs, P_tree, quartet_log=log)
         runs.append((K.tobytes(), log, c.to_dict()))
@@ -265,6 +267,7 @@ def test_walk_pieces_do_not_change_the_result(monkeypatch, driver):
                                   exchange_naive._LEAF_GROUP)):
         monkeypatch.setattr(exchange_naive, "_WALK_PIECE", piece)
         monkeypatch.setattr(exchange_naive, "_LEAF_GROUP", group)
+        end_worker()  # a kept worker would walk at the sizes of its fork
         log = []
         K, c = _build(driver, pairs, P_tree, quartet_log=log)
         runs.append((K, set(log), c.to_dict()))

@@ -1,10 +1,14 @@
-"""The split walk: a build's frontier dealt out to forked worker processes."""
+"""The split walk: a build's frontier dealt out to a kept worker process."""
 
+import gc
 import io
 import os
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,11 @@ from hexfock import (build_exchange_naive, build_exchange_symmetric, cli,
                      exchange_naive)
 from hexfock.exchange_naive import LogicError
 from hexfock.integrals import InvalidArgumentError
+from hexfock.quadtree import build_pair_tree
+
+from conftest import end_worker
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -56,9 +65,9 @@ def _assert_no_child_left():
 def test_two_workers_give_the_one_worker_build(monkeypatch, forks,
                                                cluster_setup, n, leaf, split,
                                                driver, evaluate):
-    # one process against two, then two again: the same counters and kept
-    # quartets; K and the ledger move by reassociation only, and the two
-    # process builds agree bit for bit
+    # one process against two, then two again on the kept worker: the same
+    # counters and kept quartets; K and the ledger move by reassociation
+    # only, and the two process builds agree bit for bit
     monkeypatch.setattr(exchange_naive, "_SPLIT_TASKS", split)
     _, pairs, P_tree, _ = cluster_setup(n, tau_ovlp=1e-11, leaf_size=leaf)
     runs = []
@@ -67,7 +76,8 @@ def test_two_workers_give_the_one_worker_build(monkeypatch, forks,
         log = []
         K, c = _build(driver, pairs, P_tree, evaluate, log)
         runs.append((K, c.to_dict(), log))
-    assert len(forks) == 2
+    assert len(forks) == 1
+    end_worker()
     _assert_no_child_left()
     (K1, c1, log1), (K2, c2, log2), (K3, c3, log3) = runs
     assert K2.tobytes() == K3.tobytes() and c2 == c3 and log2 == log3
@@ -256,3 +266,175 @@ def test_a_failing_caller_kills_and_reaps_its_worker(monkeypatch, forks,
     _assert_no_child_left()
     with pytest.raises(ProcessLookupError):
         os.kill(forks[0], 0)
+
+
+@pytest.mark.parametrize("evaluate", [True, False],
+                         ids=["evaluated", "count-only"])
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_builds_on_one_tree_fork_one_kept_worker(monkeypatch, forks,
+                                                 cluster_setup, driver,
+                                                 evaluate):
+    # three builds on one tree fork once, and each gives the one-CPU
+    # build's K bytes, counters and quartet log; so does a fresh worker's
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+
+    def run():
+        log = []
+        K, c = _build(driver, pairs, P_tree, evaluate, log)
+        return K.tobytes(), c.to_dict(), log
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run()
+    assert len(one[2]) == (one[1]["eri_shell_quartets"] if evaluate else 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [run() == one for _ in range(3)] == [True] * 3
+    assert len(forks) == 1
+    end_worker()
+    assert run() == one
+    assert len(forks) == 2
+    end_worker()
+    _assert_no_child_left()
+
+
+def test_a_build_on_another_tree_pair_ends_the_old_worker_first(
+        monkeypatch, cluster_setup):
+    # a naive build over separately built bra and ket trees binds a worker
+    # to that pair and keeps it; a build on another pair ends the old worker
+    # before it forks, so the process never has two children
+    pids, fork = [], os.fork
+
+    def forking_alone():
+        _assert_no_child_left()
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", forking_alone)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    system, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    ket = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+    K_one, c_one = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+    for _ in range(2):
+        K_two, c_two = build_exchange_naive(pairs, ket, P_tree, 1e-8)
+        assert K_two.tobytes() == K_one.tobytes() and c_two == c_one
+    assert len(pids) == 2
+    assert exchange_naive._worker.key == (id(pairs.cache["full"]),
+                                          id(ket.cache["full"]))
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
+    build_exchange_symmetric(pairs, P_tree, 1e-8)
+    assert len(pids) == 3
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[1], 0)
+    end_worker()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_a_freed_tree_ends_its_worker(forks, cluster_setup, driver):
+    system, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+    fds = _open_fds()
+    _build(driver, tree, P_tree)
+    assert len(forks) == 1 and _open_fds() == fds + 2
+    del tree
+    gc.collect()
+    assert exchange_naive._worker is None
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_a_worker_killed_while_idle_fails_the_next_build_only(forks,
+                                                              cluster_setup):
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    fds = _open_fds()
+    K, c = _build("symmetry", pairs, P_tree)
+    os.kill(forks[0], signal.SIGKILL)
+    with pytest.raises(RuntimeError, match="killed by signal SIGKILL$"):
+        _build("symmetry", pairs, P_tree)
+    assert _open_fds() == fds
+    _assert_no_child_left()
+    K_new, c_new = _build("symmetry", pairs, P_tree)
+    assert len(forks) == 2
+    assert K_new.tobytes() == K.tobytes() and c_new == c
+
+
+def test_a_kept_worker_exception_is_raised_by_the_caller(monkeypatch, forks,
+                                                         cluster_setup,
+                                                         tmp_path):
+    # the kept worker raises in its second build only; the switch is a file,
+    # as the worker sees this process's memory only as of its fork
+    caller, switch = os.getpid(), tmp_path / "fail"
+    message = "raised in the kept worker"
+
+    def fail():
+        if os.getpid() != caller and switch.exists():
+            raise InvalidArgumentError(message)
+
+    _failing_eri(monkeypatch, fail)
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    _build("naive", pairs, P_tree)
+    switch.touch()
+    with pytest.raises(InvalidArgumentError) as info:
+        _build("naive", pairs, P_tree)
+    assert type(info.value) is InvalidArgumentError
+    assert str(info.value) == message
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+_TWO_BUILDS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from hexfock import (DensityModel, build_density, build_exchange_symmetric,
+                     exchange_naive, generate_cluster, hilbert_order)
+from hexfock.quadtree import build_matrix_tree, build_pair_tree, build_partition
+system, _ = hilbert_order(generate_cluster(30, seed=3))
+part = build_partition(system, leaf_size=10)
+pairs = build_pair_tree(system, part, tau_ovlp=1e-11)
+P = build_matrix_tree(build_density(system, DensityModel()), part)
+for _ in range(2):
+    build_exchange_symmetric(pairs, P, 1e-8)
+print(exchange_naive._worker.pid, flush=True)
+if sys.argv[1] == "raise":
+    raise RuntimeError("uncaught")
+"""
+
+
+@pytest.mark.parametrize("ending", ["exit", "raise"])
+def test_no_worker_outlives_its_process(ending):
+    proc = subprocess.run([sys.executable, "-c", _TWO_BUILDS, ending],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == (0 if ending == "exit" else 1), proc.stderr
+    assert ("uncaught" in proc.stderr) == (ending == "raise")
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(proc.stdout), 0)
+
+
+def test_a_child_forked_elsewhere_does_not_hold_the_worker_open(
+        monkeypatch, cluster_setup):
+    # a child that other code forks (multiprocessing's default on Linux)
+    # drops its copies of the kept worker's pipes: ending the worker waits
+    # neither for that child nor on it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    _build("naive", pairs, P_tree)
+    worker = exchange_naive._worker.pid
+    child = os.fork()
+    if not child:
+        try:
+            time.sleep(20)
+        finally:
+            os._exit(0)
+    try:
+        start = time.monotonic()
+        end_worker()
+        assert time.monotonic() - start < 10
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker, 0)
+    finally:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    _assert_no_child_left()
