@@ -37,13 +37,16 @@ quartet log are added to the caller's after share 0 either way, so a build
 gives the same bits on one CPU or two. A frontier that empties first (a
 tiny build) leaves nothing to deal and never forks.
 
-The worker is kept: a process has at most one, bound to the pair trees'
-(bra, ket) index pair of the build that forked it. Later builds on those
-trees send it their density arrays and share 1 down a pipe instead of
-forking, and _reap reads back its result. It is ended when one of its
-trees' indexes is freed, when a build on other trees needs a worker, on
-any failure, and at interpreter exit. Being a fork, it sees this module's
-state (its kernels and constants) only as of that fork.
+The worker is kept, and has one protocol: a process has at most one,
+forked idle for the pair trees' (bra, ket) index pair of a build and
+bound to it. Every build on those trees, the first included, sends it its
+density arrays and share 1 as one request down a pipe, and _reap reads
+back its result. One build at a time uses it; a build that finds it in
+use (another thread's) walks share 1 itself, to the same bits. It is
+ended only by a kill: when one of its trees' indexes is freed, when a
+build on other trees needs a worker, on any failure, and at interpreter
+exit. Being a fork, it sees this module's state (its kernels and
+constants) only as of that fork.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -56,6 +59,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 import weakref
 from dataclasses import asdict, dataclass, fields
 from itertools import pairwise
@@ -256,7 +260,7 @@ def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
 class _Worker:
     """A kept worker process: its pid, the write end of its request pipe,
     the read end of its result pipe, and ``key``, the ids of the (bra,
-    ket) _PairIndex pair it was forked with. A weakref.finalize on each
+    ket) _PairIndex pair it was forked for. A weakref.finalize on each
     index ends it when that index is freed (or at interpreter exit), so
     while it lives its key names live objects."""
 
@@ -267,8 +271,10 @@ class _Worker:
                            for index in ([bra] if ket is bra else [bra, ket])]
 
 
-# This process's kept worker (see Traversal._fork), or None.
+# This process's kept worker (see Traversal._kept), or None, and the lock
+# a build holds while it uses it.
 _worker: _Worker | None = None
+_lock = threading.Lock()
 
 
 def _close(worker: _Worker) -> None:
@@ -284,13 +290,11 @@ def _close(worker: _Worker) -> None:
         worker.requests.close()  # a request it can no longer take is dropped
 
 
-def _end(worker: _Worker, kill: bool = False) -> int:
-    """End a kept worker and return its wait status: its pipes are closed
-    (idle, it reads the end of its request pipe and leaves) and it is
-    reaped. kill=True kills it first, for a worker that may be walking a
-    share."""
-    if kill:
-        os.kill(worker.pid, signal.SIGKILL)
+def _end(worker: _Worker) -> int:
+    """End a kept worker, at work or idle, and return its wait status: it
+    is killed, its pipes are closed and it is reaped. One that had already
+    exited keeps its own status."""
+    os.kill(worker.pid, signal.SIGKILL)
     _close(worker)
     return os.waitpid(worker.pid, 0)[1]
 
@@ -298,8 +302,11 @@ def _end(worker: _Worker, kill: bool = False) -> int:
 def _forget() -> None:
     """In a child that other code forks (multiprocessing's default on
     Linux): drop the parent's kept worker, which is not this process's
-    child, so that the worker still sees its request pipe end when the
-    parent closes it, and the parent does not wait on this process."""
+    child, so that no exit handler here kills it and this process holds
+    none of its pipes; and take a free lock, as another thread may have
+    held the parent's at the fork."""
+    global _lock
+    _lock = threading.Lock()
     if _worker is not None:
         _close(_worker)
 
@@ -339,22 +346,20 @@ def _receive(pipe):
 
 def _reap(worker: _Worker):
     """Read the kept worker's result for this build, the (K, counters, log)
-    of its share. A worker that sent an exception is ended and the
-    exception raised here, with its type and message; one whose pipe ends
-    first (a signal, or an exit) is reaped and named by how it ended. If
-    the read itself fails (an interrupt), the worker is killed and reaped
-    first. A worker that sent its result is kept for the next build."""
+    of its share, and keep the worker for the next build. Otherwise the
+    worker is ended first: an exception it sent is raised here with its
+    type and message, a pipe that ends first (a signal, an exit, or a
+    request it never took) raises the error _ended names, and a read that
+    fails (an interrupt) raises its own error."""
     try:
         result = _receive(worker.results)
     except BaseException:
-        _end(worker, kill=True)
-        raise
-    if result is None:
-        raise _ended(_end(worker))
-    if isinstance(result, BaseException):
         _end(worker)
-        raise result
-    return result
+        raise
+    if isinstance(result, tuple):
+        return result
+    status = _end(worker)
+    raise _ended(status) if result is None else result
 
 
 class Traversal:
@@ -385,10 +390,9 @@ class Traversal:
 
         The top levels are visited breadth-first until the frontier holds
         _SPLIT_TASKS tasks, which _split deals out; a frontier that empties
-        first leaves nothing to deal. Each side's index and the density
-        arrays exist before any fork, so a new worker reads the caller's
-        pages (a kept one is sent the density arrays), and the tree keeps
-        its index for the next build."""
+        first leaves nothing to deal. Each side's index exists before any
+        fork, so a worker reads the caller's pages, and the tree keeps its
+        index for the next build."""
         self.P = _density_arrays(P, self.bra.width)
         self.tb, self.tk = np.array(slots, dtype=bool).reshape(-1, 2).T
         root = np.zeros(1, dtype=np.intp)
@@ -404,27 +408,34 @@ class Traversal:
         """Deal a frontier out to _WORKERS (1 or 2) shares, task i to share
         i % _WORKERS. Walk share 0 into this build, then add share 1's K,
         counters and quartet log, walked by _share. Where the process may
-        run on two CPUs the kept worker (_fork) walks share 1 at the same
-        time; elsewhere, or where the fork fails, it runs here after share
-        0, to the same bits. The worker's exception is raised here and ends
-        it; if this process fails first, the worker is killed and reaped.
-        A worker that returned its share is kept for the next build on the
-        same trees."""
+        run on two CPUs and no other build holds the kept worker (_kept),
+        it is sent share 1 as one request and walks it at the same time;
+        otherwise, or where its fork fails, share 1 runs here after share
+        0, to the same bits. If this process fails before it has the
+        worker's result, the worker is ended."""
         shares = [(b[w::_WORKERS], k[w::_WORKERS], links[w::_WORKERS])
                   for w in range(_WORKERS)]
-        worker = None  # the kept worker, walking share 1
-        if (_WORKERS > 1 and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) > 1):
-            worker = self._fork(shares[1])
+        locked = (_WORKERS > 1 and hasattr(os, "sched_getaffinity")
+                  and len(os.sched_getaffinity(0)) > 1
+                  and _lock.acquire(blocking=False))
         try:
-            self._walk(*shares[0])
-            self.flush(final=True)
-        except BaseException:
-            if worker:
-                _end(worker, kill=True)
-            raise
-        if worker:
-            self._add(*_reap(worker))
+            worker = self._kept() if locked else None
+            try:
+                if worker:  # one that ended is named by _reap
+                    with contextlib.suppress(BrokenPipeError):
+                        _send(worker.requests, self._request(shares[1]))
+                self._walk(*shares[0])
+                self.flush(final=True)
+            except BaseException:
+                if worker:
+                    _end(worker)
+                raise
+            result = _reap(worker) if worker else None  # share 1's
+        finally:
+            if locked:
+                _lock.release()
+        if result:
+            self._add(*result)
         elif _WORKERS > 1:
             self._add(*self._share(*shares[1]))
 
@@ -444,35 +455,25 @@ class Traversal:
         finally:
             self.K, self.c, self.qlog = own
 
-    def _fork(self, share):
-        """Start share 1 on this process's kept worker and return it, or
-        return None if a fork fails (a process limit, or no memory): its
-        pipes are closed and the caller walks the share.
+    def _kept(self):
+        """This process's kept worker for this build's (bra, ket) index
+        pair. If there is none, any worker bound to another pair is ended
+        and a new one forked, idle; if that fork fails (a process limit, or
+        no memory) its pipes are closed and None is returned.
 
-        A process keeps at most one worker, bound to the (bra, ket) index
-        pair of the build that forked it. A later build on that pair sends
-        it one request (_request) and the worker walks it with _share. A
-        build on another pair ends the old worker, then forks a new one,
-        which walks its first share from the caller's pages. A worker sees
-        this module, its kernels and constants, only as they were at its
-        fork. It is ended when one of its indexes is freed, at interpreter
-        exit, when another pair needs a worker, or on any failure (_split,
-        _reap). It ignores SIGINT, leaves when its request pipe ends (so
-        also when this process dies), and leaves by os._exit: it runs no
-        exit handler and flushes no stream it inherited."""
+        A worker takes every share as a request (_request) and walks it
+        with _share. It sees this module, its kernels and constants, only as
+        they were at its fork. It is ended when one of its indexes is
+        freed, at interpreter exit, when another pair needs a worker, or on
+        any failure (_split, _reap). It ignores SIGINT, leaves when its
+        request pipe ends (so also when this process dies), and leaves by
+        os._exit: it runs no exit handler and flushes no stream it
+        inherited."""
         global _worker
-        worker = _worker
-        if worker is not None and worker.key == (id(self.bra), id(self.ket)):
-            try:
-                _send(worker.requests, self._request(share))
-            except BrokenPipeError:  # it ended while idle
-                raise _ended(_end(worker)) from None
-            except BaseException:
-                _end(worker, kill=True)
-                raise
-            return worker
-        if worker is not None:
-            _end(worker)
+        if _worker is not None:
+            if _worker.key == (id(self.bra), id(self.ket)):
+                return _worker
+            _end(_worker)
         (request_in, request_out), (result_in, result_out) = os.pipe(), os.pipe()
         try:
             pid = os.fork()
@@ -493,14 +494,14 @@ class Traversal:
             os.close(result_in)
             with (os.fdopen(request_in, "rb") as requests,
                   os.fdopen(result_out, "wb") as results):
-                self._serve(requests, results, share)
+                self._serve(requests, results)
             status = 0
         finally:
             os._exit(status)
 
     def _request(self, share):
-        """A later build's request to the kept worker: the state of this
-        build that its copy of the first build's Traversal lacks (density
+        """A build's request to the kept worker: the state of this build
+        that its copy of the forking build's Traversal may lack (density
         arrays, slots, walk kind, tau, evaluate, and counters and log of the
         right kinds, empty), and share 1's tasks."""
         state = {name: getattr(self, name) for name in (
@@ -508,21 +509,18 @@ class Traversal:
         state.update(c=type(self.c)(), qlog=None if self.qlog is None else [])
         return state, share
 
-    def _serve(self, requests, results, share):
-        """The kept worker's loop: walk a share with _share and send its
-        result, or the exception it raised; then take the next request on
-        the same trees, until the request pipe ends."""
-        while True:
+    def _serve(self, requests, results):
+        """The kept worker's loop: take a request, walk its share with
+        _share and send the result, or the exception it raised, until the
+        request pipe ends."""
+        while (request := _receive(requests)) is not None:
+            state, share = request
+            vars(self).update(state)
             try:
                 result = self._share(*share)
             except BaseException as exc:
                 result = exc
             _send(results, result)
-            request = _receive(requests)
-            if request is None:
-                return
-            state, share = request
-            vars(self).update(state)
 
     def _add(self, K, counters, qlog):
         """Add a share's K, counters and quartet log to this build's."""

@@ -101,13 +101,6 @@ class _Block:
         self.children = children
         self.is_leaf = row.is_leaf and col.is_leaf
 
-    def child(self, a: int, b: int):
-        # ragged descent: a leaf stands in for itself when a sibling span
-        # still splits at this level
-        if self.is_leaf:
-            return self if (a, b) == (0, 0) else None
-        return self.children.get((a, b))
-
 
 class MatrixQuadtree(_Block):
     """Quadtree block of a dense matrix; absent children are exact zeros."""

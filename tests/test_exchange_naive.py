@@ -73,7 +73,7 @@ def test_pair_subtree_rejected():
     # a diagonal child with a density tree over its own span passes the
     # partition check, but only a tree root holds the pair table
     _, pairs, _, P = build_setup(5, leaf_size=3)
-    sub = pairs.child(0, 0)
+    sub = pairs.children[(0, 0)]
     lo, hi = sub.row.shell_lo, sub.row.shell_hi
     P_tree = build_matrix_tree(P[lo:hi, lo:hi], sub.row)
     with pytest.raises(InvalidArgumentError, match="roots of pair trees"):
@@ -115,7 +115,9 @@ def test_error_monotone_in_threshold_ladder():
 
 def test_hierarchical_consistency_of_culled_tasks():
     # any task culled by the blocked bound has all descendant bounds below
-    # the parent bound (sub-multiplicativity of the cached norms)
+    # the parent bound (sub-multiplicativity of the cached norms); 40
+    # shells at leaf 10 put every leaf two levels down, so a task's three
+    # nodes are leaves, or have children, together
     _, pairs, P_tree, _ = build_setup(10, tau_ovlp=0.0)
     tau = 1e-6
     checked = 0
@@ -135,8 +137,9 @@ def test_hierarchical_consistency_of_culled_tasks():
             for cc in range(len(b.col.children())):
                 for d in range(len(k.row.children())):
                     for bb in range(len(k.col.children())):
-                        descend(b.child(a, cc), p.child(cc, d),
-                                k.child(d, bb), parent_bound)
+                        descend(b.children.get((a, cc)),
+                                p.children.get((cc, d)),
+                                k.children.get((d, bb)), parent_bound)
 
     def find_culled(b, p, k):
         if b is None or p is None or k is None or b.pruned or k.pruned:
@@ -150,8 +153,9 @@ def test_hierarchical_consistency_of_culled_tasks():
             for cc in range(len(b.col.children())):
                 for d in range(len(k.row.children())):
                     for bb in range(len(k.col.children())):
-                        find_culled(b.child(a, cc), p.child(cc, d),
-                                    k.child(d, bb))
+                        find_culled(b.children.get((a, cc)),
+                                    p.children.get((cc, d)),
+                                    k.children.get((d, bb)))
 
     find_culled(pairs, P_tree, pairs)
     assert checked > 0

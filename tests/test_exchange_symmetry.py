@@ -17,13 +17,13 @@ def deep_pairs():
     # 40 functions -> two interior levels; leaf spans L0..L3 in order
     _, pairs, _, _ = build_setup(10, tau_ovlp=0.0)
     assert not pairs.is_leaf
-    assert not pairs.child(0, 0).is_leaf
+    assert not pairs.children[(0, 0)].is_leaf
     return pairs
 
 
 def _leaf_pair(pairs, i, j):
     """Leaf pair node over (L_i, L_j) of the four ordered leaf spans."""
-    return pairs.child(i // 2, j // 2).child(i % 2, j % 2)
+    return pairs.children[(i // 2, j // 2)].children[(i % 2, j % 2)]
 
 
 # ------------------------------------------------------------ classification
@@ -63,11 +63,11 @@ def test_classify_absent_link_demotes_to_sparse(deep_pairs):
 
 
 def test_classify_non_canonical_task_is_logic_error(deep_pairs):
-    lower = deep_pairs.child(1, 0)  # row span after column span
+    lower = deep_pairs.children[(1, 0)]  # row span after column span
     with pytest.raises(LogicError):
-        classify_quartet(lower, deep_pairs.child(1, 1))
+        classify_quartet(lower, deep_pairs.children[(1, 1)])
     with pytest.raises(LogicError):
-        classify_quartet(deep_pairs.child(0, 0), lower)
+        classify_quartet(deep_pairs.children[(0, 0)], lower)
 
 
 # ------------------------------------------------------------ symmetrization

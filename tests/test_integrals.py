@@ -360,7 +360,7 @@ def test_pair_diagonal_norm_single_pair():
 def test_pair_diagonal_norm_far_pair_tiny():
     a = _shell([0.0, 0.0, 0.0], [(0.27, 1.0)])
     b = _shell([50.0, 0.0, 0.0], [(0.27, 1.0)])
-    assert _pair_tree([a, b], 1).child(0, 1).diag_norm <= 1e-20
+    assert _pair_tree([a, b], 1).children[(0, 1)].diag_norm <= 1e-20
 
 
 def test_pair_diagonal_norm_matches_brute_force():

@@ -185,10 +185,10 @@ def test_pair_tree_far_clusters_pruned():
     part = build_partition(system, leaf_size=8)
     tree = build_pair_tree(system, part, tau_ovlp=1e-13)
     # the top-level cross blocks separate the two clusters entirely
-    assert tree.child(0, 1).pruned
-    assert tree.child(1, 0).pruned
-    assert not tree.child(0, 0).pruned
-    assert not tree.child(1, 1).pruned
+    assert tree.children[(0, 1)].pruned
+    assert tree.children[(1, 0)].pruned
+    assert not tree.children[(0, 0)].pruned
+    assert not tree.children[(1, 1)].pruned
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan])

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -13,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexfock import (build_exchange_naive, build_exchange_symmetric, cli,
-                     exchange_naive)
+from hexfock import (DensityModel, build_density, build_exchange_naive,
+                     build_exchange_symmetric, cli, exchange_naive)
 from hexfock.exchange_naive import LogicError
 from hexfock.integrals import InvalidArgumentError
-from hexfock.quadtree import build_pair_tree
+from hexfock.quadtree import build_matrix_tree, build_pair_tree
 
 from conftest import end_worker
 
@@ -218,14 +219,21 @@ def test_a_worker_that_ends_without_a_result_is_named_by_its_status(
 
 
 def test_an_interrupted_read_kills_and_reaps_the_worker(monkeypatch, forks,
-                                                        cluster_setup):
+                                                        cluster_setup,
+                                                        tmp_path):
     # the caller interrupted while it reads the worker's pipe (a Ctrl-C, a
     # timeout's signal) kills the worker, here asleep for 20 s in its first
-    # ERI call, and reaps it at once: no fd or child is left
-    caller, fdopen, slept = os.getpid(), os.fdopen, []
+    # ERI call, and reaps it at once: no fd or child is left. The caller's
+    # read waits until the worker is asleep; the worker's reads are its own
+    caller, fdopen, asleep = os.getpid(), os.fdopen, tmp_path / "asleep"
 
     class Interrupted(io.BufferedReader):
         def read(self, *args):
+            if os.getpid() != caller:
+                return super().read(*args)
+            deadline = time.monotonic() + 5
+            while not asleep.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise KeyboardInterrupt
 
     def interrupting(fd, mode="r", *args, **kwargs):
@@ -234,8 +242,8 @@ def test_an_interrupted_read_kills_and_reaps_the_worker(monkeypatch, forks,
         return fdopen(fd, mode, *args, **kwargs)
 
     def fail():
-        if os.getpid() != caller and not slept:
-            slept.append(1)
+        if os.getpid() != caller and not asleep.exists():
+            asleep.touch()
             time.sleep(20)
 
     monkeypatch.setattr(os, "fdopen", interrupting)
@@ -245,7 +253,7 @@ def test_an_interrupted_read_kills_and_reaps_the_worker(monkeypatch, forks,
     with pytest.raises(KeyboardInterrupt):
         _build("naive", pairs, P_tree)
     assert time.monotonic() - start < 10
-    assert len(forks) == 1
+    assert asleep.exists() and len(forks) == 1
     assert _open_fds() == fds
     _assert_no_child_left()
 
@@ -275,8 +283,16 @@ def test_builds_on_one_tree_fork_one_kept_worker(monkeypatch, forks,
                                                  cluster_setup, driver,
                                                  evaluate):
     # three builds on one tree fork once, and each gives the one-CPU
-    # build's K bytes, counters and quartet log; so does a fresh worker's
+    # build's K bytes, counters and quartet log; so does a fresh worker's.
+    # Every forked build, the worker's first included, sends it one request
     _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    send, requests = exchange_naive._send, []
+
+    def sending(pipe, obj):
+        requests.append(type(obj))
+        send(pipe, obj)
+
+    monkeypatch.setattr(exchange_naive, "_send", sending)
 
     def run():
         log = []
@@ -286,12 +302,13 @@ def test_builds_on_one_tree_fork_one_kept_worker(monkeypatch, forks,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     one = run()
     assert len(one[2]) == (one[1]["eri_shell_quartets"] if evaluate else 0)
+    assert requests == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert [run() == one for _ in range(3)] == [True] * 3
-    assert len(forks) == 1
+    assert len(forks) == 1 and len(requests) == 3
     end_worker()
     assert run() == one
-    assert len(forks) == 2
+    assert len(forks) == 2 and len(requests) == 4
     end_worker()
     _assert_no_child_left()
 
@@ -415,26 +432,74 @@ def test_no_worker_outlives_its_process(ending):
 
 def test_a_child_forked_elsewhere_does_not_hold_the_worker_open(
         monkeypatch, cluster_setup):
-    # a child that other code forks (multiprocessing's default on Linux)
-    # drops its copies of the kept worker's pipes: ending the worker waits
-    # neither for that child nor on it
+    # a child that other code forks (multiprocessing's default on Linux),
+    # here while this process holds the worker's lock, has no kept worker,
+    # no copy of its pipes and a free lock; its own build forks its own
+    # worker and gives this process's K bytes, and this process's worker
+    # keeps working. The child's exit code sets a bit per failed check, 16
+    # for an exception
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
-    _build("naive", pairs, P_tree)
-    worker = exchange_naive._worker.pid
-    child = os.fork()
-    if not child:
-        try:
-            time.sleep(20)
-        finally:
-            os._exit(0)
+    K = _build("naive", pairs, P_tree)[0].tobytes()
+    worker = exchange_naive._worker
+    pipes = (worker.requests.fileno(), worker.results.fileno())
+    with exchange_naive._lock:
+        child = os.fork()
+        if not child:
+            failed = 16
+            try:
+                signal.alarm(60)  # a child that hangs dies of SIGALRM
+                lock = exchange_naive._lock.acquire(blocking=False)
+                checks = [exchange_naive._worker is None,
+                          not any(os.path.exists(f"/proc/self/fd/{fd}")
+                                  for fd in pipes), lock,
+                          _build("naive", pairs, P_tree)[0].tobytes() == K]
+                failed = sum(1 << i for i, ok in enumerate(checks) if not ok)
+                end_worker()
+            finally:
+                os._exit(failed)
+    assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+    assert _build("naive", pairs, P_tree)[0].tobytes() == K
+    assert exchange_naive._worker is worker
+    end_worker()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_concurrent_builds_on_one_tree_use_the_worker_in_turn(forks,
+                                                              cluster_setup,
+                                                              driver):
+    # two threads build on one pair tree, each with its own density: one
+    # build at a time uses the kept worker, and a build that finds it in use
+    # walks share 1 itself, so every K is its lone build's bytes, nothing
+    # is raised and no thread waits on a pipe for good
+    system, pairs, _, _ = cluster_setup(12, tau_ovlp=1e-11, leaf_size=10)
+    P_trees = [build_matrix_tree(build_density(system, DensityModel(gamma=g)),
+                                 pairs.row) for g in (1.5, 2.5)]
+    alone = [_build(driver, pairs, P)[0].tobytes() for P in P_trees]
+    outcomes = [[], []]
+
+    def run(i):
+        for _ in range(20):
+            try:
+                K = _build(driver, pairs, P_trees[i])[0].tobytes()
+                outcomes[i].append(K == alone[i])
+            except Exception as exc:
+                outcomes[i].append(repr(exc))
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave more often
     try:
-        start = time.monotonic()
-        end_worker()
-        assert time.monotonic() - start < 10
-        with pytest.raises(ProcessLookupError):
-            os.kill(worker, 0)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
     finally:
-        os.kill(child, signal.SIGKILL)
-        os.waitpid(child, 0)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert outcomes == [[True] * 20] * 2
+    assert len(forks) == 1
+    end_worker()
     _assert_no_child_left()
