@@ -27,26 +27,29 @@ time and added to K one at a time, the naive driver's in walk order (none
 can repeat), the symmetry driver's in the sorted order of each group's
 union (its four links can keep one quartet more than once).
 
-A build walks its top levels breadth-first until the frontier holds
-_SPLIT_TASKS tasks, then deals it out to _WORKERS (1 or 2) shares, task i
-to share i % _WORKERS, each walked depth-first by the same code from a zero
-K and fresh counters. The caller walks share 0; where the process may run
-on two CPUs a worker process walks share 1 at the same time, and
-elsewhere the caller walks it after share 0. Share 1's K, counters and
-quartet log are added to the caller's after share 0 either way, so a build
-gives the same bits on one CPU or two. A frontier that empties first (a
-tiny build) leaves nothing to deal and never forks.
+A build's inputs are one job, made once per build: its density arrays,
+slots, tau_2e, evaluate, counters class, case_label and whether to log.
+Its top levels are walked breadth-first until the frontier holds
+_SPLIT_TASKS tasks, then dealt out to two shares, task i to share i % 2.
+Each share is walked depth-first by a Traversal of its own, built from
+the two pair-tree indexes and the job, from a zero K and fresh counters.
+The caller walks share 0; where the process may run on two CPUs a worker
+process walks share 1 at the same time, and elsewhere the caller walks it
+after share 0. Share 1's K, counters and quartet log are added to the
+caller's after share 0 either way, so a build gives the same bits on one
+CPU or two. A frontier that empties first (a tiny build) leaves nothing
+to deal and never forks.
 
 The worker is kept, and has one protocol: a process has at most one,
 forked idle for the pair trees' (bra, ket) index pair of a build and
-bound to it. Every build on those trees, the first included, sends it its
-density arrays and share 1 as one request down a pipe, and _reap reads
-back its result. One build at a time uses it; a build that finds it in
-use (another thread's) walks share 1 itself, to the same bits. It is
-ended only by a kill: when one of its trees' indexes is freed, when a
-build on other trees needs a worker, on any failure, and at interpreter
-exit. Being a fork, it sees this module's state (its kernels and
-constants) only as of that fork.
+bound to it, and of its fork it reads only those two indexes. Every build
+on those trees, the first included, sends it (job, share 1's tasks) as
+one request down a pipe, and _reap reads back its result. One build at a
+time uses it; a build that finds it in use (another thread's) walks share
+1 itself, to the same bits. It is ended only by a kill: when one of its
+trees' indexes is freed, when a build on other trees needs a worker, on
+any failure, and at interpreter exit. Being a fork, it sees this module's
+state (its kernels and constants) only as of that fork.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -95,11 +98,10 @@ _WALK_PIECE = 1 << 12
 # entry.
 _LEAF_GROUP = 1 << 14
 
-# Shares of one build's walk, and the frontier size that is dealt out to
-# them: the first breadth-first frontier of at least _SPLIT_TASKS tasks. A
-# smaller build is not worth a fork: forced, one took a water:2 build at
-# leaf 2 from 1.4 to 4.4 ms on a 2-core host.
-_WORKERS = 2
+# The frontier size that is dealt out to a build's two shares: the first
+# breadth-first frontier of at least _SPLIT_TASKS tasks. A smaller build is
+# not worth a fork: forced, one took a water:2 build at leaf 2 from 1.4 to
+# 4.4 ms on a 2-core host.
 _SPLIT_TASKS = 64
 
 
@@ -245,14 +247,15 @@ def leaf_cache(root: ShellPairNode) -> _PairIndex:
 
 
 def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
-    """A density tree's flatten() child ids (-1: an absent block), norms,
-    and leaf blocks zero-padded to width x width, indexed by leaf slot."""
+    """A density tree's order n, flatten() child ids (-1: an absent block),
+    norms, and leaf blocks zero-padded to width x width, by leaf slot."""
     nodes, child = flatten(P)
     leaves = [n for n in nodes if n.is_leaf]
     blocks = np.zeros((len(leaves), width, width))
     for block, n in zip(blocks, leaves):
         block[:n.leaf.shape[0], :n.leaf.shape[1]] = n.leaf
-    return SimpleNamespace(child=child, norm=np.array([n.norm for n in nodes]),
+    return SimpleNamespace(n=P.row.n_functions, child=child,
+                           norm=np.array([n.norm for n in nodes]),
                            slot=np.cumsum([n.is_leaf for n in nodes]) - 1,
                            blocks=blocks)
 
@@ -271,7 +274,7 @@ class _Worker:
                            for index in ([bra] if ket is bra else [bra, ket])]
 
 
-# This process's kept worker (see Traversal._kept), or None, and the lock
+# This process's kept worker (see _kept), or None, and the lock
 # a build holds while it uses it.
 _worker: _Worker | None = None
 _lock = threading.Lock()
@@ -314,16 +317,6 @@ def _forget() -> None:
 os.register_at_fork(after_in_child=_forget)
 
 
-def _ended(status: int) -> RuntimeError:
-    """The error for a worker that ended, with this wait status, before it
-    sent its result: a signal is named, otherwise the exit status."""
-    if os.WIFSIGNALED(status):
-        name = signal.Signals(os.WTERMSIG(status)).name
-        return RuntimeError(f"exchange worker killed by signal {name}")
-    return RuntimeError("exchange worker exited with status "
-                        f"{os.waitstatus_to_exitcode(status)}")
-
-
 def _send(pipe, obj) -> None:
     """Write obj to a pipe as its pickle's length (8 bytes) and the pickle."""
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -349,8 +342,9 @@ def _reap(worker: _Worker):
     of its share, and keep the worker for the next build. Otherwise the
     worker is ended first: an exception it sent is raised here with its
     type and message, a pipe that ends first (a signal, an exit, or a
-    request it never took) raises the error _ended names, and a read that
-    fails (an interrupt) raises its own error."""
+    request it never took) raises a RuntimeError naming the signal or
+    else the exit status, and a read that fails (an interrupt) raises its
+    own error."""
     try:
         result = _receive(worker.results)
     except BaseException:
@@ -359,73 +353,150 @@ def _reap(worker: _Worker):
     if isinstance(result, tuple):
         return result
     status = _end(worker)
-    raise _ended(status) if result is None else result
+    if result is not None:
+        raise result
+    if os.WIFSIGNALED(status):
+        name = signal.Signals(os.WTERMSIG(status)).name
+        raise RuntimeError(f"exchange worker killed by signal {name}")
+    raise RuntimeError("exchange worker exited with status "
+                       f"{os.waitstatus_to_exitcode(status)}")
+
+
+def _kept(bra: _PairIndex, ket: _PairIndex) -> _Worker | None:
+    """This process's kept worker for the (bra, ket) index pair. If there
+    is none, any worker bound to another pair is ended and a new one
+    forked, idle; if that fork fails (a process limit, or no memory) its
+    pipes are closed and None is returned.
+
+    A worker takes every share as a request, a build's job and the share's
+    tasks, and walks it with a Traversal of its own over bra, ket and that
+    job (_serve). It sees this module, its kernels and constants, only as
+    they were at its fork. It is ended when one of its indexes is freed,
+    at interpreter exit, when another pair needs a worker, or on any
+    failure (Traversal._split, _reap). It ignores SIGINT, leaves when its
+    request pipe ends (so also when this process dies), and leaves by
+    os._exit: it runs no exit handler and flushes no stream it
+    inherited."""
+    global _worker
+    if _worker is not None:
+        if _worker.key == (id(bra), id(ket)):
+            return _worker
+        _end(_worker)
+    (request_in, request_out), (result_in, result_out) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (request_in, request_out, result_in, result_out):
+            os.close(fd)
+        return None
+    if pid:
+        os.close(request_in)
+        os.close(result_out)
+        _worker = _Worker(pid, os.fdopen(request_out, "wb"),
+                          os.fdopen(result_in, "rb"), bra, ket)
+        return _worker
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(request_out)
+        os.close(result_in)
+        with (os.fdopen(request_in, "rb") as requests,
+              os.fdopen(result_out, "wb") as results):
+            _serve(bra, ket, requests, results)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _serve(bra: _PairIndex, ket: _PairIndex, requests, results) -> None:
+    """The kept worker's loop: take a request (job, tasks), walk the tasks
+    with a Traversal over bra, ket and the job, and send the result, or
+    the exception it raised, until the request pipe ends."""
+    while (request := _receive(requests)) is not None:
+        job, tasks = request
+        try:
+            result = Traversal(bra, ket, job)._walk_share(*tasks)
+        except BaseException as exc:
+            result = exc
+        _send(results, result)
 
 
 class Traversal:
-    """One build's K accumulator and counters, and how it walks.
+    """One share of a build's walk over the pair trees' indexes bra and
+    ket: its K accumulator, counters and quartet log, and how it walks.
 
-    ``case_label`` (exchange_symmetry._case_index), when given, makes the
-    walk canonical (upper-triangular child keys, kept quartets logged and
-    evaluated as canonical pairs) and turns on SymmetryCounters' per-link
-    and per-case tallies. ``quartet_log`` collects every evaluated shell
-    quartet."""
+    ``job`` holds the build's inputs (see walk). Its ``case_label``
+    (exchange_symmetry._case_index), when given, makes the walk canonical
+    (upper-triangular child keys, kept quartets logged and evaluated as
+    canonical pairs) and turns on SymmetryCounters' per-link and per-case
+    tallies. Where the job asks for a log, ``qlog`` collects every
+    evaluated shell quartet."""
 
-    def __init__(self, bra: ShellPairNode, ket: ShellPairNode, tau_2e: float,
-                 evaluate: bool, counters: TraversalCounters,
-                 case_label=None, quartet_log: list | None = None):
-        self.K = np.zeros((bra.row.n_functions,) * 2)
-        self.case_label, self.canonical = case_label, case_label is not None
-        # each side's index, one leaf_cache call per distinct root
-        self.bra = leaf_cache(bra)
-        self.ket = self.bra if ket is bra else leaf_cache(ket)
+    def __init__(self, bra: _PairIndex, ket: _PairIndex,
+                 job: SimpleNamespace):
+        self.bra, self.ket, self.job, self.P = bra, ket, job, job.P
+        self.tau_2e, self.canonical = job.tau_2e, job.case_label is not None
+        self.tb, self.tk = np.array(job.slots, dtype=bool).reshape(-1, 2).T
+        self.K = np.zeros((job.P.n,) * 2)
+        self.c, self.qlog = job.counters(), [] if job.log else None
         self.buffer = []     # quartet ids and kept quartets not yet evaluated
         self.n_buffered = 0  # quartet ids buffered
-        self.c, self.tau_2e, self.evaluate = counters, tau_2e, evaluate
-        self.qlog = quartet_log
 
-    def walk(self, P: MatrixQuadtree, slots) -> None:
-        """Visit every task from the roots, with a link to P's root per slot
-        (transpose_bra, transpose_ket), then flush.
+    @classmethod
+    def walk(cls, bra: ShellPairNode, ket: ShellPairNode, P: MatrixQuadtree,
+             slots, tau_2e: float, evaluate: bool, counters: type,
+             case_label=None, quartet_log: list | None = None):
+        """One build over the pair trees bra and ket (roots), with a link to
+        P's root per slot (transpose_bra, transpose_ket); returns (K, a new
+        ``counters``) and extends quartet_log, when given, with every
+        evaluated shell quartet.
 
-        The top levels are visited breadth-first until the frontier holds
-        _SPLIT_TASKS tasks, which _split deals out; a frontier that empties
-        first leaves nothing to deal. Each side's index exists before any
+        Its job, made once, holds the build's inputs: P's density arrays,
+        the slots, tau_2e, evaluate, the counters class, case_label and
+        whether to log. The top levels are visited breadth-first until the
+        frontier holds _SPLIT_TASKS tasks, which _split deals out; a
+        frontier that empties first leaves nothing to deal. Each side's
+        index, one leaf_cache call per distinct root, exists before any
         fork, so a worker reads the caller's pages, and the tree keeps its
         index for the next build."""
-        self.P = _density_arrays(P, self.bra.width)
-        self.tb, self.tk = np.array(slots, dtype=bool).reshape(-1, 2).T
+        bi = leaf_cache(bra)
+        ki = bi if ket is bra else leaf_cache(ket)
+        job = SimpleNamespace(
+            P=_density_arrays(P, bi.width), slots=slots, tau_2e=tau_2e,
+            evaluate=evaluate, counters=counters, case_label=case_label,
+            log=quartet_log is not None)
+        t = cls(bi, ki, job)
         root = np.zeros(1, dtype=np.intp)
         tasks = (root, root, np.zeros((1, len(slots)), dtype=np.intp))
         while 0 < len(tasks[0]) < _SPLIT_TASKS:
-            tasks = self._children(*self._visit(*tasks))
+            tasks = t._children(*t._visit(*tasks))
         if len(tasks[0]):
-            self._split(*tasks)
-        self.flush(final=True)
-        self.P = None  # its leaf blocks are as large as P
+            t._split(*tasks)
+        t.flush(final=True)
+        if quartet_log is not None:
+            quartet_log.extend(t.qlog)
+        return t.K, t.c
 
     def _split(self, b, k, links):
-        """Deal a frontier out to _WORKERS (1 or 2) shares, task i to share
-        i % _WORKERS. Walk share 0 into this build, then add share 1's K,
-        counters and quartet log, walked by _share. Where the process may
-        run on two CPUs and no other build holds the kept worker (_kept),
-        it is sent share 1 as one request and walks it at the same time;
-        otherwise, or where its fork fails, share 1 runs here after share
-        0, to the same bits. If this process fails before it has the
-        worker's result, the worker is ended."""
-        shares = [(b[w::_WORKERS], k[w::_WORKERS], links[w::_WORKERS])
-                  for w in range(_WORKERS)]
-        locked = (_WORKERS > 1 and hasattr(os, "sched_getaffinity")
+        """Deal a frontier out to two shares, task i to share i % 2. Walk
+        share 0 here, then add share 1's K, counters and quartet log,
+        walked by a Traversal of its own over the same indexes and job.
+        Where the process may run on two CPUs and no other build holds the
+        kept worker (_kept), it is sent (job, share 1) as one request and
+        walks it at the same time; otherwise, or where its fork fails,
+        share 1 runs here after share 0, to the same bits. If this process
+        fails before it has the worker's result, the worker is ended."""
+        shares = [(b[w::2], k[w::2], links[w::2]) for w in (0, 1)]
+        locked = (hasattr(os, "sched_getaffinity")
                   and len(os.sched_getaffinity(0)) > 1
                   and _lock.acquire(blocking=False))
         try:
-            worker = self._kept() if locked else None
+            worker = _kept(self.bra, self.ket) if locked else None
             try:
                 if worker:  # one that ended is named by _reap
                     with contextlib.suppress(BrokenPipeError):
-                        _send(worker.requests, self._request(shares[1]))
-                self._walk(*shares[0])
-                self.flush(final=True)
+                        _send(worker.requests, (self.job, shares[1]))
+                self._walk_share(*shares[0])
             except BaseException:
                 if worker:
                     _end(worker)
@@ -434,93 +505,17 @@ class Traversal:
         finally:
             if locked:
                 _lock.release()
-        if result:
-            self._add(*result)
-        elif _WORKERS > 1:
-            self._add(*self._share(*shares[1]))
+        if result is None:
+            other = Traversal(self.bra, self.ket, self.job)
+            result = other._walk_share(*shares[1])
+        self._add(*result)
 
-    def _share(self, b, k, links):
-        """Walk share 1's tasks (b, k, links), in the worker or here, from
-        a zero K, fresh counters and an empty ERI buffer and quartet log;
-        return (K, or None if not evaluated, counters, log) and put this
-        build's own back."""
-        own = self.K, self.c, self.qlog
-        self.K, self.c = np.zeros_like(self.K), type(self.c)()
-        self.buffer, self.n_buffered = [], 0
-        self.qlog = None if self.qlog is None else []
-        try:
-            self._walk(b, k, links)
-            self.flush(final=True)
-            return (self.K if self.evaluate else None), self.c, self.qlog
-        finally:
-            self.K, self.c, self.qlog = own
-
-    def _kept(self):
-        """This process's kept worker for this build's (bra, ket) index
-        pair. If there is none, any worker bound to another pair is ended
-        and a new one forked, idle; if that fork fails (a process limit, or
-        no memory) its pipes are closed and None is returned.
-
-        A worker takes every share as a request (_request) and walks it
-        with _share. It sees this module, its kernels and constants, only as
-        they were at its fork. It is ended when one of its indexes is
-        freed, at interpreter exit, when another pair needs a worker, or on
-        any failure (_split, _reap). It ignores SIGINT, leaves when its
-        request pipe ends (so also when this process dies), and leaves by
-        os._exit: it runs no exit handler and flushes no stream it
-        inherited."""
-        global _worker
-        if _worker is not None:
-            if _worker.key == (id(self.bra), id(self.ket)):
-                return _worker
-            _end(_worker)
-        (request_in, request_out), (result_in, result_out) = os.pipe(), os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (request_in, request_out, result_in, result_out):
-                os.close(fd)
-            return None
-        if pid:
-            os.close(request_in)
-            os.close(result_out)
-            _worker = _Worker(pid, os.fdopen(request_out, "wb"),
-                              os.fdopen(result_in, "rb"), self.bra, self.ket)
-            return _worker
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            os.close(request_out)
-            os.close(result_in)
-            with (os.fdopen(request_in, "rb") as requests,
-                  os.fdopen(result_out, "wb") as results):
-                self._serve(requests, results)
-            status = 0
-        finally:
-            os._exit(status)
-
-    def _request(self, share):
-        """A build's request to the kept worker: the state of this build
-        that its copy of the forking build's Traversal may lack (density
-        arrays, slots, walk kind, tau, evaluate, and counters and log of the
-        right kinds, empty), and share 1's tasks."""
-        state = {name: getattr(self, name) for name in (
-            "P", "tb", "tk", "case_label", "canonical", "tau_2e", "evaluate")}
-        state.update(c=type(self.c)(), qlog=None if self.qlog is None else [])
-        return state, share
-
-    def _serve(self, requests, results):
-        """The kept worker's loop: take a request, walk its share with
-        _share and send the result, or the exception it raised, until the
-        request pipe ends."""
-        while (request := _receive(requests)) is not None:
-            state, share = request
-            vars(self).update(state)
-            try:
-                result = self._share(*share)
-            except BaseException as exc:
-                result = exc
-            _send(results, result)
+    def _walk_share(self, b, k, links):
+        """Walk a share's tasks (b, k, links) and flush; return its K (None
+        if not evaluated), counters and quartet log."""
+        self._walk(b, k, links)
+        self.flush(final=True)
+        return (self.K if self.job.evaluate else None), self.c, self.qlog
 
     def _add(self, K, counters, qlog):
         """Add a share's K, counters and quartet log to this build's."""
@@ -576,7 +571,7 @@ class Traversal:
         b, k, links = b[alive], k[alive], np.where(live, links, -2)[alive]
         leaf = bt.leaf[b] & kt.leaf[k]
         if self.canonical:
-            label = self.case_label(bt.row[b], bt.col[b], kt.row[k], kt.col[k],
+            label = self.job.case_label(bt.row[b], bt.col[b], kt.row[k], kt.col[k],
                                     b == k, complete)
             for counts, x in ((c.case_tasks, label),
                               (c.case_leaf_tasks, label[leaf])):
@@ -762,7 +757,7 @@ class Traversal:
         else:
             union, at = quartet, np.arange(len(quartet))
         self.c.eri_shell_quartets += len(union)
-        if self.evaluate and len(union):
+        if self.job.evaluate and len(union):
             self.buffer.append((union, self.n_buffered + at, tb, tk,
                                 weight[c]))
             self.n_buffered += len(union)
@@ -816,7 +811,5 @@ def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
     (K stays zero).
     """
     check_driver_args(bra, ket, P, tau_2e)
-    t = Traversal(bra, ket, tau_2e, evaluate, TraversalCounters(),
-                  quartet_log=quartet_log)
-    t.walk(P, [(False, False)])
-    return t.K, t.c
+    return Traversal.walk(bra, ket, P, [(False, False)], tau_2e, evaluate,
+                          TraversalCounters, quartet_log=quartet_log)

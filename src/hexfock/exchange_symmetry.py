@@ -163,7 +163,6 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     evaluated canonical quartets.
     """
     check_driver_args(pairs, pairs, P, tau_2e)
-    t = Traversal(pairs, pairs, tau_2e, evaluate, SymmetryCounters(),
-                  case_label=_case_index, quartet_log=quartet_log)
-    t.walk(P, _SLOT_TRANSPOSES)
-    return (symmetrize_final(t.K) if evaluate else t.K), t.c
+    K, c = Traversal.walk(pairs, pairs, P, _SLOT_TRANSPOSES, tau_2e, evaluate,
+                          SymmetryCounters, _case_index, quartet_log)
+    return (symmetrize_final(K) if evaluate else K), c

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -86,7 +87,7 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
     # perfbench/run.py wraps these names on both driver modules; the engine
     # must call them through those module globals, each call exactly once
     # one process: a forked worker would call its own copy of the wrappers
-    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11)
     tally = {"quartets": 0, "leaf_cache": 0}
 
@@ -121,7 +122,7 @@ def test_leaf_eris_are_batched_across_leaf_tasks(monkeypatch, driver):
     # the engine buffers leaf tasks' kept quartets and evaluates them with
     # one eri_elementwise call per _ERI_BATCH of them, not one per leaf task
     # one process: a forked worker would call its own copy of the counter
-    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     sizes = []
 
@@ -147,7 +148,7 @@ def test_leaf_prefilter_bounds_one_block_per_live_link(monkeypatch, driver):
     # block on its own: the naive driver's one link, at most four for the
     # symmetry driver, never a (2 width) x (2 width) density per task
     # one process: a forked worker would call its own copy of the recorder
-    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     w = max(s.n_functions for s in leaf_spans(pairs.row))
     shapes, bound = [], exchange_naive.screening_bound
@@ -178,7 +179,7 @@ def test_leaf_screening_tests_follow_the_kept_quartets(monkeypatch, driver,
     # tests only its box of free bra and ket indices, not every one of the
     # leaf's 40 x 40, so the bounds evaluated follow the quartets kept
     # one process: a forked worker would call its own copy of the counter
-    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=40)
     evaluated, bound = [0], exchange_naive.screening_bound
 
@@ -285,8 +286,10 @@ def test_walk_memory_is_bounded(monkeypatch, driver):
     # groups, and the leaf tables exist once, on the pair tree's root, so an
     # evaluated water:70 build at leaf 10 stays small; one unpieced frontier
     # peaks far higher
-    # one process: tracemalloc does not see a forked worker's memory
-    monkeypatch.setattr(exchange_naive, "_WORKERS", 1)
+    # one process, one unsplit walk: tracemalloc does not see a forked
+    # worker's memory, and a frontier dealt at the root leaves share 1 empty
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(exchange_naive, "_SPLIT_TASKS", 1)
     _, pairs, P_tree, _ = build_setup(70, tau_ovlp=1e-11, leaf_size=10)
     tracemalloc.start()
     try:

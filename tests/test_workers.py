@@ -66,14 +66,15 @@ def _assert_no_child_left():
 def test_two_workers_give_the_one_worker_build(monkeypatch, forks,
                                                cluster_setup, n, leaf, split,
                                                driver, evaluate):
-    # one process against two, then two again on the kept worker: the same
-    # counters and kept quartets; K and the ledger move by reassociation
-    # only, and the two process builds agree bit for bit
-    monkeypatch.setattr(exchange_naive, "_SPLIT_TASKS", split)
+    # one unsplit walk in one process (the frontier dealt at the root, so
+    # share 1 is empty) against two processes, then two again on the kept
+    # worker: the same counters and kept quartets; K and the ledger move by
+    # reassociation only, and the two process builds agree bit for bit
     _, pairs, P_tree, _ = cluster_setup(n, tau_ovlp=1e-11, leaf_size=leaf)
     runs = []
-    for workers in (1, 2, 2):
-        monkeypatch.setattr(exchange_naive, "_WORKERS", workers)
+    for tasks, cpus in ((1, {0}), (split, {0, 1}), (split, {0, 1})):
+        monkeypatch.setattr(exchange_naive, "_SPLIT_TASKS", tasks)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         log = []
         K, c = _build(driver, pairs, P_tree, evaluate, log)
         runs.append((K, c.to_dict(), log))
@@ -309,6 +310,42 @@ def test_builds_on_one_tree_fork_one_kept_worker(monkeypatch, forks,
     end_worker()
     assert run() == one
     assert len(forks) == 2 and len(requests) == 4
+    end_worker()
+    _assert_no_child_left()
+
+
+def test_one_kept_worker_serves_builds_that_differ_in_every_input(
+        monkeypatch, forks, cluster_setup):
+    # one tree, builds that alternate the driver, evaluation, tau_2e, the
+    # density and the log: each gives its one-CPU build's K bytes, counters
+    # and log, as each request carries every input of its build, and the
+    # worker is forked once
+    system, pairs, _, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    P_trees = [build_matrix_tree(build_density(system, DensityModel(gamma=g)),
+                                 pairs.row) for g in (1.5, 2.5)]
+    builds = [("naive", True, 1e-8, 0, False),
+              ("symmetry", False, 1e-10, 1, True),
+              ("naive", False, 1e-10, 0, True),
+              ("symmetry", True, 1e-8, 1, False),
+              ("naive", True, 1e-10, 1, True),
+              ("symmetry", False, 1e-8, 0, False)]
+
+    def run(driver, evaluate, tau, density, logged):
+        log = [] if logged else None
+        if driver == "naive":
+            K, c = build_exchange_naive(pairs, pairs, P_trees[density], tau,
+                                        quartet_log=log, evaluate=evaluate)
+        else:
+            K, c = build_exchange_symmetric(pairs, P_trees[density], tau,
+                                            quartet_log=log, evaluate=evaluate)
+        return K.tobytes(), c.to_dict(), log
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = [run(*b) for b in builds]
+    assert forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [run(*b) == want for b, want in zip(builds, one)] == [True] * 6
+    assert len(forks) == 1
     end_worker()
     _assert_no_child_left()
 
