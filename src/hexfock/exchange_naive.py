@@ -40,16 +40,19 @@ caller's after share 0 either way, so a build gives the same bits on one
 CPU or two. A frontier that empties first (a tiny build) leaves nothing
 to deal and never forks.
 
-The worker is kept, and has one protocol: a process has at most one,
-forked idle for the pair trees' (bra, ket) index pair of a build and
-bound to it, and of its fork it reads only those two indexes. Every build
-on those trees, the first included, sends it (job, share 1's tasks) as
-one request down a pipe, and _reap reads back its result. One build at a
-time uses it; a build that finds it in use (another thread's) walks share
-1 itself, to the same bits. It is ended only by a kill: when one of its
-trees' indexes is freed, when a build on other trees needs a worker, on
-any failure, and at interpreter exit. Being a fork, it sees this module's
-state (its kernels and constants) only as of that fork.
+The worker is kept, and belongs to the process, not to a tree pair: a
+process has at most one, forked idle on its first split build, and it
+holds one (bra, ket) pair of pair-tree indexes at a time, from its fork
+that build's. Every build, the first included, sends it one request down a
+pipe, (indexes, job, share 1's tasks), and _reap reads back its result.
+indexes is None when the worker holds the build's pair, and otherwise the
+pair itself, which the worker then holds in place of the old one. Arrays
+cross the pipe out of band, written from their own memory and read into
+buffers of their own. One build at a time uses the worker; a build that
+finds it in use (another thread's) walks share 1 itself, to the same bits.
+It is ended only by a kill: on any failure and at interpreter exit; a
+freed tree does not end it. Being a fork, it sees this module's state (its
+kernels and constants) only as of that fork.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -57,11 +60,13 @@ pairs; exchange_symmetry runs it with four links over canonical pairs.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import os
 import pickle
 import signal
+import struct
 import threading
 import weakref
 from dataclasses import asdict, dataclass, fields
@@ -261,17 +266,24 @@ def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
 
 
 class _Worker:
-    """A kept worker process: its pid, the write end of its request pipe,
-    the read end of its result pipe, and ``key``, the ids of the (bra,
-    ket) _PairIndex pair it was forked for. A weakref.finalize on each
-    index ends it when that index is freed (or at interpreter exit), so
-    while it lives its key names live objects."""
+    """This process's kept worker: its pid, the write end of its request
+    pipe, the read end of its result pipe, and ``holds``, weak references
+    to the (bra, ket) _PairIndex pair it holds. A weak reference, not an
+    id, names the pair, as a freed index's id can be reused by a new one
+    while its reference is dead."""
 
     def __init__(self, pid: int, requests, results, bra, ket):
         self.pid, self.requests, self.results = pid, requests, results
-        self.key = (id(bra), id(ket))
-        self.finalizers = [weakref.finalize(index, _end, self)
-                           for index in ([bra] if ket is bra else [bra, ket])]
+        self.holds = (weakref.ref(bra), weakref.ref(ket))
+
+    def indexes(self, bra: _PairIndex, ket: _PairIndex):
+        """What a request over (bra, ket) carries: None if the worker holds
+        that pair, else the pair, which it holds from that request on."""
+        held_bra, held_ket = self.holds
+        if held_bra() is bra and held_ket() is ket:
+            return None
+        self.holds = (weakref.ref(bra), weakref.ref(ket))
+        return bra, ket
 
 
 # This process's kept worker (see _kept), or None, and the lock
@@ -281,13 +293,11 @@ _lock = threading.Lock()
 
 
 def _close(worker: _Worker) -> None:
-    """Make a kept worker no longer this process's: detach its finalizers
-    and close this process's ends of its pipes."""
+    """Make a kept worker no longer this process's: close this process's
+    ends of its pipes."""
     global _worker
     if _worker is worker:
         _worker = None
-    for f in worker.finalizers:
-        f.detach()
     worker.results.close()
     with contextlib.suppress(BrokenPipeError):
         worker.requests.close()  # a request it can no longer take is dropped
@@ -300,6 +310,15 @@ def _end(worker: _Worker) -> int:
     os.kill(worker.pid, signal.SIGKILL)
     _close(worker)
     return os.waitpid(worker.pid, 0)[1]
+
+
+def _end_kept() -> None:
+    """End this process's kept worker, if it has one (at interpreter exit)."""
+    if _worker is not None:
+        _end(_worker)
+
+
+atexit.register(_end_kept)
 
 
 def _forget() -> None:
@@ -318,23 +337,40 @@ os.register_at_fork(after_in_child=_forget)
 
 
 def _send(pipe, obj) -> None:
-    """Write obj to a pipe as its pickle's length (8 bytes) and the pickle."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    pipe.write(len(data).to_bytes(8, "little"))
+    """Write obj to a pipe as a pickle (protocol 5) whose contiguous arrays
+    go out of band: the number of buffers n, the pickle's length and each
+    buffer's (8 bytes each, little-endian), the pickle, then each buffer
+    straight from the array's memory, with no copy."""
+    buffers = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    views = [b.raw() for b in buffers]
+    pipe.write(struct.pack(f"<{len(views) + 2}Q", len(views), len(data),
+                           *(v.nbytes for v in views)))
     pipe.write(data)
+    for view in views:
+        pipe.write(view)
     pipe.flush()
 
 
 def _receive(pipe):
-    """The next object _send wrote to a pipe, or None if the pipe ends
+    """The next object _send wrote to a pipe, each of its buffers read into
+    memory of its own that its array then uses; or None if the pipe ends
     first (its writer closed it, or ended)."""
     head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size)
-        if len(data) == size:
-            return pickle.loads(data)
-    return None
+    if len(head) < 8:
+        return None
+    n = struct.unpack("<Q", head)[0] + 1
+    head = pipe.read(8 * n)
+    if len(head) < 8 * n:
+        return None
+    size, *sizes = struct.unpack(f"<{n}Q", head)
+    data = pipe.read(size)
+    if len(data) < size:
+        return None
+    buffers = [bytearray(s) for s in sizes]
+    if any(pipe.readinto(b) < len(b) for b in buffers):
+        return None
+    return pickle.loads(data, buffers=buffers)
 
 
 def _reap(worker: _Worker):
@@ -363,25 +399,23 @@ def _reap(worker: _Worker):
 
 
 def _kept(bra: _PairIndex, ket: _PairIndex) -> _Worker | None:
-    """This process's kept worker for the (bra, ket) index pair. If there
-    is none, any worker bound to another pair is ended and a new one
-    forked, idle; if that fork fails (a process limit, or no memory) its
-    pipes are closed and None is returned.
+    """This process's kept worker. If there is none, one is forked, idle,
+    that holds (bra, ket) from its fork; if that fork fails (a process
+    limit, or no memory) its pipes are closed and None is returned.
 
-    A worker takes every share as a request, a build's job and the share's
-    tasks, and walks it with a Traversal of its own over bra, ket and that
-    job (_serve). It sees this module, its kernels and constants, only as
-    they were at its fork. It is ended when one of its indexes is freed,
-    at interpreter exit, when another pair needs a worker, or on any
-    failure (Traversal._split, _reap). It ignores SIGINT, leaves when its
-    request pipe ends (so also when this process dies), and leaves by
-    os._exit: it runs no exit handler and flushes no stream it
-    inherited."""
+    The worker belongs to the process and holds one index pair at a time.
+    It takes every share as a request, (indexes, job, tasks), and walks it
+    with a Traversal of its own over the pair it holds and that job
+    (_serve); a request carries indexes only when the build's pair is not
+    the one the worker holds (_Worker.indexes). It sees this module, its
+    kernels and constants, only as they were at its fork. It is ended on
+    any failure (Traversal._split, _reap) and at interpreter exit, not when
+    a tree is freed. It ignores SIGINT, leaves when its request pipe ends
+    (so also when this process dies), and leaves by os._exit: it runs no
+    exit handler and flushes no stream it inherited."""
     global _worker
     if _worker is not None:
-        if _worker.key == (id(bra), id(ket)):
-            return _worker
-        _end(_worker)
+        return _worker
     (request_in, request_out), (result_in, result_out) = os.pipe(), os.pipe()
     try:
         pid = os.fork()
@@ -409,11 +443,15 @@ def _kept(bra: _PairIndex, ket: _PairIndex) -> _Worker | None:
 
 
 def _serve(bra: _PairIndex, ket: _PairIndex, requests, results) -> None:
-    """The kept worker's loop: take a request (job, tasks), walk the tasks
-    with a Traversal over bra, ket and the job, and send the result, or
-    the exception it raised, until the request pipe ends."""
+    """The kept worker's loop, holding the index pair (bra, ket): take a
+    request (indexes, job, tasks), hold its indexes in place of the old
+    pair if it carries them, walk the tasks with a Traversal over the pair
+    held and the job, and send the result, or the exception it raised,
+    until the request pipe ends."""
     while (request := _receive(requests)) is not None:
-        job, tasks = request
+        indexes, job, tasks = request
+        if indexes is not None:
+            bra, ket = indexes
         try:
             result = Traversal(bra, ket, job)._walk_share(*tasks)
         except BaseException as exc:
@@ -457,8 +495,8 @@ class Traversal:
         frontier holds _SPLIT_TASKS tasks, which _split deals out; a
         frontier that empties first leaves nothing to deal. Each side's
         index, one leaf_cache call per distinct root, exists before any
-        fork, so a worker reads the caller's pages, and the tree keeps its
-        index for the next build."""
+        fork or request, so a worker forked on this build reads the
+        caller's pages, and the tree keeps its index for the next build."""
         bi = leaf_cache(bra)
         ki = bi if ket is bra else leaf_cache(ket)
         job = SimpleNamespace(
@@ -482,10 +520,11 @@ class Traversal:
         share 0 here, then add share 1's K, counters and quartet log,
         walked by a Traversal of its own over the same indexes and job.
         Where the process may run on two CPUs and no other build holds the
-        kept worker (_kept), it is sent (job, share 1) as one request and
-        walks it at the same time; otherwise, or where its fork fails,
-        share 1 runs here after share 0, to the same bits. If this process
-        fails before it has the worker's result, the worker is ended."""
+        kept worker (_kept), it is sent share 1 as one request, with the
+        build's indexes if it holds another pair, and walks it at the same
+        time; otherwise, or where its fork fails, share 1 runs here after
+        share 0, to the same bits. If this process fails before it has the
+        worker's result, the worker is ended."""
         shares = [(b[w::2], k[w::2], links[w::2]) for w in (0, 1)]
         locked = (hasattr(os, "sched_getaffinity")
                   and len(os.sched_getaffinity(0)) > 1
@@ -495,7 +534,9 @@ class Traversal:
             try:
                 if worker:  # one that ended is named by _reap
                     with contextlib.suppress(BrokenPipeError):
-                        _send(worker.requests, (self.job, shares[1]))
+                        _send(worker.requests,
+                              (worker.indexes(self.bra, self.ket), self.job,
+                               shares[1]))
                 self._walk_share(*shares[0])
             except BaseException:
                 if worker:

@@ -22,8 +22,7 @@ DEFAULT_SEED = 3
 
 def end_worker():
     """End the engine's kept worker, if there is one."""
-    if exchange_naive._worker is not None:
-        exchange_naive._end(exchange_naive._worker)
+    exchange_naive._end_kept()
 
 
 @pytest.fixture(autouse=True)

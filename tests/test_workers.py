@@ -4,6 +4,7 @@ import gc
 import io
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -40,6 +41,20 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "fork", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return pids
+
+
+@pytest.fixture
+def carried(monkeypatch):
+    """Whether each request this process sends its worker carries indexes."""
+    caller, send, carries = os.getpid(), exchange_naive._send, []
+
+    def sending(pipe, obj):
+        if os.getpid() == caller:
+            carries.append(obj[0] is not None)
+        send(pipe, obj)
+
+    monkeypatch.setattr(exchange_naive, "_send", sending)
+    return carries
 
 
 def _build(driver, pairs, P_tree, evaluate=True, log=None):
@@ -144,6 +159,82 @@ def test_a_failed_fork_walks_the_share_in_the_caller(monkeypatch,
     assert len(tries) == 2
     capsys.readouterr()
     _assert_no_child_left()
+
+
+def _through_a_pipe(data: bytes):
+    """What _receive makes of ``data`` written down a pipe by a thread that
+    then closes it, and what it reads after that; a read that takes over
+    30 s fails the test."""
+    read_fd, write_fd = os.pipe()
+    got = []
+
+    def write():
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+
+    def read():
+        with os.fdopen(read_fd, "rb") as pipe:
+            got.extend([exchange_naive._receive(pipe),
+                        exchange_naive._receive(pipe)])
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return got
+
+
+def _sent(obj) -> bytes:
+    stream = io.BytesIO()
+    exchange_naive._send(stream, obj)
+    return stream.getvalue()
+
+
+_BIG = np.arange(100_000, dtype=float)  # 800 KB, over a pipe's buffer
+
+
+@pytest.mark.parametrize("obj", [
+    _BIG, _BIG[::3], np.asfortranarray(_BIG[:600].reshape(20, 30)),
+    np.empty((0, 4)), np.arange(-5, 5, dtype=np.int32),
+    np.array([True, False, True]),
+    (None, {"P": _BIG.reshape(100, 1000), "n": 3}, [_BIG[::2], 1.5]),
+    InvalidArgumentError("sent as it was raised"),
+    {"counts": [1, 2], "label": "no array"}],
+    ids=["contiguous", "strided", "fortran", "empty", "int32", "bool",
+         "nested", "exception", "no-array"])
+def test_the_pipe_framing_returns_what_was_sent(obj):
+    got, after = _through_a_pipe(_sent(obj))
+    assert after is None
+    if isinstance(obj, Exception):
+        assert type(got) is type(obj) and got.args == obj.args
+    elif isinstance(obj, tuple):
+        assert got[0] is None and got[1]["n"] == 3 and got[2][1] == 1.5
+        for sent, read in ((obj[1]["P"], got[1]["P"]),
+                           (obj[2][0], got[2][0])):
+            assert read.dtype == sent.dtype and np.array_equal(read, sent)
+    elif isinstance(obj, np.ndarray):
+        assert got.dtype == obj.dtype and got.shape == obj.shape
+        assert got.tobytes() == obj.tobytes()
+    else:
+        assert got == obj
+
+
+@pytest.mark.parametrize("cut", ["in-count", "after-header", "in-pickle",
+                                 "in-buffer", "before-last-byte"])
+def test_a_cut_pipe_reads_as_ended(cut):
+    # a pipe that ends anywhere before an object's last byte gives None,
+    # at once, and so does every read after it
+    data = _sent({"K": _BIG, "label": "cut"})
+    n, size = struct.unpack("<2Q", data[:16])
+    header = 8 * (n + 2)
+    assert n == 1 and len(data) == header + size + _BIG.nbytes
+    at = {"in-count": 5, "after-header": header,
+          "in-pickle": header + size // 2,
+          "in-buffer": header + size + _BIG.nbytes // 2,
+          "before-last-byte": len(data) - 1}[cut]
+    assert _through_a_pipe(data[:at]) == [None, None]
 
 
 def _failing_eri(monkeypatch, fail):
@@ -350,52 +441,68 @@ def test_one_kept_worker_serves_builds_that_differ_in_every_input(
     _assert_no_child_left()
 
 
-def test_a_build_on_another_tree_pair_ends_the_old_worker_first(
-        monkeypatch, cluster_setup):
-    # a naive build over separately built bra and ket trees binds a worker
-    # to that pair and keeps it; a build on another pair ends the old worker
-    # before it forks, so the process never has two children
-    pids, fork = [], os.fork
-
-    def forking_alone():
-        _assert_no_child_left()
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", forking_alone)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+@pytest.mark.parametrize("trees", ["naive", "symmetry", "naive-bra-ket"])
+def test_builds_across_tree_pairs_fork_one_worker(monkeypatch, forks, carried,
+                                                  cluster_setup, trees):
+    # builds on tree pairs A, B, A, A fork one worker, which holds one index
+    # pair at a time: a request carries indexes only when the build's pair
+    # is not the one the worker holds, so each build gives its one-CPU K
+    # bytes, counters and log. Tree b prunes more pairs than a, so a build
+    # walked over the wrong pair gives another K. naive-bra-ket's B has a
+    # ket tree of its own
     system, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
-    ket = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
-    K_one, c_one = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
-    for _ in range(2):
-        K_two, c_two = build_exchange_naive(pairs, ket, P_tree, 1e-8)
-        assert K_two.tobytes() == K_one.tobytes() and c_two == c_one
-    assert len(pids) == 2
-    assert exchange_naive._worker.key == (id(pairs.cache["full"]),
-                                          id(ket.cache["full"]))
-    with pytest.raises(ProcessLookupError):
-        os.kill(pids[0], 0)
-    build_exchange_symmetric(pairs, P_tree, 1e-8)
-    assert len(pids) == 3
-    with pytest.raises(ProcessLookupError):
-        os.kill(pids[1], 0)
+    a, b = (build_pair_tree(system, pairs.row, tau_ovlp=tau)
+            for tau in (1e-11, 1e-5))
+    tree_pairs = {"A": (a, a),
+                  "B": (a, b) if trees == "naive-bra-ket" else (b, b)}
+
+    def run(name):
+        bra, ket = tree_pairs[name]
+        log = []
+        if trees == "symmetry":
+            K, c = build_exchange_symmetric(bra, P_tree, 1e-8, quartet_log=log)
+        else:
+            K, c = build_exchange_naive(bra, ket, P_tree, 1e-8,
+                                        quartet_log=log)
+        return K.tobytes(), c.to_dict(), log
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = {name: run(name) for name in tree_pairs}
+    assert forks == [] and carried == [] and one["A"][0] != one["B"][0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [run(name) == one[name] for name in "ABAA"] == [True] * 4
+    assert len(forks) == 1
+    assert carried == [False, True, True, False]
     end_worker()
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
-def test_a_freed_tree_ends_its_worker(forks, cluster_setup, driver):
+def test_a_freed_tree_leaves_the_worker_to_the_next_tree(monkeypatch, forks,
+                                                         carried,
+                                                         cluster_setup,
+                                                         driver):
+    # the worker outlives a freed tree; the build on a new tree, whose index
+    # may take the freed one's id, sends its indexes and gives the one-CPU
+    # bits on the same worker and pipes. The freed tree prunes more pairs,
+    # so a build walked over its index gives another K
     system, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
-    tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    K, c = _build(driver, pairs, P_tree)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-5)
+    assert _build(driver, tree, P_tree)[0].tobytes() != K.tobytes()
     fds = _open_fds()
-    _build(driver, tree, P_tree)
-    assert len(forks) == 1 and _open_fds() == fds + 2
     del tree
     gc.collect()
-    assert exchange_naive._worker is None
+    assert exchange_naive._worker is not None
+    os.kill(forks[0], 0)
+    tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+    K_new, c_new = _build(driver, tree, P_tree)
+    assert K_new.tobytes() == K.tobytes() and c_new == c
+    assert len(forks) == 1 and carried == [False, True]
     assert _open_fds() == fds
+    end_worker()
     _assert_no_child_left()
 
 
