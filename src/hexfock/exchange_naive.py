@@ -46,13 +46,13 @@ holds one (bra, ket) pair of pair-tree indexes at a time, from its fork
 that build's. Every build, the first included, sends it one request down a
 pipe, (indexes, job, share 1's tasks), and _reap reads back its result.
 indexes is None when the worker holds the build's pair, and otherwise the
-pair itself, which the worker then holds in place of the old one. Arrays
-cross the pipe out of band, written from their own memory and read into
-buffers of their own. One build at a time uses the worker; a build that
-finds it in use (another thread's) walks share 1 itself, to the same bits.
-It is ended only by a kill: on any failure and at interpreter exit; a
-freed tree does not end it. Being a fork, it sees this module's state (its
-kernels and constants) only as of that fork.
+pair itself, which the worker then holds in place of the old one. Each
+way the wire is one pickle stream, an object after another, whose arrays
+are written from their own memory. One build at a time uses the worker; a
+build that finds it in use (another thread's) walks share 1 itself, to
+the same bits. It is ended only by a kill: on any failure and at
+interpreter exit; a freed tree does not end it. Being a fork, it sees this
+module's state (its kernels and constants) only as of that fork.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -66,7 +66,6 @@ import math
 import os
 import pickle
 import signal
-import struct
 import threading
 import weakref
 from dataclasses import asdict, dataclass, fields
@@ -337,40 +336,19 @@ os.register_at_fork(after_in_child=_forget)
 
 
 def _send(pipe, obj) -> None:
-    """Write obj to a pipe as a pickle (protocol 5) whose contiguous arrays
-    go out of band: the number of buffers n, the pickle's length and each
-    buffer's (8 bytes each, little-endian), the pickle, then each buffer
-    straight from the array's memory, with no copy."""
-    buffers = []
-    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    views = [b.raw() for b in buffers]
-    pipe.write(struct.pack(f"<{len(views) + 2}Q", len(views), len(data),
-                           *(v.nbytes for v in views)))
-    pipe.write(data)
-    for view in views:
-        pipe.write(view)
+    """Write obj to a pipe as one pickle (protocol 5), its arrays written
+    from their own memory."""
+    pickle.dump(obj, pipe, protocol=5)
     pipe.flush()
 
 
 def _receive(pipe):
-    """The next object _send wrote to a pipe, each of its buffers read into
-    memory of its own that its array then uses; or None if the pipe ends
-    first (its writer closed it, or ended)."""
-    head = pipe.read(8)
-    if len(head) < 8:
+    """The next object _send wrote to a pipe, or None if the pipe ends
+    before or inside it (its writer closed it, or ended)."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
         return None
-    n = struct.unpack("<Q", head)[0] + 1
-    head = pipe.read(8 * n)
-    if len(head) < 8 * n:
-        return None
-    size, *sizes = struct.unpack(f"<{n}Q", head)
-    data = pipe.read(size)
-    if len(data) < size:
-        return None
-    buffers = [bytearray(s) for s in sizes]
-    if any(pipe.readinto(b) < len(b) for b in buffers):
-        return None
-    return pickle.loads(data, buffers=buffers)
 
 
 def _reap(worker: _Worker):

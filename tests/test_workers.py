@@ -3,8 +3,9 @@
 import gc
 import io
 import os
+import pickle
+import pickletools
 import signal
-import struct
 import subprocess
 import sys
 import threading
@@ -221,19 +222,32 @@ def test_the_pipe_framing_returns_what_was_sent(obj):
         assert got == obj
 
 
-@pytest.mark.parametrize("cut", ["in-count", "after-header", "in-pickle",
-                                 "in-buffer", "before-last-byte"])
+@pytest.mark.parametrize("cut", ["empty", "after-header", "in-pickle",
+                                 "before-array", "in-buffer",
+                                 "before-last-byte"])
 def test_a_cut_pipe_reads_as_ended(cut):
     # a pipe that ends anywhere before an object's last byte gives None,
-    # at once, and so does every read after it
+    # at once, and so does every read after it. A stream cut where an
+    # opcode would start reads as EOFError, and one cut inside an opcode or
+    # a frame as UnpicklingError; the cuts cover both. The header is the
+    # PROTO opcode, and the array is a BYTEARRAY8 opcode, its 8-byte length,
+    # then its bytes
     data = _sent({"K": _BIG, "label": "cut"})
-    n, size = struct.unpack("<2Q", data[:16])
-    header = 8 * (n + 2)
-    assert n == 1 and len(data) == header + size + _BIG.nbytes
-    at = {"in-count": 5, "after-header": header,
-          "in-pickle": header + size // 2,
-          "in-buffer": header + size + _BIG.nbytes // 2,
-          "before-last-byte": len(data) - 1}[cut]
+    starts = {}
+    for op, _, pos in pickletools.genops(data):
+        starts.setdefault(op.name, pos)
+    frame, array = starts["FRAME"], starts["BYTEARRAY8"]
+    assert array + 9 + _BIG.nbytes < len(data)
+    at, error = {"empty": (0, EOFError),
+                 "after-header": (frame, EOFError),
+                 "in-pickle": ((frame + array) // 2, pickle.UnpicklingError),
+                 "before-array": (array, EOFError),
+                 "in-buffer": (array + 9 + _BIG.nbytes // 2,
+                               pickle.UnpicklingError),
+                 "before-last-byte": (len(data) - 1,
+                                      pickle.UnpicklingError)}[cut]
+    with pytest.raises(error):
+        pickle.load(io.BytesIO(data[:at]))
     assert _through_a_pipe(data[:at]) == [None, None]
 
 
@@ -290,6 +304,40 @@ def test_a_killed_worker_is_named_by_its_signal(monkeypatch, forks,
     _assert_no_child_left()
 
 
+def test_a_worker_killed_while_writing_its_result_is_named_by_its_signal(
+        monkeypatch, forks, cluster_setup):
+    # the worker writes half of its result's pickle and is killed: the
+    # caller reads a stream cut inside an object, names the signal and
+    # leaves no fd or child, and the next build forks a new worker that
+    # gives the one-CPU K bytes
+    caller, send = os.getpid(), exchange_naive._send
+
+    def cut(pipe, obj):
+        if os.getpid() == caller:
+            return send(pipe, obj)
+        data = pickle.dumps(obj, protocol=5)
+        pipe.write(data[:len(data) // 2])
+        pipe.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    _, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    K = _build("naive", pairs, P_tree)[0].tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(exchange_naive, "_send", cut)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="killed by signal SIGKILL$"):
+        _build("naive", pairs, P_tree)
+    assert len(forks) == 1
+    assert _open_fds() == fds
+    _assert_no_child_left()
+    monkeypatch.setattr(exchange_naive, "_send", send)
+    assert _build("naive", pairs, P_tree)[0].tobytes() == K
+    assert len(forks) == 2
+    end_worker()
+    _assert_no_child_left()
+
+
 def test_a_worker_that_ends_without_a_result_is_named_by_its_status(
         monkeypatch, forks, cluster_setup):
     # a worker that leaves before it writes (here by os._exit(3)) sends no
@@ -320,13 +368,23 @@ def test_an_interrupted_read_kills_and_reaps_the_worker(monkeypatch, forks,
     caller, fdopen, asleep = os.getpid(), os.fdopen, tmp_path / "asleep"
 
     class Interrupted(io.BufferedReader):
-        def read(self, *args):
+        # pickle.load reads a buffered file by peek, read and readinto
+        def _interrupted(self, name, *args):
             if os.getpid() != caller:
-                return super().read(*args)
+                return getattr(super(), name)(*args)
             deadline = time.monotonic() + 5
             while not asleep.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise KeyboardInterrupt
+
+        def peek(self, *args):
+            return self._interrupted("peek", *args)
+
+        def read(self, *args):
+            return self._interrupted("read", *args)
+
+        def readinto(self, *args):
+            return self._interrupted("readinto", *args)
 
     def interrupting(fd, mode="r", *args, **kwargs):
         if mode == "rb":
