@@ -9,20 +9,20 @@ or when every link is absent or fails the blocked Almlof-Ahlrichs bound;
 otherwise it expands into the child tasks of the blocked contraction, each
 surviving link following its own density child.
 
-The walk runs in bounded array passes over flattened trees: frontier pieces
-of tasks are screened per link in vector form, and leaf tasks in groups,
-each live link over its own density leaf block. A pair tree is read
-through one index object that leaf_cache builds on its first build, in
-one flatten pass: node arrays, and factor tables for every live leaf laid
-out by orientation (density index on the row span, or on the col span),
-each row of factors sorted in descending order. A leaf task's
-work follows the quartets it keeps, not its (mu nu|lam sig) block: a
+Bra and ket nodes come from one pair tree, read through one index object
+that leaf_cache builds on the tree's first build, in one flatten pass: node
+arrays, and factor tables for every live leaf laid out by orientation
+(density index on the row span, or on the col span), each row of factors
+sorted in descending order. The walk runs in bounded array passes over it:
+frontier pieces of tasks are screened per link in vector form, and leaf
+tasks in groups, each live link over its own density leaf block. A leaf
+task's work follows the quartets it keeps, not its (mu nu|lam sig) block: a
 density entry culled on its largest factors is summed in closed form; for
 each other entry a range query finds the box of free bra and free ket
 indices that can pass, a prefix of each sorted row, and only that box is
 tested per quartet, the rest summed in closed form. A box quartet is named
 by one flat index per side into the leaf tables, and its kept quartet by
-its ids in the pair trees' root tables; they are evaluated _ERI_BATCH at a
+its ids in the tree's root pair table; they are evaluated _ERI_BATCH at a
 time and added to K one at a time, the naive driver's in walk order (none
 can repeat), the symmetry driver's in the sorted order of each group's
 union (its four links can keep one quartet more than once).
@@ -32,27 +32,27 @@ slots, tau_2e, evaluate, counters class, case_label and whether to log.
 Its top levels are walked breadth-first until the frontier holds
 _SPLIT_TASKS tasks, then dealt out to two shares, task i to share i % 2.
 Each share is walked depth-first by a Traversal of its own, built from
-the two pair-tree indexes and the job, from a zero K and fresh counters.
-The caller walks share 0; where the process may run on two CPUs a worker
+the tree's index and the job, from a zero K and fresh counters. The
+caller walks share 0; where the process may run on two CPUs a worker
 process walks share 1 at the same time, and elsewhere the caller walks it
 after share 0. Share 1's K, counters and quartet log are added to the
 caller's after share 0 either way, so a build gives the same bits on one
 CPU or two. A frontier that empties first (a tiny build) leaves nothing
 to deal and never forks.
 
-The worker is kept, and belongs to the process, not to a tree pair: a
-process has at most one, forked idle on its first split build, and it
-holds one (bra, ket) pair of pair-tree indexes at a time, from its fork
-that build's. Every build, the first included, sends it one request down a
-pipe, (indexes, job, share 1's tasks), and _reap reads back its result.
-indexes is None when the worker holds the build's pair, and otherwise the
-pair itself, which the worker then holds in place of the old one. Each
-way the wire is one pickle stream, an object after another, whose arrays
-are written from their own memory. One build at a time uses the worker; a
-build that finds it in use (another thread's) walks share 1 itself, to
-the same bits. It is ended only by a kill: on any failure and at
-interpreter exit; a freed tree does not end it. Being a fork, it sees this
-module's state (its kernels and constants) only as of that fork.
+The worker is kept, and belongs to the process, not to a tree: a process
+has at most one, forked idle on its first split build, and it holds one
+pair-tree index at a time, from its fork that build's. Every build, the
+first included, sends it one request down a pipe, (index, job, share 1's
+tasks), and _reap reads back its result. index is None when the worker
+holds the build's index, and otherwise the index itself, which the worker
+then holds in place of the old one. Each way the wire is one pickle
+stream, an object after another, whose arrays are written from their own
+memory. One build at a time uses the worker; a build that finds it in use
+(another thread's) walks share 1 itself, to the same bits. It is ended
+only by a kill: on any failure and at interpreter exit; a freed tree does
+not end it. Being a fork, it sees this module's state (its kernels and
+constants) only as of that fork.
 
 The naive driver is this engine with one untransposed link over all ordered
 pairs; exchange_symmetry runs it with four links over canonical pairs.
@@ -167,17 +167,6 @@ def culled_task_bound(bra_sum, p_norm, ket_sum):
             * np.sqrt(np.maximum(ket_sum, 0.0)))
 
 
-def check_driver_args(bra, ket, p, tau_2e: float) -> None:
-    """check_screening, then reject trees over different partitions and
-    pair nodes that are not tree roots (only a root holds a pair table)."""
-    check_screening(tau_2e)
-    roots = {id(bra.row), id(bra.col), id(ket.row), id(ket.col), id(p.row), id(p.col)}
-    if len(roots) != 1:
-        raise InvalidArgumentError("bra, ket and P must be built over the same partition")
-    if bra.pairs is None or ket.pairs is None:
-        raise InvalidArgumentError("bra and ket must be roots of pair trees")
-
-
 class _PairIndex:
     """The engine's index of a pair tree, built by leaf_cache in one flatten
     pass; it holds no node, so caching it on the root makes no cycle. Its
@@ -266,23 +255,22 @@ def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
 
 class _Worker:
     """This process's kept worker: its pid, the write end of its request
-    pipe, the read end of its result pipe, and ``holds``, weak references
-    to the (bra, ket) _PairIndex pair it holds. A weak reference, not an
-    id, names the pair, as a freed index's id can be reused by a new one
-    while its reference is dead."""
+    pipe, the read end of its result pipe, and ``holds``, a weak reference
+    to the _PairIndex it holds. A weak reference, not an id, names the
+    index, as a freed index's id can be reused by a new one while its
+    reference is dead."""
 
-    def __init__(self, pid: int, requests, results, bra, ket):
+    def __init__(self, pid: int, requests, results, index: _PairIndex):
         self.pid, self.requests, self.results = pid, requests, results
-        self.holds = (weakref.ref(bra), weakref.ref(ket))
+        self.holds = weakref.ref(index)
 
-    def indexes(self, bra: _PairIndex, ket: _PairIndex):
-        """What a request over (bra, ket) carries: None if the worker holds
-        that pair, else the pair, which it holds from that request on."""
-        held_bra, held_ket = self.holds
-        if held_bra() is bra and held_ket() is ket:
+    def carried(self, index: _PairIndex) -> _PairIndex | None:
+        """What a request over index carries: None if the worker holds it,
+        else the index, which it holds from that request on."""
+        if self.holds() is index:
             return None
-        self.holds = (weakref.ref(bra), weakref.ref(ket))
-        return bra, ket
+        self.holds = weakref.ref(index)
+        return index
 
 
 # This process's kept worker (see _kept), or None, and the lock
@@ -376,16 +364,16 @@ def _reap(worker: _Worker):
                        f"{os.waitstatus_to_exitcode(status)}")
 
 
-def _kept(bra: _PairIndex, ket: _PairIndex) -> _Worker | None:
+def _kept(index: _PairIndex) -> _Worker | None:
     """This process's kept worker. If there is none, one is forked, idle,
-    that holds (bra, ket) from its fork; if that fork fails (a process
-    limit, or no memory) its pipes are closed and None is returned.
+    that holds index from its fork; if that fork fails (a process limit, or
+    no memory) its pipes are closed and None is returned.
 
-    The worker belongs to the process and holds one index pair at a time.
-    It takes every share as a request, (indexes, job, tasks), and walks it
-    with a Traversal of its own over the pair it holds and that job
-    (_serve); a request carries indexes only when the build's pair is not
-    the one the worker holds (_Worker.indexes). It sees this module, its
+    The worker belongs to the process and holds one index at a time. It
+    takes every share as a request, (index, job, tasks), and walks it with
+    a Traversal of its own over the index it holds and that job (_serve);
+    a request carries an index only when the build's is not the one the
+    worker holds (_Worker.carried). It sees this module, its
     kernels and constants, only as they were at its fork. It is ended on
     any failure (Traversal._split, _reap) and at interpreter exit, not when
     a tree is freed. It ignores SIGINT, leaves when its request pipe ends
@@ -405,7 +393,7 @@ def _kept(bra: _PairIndex, ket: _PairIndex) -> _Worker | None:
         os.close(request_in)
         os.close(result_out)
         _worker = _Worker(pid, os.fdopen(request_out, "wb"),
-                          os.fdopen(result_in, "rb"), bra, ket)
+                          os.fdopen(result_in, "rb"), index)
         return _worker
     status = 1
     try:
@@ -414,32 +402,31 @@ def _kept(bra: _PairIndex, ket: _PairIndex) -> _Worker | None:
         os.close(result_in)
         with (os.fdopen(request_in, "rb") as requests,
               os.fdopen(result_out, "wb") as results):
-            _serve(bra, ket, requests, results)
+            _serve(index, requests, results)
         status = 0
     finally:
         os._exit(status)
 
 
-def _serve(bra: _PairIndex, ket: _PairIndex, requests, results) -> None:
-    """The kept worker's loop, holding the index pair (bra, ket): take a
-    request (indexes, job, tasks), hold its indexes in place of the old
-    pair if it carries them, walk the tasks with a Traversal over the pair
-    held and the job, and send the result, or the exception it raised,
-    until the request pipe ends."""
+def _serve(index: _PairIndex, requests, results) -> None:
+    """The kept worker's loop, holding index: take a request (index, job,
+    tasks), hold its index in place of the old one if it carries one, walk
+    the tasks with a Traversal over the index held and the job, and send
+    the result, or the exception it raised, until the request pipe ends."""
     while (request := _receive(requests)) is not None:
-        indexes, job, tasks = request
-        if indexes is not None:
-            bra, ket = indexes
+        sent, job, tasks = request
+        index = index if sent is None else sent
         try:
-            result = Traversal(bra, ket, job)._walk_share(*tasks)
+            result = Traversal(index, job)._walk_share(*tasks)
         except BaseException as exc:
             result = exc
         _send(results, result)
 
 
 class Traversal:
-    """One share of a build's walk over the pair trees' indexes bra and
-    ket: its K accumulator, counters and quartet log, and how it walks.
+    """One share of a build's walk over a pair tree's index, whose nodes are
+    both its bra and its ket nodes: its K accumulator, counters and quartet
+    log, and how it walks.
 
     ``job`` holds the build's inputs (see walk). Its ``case_label``
     (exchange_symmetry._case_index), when given, makes the walk canonical
@@ -448,9 +435,8 @@ class Traversal:
     tallies. Where the job asks for a log, ``qlog`` collects every
     evaluated shell quartet."""
 
-    def __init__(self, bra: _PairIndex, ket: _PairIndex,
-                 job: SimpleNamespace):
-        self.bra, self.ket, self.job, self.P = bra, ket, job, job.P
+    def __init__(self, index: _PairIndex, job: SimpleNamespace):
+        self.index, self.job, self.P = index, job, job.P
         self.tau_2e, self.canonical = job.tau_2e, job.case_label is not None
         self.tb, self.tk = np.array(job.slots, dtype=bool).reshape(-1, 2).T
         self.K = np.zeros((job.P.n,) * 2)
@@ -459,29 +445,36 @@ class Traversal:
         self.n_buffered = 0  # quartet ids buffered
 
     @classmethod
-    def walk(cls, bra: ShellPairNode, ket: ShellPairNode, P: MatrixQuadtree,
-             slots, tau_2e: float, evaluate: bool, counters: type,
-             case_label=None, quartet_log: list | None = None):
-        """One build over the pair trees bra and ket (roots), with a link to
-        P's root per slot (transpose_bra, transpose_ket); returns (K, a new
-        ``counters``) and extends quartet_log, when given, with every
-        evaluated shell quartet.
+    def walk(cls, pairs: ShellPairNode, P: MatrixQuadtree, slots,
+             tau_2e: float, evaluate: bool, counters: type, case_label=None,
+             quartet_log: list | None = None):
+        """One build over the pair tree pairs, its bra and its ket, with a
+        link to P's root per slot (transpose_bra, transpose_ket); returns
+        (K, a new ``counters``) and extends quartet_log, when given, with
+        every evaluated shell quartet. Raises InvalidArgumentError for a
+        bad tau_2e (check_screening), a tree and P over different
+        partitions, or a pair node that is not a tree's root (only a root
+        holds the pair table).
 
         Its job, made once, holds the build's inputs: P's density arrays,
         the slots, tau_2e, evaluate, the counters class, case_label and
         whether to log. The top levels are visited breadth-first until the
         frontier holds _SPLIT_TASKS tasks, which _split deals out; a
-        frontier that empties first leaves nothing to deal. Each side's
-        index, one leaf_cache call per distinct root, exists before any
-        fork or request, so a worker forked on this build reads the
-        caller's pages, and the tree keeps its index for the next build."""
-        bi = leaf_cache(bra)
-        ki = bi if ket is bra else leaf_cache(ket)
+        frontier that empties first leaves nothing to deal. The tree's
+        index (leaf_cache) exists before any fork or request, so a worker
+        forked on this build reads the caller's pages, and the tree keeps
+        its index for the next build."""
+        check_screening(tau_2e)
+        if not pairs.row is pairs.col is P.row is P.col:
+            raise InvalidArgumentError("pairs and P must be built over the same partition")
+        if pairs.pairs is None:
+            raise InvalidArgumentError("bra and ket must be roots of pair trees")
+        index = leaf_cache(pairs)
         job = SimpleNamespace(
-            P=_density_arrays(P, bi.width), slots=slots, tau_2e=tau_2e,
+            P=_density_arrays(P, index.width), slots=slots, tau_2e=tau_2e,
             evaluate=evaluate, counters=counters, case_label=case_label,
             log=quartet_log is not None)
-        t = cls(bi, ki, job)
+        t = cls(index, job)
         root = np.zeros(1, dtype=np.intp)
         tasks = (root, root, np.zeros((1, len(slots)), dtype=np.intp))
         while 0 < len(tasks[0]) < _SPLIT_TASKS:
@@ -496,10 +489,10 @@ class Traversal:
     def _split(self, b, k, links):
         """Deal a frontier out to two shares, task i to share i % 2. Walk
         share 0 here, then add share 1's K, counters and quartet log,
-        walked by a Traversal of its own over the same indexes and job.
+        walked by a Traversal of its own over the same index and job.
         Where the process may run on two CPUs and no other build holds the
         kept worker (_kept), it is sent share 1 as one request, with the
-        build's indexes if it holds another pair, and walks it at the same
+        build's index if it holds another, and walks it at the same
         time; otherwise, or where its fork fails, share 1 runs here after
         share 0, to the same bits. If this process fails before it has the
         worker's result, the worker is ended."""
@@ -508,12 +501,12 @@ class Traversal:
                   and len(os.sched_getaffinity(0)) > 1
                   and _lock.acquire(blocking=False))
         try:
-            worker = _kept(self.bra, self.ket) if locked else None
+            worker = _kept(self.index) if locked else None
             try:
                 if worker:  # one that ended is named by _reap
                     with contextlib.suppress(BrokenPipeError):
                         _send(worker.requests,
-                              (worker.indexes(self.bra, self.ket), self.job,
+                              (worker.carried(self.index), self.job,
                                shares[1]))
                 self._walk_share(*shares[0])
             except BaseException:
@@ -525,7 +518,7 @@ class Traversal:
             if locked:
                 _lock.release()
         if result is None:
-            other = Traversal(self.bra, self.ket, self.job)
+            other = Traversal(self.index, self.job)
             result = other._walk_share(*shares[1])
         self._add(*result)
 
@@ -562,22 +555,22 @@ class Traversal:
     def _visit(self, b, k, links):
         """Screen a piece of tasks (bra ids, ket ids, link states), contract
         its leaf tasks; return its live inner tasks, dead links set to -2."""
-        c, bt, kt = self.c, self.bra, self.ket
+        c, ix = self.c, self.index
         c.tasks_visited += len(b)
-        ok = ~(bt.pruned[b] | kt.pruned[k])
+        ok = ~(ix.pruned[b] | ix.pruned[k])
         c.tasks_culled_absent += len(b) - int(ok.sum())
         b, k, links = b[ok], k[ok], links[ok]
         present = links >= 0
         norm = self.P.norm[np.where(present, links, 0)]
-        bound = screening_bound(np.broadcast_to(bt.f[b][:, None], links.shape),
+        bound = screening_bound(np.broadcast_to(ix.f[b][:, None], links.shape),
                                 norm,
-                                np.broadcast_to(kt.f[k][:, None], links.shape))
+                                np.broadcast_to(ix.f[k][:, None], links.shape))
         screened = present & (bound <= self.tau_2e)
         live = present & ~screened
         t, l = np.nonzero(screened)
         c.culled_bound_ledger += float(culled_task_bound(
-            np.where(self.tb[l], bt.colsum[b[t]], bt.rowsum[b[t]]), norm[t, l],
-            np.where(self.tk[l], kt.rowsum[k[t]], kt.colsum[k[t]])).sum())
+            np.where(self.tb[l], ix.colsum[b[t]], ix.rowsum[b[t]]), norm[t, l],
+            np.where(self.tk[l], ix.rowsum[k[t]], ix.colsum[k[t]])).sum())
         del present, norm, bound, t, l
         if self.canonical:
             c.links_culled_absent += int((links == -1).sum())
@@ -588,10 +581,10 @@ class Traversal:
         c.tasks_culled_absent += len(b) - int(alive.sum()) - n_screened
         complete = (links[alive] != -1).all(axis=1)
         b, k, links = b[alive], k[alive], np.where(live, links, -2)[alive]
-        leaf = bt.leaf[b] & kt.leaf[k]
+        leaf = ix.leaf[b] & ix.leaf[k]
         if self.canonical:
-            label = self.job.case_label(bt.row[b], bt.col[b], kt.row[k], kt.col[k],
-                                    b == k, complete)
+            label = self.job.case_label(ix.row[b], ix.col[b], ix.row[k],
+                                        ix.col[k], b == k, complete)
             for counts, x in ((c.case_tasks, label),
                               (c.case_leaf_tasks, label[leaf])):
                 tally = np.bincount(x, minlength=len(counts)).tolist()
@@ -602,12 +595,12 @@ class Traversal:
         # a link transposed on a diagonal leaf (only the canonical walk has
         # one) followed the same density path, with the same norms, as its
         # untransposed twin, whose full pair grid covers both: it dies here
-        dead = ((self.tb & (bt.row[lb] == bt.col[lb])[:, None])
-                | (self.tk & (kt.row[lk] == kt.col[lk])[:, None]))
-        bl, kl, ll = bt.slot[lb], kt.slot[lk], np.where(dead, -2, links[leaf])
+        dead = ((self.tb & (ix.row[lb] == ix.col[lb])[:, None])
+                | (self.tk & (ix.row[lk] == ix.col[lk])[:, None]))
+        bl, kl, ll = ix.slot[lb], ix.slot[lk], np.where(dead, -2, links[leaf])
         # density entries: width x width per live link; a slice ends where
         # the live links before a task cross a multiple of the group's
-        group = max(1, _LEAF_GROUP // bt.width ** 2)
+        group = max(1, _LEAF_GROUP // ix.width ** 2)
         before = np.r_[0, np.cumsum((ll >= 0).sum(axis=1))]
         cut = np.flatnonzero(np.diff(before[:-1] // group)) + 1
         for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(bl)]):
@@ -620,12 +613,12 @@ class Traversal:
     def _children(self, b, k, links):
         """Child tasks of inner tasks, per parent by bra key then ket key,
         each live link following its density child."""
-        bt, kt = self.bra, self.ket
-        bc, kc = bt.child[b], kt.child[k]
+        ix = self.index
+        bc, kc = ix.child[b], ix.child[k]
         vb, vk = bc >= 0, kc >= 0
         if self.canonical:
-            vb[:, 2] &= bt.row[b] != bt.col[b]
-            vk[:, 2] &= kt.row[k] != kt.col[k]
+            vb[:, 2] &= ix.row[b] != ix.col[b]
+            vk[:, 2] &= ix.row[k] != ix.col[k]
         t, bpos, kpos = np.nonzero(vb[:, :, None] & vk[:, None, :])
         self.c.children_spawned += len(t)
         parent = links[t]
@@ -645,7 +638,7 @@ class Traversal:
         monotone) and adds |p| * (sum fb) * (sum fk) to the ledger. Each
         other entry is a candidate: _edges finds its box, and whole tasks
         are grouped by _LEAF_GROUP // 4 box quartets for _group."""
-        c, tau, w, A, B = self.c, self.tau_2e, self.bra.width, self.bra, self.ket
+        c, tau, ix, w = self.c, self.tau_2e, self.index, self.index.width
         t, l = np.nonzero(links >= 0)  # by task, then link
         p = self.P.blocks[self.P.slot[links[t, l]]]
         # each live link's bra and ket table, as (slot, orientation) rows
@@ -653,16 +646,14 @@ class Traversal:
         pa = np.abs(p)
         # by density index: the largest free factor (its sorted row's first)
         # and the sum of its row
-        sq_b, sq_k = A.sq.reshape(-1, w, w), B.sq.reshape(-1, w, w)
-        keep = screening_bound(sq_b[ob, :, :1], pa,
-                               sq_k[ok, :, 0][:, None]) > tau
+        sq = ix.sq.reshape(-1, w, w)
+        keep = screening_bound(sq[ob, :, :1], pa, sq[ok, :, 0][:, None]) > tau
         i, d1, d2 = np.nonzero(keep)
         pc = pa[i, d1, d2]
         pa[keep] = 0.0
-        tail_b = A.tail.reshape(-1, w, w + 1)
-        tail_k = B.tail.reshape(-1, w, w + 1)
+        tail = ix.tail.reshape(-1, w, w + 1)
         c.culled_bound_ledger += 0.5 * float(
-            (tail_b[ob, :, :1] * pa * tail_k[ok, :, 0][:, None]).sum())
+            (tail[ob, :, :1] * pa * tail[ok, :, 0][:, None]).sum())
         rb, rk, weight = ob[i] * w + d1, ok[i] * w + d2, p[i, d1, d2]
         del p, pa, keep, d1, d2
         nb, nk = self._edges(rb, rk, pc)
@@ -680,7 +671,7 @@ class Traversal:
         ends = np.flatnonzero((np.diff(before[:-1] // group) > 0)
                               | big[1:] | big[:-1]) + 1
         first = first[np.r_[0, ends, len(bl)]]
-        c.quartets_culled_leaf += int((A.m[bl[t]] * B.m[kl[t]]).sum())
+        c.quartets_culled_leaf += int((ix.m[bl[t]] * ix.m[kl[t]]).sum())
         for g in map(slice, first[:-1], first[1:]):
             self._group(*[x[g] for x in cand])
             if self.n_buffered >= _ERI_BATCH:
@@ -695,20 +686,19 @@ class Traversal:
         box fails its own test. Their bounds add |p| * (tail_a[nb] *
         tail_b[0] + (sum_{f<nb} a) * tail_b[nk]) to the ledger: positive
         terms only, so no subtraction can cancel."""
-        tau, w, A, B = self.tau_2e, self.bra.width, self.bra, self.ket
-        sq_b, sq_k = A.sq.reshape(-1, w), B.sq.reshape(-1, w)
-        tail_b, tail_k = A.tail.reshape(-1, w + 1), B.tail.reshape(-1, w + 1)
+        tau, ix, w = self.tau_2e, self.index, self.index.width
+        sq, tail = ix.sq.reshape(-1, w), ix.tail.reshape(-1, w + 1)
         nb, nk = np.empty((2, len(pc)), dtype=np.intp)
         step = max(1, _LEAF_GROUP // w)
         for lo in range(0, len(pc), step):
             s = slice(lo, lo + step)
-            a, b, pw = sq_b[rb[s]], sq_k[rk[s]], pc[s, None]
+            a, b, pw = sq[rb[s]], sq[rk[s]], pc[s, None]
             in_b = screening_bound(a, pw, b[:, :1]) > tau
             nb[s] = in_b.sum(axis=1)
             nk[s] = (screening_bound(a[:, :1], pw, b) > tau).sum(axis=1)
             self.c.culled_bound_ledger += 0.5 * float((pc[s] * (
-                tail_b[rb[s], nb[s]] * tail_k[rk[s], 0]
-                + a.sum(axis=1, where=in_b) * tail_k[rk[s], nk[s]])).sum())
+                tail[rb[s], nb[s]] * tail[rk[s], 0]
+                + a.sum(axis=1, where=in_b) * tail[rk[s], nk[s]])).sum())
         return nb, nk
 
     def _group(self, rb, rk, tb, tk, weight, pc, nb, nk):
@@ -716,7 +706,7 @@ class Traversal:
         screening_bound, in pieces of whole candidates of about
         _SCREEN_CHUNK quartets (the direct-SCF test: the kept set does not
         depend on leaf blocking). A box quartet is named by one flat index
-        per side into its root's leaf tables, its candidate's row plus its
+        per side into the index's leaf tables, its candidate's row plus its
         free index, and reads sq, pair and flip with take. The kept
         quartets' root-table ids go to the ERI buffer, each with its place
         among the buffered ids, transposes and weight: the naive walk's in
@@ -724,8 +714,8 @@ class Traversal:
         own (task, density entry, free pair), so none repeats; the canonical
         walk's as each group's sorted union, as its four links can keep one
         canonical quartet more than once."""
-        tau, w, A, B = self.tau_2e, self.bra.width, self.bra, self.ket
-        sq_b, sq_k = A.sq.reshape(-1), B.sq.reshape(-1)
+        tau, ix, w = self.tau_2e, self.index, self.index.width
+        sq = ix.sq.reshape(-1)
         rb, rk = rb * w, rk * w  # each candidate's row start, flat
         box = nb * nk
         start = np.zeros(len(rb) + 1, dtype=np.intp)
@@ -739,7 +729,7 @@ class Traversal:
                                nk[j])
             xb += rb[j]
             xk += rk[j]
-            bound = screening_bound(sq_b.take(xb), pc[j], sq_k.take(xk))
+            bound = screening_bound(sq.take(xb), pc[j], sq.take(xk))
             keep = bound > tau
             self.c.culled_bound_ledger += 0.5 * float(bound.sum(where=~keep))
             keep = np.flatnonzero(keep)
@@ -754,15 +744,15 @@ class Traversal:
             # (bra orientation 1, ket 0), takes its mirror's id from the
             # same place of the other orientation, w * w entries before
             # (bra) or after (ket), and that side transposed
-            for x, flip, t, step in ((xb, A.flip, tb, -w * w),
-                                     (xk, B.flip, tk, w * w)):
-                lower = flip.reshape(-1).take(x)
+            for x, t, step in ((xb, tb, -w * w), (xk, tk, w * w)):
+                lower = ix.flip.reshape(-1).take(x)
                 x += lower * step
                 t |= lower
         # the quartet ids, bra id * ket pairs + ket id, formed in place
-        quartet = A.pair.reshape(-1).take(xb).astype(np.intp)
-        quartet *= B.pairs.n_pairs
-        quartet += B.pair.reshape(-1).take(xk)
+        pair = ix.pair.reshape(-1)
+        quartet = pair.take(xb).astype(np.intp)
+        quartet *= ix.pairs.n_pairs
+        quartet += pair.take(xk)
         del xb, xk
         if self.canonical:
             # sorted and scanned here, as np.unique's per-call cost exceeds
@@ -799,12 +789,12 @@ class Traversal:
         self.buffer = [(union[m:], at[rest] - m, tb[rest], tk[rest],
                         weight[rest])]
         self.n_buffered -= m
-        pb, pk = self.bra.pairs, self.ket.pairs
+        pairs = self.index.pairs
         for lo, k in zip(range(0, m, size), map(slice, cut[:-1], cut[1:])):
-            ia, ib = np.divmod(union[lo:lo + size], pk.n_pairs)
-            e = -0.5 * eri_elementwise(pb, pk, ia, ib)
-            mu, nu, lam, sig = (pb.i_shell[ia], pb.j_shell[ia],
-                                pk.i_shell[ib], pk.j_shell[ib])
+            ia, ib = np.divmod(union[lo:lo + size], pairs.n_pairs)
+            e = -0.5 * eri_elementwise(pairs, pairs, ia, ib)
+            mu, nu, lam, sig = (pairs.i_shell[ia], pairs.j_shell[ia],
+                                pairs.i_shell[ib], pairs.j_shell[ib])
             if self.qlog is not None:
                 self.qlog.extend(zip(mu.tolist(), nu.tolist(), lam.tolist(),
                                      sig.tolist()))
@@ -821,14 +811,16 @@ def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,
                          evaluate: bool = True):
     """Exchange matrix K = -1/2 sum P_nl (mn|ls) by naive hextree traversal.
 
-    One untransposed density link over every ordered bra and ket pair.
-    Returns (K, TraversalCounters). With tau_2e = tau_ovlp = 0 the result
-    matches the dense oracle up to floating-point reassociation.
-    quartet_log, when given, collects every evaluated shell quartet
-    (mu, nu, lam, sig); only sensible for small systems. evaluate=False
-    walks the task tree and fills counters without computing integrals
-    (K stays zero).
+    One untransposed density link over every ordered bra and ket pair of
+    one pair tree, passed as both bra and ket: a ket that is not bra
+    raises InvalidArgumentError. Returns (K, TraversalCounters). With
+    tau_2e = tau_ovlp = 0 the result matches the dense oracle up to
+    floating-point reassociation. quartet_log, when given, collects every
+    evaluated shell quartet (mu, nu, lam, sig); only sensible for small
+    systems. evaluate=False walks the task tree and fills counters without
+    computing integrals (K stays zero).
     """
-    check_driver_args(bra, ket, P, tau_2e)
-    return Traversal.walk(bra, ket, P, [(False, False)], tau_2e, evaluate,
+    if ket is not bra:
+        raise InvalidArgumentError("bra and ket must be one pair tree")
+    return Traversal.walk(bra, P, [(False, False)], tau_2e, evaluate,
                           TraversalCounters, quartet_log=quartet_log)

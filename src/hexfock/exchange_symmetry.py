@@ -44,8 +44,7 @@ import numpy as np
 # and eri_elementwise, and never eri_cross); they stay bound in this module
 # only because perfbench/run.py's tracer wraps them on both driver modules.
 from .exchange_naive import (LogicError, Traversal, TraversalCounters,
-                             check_driver_args, eri_cross, eri_elementwise,
-                             leaf_cache)
+                             eri_cross, eri_elementwise, leaf_cache)
 from .quadtree import MatrixQuadtree, ShellPairNode
 
 CASE_LABELS = ("A", "B", "C", "D", "E", "F1", "F2", "H", "SPARSE")
@@ -75,41 +74,27 @@ class SymmetryCounters(TraversalCounters):
         return "\n".join(lines) + "\n"
 
 
-def classify_quartet(bra: ShellPairNode, ket: ShellPairNode,
-                     present=(True, True, True, True)) -> str:
-    """Span-relation class of one canonical task, as the engine labels it.
+def _case_index(mu, nu, lam, sig, same, present):
+    """The case, as an index into CASE_LABELS, of each canonical task of a
+    piece, from the first shells mu, nu, lam, sig of its four spans (which
+    tell apart the spans of one tree level), whether bra and ket are one
+    node and whether every density link is present. Raises LogicError when
+    a bra or ket is out of canonical order (mu > nu or lam > sig), which
+    only a traversal bug can cause. The cases, the first that applies:
 
-    ``present`` flags the availability of the task's density links (at the
-    root, P[nu,lam], P[mu,lam], P[nu,sig], P[mu,sig]); any absence demotes
-    the case to SPARSE (the task proceeds with the valid subset of links).
-    Raises LogicError when the bra or ket spans are out of canonical order,
-    which can only happen through a traversal bug. The cases:
-
+    SPARSE: a link is absent (the task proceeds with the others).
+    E: bra and ket are one node (diagonal or not).
+    H: both pair nodes diagonal.
+    B: exactly one pair node is diagonal; the indicator weights halve the
+       complement.
     A: every sink block is already in canonical orientation, the generic
        4-fold update: separated spans (mu <= nu <= lam <= sig, or the
-       bra/ket-swapped mirror), including touching spans (nu = lam, or
-       mirrored mu = sig) -- P is gathered from the full symmetric density
-       tree, so the diagonal source block needs no special factors.
-    B: exactly one pair node is diagonal (mu = nu xor lam = sig); the
-       indicator weights halve the complement.
-    C: nested spans (one pair's index interval strictly inside the other's).
-    D: interleaved spans (the two pair intervals overlap without nesting).
-    E: bra and ket are the same off-diagonal node.
+       bra/ket-swapped mirror), touching ones (nu = lam, or mu = sig)
+       included, as P is gathered from the full symmetric density tree.
     F1: mu = lam coincidence (shared row span).
     F2: nu = sig coincidence (shared column span).
-    H: both pair nodes diagonal.
-    """
-    spans = (bra.row, bra.col, ket.row, ket.col)
-    label = _case_index(*np.array([[s.shell_lo] for s in spans]),
-                        np.array([bra is ket]), np.array([all(present)]))
-    return CASE_LABELS[label[0]]
-
-
-def _case_index(mu, nu, lam, sig, same, present):
-    """classify_quartet's case, as an index into CASE_LABELS, of each task
-    of a piece, from the first shells of its four spans (which tell apart
-    the spans of one tree level), whether bra and ket are one node and
-    whether every link is present."""
+    C: nested spans (one pair's interval strictly inside the other's).
+    D: interleaved spans (the two intervals overlap without nesting)."""
     if np.any((mu > nu) | (lam > sig)):
         raise LogicError("non-canonical task: pair spans out of order")
     bra_diag, ket_diag = mu == nu, lam == sig
@@ -162,7 +147,6 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     evaluate behaves as in build_exchange_naive; quartet_log collects
     evaluated canonical quartets.
     """
-    check_driver_args(pairs, pairs, P, tau_2e)
-    K, c = Traversal.walk(pairs, pairs, P, _SLOT_TRANSPOSES, tau_2e, evaluate,
+    K, c = Traversal.walk(pairs, P, _SLOT_TRANSPOSES, tau_2e, evaluate,
                           SymmetryCounters, _case_index, quartet_log)
     return (symmetrize_final(K) if evaluate else K), c

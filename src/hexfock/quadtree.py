@@ -131,12 +131,16 @@ def flatten(root: _Block):
 
 def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
     """Quadtree over ``dense`` on the partition ``root``; blocks of norm 0
-    are absent."""
+    are absent. A NaN or infinite entry raises InvalidArgumentError."""
     dense = np.asarray(dense, dtype=float)
     n = root.n_functions
     if dense.shape != (n, n):
         raise InvalidArgumentError(
             f"matrix shape {dense.shape} does not match partition size {n}")
+    if not np.isfinite(dense).all():
+        i, j = np.argwhere(~np.isfinite(dense))[0].tolist()
+        raise InvalidArgumentError(
+            f"matrix entry ({i}, {j}) is {float(dense[i, j])}; entries must be finite")
     tree = _build_matrix(dense, root, root)
     if tree is None:
         # all-zero matrix: keep an explicit root with norm 0 and no children

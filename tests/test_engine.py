@@ -322,27 +322,6 @@ def test_driver_builds_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_naive_driver_reads_bra_and_ket_ids_from_their_own_trees():
-    # two pair trees built separately over one partition give the one-tree
-    # result bit for bit
-    system, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
-    part = pairs.row
-    ket = build_pair_tree(system, part, tau_ovlp=1e-11)
-    K_one, c_one = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
-    K_two, c_two = build_exchange_naive(pairs, ket, P_tree, 1e-8)
-    assert K_two.tobytes() == K_one.tobytes()
-    assert c_two == c_one
-    # unpruned ket tree: a longer ket table, so a ket id read from the
-    # bra's table would name another pair (or none); K moves only by the
-    # quartets of the pairs the bra tree prunes
-    full = build_pair_tree(system, part, tau_ovlp=0.0)
-    assert full.pairs.n_pairs > pairs.pairs.n_pairs
-    K_mixed, _ = build_exchange_naive(pairs, full, P_tree, 1e-8)
-    K_full, _ = build_exchange_naive(full, full, P_tree, 1e-8)
-    assert np.abs(K_mixed - K_full).max() <= 1e-10
-    assert np.abs(K_mixed - K_one).max() <= 1e-10
-
-
 @pytest.mark.parametrize("order", [("naive", "symmetry"),
                                    ("symmetry", "naive")],
                          ids=["naive-first", "symmetry-first"])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -78,6 +79,27 @@ def test_pair_subtree_rejected():
     P_tree = build_matrix_tree(P[lo:hi, lo:hi], sub.row)
     with pytest.raises(InvalidArgumentError, match="roots of pair trees"):
         build_exchange_naive(sub, sub, P_tree)
+
+
+def test_bra_and_ket_trees_other_than_one_rejected(monkeypatch):
+    # bra and ket are one pair tree: a ket tree of its own, even one built
+    # alike over the same partition, is rejected before its index is built
+    # or a worker forked, on a build that splits on two CPUs
+    system, pairs, P_tree, _ = build_setup(30, tau_ovlp=1e-11)
+    other = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("a failed fork: the caller walks both shares")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(InvalidArgumentError, match="one pair tree"):
+        build_exchange_naive(pairs, other, P_tree, 1e-8)
+    assert forks == [] and pairs.cache is None and other.cache is None
+    build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+    assert forks == [1]
 
 
 # ---------------------------------------------------------------- exactness
@@ -204,15 +226,11 @@ def test_naive_kept_quartets_never_repeat(leaf_size, tau):
     # the naive walk buffers and counts its kept quartets as they come, with
     # no sort and no union: with one untransposed link, each is its own
     # (task, density entry, free bra pair, free ket pair), so none may
-    # repeat, with bra and ket on one tree or on two built separately
-    system, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11,
-                                           leaf_size=leaf_size)
-    ket = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
-    for k in (pairs, ket):
-        log = []
-        _, c = build_exchange_naive(pairs, k, P_tree, tau_2e=tau,
-                                    quartet_log=log)
-        assert c.eri_shell_quartets > 0
-        assert len(log) == c.eri_shell_quartets
-        assert len(set(log)) == len(log)
-        del log
+    # repeat
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=leaf_size)
+    log = []
+    _, c = build_exchange_naive(pairs, pairs, P_tree, tau_2e=tau,
+                                quartet_log=log)
+    assert c.eri_shell_quartets > 0
+    assert len(log) == c.eri_shell_quartets
+    assert len(set(log)) == len(log)

@@ -3,8 +3,9 @@ import pytest
 
 from hexfock import (CASE_LABELS, DensityModel, LogicError, build_density,
                      build_exchange_naive, build_exchange_symmetric,
-                     classify_quartet, dense_exchange, generate_cluster,
-                     hilbert_order, symmetrize_final)
+                     dense_exchange, generate_cluster, hilbert_order,
+                     symmetrize_final)
+from hexfock.exchange_symmetry import _case_index
 from hexfock.integrals import InvalidArgumentError
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
                               build_partition)
@@ -28,6 +29,14 @@ def _leaf_pair(pairs, i, j):
 
 # ------------------------------------------------------------ classification
 
+def classify_quartet(bra, ket, present=(True, True, True, True)):
+    """The engine's case label (_case_index) of one task (bra, ket)."""
+    spans = (bra.row, bra.col, ket.row, ket.col)
+    label = _case_index(*np.array([[s.shell_lo] for s in spans]),
+                        np.array([bra is ket]), np.array([all(present)]))
+    return CASE_LABELS[label[0]]
+
+
 def test_classify_cases_by_span_relation(deep_pairs):
     lp = lambda i, j: _leaf_pair(deep_pairs, i, j)
     # separated spans and touching spans are the generic 4-sink case A
@@ -41,8 +50,9 @@ def test_classify_cases_by_span_relation(deep_pairs):
     assert classify_quartet(lp(0, 3), lp(1, 2)) == "C"
     assert classify_quartet(lp(1, 2), lp(0, 3)) == "C"
     assert classify_quartet(lp(0, 2), lp(1, 3)) == "D"
-    # same node on both sides
+    # same node on both sides, off the diagonal or on it
     assert classify_quartet(lp(0, 1), lp(0, 1)) == "E"
+    assert classify_quartet(lp(0, 0), lp(0, 0)) == "E"
     # shared row / column span coincidences
     assert classify_quartet(lp(0, 2), lp(0, 3)) == "F1"
     assert classify_quartet(lp(0, 2), lp(1, 2)) == "F2"

@@ -141,6 +141,19 @@ def test_matrix_tree_dimension_mismatch():
         build_matrix_tree(np.zeros((11, 11)), part)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_tree_rejects_non_finite_entries(bad):
+    # a NaN entry fails every leaf prefilter test (nan > tau is False), so
+    # it once dropped out of K and left a NaN ledger; an infinite one gave
+    # a non-finite K
+    _, pairs, _, P = build_setup(3, tau_ovlp=1e-11, leaf_size=3)
+    P = P.copy()
+    P[0, 1] = P[1, 0] = bad
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"entry \(0, 1\) is {bad!r}; .* finite"):
+        build_matrix_tree(P, pairs.row)
+
+
 def test_matrix_tree_norm_telescoping():
     rng = np.random.default_rng(23)
     system = _line_system(33)

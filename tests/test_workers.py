@@ -46,7 +46,7 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def carried(monkeypatch):
-    """Whether each request this process sends its worker carries indexes."""
+    """Whether each request this process sends its worker carries an index."""
     caller, send, carries = os.getpid(), exchange_naive._send, []
 
     def sending(pipe, obj):
@@ -499,33 +499,25 @@ def test_one_kept_worker_serves_builds_that_differ_in_every_input(
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("trees", ["naive", "symmetry", "naive-bra-ket"])
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
 def test_builds_across_tree_pairs_fork_one_worker(monkeypatch, forks, carried,
-                                                  cluster_setup, trees):
-    # builds on tree pairs A, B, A, A fork one worker, which holds one index
-    # pair at a time: a request carries indexes only when the build's pair
-    # is not the one the worker holds, so each build gives its one-CPU K
-    # bytes, counters and log. Tree b prunes more pairs than a, so a build
-    # walked over the wrong pair gives another K. naive-bra-ket's B has a
-    # ket tree of its own
+                                                  cluster_setup, driver):
+    # builds on trees A, B, A, A fork one worker, which holds one index at a
+    # time: a request carries an index only when the build's is not the one
+    # the worker holds, so each build gives its one-CPU K bytes, counters
+    # and log. Tree B prunes more pairs than A, so a build walked over the
+    # wrong index gives another K
     system, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
-    a, b = (build_pair_tree(system, pairs.row, tau_ovlp=tau)
-            for tau in (1e-11, 1e-5))
-    tree_pairs = {"A": (a, a),
-                  "B": (a, b) if trees == "naive-bra-ket" else (b, b)}
+    trees = {name: build_pair_tree(system, pairs.row, tau_ovlp=tau)
+             for name, tau in (("A", 1e-11), ("B", 1e-5))}
 
     def run(name):
-        bra, ket = tree_pairs[name]
         log = []
-        if trees == "symmetry":
-            K, c = build_exchange_symmetric(bra, P_tree, 1e-8, quartet_log=log)
-        else:
-            K, c = build_exchange_naive(bra, ket, P_tree, 1e-8,
-                                        quartet_log=log)
+        K, c = _build(driver, trees[name], P_tree, log=log)
         return K.tobytes(), c.to_dict(), log
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one = {name: run(name) for name in tree_pairs}
+    one = {name: run(name) for name in trees}
     assert forks == [] and carried == [] and one["A"][0] != one["B"][0]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert [run(name) == one[name] for name in "ABAA"] == [True] * 4
@@ -541,7 +533,7 @@ def test_a_freed_tree_leaves_the_worker_to_the_next_tree(monkeypatch, forks,
                                                          cluster_setup,
                                                          driver):
     # the worker outlives a freed tree; the build on a new tree, whose index
-    # may take the freed one's id, sends its indexes and gives the one-CPU
+    # may take the freed one's id, sends its index and gives the one-CPU
     # bits on the same worker and pipes. The freed tree prunes more pairs,
     # so a build walked over its index gives another K
     system, pairs, P_tree, _ = cluster_setup(30, tau_ovlp=1e-11, leaf_size=10)
