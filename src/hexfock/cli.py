@@ -207,9 +207,9 @@ def run(config: RunConfig) -> dict:
                 f"{flag} {mode}: the system has {system.n_shells} shells, "
                 f"above the dense-oracle limit of {DENSE_MAX_SHELLS} shells")
     t0 = time.perf_counter()
-    K, counters, cases = _execute(config, config.mode, system, P)
-    wall = time.perf_counter() - t0
     with np.errstate(over="ignore"):  # checked below
+        K, counters, cases = _execute(config, config.mode, system, P)
+        wall = time.perf_counter() - t0
         k_frobenius = float(np.linalg.norm(K))  # not finite if K overflows
     ledger = counters.get("culled_bound_ledger",
                           counters.get("skipped_bound_sum", 0.0))

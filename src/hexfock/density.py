@@ -70,4 +70,4 @@ def load_density_file(path) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise InvalidArgumentError("density file holds NaN or infinite values")
     p = vals.reshape(n, n)
-    return 0.5 * (p + p.T)
+    return 0.5 * p + 0.5 * p.T  # halved first: no finite sum overflows

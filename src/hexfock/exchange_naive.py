@@ -22,7 +22,8 @@ each other entry a range query finds the box of free bra and free ket
 indices that can pass, a prefix of each sorted row, and only that box is
 tested per quartet, the rest summed in closed form. A box quartet is named
 by one flat index per side into the leaf tables, and its kept quartet by
-its ids in the tree's root pair table; they are evaluated _ERI_BATCH at a
+its canonical pairs' ids in the tree's root pair table, a side whose place
+lies below the diagonal read transposed; they are evaluated _ERI_BATCH at a
 time and added to K one at a time, the naive driver's in walk order (none
 can repeat), the symmetry driver's in the sorted order of each group's
 union (its four links can keep one quartet more than once).
@@ -102,10 +103,10 @@ _WALK_PIECE = 1 << 12
 # entry.
 _LEAF_GROUP = 1 << 14
 
-# The frontier size that is dealt out to a build's two shares: the first
-# breadth-first frontier of at least _SPLIT_TASKS tasks. A smaller build is
-# not worth a fork: forced, one took a water:2 build at leaf 2 from 1.4 to
-# 4.4 ms on a 2-core host.
+# A build's frontier is dealt out to its two shares once it holds
+# _SPLIT_TASKS tasks. A smaller build costs more in a request to the kept
+# worker than it saves: forced, warm water:2 builds at leaf 10 (2-core host)
+# went from 1.11 to 1.28 ms (symmetry) and 1.20 to 1.38 ms (naive).
 _SPLIT_TASKS = 64
 
 
@@ -179,16 +180,13 @@ class _PairIndex:
     density index on the leaf's row span and one column per free index
     (the col shell), orientation 1 is its transpose, and both are
     zero-padded. sq holds the Schwarz factor (ij|ij)^1/2, each row sorted
-    in descending order (stable), and pair the id in the root's pair table
-    (the leaf's base plus the grid's row-major place) of the pair at each
-    sq entry. tail, (slots, 2, w, w + 1), holds sq's suffix sums along each
-    row: tail[..., k] = sum over f >= k of sq[..., f], so tail[..., w] = 0.
-    Sorted rows make the engine's range query a prefix of each row. A
-    diagonal leaf's factor block is exactly symmetric, so its two
-    orientations hold equal sq rows and, at each place, mirrored pairs
-    (j, i) for (i, j); flip marks its places whose pair lies below the
-    diagonal (i > j), which the symmetry driver evaluates as their mirrors.
-    No other place is flipped."""
+    in descending order (stable); pair the id of each sq entry's canonical
+    pair in the root's pair table (from the leaf's ``ids``); and flip
+    whether its row shell comes after its col shell, which both drivers
+    read as that side transposed. tail, (slots, 2, w, w + 1), holds sq's
+    suffix sums along each row: tail[..., k] = sum over f >= k of
+    sq[..., f], so tail[..., w] = 0. Sorted rows make the engine's range
+    query a prefix of each row."""
 
     def __init__(self, root: ShellPairNode):
         nodes, self.child = flatten(root)
@@ -200,26 +198,28 @@ class _PairIndex:
         f, self.rowsum, self.colsum = np.array(
             [(n.diag_norm, n.rowsum_max, n.colsum_max) for n in nodes]).T
         self.f = np.sqrt(f)
-        self.leaves = np.flatnonzero(self.leaf & ~self.pruned)  # by slot
+        leaves = np.flatnonzero(self.leaf & ~self.pruned)  # by slot
         self.slot = np.full(len(nodes), -1, dtype=np.intp)
-        self.slot[self.leaves] = np.arange(len(self.leaves))
+        self.slot[leaves] = np.arange(len(leaves))
         w = self.width = max(s.n_functions for s in leaf_spans(root.row))
-        shape = (len(self.leaves), 2, w, w)
+        shape = (len(leaves), 2, w, w)
         sq = np.zeros(shape)
         # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
         pair = np.zeros(shape, dtype=np.int32)
-        flip = np.zeros(shape, dtype=bool)
-        m = np.zeros(len(self.leaves), dtype=np.intp)
-        for s, leaf in enumerate(nodes[i] for i in self.leaves.tolist()):
+        size = np.zeros((len(leaves), 2), dtype=np.intp)
+        for s, leaf in enumerate(nodes[i] for i in leaves.tolist()):
             q = np.sqrt(leaf.diag)
-            nr, nc = q.shape
-            m[s] = nr * nc
-            grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
+            nr, nc = size[s] = q.shape
             sq[s, 0, :nr, :nc], sq[s, 1, :nc, :nr] = q, q.T
-            pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = grid, grid.T
-            if leaf.row is leaf.col:
-                flip[s, 0, :nr, :nr] = np.tri(nr, k=-1, dtype=bool)
-                flip[s, 1, :nr, :nr] = flip[s, 0, :nr, :nr].T
+            pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = leaf.ids, leaf.ids.T
+        # each slot's row and col shells, -1 and n in the padding, which
+        # then flips nowhere
+        x, n = np.arange(w), root.row.shell_hi
+        rows = np.where(x < size[:, :1], self.row[leaves, None] + x, -1)
+        cols = np.where(x < size[:, 1:], self.col[leaves, None] + x, n)
+        flip = np.stack((rows[:, :, None] > cols[:, None, :],
+                         cols[:, :, None] < rows[:, None, :]), axis=1)
+        m = size.prod(axis=1)
         # each unsorted table goes as soon as its sorted copy exists
         order = np.argsort(-sq, axis=3, kind="stable")
         sq = np.take_along_axis(sq, order, axis=3)
@@ -709,11 +709,11 @@ class Traversal:
         per side into the index's leaf tables, its candidate's row plus its
         free index, and reads sq, pair and flip with take. The kept
         quartets' root-table ids go to the ERI buffer, each with its place
-        among the buffered ids, transposes and weight: the naive walk's in
-        walk order, as its one untransposed link makes each kept quartet its
-        own (task, density entry, free pair), so none repeats; the canonical
-        walk's as each group's sorted union, as its four links can keep one
-        canonical quartet more than once."""
+        among the buffered ids, transposes (its link's, or a flip's) and
+        weight: the naive walk's in walk order, as its one untransposed link
+        makes each kept quartet its own (task, density entry, free pair), so
+        none repeats; the canonical walk's as each group's sorted union, as
+        its four links can keep one canonical quartet more than once."""
         tau, ix, w = self.tau_2e, self.index, self.index.width
         sq = ix.sq.reshape(-1)
         rb, rk = rb * w, rk * w  # each candidate's row start, flat
@@ -738,16 +738,9 @@ class Traversal:
                                                         zip(*kept))
         del j, bound, keep, kept
         self.c.quartets_culled_leaf -= len(c)
-        tb, tk = tb[c], tk[c]
-        if self.canonical:
-            # a pair below a diagonal leaf's diagonal, read untransposed
-            # (bra orientation 1, ket 0), takes its mirror's id from the
-            # same place of the other orientation, w * w entries before
-            # (bra) or after (ket), and that side transposed
-            for x, t, step in ((xb, tb, -w * w), (xk, tk, w * w)):
-                lower = ix.flip.reshape(-1).take(x)
-                x += lower * step
-                t |= lower
+        # a flipped place holds its mirror's pair, read transposed
+        flip = ix.flip.reshape(-1)
+        tb, tk = tb[c] | flip.take(xb), tk[c] | flip.take(xk)
         # the quartet ids, bra id * ket pairs + ket id, formed in place
         pair = ix.pair.reshape(-1)
         quartet = pair.take(xb).astype(np.intp)
@@ -777,7 +770,10 @@ class Traversal:
         quartets to K at row mu (nu if the bra is transposed) and column
         sig (lam if the ket is), one at a time in buffer order: the naive
         walk's in walk order, the canonical walk's in each group's sorted
-        order. K is the same for every batch size."""
+        order. K is the same for every batch size. The log takes each
+        canonical quartet the canonical walk evaluates, and each quartet the
+        naive walk keeps as walked: its bra's row shell, the other bra shell,
+        the other ket shell, and its ket's col shell."""
         size = _ERI_BATCH
         m = self.n_buffered if final else self.n_buffered // size * size
         if not m:
@@ -795,12 +791,14 @@ class Traversal:
             e = -0.5 * eri_elementwise(pairs, pairs, ia, ib)
             mu, nu, lam, sig = (pairs.i_shell[ia], pairs.j_shell[ia],
                                 pairs.i_shell[ib], pairs.j_shell[ib])
-            if self.qlog is not None:
-                self.qlog.extend(zip(mu.tolist(), nu.tolist(), lam.tolist(),
-                                     sig.tolist()))
             a = at[k] - lo
             row = np.where(tb[k], nu[a], mu[a])
             col = np.where(tk[k], lam[a], sig[a])
+            if self.qlog is not None:
+                log = ((mu, nu, lam, sig) if self.canonical else
+                       (row, np.where(tb[k], mu[a], nu[a]),
+                        np.where(tk[k], sig[a], lam[a]), col))
+                self.qlog.extend(zip(*(x.tolist() for x in log)))
             np.add.at(self.K.reshape(-1), row * len(self.K) + col,
                       e[a] * weight[k])
 

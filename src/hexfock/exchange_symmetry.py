@@ -115,17 +115,18 @@ def symmetrize_final(K_raw: np.ndarray) -> np.ndarray:
     asymmetry beyond rounding means a missing or double-counted symmetry
     update; that is a driver bug, not an input problem, and raises
     LogicError. Rounding grows with the entries, so the limit is
-    _SYMMETRY_TOL * max(1, max|K_raw|).
+    _SYMMETRY_TOL * max(1, max|K_raw|); an overflowed K_raw passes.
     """
     K_raw = np.asarray(K_raw, dtype=float)
     if not K_raw.size:
         return K_raw
     limit = _SYMMETRY_TOL * max(1.0, float(np.abs(K_raw).max()))
-    asym = float(np.abs(K_raw - K_raw.T).max())
+    with np.errstate(invalid="ignore"):  # an overflowed K: inf - inf is nan
+        asym = float(np.abs(K_raw - K_raw.T).max())
     if asym > limit:
         raise LogicError(f"asymmetry {asym:.3e} exceeds {limit:.1e}; "
                          "symmetry update set is inconsistent")
-    return 0.5 * (K_raw + K_raw.T)
+    return 0.5 * K_raw + 0.5 * K_raw.T  # halved first: no finite sum overflows
 
 
 def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,

@@ -3,8 +3,8 @@
 The references share the drivers' integral code, so a disagreement points at
 traversal or symmetry logic. ``dense_exchange`` evaluates every quartet with
 ``eri_cross``; ``dense_exchange_screened`` evaluates the quartets it keeps
-with ``eri_elementwise`` and screens on the pair table and (ij|ij) values of
-the one-leaf pair tree, under the drivers' screening contract
+with ``eri_elementwise`` and screens on the (ij|ij) values of the one-leaf
+pair tree, under the drivers' screening contract
 (``exchange_naive.check_screening``). Time grows as n_shells**4. Memory is
 bounded by _PRIM_BUDGET until a single bra pair against every ket pair
 exceeds it (about water:20); beyond that it grows as n_shells**2.
@@ -87,9 +87,9 @@ def dense_exchange_screened(system: BasisSystem, P: np.ndarray, tau_2e: float,
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise InvalidArgumentError("density dimension does not match system")
-    tree = build_pair_tree(system, build_partition(system, leaf_size=n))
-    pd = tree.pairs  # one leaf at base 0: pair a = i * n + j, row-major
-    f = np.sqrt(tree.diag)  # Schwarz factors (ij|ij)^1/2
+    pd = build_pair_data(system.shells, _all_pairs(system))  # a = i * n + j
+    # Schwarz factors (ij|ij)^1/2, from the one-leaf pair tree
+    f = np.sqrt(build_pair_tree(system, build_partition(system, n)).diag)
     p_abs = np.abs(P)
     K = np.zeros((n, n))
     skipped = 0.0

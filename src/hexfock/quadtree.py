@@ -10,10 +10,11 @@ traversal drivers rely on that.
 Shell-pair tree set-up works on the pairs that can survive: overlaps only
 for the candidate pairs a sweep finds within a provable radius, then a
 (leaves x leaves) table of the live leaf blocks. The root's pair table,
-with (ij|ij) values and primitive pair data for the canonical pairs of the
-live blocks only, is laid out from that table, and one recursion prunes,
-places and normalizes every node. ``shell_overlap_matrix`` forms the dense
-overlap matrix for callers that want it; the pair tree does not use it.
+the primitive pair data of each canonical (i <= j) pair of the live blocks
+once, is laid out from that table, with each leaf place's id in it and
+(ij|ij) value, and one recursion prunes, places and normalizes every
+node. ``shell_overlap_matrix`` forms the dense overlap matrix for callers
+that want it; the pair tree does not use it.
 The exchange engine keeps what it derives from a pair tree, one index
 object (exchange_naive.leaf_cache), in the root's ``cache`` only.
 """
@@ -178,7 +179,7 @@ class ShellPairNode(_Block):
     """
 
     __slots__ = ("diag_norm", "rowsum_max", "colsum_max", "pruned", "pairs",
-                 "base", "diag", "cache")
+                 "ids", "diag", "cache")
 
     def __init__(self, row: Span, col: Span):
         super().__init__(row, col, {})
@@ -186,10 +187,8 @@ class ShellPairNode(_Block):
         self.rowsum_max = 0.0
         self.colsum_max = 0.0
         self.pruned = False
-        self.pairs = None   # at the root: PairData of all surviving leaves
-        # at a surviving leaf: the first id of its block in that table, whose
-        # blocks run row-major by (row leaf, col leaf)
-        self.base = 0
+        self.pairs = None   # at the root: PairData of its canonical pairs
+        self.ids = None     # at a surviving leaf: each place's id in that table
         self.diag = None    # its block of the system's (ab|ab) matrix
         # at the root: the engine's index of the tree (exchange_naive.leaf_cache)
         self.cache = None
@@ -286,7 +285,8 @@ def build_pair_tree(system: BasisSystem, root: Span,
     only for the candidate pairs of ``_candidate_pairs``, as every other
     pair is provably below tau_ovlp. A (row leaf, col leaf) block is live
     iff it or its mirror holds a candidate at or above tau_ovlp. The root's
-    pair table and (ij|ij) values are laid out from that (leaves x leaves)
+    pair table, which holds each canonical pair once, and each leaf place's
+    id in it and (ij|ij) value are laid out from that (leaves x leaves)
     liveness table (``_pair_table``), and one recursion (``_build_pairs``)
     then builds the tree. No n x n array is formed. A negative or NaN
     tau_ovlp raises InvalidArgumentError.
@@ -304,8 +304,8 @@ def build_pair_tree(system: BasisSystem, root: Span,
     live = np.zeros((len(leaves), len(leaves)), dtype=bool)
     live[leaf_of[i], leaf_of[j]] = True
     live |= live.T
-    table, base, q = _pair_table(shells, leaves, live)
-    tree = _build_pairs(root, root, live, leaf_of.tolist(), base, q)
+    table, base, ids, q = _pair_table(shells, leaves, live)
+    tree = _build_pairs(root, root, live, leaf_of.tolist(), base, ids, q)
     tree.pairs = table
     return tree
 
@@ -314,10 +314,12 @@ def leaf_spans(span: Span) -> list:
     return [span] if span.is_leaf else leaf_spans(span.left) + leaf_spans(span.right)
 
 
-def _build_pairs(row: Span, col: Span, live, leaf_of, base, q) -> ShellPairNode:
+def _build_pairs(row: Span, col: Span, live, leaf_of, base, ids,
+                 q) -> ShellPairNode:
     """Pair node over (row, col), pruned iff its slice of ``live`` is all
-    False; a surviving leaf takes its ``base`` and its grid of ``q`` as
-    ``diag``, a live node its norms from its children's on the way up."""
+    False; a surviving leaf takes its blocks of ``ids`` and ``q``, from its
+    first place in ``base``, as ``ids`` and ``diag``, a live node its norms
+    from its children's on the way up."""
     node = ShellPairNode(row, col)
     rows = slice(leaf_of[row.shell_lo], leaf_of[row.shell_hi - 1] + 1)
     cols = slice(leaf_of[col.shell_lo], leaf_of[col.shell_hi - 1] + 1)
@@ -325,14 +327,17 @@ def _build_pairs(row: Span, col: Span, live, leaf_of, base, q) -> ShellPairNode:
         node.pruned = True
         return node
     if node.is_leaf:
-        node.base = int(base[rows.start, cols.start])
         shape = (row.n_functions, col.n_functions)
-        d = node.diag = q[node.base:node.base + shape[0] * shape[1]].reshape(shape)
+        at = base[rows.start, cols.start]
+        grid = slice(at, at + shape[0] * shape[1])
+        node.ids = ids[grid].reshape(shape)
+        d = node.diag = q[grid].reshape(shape)
         node.diag_norm = _frobenius(d)
         node.rowsum_max = float(d.sum(axis=1).max())
         node.colsum_max = float(d.sum(axis=0).max())
         return node
-    grid = [[_build_pairs(r, c, live, leaf_of, base, q) for c in col.children()]
+    grid = [[_build_pairs(r, c, live, leaf_of, base, ids, q)
+             for c in col.children()]
             for r in row.children()]
     node.children = {(a, b): ch for a, chs in enumerate(grid)
                      for b, ch in enumerate(chs)}
@@ -346,20 +351,20 @@ def _build_pairs(row: Span, col: Span, live, leaf_of, base, q) -> ShellPairNode:
 
 def _pair_table(shells, leaves, live):
     """Root pair table over the live blocks of ``live``, each block's first
-    id in it as a (leaves x leaves) array, and each pair's (ij|ij) value.
+    place as a (leaves x leaves) array, and each place's pair id and (ij|ij)
+    value.
 
-    Each block's (row shell, col shell) grid is row-major from its first id,
-    the blocks row-major by (row leaf, col leaf); a one-leaf tree's pair
-    i*n + j is shell pair (i, j). build_pair_data and then diagonal_values
-    run once per canonical (i <= j) pair of the table, _PAIR_CHUNK pairs at
-    a time, and each piece is copied into arrays of the full table's size:
-    set-up then holds the table and one piece, not the temporaries of one
-    call over every pair or a second copy made by joining the pieces. A pair
-    (i, j) and its mirror (j, i) share p, center and weight, which are
-    symmetric in the two primitives, so the mirror takes the canonical rows
-    in transposed primitive order and the table is bytewise build_pair_data
-    over its pair list. Each leaf's diag is its grid's row-major block of q,
-    so mirrored leaves are exact transposes.
+    A place is a (row shell, col shell) of a live block: each block's grid
+    is row-major from its first place, the blocks row-major by (row leaf,
+    col leaf). The table holds each canonical (i <= j) pair once, numbered
+    in the order of its own place, and a place (j, i) takes the id of its
+    mirror (i, j). build_pair_data and then diagonal_values run over
+    _PAIR_CHUNK pairs of the table at a time, each piece copied into arrays
+    of the full table's size: set-up then holds the table and one piece,
+    not the temporaries of one call over every pair or a second copy made
+    by joining the pieces, and the table is bytewise build_pair_data over
+    its pair list. Each leaf's diag is its grid's row-major block of the
+    places' values, so mirrored leaves are exact transposes.
     """
     n_prim = np.array([len(sh.exponents) for sh in shells], dtype=np.intp)
     first, size = np.array([(lf.shell_lo, lf.n_functions) for lf in leaves],
@@ -373,12 +378,15 @@ def _pair_table(shells, leaves, live):
     k = np.arange(len(block)) - start[block]
     i_shell = r0[block] + k // nc[block]
     j_shell = c0[block] + k % nc[block]
-    # each canonical pair's id in the table, and its mirror's
+    # each canonical pair's own place, and its mirror's
     own = np.flatnonzero(i_shell <= j_shell)
     block = block[own]
     mirrored = (base[cl, rl][block] + (j_shell[own] - c0[block]) * nr[block]
                 + i_shell[own] - r0[block])
-    del block, k
+    ids = np.empty(len(i_shell), dtype=np.intp)
+    ids[own] = ids[mirrored] = np.arange(len(own))
+    i_shell, j_shell = i_shell[own], j_shell[own]
+    del block, k, own, mirrored
     offsets = np.zeros(len(i_shell) + 1, dtype=np.intp)
     np.cumsum(n_prim[i_shell] * n_prim[j_shell], out=offsets[1:])
     n = offsets[-1]
@@ -386,21 +394,13 @@ def _pair_table(shells, leaves, live):
                      p=np.empty(n), center=np.empty((n, 3)),
                      weight=np.empty(n))
     q = np.empty(len(i_shell))
-    for lo in range(0, len(own), _PAIR_CHUNK):
-        ids = own[lo:lo + _PAIR_CHUNK]
-        mids = mirrored[lo:lo + _PAIR_CHUNK]
-        piece = build_pair_data(shells, np.column_stack((i_shell[ids],
-                                                         j_shell[ids])))
-        q[ids] = q[mids] = diagonal_values(piece)
-        pair = np.repeat(np.arange(piece.n_pairs), np.diff(piece.offsets))
-        k = np.arange(len(piece.p)) - piece.offsets[pair]
-        nb = n_prim[j_shell[ids]][pair]
-        # row-major (alpha_i, beta_j) in the pair's own block, (beta_j,
-        # alpha_i) in its mirror's
-        for rows in (offsets[ids][pair] + k,
-                     offsets[mids][pair] + k % nb * n_prim[i_shell[ids]][pair]
-                     + k // nb):
-            table.p[rows] = piece.p
-            table.center[rows] = piece.center
-            table.weight[rows] = piece.weight
-    return table, base, q
+    for lo in range(0, len(i_shell), _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, len(i_shell))
+        piece = build_pair_data(shells, np.column_stack((i_shell[lo:hi],
+                                                         j_shell[lo:hi])))
+        q[lo:hi] = diagonal_values(piece)
+        rows = slice(offsets[lo], offsets[hi])
+        table.p[rows] = piece.p
+        table.center[rows] = piece.center
+        table.weight[rows] = piece.weight
+    return table, base, ids, q[ids]

@@ -198,9 +198,10 @@ def test_negative_density_file_count_exits_2(tmp_path, capsys):
     assert "N=-1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e308])
 def test_overflowing_density_exits_2(tmp_path, capsys, scale):
-    # finite density values whose K norms overflow double precision
+    # finite density values whose K norms overflow double precision; at
+    # 1e308 the file's own symmetrization passes max/2 on the way
     dens = tmp_path / "p.txt"
     write_density_file(dens, scale * build_density(generate_cluster(2, seed=3),
                                                    DensityModel()))
@@ -341,12 +342,16 @@ def test_series_case_counts_only_for_symmetry():
                for c in ("A", "B", "E", "H", "SPARSE")) > 0
 
 
-def test_main_series_to_file(tmp_path):
+def test_main_series_to_file(tmp_path, capsys):
+    # the CSV goes to --out when given, else to stdout
     out = tmp_path / "series.csv"
     assert main(["--series", "1", "--out", str(out)]) == 0
-    rows = list(csv.reader(io.StringIO(out.read_text())))
-    assert rows[0] == SERIES_COLUMNS
-    assert len(rows) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["--series", "1"]) == 0
+    for text in (out.read_text(), capsys.readouterr().out):
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == SERIES_COLUMNS
+        assert len(rows) == 3
 
 
 def test_module_entry_point_runs_once_without_warning(tmp_path):

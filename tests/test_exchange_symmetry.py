@@ -93,6 +93,9 @@ def test_symmetrize_final_paths():
     bad[0, 1] += 1e-3
     with pytest.raises(LogicError):
         symmetrize_final(bad)
+    # finite entries past max/2 fold to themselves, not to inf
+    huge = np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+    assert np.array_equal(symmetrize_final(huge), huge)
 
 
 def test_symmetrize_tolerance_scales_with_k():

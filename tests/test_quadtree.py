@@ -339,66 +339,67 @@ def _surviving_leaves(node):
 
 
 def test_pair_table_ids_index_the_root_table():
-    # the tables of leaf_cache's index of the tree, slot s holding the leaf
-    # t.leaves[s], in both orientations: orientation 0 has a row per
-    # row shell (density index) and a column per col shell (free index),
-    # orientation 1 the other way round. Each pair row is a permutation of
-    # the leaf's grid row (grid column) of root-table ids, ordered so that
-    # sq, the Schwarz factor at each id's grid place, does not increase
-    # along it; tail holds sq's suffix sums; m counts the leaf's pairs; flip
-    # marks the places of a diagonal leaf whose pair lies below the diagonal
-    # and no other, not even on a leaf below the diagonal; the padding up to
-    # the longest leaf span w is zero
+    # the root's table holds each canonical (i <= j) pair once, and every
+    # place of a surviving leaf names its pair's id there, a mirrored place
+    # its mirror's. The tables of leaf_cache's index of the tree, by slot
+    # (t.slot of each surviving leaf's node), in both orientations:
+    # orientation 0 has a row per row shell (density index) and a column
+    # per col shell (free index), orientation 1 the other way round. Each
+    # pair row is a permutation of the leaf's grid row (grid column) of
+    # ids, ordered so that sq, the Schwarz factor at each place, does not
+    # increase along it; tail holds sq's suffix sums; m counts the leaf's
+    # pairs; flip marks exactly the places whose row shell comes after their
+    # col shell, on every leaf; the padding up to the longest leaf span w is
+    # zero
     system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     table = pairs.pairs
+    assert (table.i_shell <= table.j_shell).all()
+    assert len(set(zip(table.i_shell.tolist(), table.j_shell.tolist()))) \
+        == table.n_pairs
     nodes = flatten(pairs)[0]
     t = exchange_naive.leaf_cache(pairs)
     w = t.width
-    n = len(t.leaves)
+    leaves = [nodes[i] for i in np.flatnonzero(t.slot >= 0)]
+    n = len(leaves)
+    assert np.array_equal(t.slot[t.slot >= 0], np.arange(n))
     assert t.sq.shape == t.pair.shape == t.flip.shape == (n, 2, w, w)
     assert t.flip.dtype == bool
     assert t.tail.shape == (n, 2, w, w + 1) and t.m.shape == (n,)
-    leaves = [nodes[i] for i in t.leaves]
     assert ({id(leaf) for leaf in leaves}
             == {id(leaf) for leaf in _surviving_leaves(pairs)})
+    by_span = {(leaf.row.shell_lo, leaf.col.shell_lo): leaf for leaf in leaves}
     for s, leaf in enumerate(leaves):
         assert not leaf.pruned
         nr, nc = leaf.row.n_functions, leaf.col.n_functions
-        rows = leaf.row.shell_lo + np.arange(nr)
-        cols = leaf.col.shell_lo + np.arange(nc)
-        grid = leaf.base + np.arange(nr * nc).reshape(nr, nc)
-        assert np.array_equal(table.i_shell[grid],
-                              np.broadcast_to(rows[:, None], (nr, nc)))
-        assert np.array_equal(table.j_shell[grid],
-                              np.broadcast_to(cols[None, :], (nr, nc)))
+        ii, jj = np.mgrid[leaf.row.shell_lo:leaf.row.shell_hi,
+                          leaf.col.shell_lo:leaf.col.shell_hi]
+        ids = leaf.ids
+        assert ids.shape == (nr, nc)
+        assert np.array_equal(table.i_shell[ids], np.minimum(ii, jj))
+        assert np.array_equal(table.j_shell[ids], np.maximum(ii, jj))
+        mirror = by_span[leaf.col.shell_lo, leaf.row.shell_lo]
+        assert np.array_equal(ids, mirror.ids.T)
         sq, pair, tail = t.sq[s], t.pair[s], t.tail[s]
         flip = t.flip[s]
         q = np.sqrt(leaf.diag)
         assert t.m[s] == nr * nc
-        for o, ids in ((0, grid), (1, grid.T)):
-            a, b = ids.shape
-            assert np.array_equal(np.sort(pair[o, :a, :b], axis=1), ids)
-            i = table.i_shell[pair[o, :a, :b]] - leaf.row.shell_lo
-            j = table.j_shell[pair[o, :a, :b]] - leaf.col.shell_lo
-            assert np.array_equal(sq[o, :a, :b], q[i, j])
-            lower = (table.i_shell[pair[o, :a, :b]]
-                     > table.j_shell[pair[o, :a, :b]])
+        for o, (grid, below) in enumerate(((ids, ii > jj), (ids.T, (ii > jj).T))):
+            a, b = grid.shape
+            # each place of the sorted row, as its place in the unsorted one
+            at = np.array([[np.flatnonzero(grid[r] == x)[0] for x in row]
+                           for r, row in enumerate(pair[o, :a, :b])])
+            assert np.array_equal(np.sort(at, axis=1),
+                                  np.broadcast_to(np.arange(b), (a, b)))
+            assert np.array_equal(sq[o, :a, :b],
+                                  np.take_along_axis((q, q.T)[o], at, axis=1))
             assert np.array_equal(flip[o, :a, :b],
-                                  lower & (leaf.row is leaf.col))
+                                  np.take_along_axis(below, at, axis=1))
             for x in (sq, pair, flip):
                 assert not x[o, a:].any() and not x[o, :, b:].any()
         assert (np.diff(sq, axis=2) <= 0).all()
         suffix = np.stack([sq[..., k:].sum(axis=2)
                            for k in range(w + 1)], axis=2)
         np.testing.assert_allclose(tail, suffix, rtol=1e-14, atol=0)
-        if leaf.row is leaf.col:
-            # the symmetry driver reads a pair below the diagonal as its
-            # mirror, found at the same place of the other orientation
-            assert sq[0].tobytes() == sq[1].tobytes()
-            assert np.array_equal(table.i_shell[pair[1, :nr, :nr]],
-                                  table.j_shell[pair[0, :nr, :nr]])
-            assert np.array_equal(table.j_shell[pair[1, :nr, :nr]],
-                                  table.i_shell[pair[0, :nr, :nr]])
     assert any(leaf.row is leaf.col for leaf in leaves) and t.flip.any()
     assert any(leaf.row.shell_lo > leaf.col.shell_lo for leaf in leaves)
     assert any(leaf.row.n_functions != leaf.col.n_functions
@@ -407,14 +408,17 @@ def test_pair_table_ids_index_the_root_table():
 
 def test_chunked_pair_table_equals_one_build():
     # the root's table is built in _PAIR_CHUNK-sized pieces; joined, they
-    # must be bitwise one build_pair_data call over the same pair list
-    system, pairs, _, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
+    # must be bitwise one build_pair_data call over the same pair list: the
+    # canonical places of the live blocks, the blocks row-major by (row
+    # leaf, col leaf) and each block's grid row-major
+    system, pairs, _, _ = build_setup(14, tau_ovlp=1e-11, leaf_size=3)
     grids = []
-    for leaf in sorted(_surviving_leaves(pairs), key=lambda lf: lf.base):
-        assert leaf.base == sum(len(g) for g in grids)
+    for leaf in sorted(_surviving_leaves(pairs),
+                       key=lambda lf: (lf.row.shell_lo, lf.col.shell_lo)):
         ii, jj = np.mgrid[leaf.row.shell_lo:leaf.row.shell_hi,
                           leaf.col.shell_lo:leaf.col.shell_hi]
-        grids.append(np.column_stack((ii.ravel(), jj.ravel())))
+        grid = np.column_stack((ii.ravel(), jj.ravel()))
+        grids.append(grid[grid[:, 0] <= grid[:, 1]])
     pair_list = np.concatenate(grids)
     assert len(pair_list) > 2 * _PAIR_CHUNK
     want = build_pair_data(system.shells, pair_list)
