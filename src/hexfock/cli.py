@@ -195,6 +195,31 @@ def _execute(config: RunConfig, mode: str, system, P):
                                      dict.fromkeys(CASE_LABELS, 0))
 
 
+class _Overflow(InvalidArgumentError):
+    """A density whose K, K's norm or culled-bound ledger overflows."""
+
+
+def _checked(config: RunConfig, mode: str, system, P):
+    """_execute with overflow checked, the one path of single runs and
+    series; returns (K, counters_dict, case_occurrences, wall seconds, K's
+    Frobenius norm). Raises _Overflow, an InvalidArgumentError, when K's
+    norm or the culled-bound ledger is not finite: P's magnitude overflows
+    double precision on the way."""
+    t0 = time.perf_counter()
+    with np.errstate(over="ignore"):  # checked below
+        K, counters, cases = _execute(config, mode, system, P)
+        wall = time.perf_counter() - t0
+        k_frobenius = float(np.linalg.norm(K))  # not finite if K overflows
+    ledger = counters.get("culled_bound_ledger",
+                          counters.get("skipped_bound_sum", 0.0))
+    if not (math.isfinite(k_frobenius) and math.isfinite(ledger)):
+        raise _Overflow(
+            f"density magnitude max|P| = {float(np.abs(P).max()):.3e} "
+            "overflows double precision in K, its norm or the culled-bound "
+            "ledger; rescale the density")
+    return K, counters, cases, wall, k_frobenius
+
+
 def run(config: RunConfig) -> dict:
     """Execute one configured build and return the report dictionary."""
     config.validate()
@@ -206,18 +231,8 @@ def run(config: RunConfig) -> dict:
             raise InvalidArgumentError(
                 f"{flag} {mode}: the system has {system.n_shells} shells, "
                 f"above the dense-oracle limit of {DENSE_MAX_SHELLS} shells")
-    t0 = time.perf_counter()
-    with np.errstate(over="ignore"):  # checked below
-        K, counters, cases = _execute(config, config.mode, system, P)
-        wall = time.perf_counter() - t0
-        k_frobenius = float(np.linalg.norm(K))  # not finite if K overflows
-    ledger = counters.get("culled_bound_ledger",
-                          counters.get("skipped_bound_sum", 0.0))
-    if not (math.isfinite(k_frobenius) and math.isfinite(ledger)):
-        raise InvalidArgumentError(
-            f"density magnitude max|P| = {float(np.abs(P).max()):.3e} "
-            "overflows double precision in K, its norm or the culled-bound "
-            "ledger; rescale the density")
+    K, counters, cases, wall, k_frobenius = _checked(config, config.mode,
+                                                     system, P)
     report = {
         "schema_version": SCHEMA_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -235,7 +250,7 @@ def run(config: RunConfig) -> dict:
         "comparison": None,
     }
     if config.reference is not None:
-        K_ref, _, _ = _execute(config, config.reference, system, P)
+        K_ref = _checked(config, config.reference, system, P)[0]
         report["comparison"] = {"reference_mode": config.reference,
                                 **asdict(compare(K, K_ref))}
     return report
@@ -247,7 +262,8 @@ def scaling_series(config: RunConfig, sizes, stream) -> None:
     One row per (size, mode) with the configured screening regime; both
     drivers run at each size so the naive/symmetry time ratio is available.
     A failure mid-series leaves the rows written so far in place and appends
-    a trailing error record.
+    a trailing error record; it is raised as a RuntimeError, except an
+    overflowing density, raised as the single run raises it (_checked).
     """
     sizes = list(sizes)
     config.validate(sizes)
@@ -256,19 +272,18 @@ def scaling_series(config: RunConfig, sizes, stream) -> None:
     for n in sizes:
         try:
             system, _, P = _build_inputs(replace(config, system=f"water:{n}"))
-            results = {}
-            for mode in ("naive", "symmetry"):
-                t0 = time.perf_counter()
-                _, counters, cases = _execute(config, mode, system, P)
-                results[mode] = (time.perf_counter() - t0, counters, cases)
+            results = {mode: _checked(config, mode, system, P)[1:]
+                       for mode in ("naive", "symmetry")}
         except Exception as exc:
             writer.writerow(["ERROR", f"size {n}: {exc}"])
+            if isinstance(exc, _Overflow):
+                raise
             # a mid-series failure is a runtime failure even when the root
             # cause is an input problem only visible at this size
             raise RuntimeError(f"series failed at size {n}: {exc}") from exc
-        ratio = results["naive"][0] / max(results["symmetry"][0], 1e-12)
+        ratio = results["naive"][2] / max(results["symmetry"][2], 1e-12)
         for mode in ("naive", "symmetry"):
-            wall, counters, cases = results[mode]
+            counters, cases, wall, _ = results[mode]
             culled = counters["tasks_culled_screening"] \
                 + counters["tasks_culled_absent"]
             writer.writerow(

@@ -10,10 +10,10 @@ otherwise it expands into the child tasks of the blocked contraction, each
 surviving link following its own density child.
 
 Bra and ket nodes come from one pair tree, read through one index object
-that leaf_cache builds on the tree's first build, in one flatten pass: node
-arrays, and factor tables for every live leaf laid out by orientation
-(density index on the row span, or on the col span), each row of factors
-sorted in descending order. The walk runs in bounded array passes over it:
+that leaf_cache builds on the tree's first build from the tree's node
+arrays: those arrays, and factor tables for every live leaf laid out by
+orientation (density index on the row span, or on the col span), each row
+of factors sorted in descending order. The walk runs in bounded array passes over it:
 frontier pieces of tasks are screened per link in vector form, and leaf
 tasks in groups, each live link over its own density leaf block. A leaf
 task's work follows the quartets it keeps, not its (mu nu|lam sig) block: a
@@ -169,11 +169,12 @@ def culled_task_bound(bra_sum, p_norm, ket_sum):
 
 
 class _PairIndex:
-    """The engine's index of a pair tree, built by leaf_cache in one flatten
-    pass; it holds no node, so caching it on the root makes no cycle. Its
-    node arrays name a span by its first shell, unique on its tree level;
-    live leaves have table slots, in node order. ``pairs`` is the root's
-    pair table and ``width`` (w) the longest leaf span.
+    """The engine's index of a pair tree, built by leaf_cache from the
+    tree's node arrays (quadtree._pair_nodes), which it shares; it holds no
+    node, so caching it on the root makes no cycle. Its node arrays name a
+    span by its first shell, unique on its tree level; live leaves have
+    table slots, in node order. ``pairs`` is the root's pair table and
+    ``width`` (w) the longest leaf span.
 
     m is the number of pairs of each slot. Each table is laid out by slot
     and orientation, (slots, 2, w, w): orientation 0 has one row per
@@ -189,29 +190,28 @@ class _PairIndex:
     query a prefix of each row."""
 
     def __init__(self, root: ShellPairNode):
-        nodes, self.child = flatten(root)
-        self.pairs = root.pairs
-        self.row, self.col = np.array([(n.row.shell_lo, n.col.shell_lo)
-                                       for n in nodes], dtype=np.intp).T
-        self.leaf, self.pruned = np.array([(n.is_leaf, n.pruned)
-                                           for n in nodes]).T
-        f, self.rowsum, self.colsum = np.array(
-            [(n.diag_norm, n.rowsum_max, n.colsum_max) for n in nodes]).T
-        self.f = np.sqrt(f)
+        t = root._arrays
+        self.pairs, self.child, self.row, self.col = (root.pairs, t.child,
+                                                      t.row, t.col)
+        self.leaf, self.pruned = t.leaf, t.pruned
+        self.f, self.rowsum, self.colsum = (np.sqrt(t.diag_norm), t.rowsum,
+                                            t.colsum)
         leaves = np.flatnonzero(self.leaf & ~self.pruned)  # by slot
-        self.slot = np.full(len(nodes), -1, dtype=np.intp)
+        self.slot = np.full(len(self.leaf), -1, dtype=np.intp)
         self.slot[leaves] = np.arange(len(leaves))
         w = self.width = max(s.n_functions for s in leaf_spans(root.row))
         shape = (len(leaves), 2, w, w)
         sq = np.zeros(shape)
         # int32 pair ids: a root table of 2^31 pairs would fill 100 GB
         pair = np.zeros(shape, dtype=np.int32)
-        size = np.zeros((len(leaves), 2), dtype=np.intp)
-        for s, leaf in enumerate(nodes[i] for i in leaves.tolist()):
-            q = np.sqrt(leaf.diag)
-            nr, nc = size[s] = q.shape
+        size = np.column_stack((t.nr[leaves], t.nc[leaves]))
+        for s, (at, nr, nc) in enumerate(zip(t.at[leaves].tolist(),
+                                             *size.T.tolist())):
+            grid = slice(at, at + nr * nc)
+            q = np.sqrt(t.q[grid]).reshape(nr, nc)
+            ids = t.ids[grid].reshape(nr, nc)
             sq[s, 0, :nr, :nc], sq[s, 1, :nc, :nr] = q, q.T
-            pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = leaf.ids, leaf.ids.T
+            pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = ids, ids.T
         # each slot's row and col shells, -1 and n in the padding, which
         # then flips nowhere
         x, n = np.arange(w), root.row.shell_hi

@@ -209,6 +209,25 @@ def test_overflowing_density_exits_2(tmp_path, capsys, scale):
     assert "density magnitude" in capsys.readouterr().err
 
 
+def test_overflowing_density_series_exits_2(tmp_path, capsys):
+    # the series takes the single run's checked path: no overflow warning,
+    # exit 2 with the same message, and the CSV ends in an error record
+    dens = tmp_path / "p.txt"
+    write_density_file(dens, 1e308 * build_density(generate_cluster(2, seed=3),
+                                                   DensityModel()))
+    out = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--series", "2", "--density", f"file:{dens}",
+                     "--out", str(out)])
+    assert code == 2
+    assert "rescale the density" in capsys.readouterr().err
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == SERIES_COLUMNS
+    assert len(rows) == 2 and rows[1][0] == "ERROR"
+    assert rows[1][1].startswith("size 2: density magnitude")
+
+
 @pytest.mark.parametrize("mode", ["naive", "symmetry"])
 def test_far_apart_atoms_run_without_warnings(tmp_path, mode):
     # |A - B|^2 overflows between these centers; the pair weight is then

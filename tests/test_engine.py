@@ -356,26 +356,33 @@ def test_leaf_cache_keeps_one_table_set_on_the_root(monkeypatch, order):
 @pytest.mark.parametrize("order", [("naive", "symmetry"),
                                    ("symmetry", "naive")],
                          ids=["naive-first", "symmetry-first"])
-def test_a_fresh_pair_tree_is_flattened_once(monkeypatch, order):
+def test_a_fresh_pair_tree_is_indexed_once(monkeypatch, order):
     # a pair tree's first build makes its one index object, node arrays and
-    # leaf tables alike, from one flatten pass over it; later builds, by
-    # either driver, read that object back and flatten only the density tree
+    # leaf tables alike, from the tree's node arrays, with no flatten pass
+    # and no child view; later builds, by either driver, read that object
+    # back, and every build flattens only the density tree
     system, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
     tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
-    calls = []
+    indexed, flattened = [], []
+
+    def indexing(root):
+        indexed.append(root)
+        return index_type(root)
 
     def counting(root):
-        calls.append(root)
+        flattened.append(root)
         return flatten(root)
 
+    index_type = exchange_naive._PairIndex
+    monkeypatch.setattr(exchange_naive, "_PairIndex", indexing)
     monkeypatch.setattr(exchange_naive, "flatten", counting)
     for driver, n in zip(order + order, (1, 0, 0, 0)):
-        calls.clear()
+        indexed.clear()
+        flattened.clear()
         _build(driver, tree, P_tree)
-        assert [root is tree for root in calls].count(True) == n
-        assert [root is P_tree for root in calls].count(True) == 1
-        assert len(calls) == n + 1
-    assert not hasattr(tree, "flat")
+        assert len(indexed) == n and all(root is tree for root in indexed)
+        assert len(flattened) == 1 and flattened[0] is P_tree
+    assert tree._children is None
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hexfock import (build_exchange_naive, build_exchange_symmetric,
 from hexfock.basis import Atom, BasisSystem, GaussianShell, generate_cluster
 from hexfock.integrals import (InvalidArgumentError, build_pair_data,
                                diagonal_values, eri_quartet, overlap)
-from hexfock.quadtree import (_PAIR_CHUNK, _candidate_pairs,
+from hexfock.quadtree import (_PRIM_CHUNK, _candidate_pairs,
                               build_matrix_tree, build_pair_tree,
                               build_partition, flatten, shell_overlap_matrix)
 
@@ -406,27 +406,45 @@ def test_pair_table_ids_index_the_root_table():
                for leaf in leaves)
 
 
-def test_chunked_pair_table_equals_one_build():
-    # the root's table is built in _PAIR_CHUNK-sized pieces; joined, they
-    # must be bitwise one build_pair_data call over the same pair list: the
-    # canonical places of the live blocks, the blocks row-major by (row
-    # leaf, col leaf) and each block's grid row-major
-    system, pairs, _, _ = build_setup(14, tau_ovlp=1e-11, leaf_size=3)
-    grids = []
-    for leaf in sorted(_surviving_leaves(pairs),
-                       key=lambda lf: (lf.row.shell_lo, lf.col.shell_lo)):
-        ii, jj = np.mgrid[leaf.row.shell_lo:leaf.row.shell_hi,
-                          leaf.col.shell_lo:leaf.col.shell_hi]
-        grid = np.column_stack((ii.ravel(), jj.ravel()))
-        grids.append(grid[grid[:, 0] <= grid[:, 1]])
-    pair_list = np.concatenate(grids)
-    assert len(pair_list) > 2 * _PAIR_CHUNK
-    want = build_pair_data(system.shells, pair_list)
-    got = pairs.pairs
-    for name in ("i_shell", "j_shell", "offsets", "p", "center", "weight"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+def test_chunked_pair_table_equals_one_build(monkeypatch):
+    # the root's table is built in passes of whole pairs, each as many as
+    # fit in _PRIM_CHUNK primitive pairs, or one pair that holds more;
+    # joined, they must be bitwise one build_pair_data call over the same
+    # pair list: the canonical places of the live blocks, the blocks
+    # row-major by (row leaf, col leaf) and each block's grid row-major.
+    # The real chunk makes three passes at water:30; a chunk of 4 is below
+    # a 9-primitive pair, which then is a pass alone
+    passes = []
+
+    def recorded(shells, pair_list):
+        passes.append(build_pair_data(shells, pair_list))
+        return passes[-1]
+
+    monkeypatch.setattr(quadtree, "build_pair_data", recorded)
+    for n_molecules, chunk in ((30, _PRIM_CHUNK), (14, 4)):
+        monkeypatch.setattr(quadtree, "_PRIM_CHUNK", chunk)
+        passes.clear()
+        system, pairs, _, _ = build_setup(n_molecules, tau_ovlp=1e-11,
+                                          leaf_size=3)
+        grids = []
+        for leaf in sorted(_surviving_leaves(pairs),
+                           key=lambda lf: (lf.row.shell_lo, lf.col.shell_lo)):
+            ii, jj = np.mgrid[leaf.row.shell_lo:leaf.row.shell_hi,
+                              leaf.col.shell_lo:leaf.col.shell_hi]
+            grid = np.column_stack((ii.ravel(), jj.ravel()))
+            grids.append(grid[grid[:, 0] <= grid[:, 1]])
+        pair_list = np.concatenate(grids)
+        want = build_pair_data(system.shells, pair_list)
+        assert want.offsets[-1] > 2 * chunk and len(passes) > 2
+        assert all(p.offsets[-1] <= chunk or p.n_pairs == 1 for p in passes)
+        assert all(p.offsets[-1] + q.offsets[1] > chunk
+                   for p, q in zip(passes, passes[1:]))
+        assert any(p.offsets[-1] > chunk for p in passes) == (chunk == 4)
+        got = pairs.pairs
+        for name in ("i_shell", "j_shell", "offsets", "p", "center", "weight"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_fully_pruned_tree_has_an_empty_pair_table():
@@ -447,17 +465,232 @@ def test_fully_pruned_tree_has_an_empty_pair_table():
 
 def test_tree_builds_leave_no_reference_cycles():
     # a cycle would keep the builds' arrays alive until the cyclic collector
-    # runs; plain recursion leaves none
+    # runs; plain recursion leaves none, and neither do a pair tree's views,
+    # every one of them made (flatten reads each view's children)
     system, _, _, P = build_setup(10, tau_ovlp=1e-11, leaf_size=3)
     gc.collect()
     gc.disable()
     try:
         part = build_partition(system, leaf_size=3)
-        build_pair_tree(system, part, tau_ovlp=1e-11)
+        tree = build_pair_tree(system, part, tau_ovlp=1e-11)
+        assert len(flatten(tree)[0]) == len(tree._arrays.leaf)
+        exchange_naive.leaf_cache(tree)
+        del tree
         build_matrix_tree(P, part)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ----------------------------------------- array-built tree and its views
+
+class _RefNode:
+    """A node of the recursive reference build: what a view shows."""
+
+    def __init__(self, row, col):
+        self.row, self.col, self.children = row, col, {}
+        self.is_leaf = row.is_leaf and col.is_leaf
+        self.diag_norm = self.rowsum_max = self.colsum_max = 0.0
+        self.pruned = False
+        self.ids = self.diag = None
+
+
+def _rss(values):
+    return math.sqrt(math.fsum(v * v for v in values))
+
+
+def _frobenius(block):
+    with np.errstate(over="ignore"):
+        squares = block.astype(float) ** 2
+    return math.sqrt(math.fsum(squares.ravel().tolist()))
+
+
+def _build_pairs(row, col, live, leaf_of, base, ids, q):
+    """The pair tree as one recursion built it, one object per node: pruned
+    iff its slice of ``live`` is all False; a surviving leaf takes its
+    blocks of ``ids`` and ``q``, from its first place in ``base``, as
+    ``ids`` and ``diag``, a live node its norms from its children's on the
+    way up."""
+    node = _RefNode(row, col)
+    rows = slice(leaf_of[row.shell_lo], leaf_of[row.shell_hi - 1] + 1)
+    cols = slice(leaf_of[col.shell_lo], leaf_of[col.shell_hi - 1] + 1)
+    if not live[rows, cols].any():
+        node.pruned = True
+        return node
+    if node.is_leaf:
+        shape = (row.n_functions, col.n_functions)
+        at = base[rows.start, cols.start]
+        grid = slice(at, at + shape[0] * shape[1])
+        node.ids = ids[grid].reshape(shape)
+        d = node.diag = q[grid].reshape(shape)
+        node.diag_norm = _frobenius(d)
+        node.rowsum_max = float(d.sum(axis=1).max())
+        node.colsum_max = float(d.sum(axis=0).max())
+        return node
+    grid = [[_build_pairs(r, c, live, leaf_of, base, ids, q)
+             for c in col.children()]
+            for r in row.children()]
+    node.children = {(a, b): ch for a, chs in enumerate(grid)
+                     for b, ch in enumerate(chs)}
+    # a pruned child's norms are 0, which leaves each exact sum unchanged
+    node.diag_norm = _rss(ch.diag_norm for ch in node.children.values())
+    node.rowsum_max = max(math.fsum(ch.rowsum_max for ch in chs)
+                          for chs in grid)
+    node.colsum_max = max(math.fsum(ch.colsum_max for ch in chs)
+                          for chs in zip(*grid))
+    return node
+
+
+def _node_record(node):
+    return (node.row.shell_lo, node.row.shell_hi, node.col.shell_lo,
+            node.col.shell_hi, node.is_leaf, node.pruned,
+            *(float.hex(x) for x in (node.diag_norm, node.rowsum_max,
+                                     node.colsum_max)))
+
+
+def _assert_tree_matches_reference(system, leaf_size, tau):
+    # the array-built tree, through its node arrays and through its views,
+    # bitwise the recursive build over the same liveness table and places
+    part = build_partition(system, leaf_size=leaf_size)
+    tree = build_pair_tree(system, part, tau_ovlp=tau)
+    leaves = leaf_spans(part)
+    leaf_of, live = quadtree._live_blocks(system.shells, leaves, tau)
+    _, base, ids, q = quadtree._pair_table(system.shells, leaves, live)
+    ref_nodes, ref_child = flatten(_build_pairs(part, part, live,
+                                                leaf_of.tolist(), base, ids, q))
+    nodes, child = flatten(tree)
+    arrays = tree._arrays
+    assert child.tobytes() == ref_child.tobytes()
+    assert arrays.child.tobytes() == ref_child.tobytes()
+    assert [_node_record(n) for n in nodes] \
+        == [_node_record(n) for n in ref_nodes]
+    for name, attr in (("diag_norm", "diag_norm"), ("rowsum", "rowsum_max"),
+                       ("colsum", "colsum_max")):
+        assert list(map(float.hex, getattr(arrays, name).tolist())) \
+            == [float.hex(getattr(n, attr)) for n in ref_nodes]
+    assert arrays.pruned.tolist() == [n.pruned for n in ref_nodes]
+    assert arrays.leaf.tolist() == [n.is_leaf for n in ref_nodes]
+    for node, ref in zip(nodes, ref_nodes):
+        assert (node.ids is None) == (ref.ids is None)
+        if ref.ids is not None:
+            for a, b in ((node.ids, ref.ids), (node.diag, ref.diag)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 16),
+       st.sampled_from([1, 2, 3, 10, 40]),
+       st.sampled_from([0.0, 1e-11, 1e-6, 2.0]))
+def test_pair_tree_arrays_equal_the_recursive_build(n_molecules, seed,
+                                                    leaf_size, tau):
+    system, _ = hilbert_order(generate_cluster(n_molecules, seed=seed))
+    tree = _assert_tree_matches_reference(system, leaf_size, tau)
+    assert tree.pruned == (tau == 2.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-11, 1e-6, 2.0])
+def test_ragged_pair_tree_equals_the_recursive_build(tau):
+    # 13 shells at leaf 3: leaves of 3, 3, 3, 2 and 2 shells at depths 2
+    # and 3, so one level holds leaf and inner spans, and blocks of four
+    # shapes
+    system = _line_system(13, spacing=2.0)
+    part = build_partition(system, leaf_size=3)
+    assert [lf.n_functions for lf in leaf_spans(part)] == [3, 3, 3, 2, 2]
+    tree = _assert_tree_matches_reference(system, 3, tau)
+    pruned = [n.pruned for n in flatten(tree)[0]]
+    assert pruned[0] == (tau == 2.0)
+    assert any(pruned) == (tau > 0.0)
+
+
+def test_pair_tree_views_are_made_once_and_kept():
+    _, tree, _, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
+    assert tree._children is None  # no child view before the first access
+    children = tree.children
+    assert tree.children is children
+    for key, child in children.items():
+        assert tree.children[key] is child
+        assert child.children is child.children
+        for grandchild_key, grandchild in child.children.items():
+            assert child.children[grandchild_key] is grandchild
+
+
+@pytest.mark.parametrize("driver", ["naive", "symmetry"])
+def test_a_child_view_is_not_a_root(driver):
+    # only the root's view holds the pair table and the engine's index, even
+    # after a build has made that index; a diagonal child with a density
+    # tree over its own span passes the partition check, and both drivers
+    # reject it as not a root
+    _, tree, P_tree, P = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
+    build_exchange_symmetric(tree, P_tree, 1e-8)
+    assert tree.pairs is not None and tree.cache is not None
+    sub = tree.children[(0, 0)]
+    assert all(n.pairs is None and n.cache is None
+               for n in flatten(sub)[0])
+    lo, hi = sub.row.shell_lo, sub.row.shell_hi
+    P_sub = build_matrix_tree(P[lo:hi, lo:hi], sub.row)
+    with pytest.raises(InvalidArgumentError, match="roots of pair trees"):
+        if driver == "naive":
+            build_exchange_naive(sub, sub, P_sub)
+        else:
+            build_exchange_symmetric(sub, P_sub)
+
+
+def _flattened_index(root):
+    """exchange_naive._PairIndex's arrays as they were built from one
+    flatten pass over the tree's node objects, here its views."""
+    nodes, child = flatten(root)
+    x = {"child": child}
+    x["row"], x["col"] = np.array([(n.row.shell_lo, n.col.shell_lo)
+                                   for n in nodes], dtype=np.intp).T
+    x["leaf"], x["pruned"] = np.array([(n.is_leaf, n.pruned)
+                                       for n in nodes]).T
+    f, x["rowsum"], x["colsum"] = np.array(
+        [(n.diag_norm, n.rowsum_max, n.colsum_max) for n in nodes]).T
+    x["f"] = np.sqrt(f)
+    leaves = np.flatnonzero(x["leaf"] & ~x["pruned"])
+    x["slot"] = np.full(len(nodes), -1, dtype=np.intp)
+    x["slot"][leaves] = np.arange(len(leaves))
+    w = max(s.n_functions for s in leaf_spans(root.row))
+    shape = (len(leaves), 2, w, w)
+    sq = np.zeros(shape)
+    pair = np.zeros(shape, dtype=np.int32)
+    size = np.zeros((len(leaves), 2), dtype=np.intp)
+    for s, leaf in enumerate(nodes[i] for i in leaves.tolist()):
+        q = np.sqrt(leaf.diag)
+        nr, nc = size[s] = q.shape
+        sq[s, 0, :nr, :nc], sq[s, 1, :nc, :nr] = q, q.T
+        pair[s, 0, :nr, :nc], pair[s, 1, :nc, :nr] = leaf.ids, leaf.ids.T
+    xs, n = np.arange(w), root.row.shell_hi
+    rows = np.where(xs < size[:, :1], x["row"][leaves, None] + xs, -1)
+    cols = np.where(xs < size[:, 1:], x["col"][leaves, None] + xs, n)
+    flip = np.stack((rows[:, :, None] > cols[:, None, :],
+                     cols[:, :, None] < rows[:, None, :]), axis=1)
+    x["m"] = size.prod(axis=1)
+    order = np.argsort(-sq, axis=3, kind="stable")
+    x["sq"] = np.take_along_axis(sq, order, axis=3)
+    x["pair"] = np.take_along_axis(pair, order, axis=3)
+    x["flip"] = np.take_along_axis(flip, order, axis=3)
+    x["tail"] = np.zeros(shape[:3] + (w + 1,))
+    x["tail"][..., :-1] = np.cumsum(x["sq"][..., ::-1], axis=3)[..., ::-1]
+    return x
+
+
+@pytest.mark.parametrize("leaf_size", [3, 10, 40])
+@pytest.mark.parametrize("n_molecules", [10, 24, 30])
+def test_pair_index_equals_one_flatten_over_the_views(n_molecules, leaf_size):
+    # the engine's index reads the node arrays directly; each of its arrays
+    # is bytewise what one flatten pass over the node views gives
+    _, tree, _, _ = build_setup(n_molecules, tau_ovlp=1e-11,
+                                leaf_size=leaf_size)
+    index = exchange_naive.leaf_cache(tree)
+    want = _flattened_index(tree)
+    assert index.width == max(lf.n_functions for lf in leaf_spans(tree.row))
+    for name, b in want.items():
+        a = getattr(index, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # ------------------------------------------------ candidates and set-up work
