@@ -9,6 +9,15 @@ or when every link is absent or fails the blocked Almlof-Ahlrichs bound;
 otherwise it expands into the child tasks of the blocked contraction, each
 surviving link following its own density child.
 
+The canonical walk (exchange_symmetry's) walks a task and its bra-ket
+mirror as one: task {B, K} carries the links of (B, K) and, after them,
+those of (K, B), each with its own bra and ket, density child and screen;
+a self-mirror task (B = K) has only its own. Its counters tally each
+orientation from that orientation's own links, so they count the oriented
+tasks the two would be apart; an orientation whose links are all dead is
+not a task. Its children are the products of B's and K's children (a
+self-mirror task's child (j, i) is its child (i, j)'s mirror, i < j).
+
 Bra and ket nodes come from one pair tree, read through one index object
 that leaf_cache builds on the tree's first build from the tree's node
 arrays: those arrays, and factor tables for every live leaf laid out by
@@ -23,15 +32,19 @@ indices that can pass, a prefix of each sorted row, and only that box is
 tested per quartet, the rest summed in closed form. A box quartet is named
 by one flat index per side into the leaf tables, and its kept quartet by
 its canonical pairs' ids in the tree's root pair table, a side whose place
-lies below the diagonal read transposed; they are evaluated _ERI_BATCH at a
-time and added to K one at a time, the naive driver's in walk order (none
-can repeat), the symmetry driver's in the sorted order of each group's
-union (its four links can keep one quartet more than once).
+lies below the diagonal read transposed. Each kept quartet keeps its own K
+sink, row from its bra and column from its ket. The naive driver evaluates
+each as kept, in walk order (none can repeat); the canonical walk
+evaluates each group's swap-distinct quartets once, keyed lower pair id
+first, as its eight links keep a quartet in both orientations and can keep
+one more than once. They are evaluated _ERI_BATCH at a time and added to K
+one at a time, in the buffer's order.
 
 A build's inputs are one job, made once per build: its density arrays,
 slots, tau_2e, evaluate, counters class, case_label and whether to log.
 Its top levels are walked breadth-first until the frontier holds
-_SPLIT_TASKS tasks, then dealt out to two shares, task i to share i % 2.
+_SPLIT_TASKS oriented tasks, then dealt out to two shares, task i to
+share i % 2.
 Each share is walked depth-first by a Traversal of its own, built from
 the tree's index and the job, from a zero K and fresh counters. The
 caller walks share 0; where the process may run on two CPUs a worker
@@ -56,7 +69,8 @@ not end it. Being a fork, it sees this module's state (its kernels and
 constants) only as of that fork.
 
 The naive driver is this engine with one untransposed link over all ordered
-pairs; exchange_symmetry runs it with four links over canonical pairs.
+pairs; exchange_symmetry runs it with four links over canonical pairs, and
+four more for each task's mirror.
 """
 
 from __future__ import annotations
@@ -91,9 +105,10 @@ _ERI_BATCH = 4096
 # 64 bytes of indices, factors and bound, so a piece stays near 16 MB.
 _SCREEN_CHUNK = 1 << 18
 
-# Tasks per frontier piece of the walk. A piece's temporaries and the pieces
-# awaiting expansion, one per tree level, are (tasks x links) arrays of 8
-# bytes: 128 KB each at 2^12 tasks with four links.
+# Oriented tasks per frontier piece of the walk. A piece's temporaries and
+# the pieces awaiting expansion, one per tree level, are (tasks x links)
+# arrays of 8 bytes: 128 KB each at 2^12 oriented tasks of four links, that
+# is 2^11 canonical tasks, each with its mirror's four links too.
 _WALK_PIECE = 1 << 12
 
 # Density entries a slice of leaf tasks prefilters at once (2^14 float64
@@ -104,10 +119,19 @@ _WALK_PIECE = 1 << 12
 _LEAF_GROUP = 1 << 14
 
 # A build's frontier is dealt out to its two shares once it holds
-# _SPLIT_TASKS tasks. A smaller build costs more in a request to the kept
-# worker than it saves: forced, warm water:2 builds at leaf 10 (2-core host)
-# went from 1.11 to 1.28 ms (symmetry) and 1.20 to 1.38 ms (naive).
+# _SPLIT_TASKS oriented tasks. A smaller build costs more in a request to
+# the kept worker than it saves: forced, warm water:2 builds at leaf 10
+# (2-core host) went from 1.11 to 1.28 ms (symmetry) and 1.20 to 1.38 ms
+# (naive).
 _SPLIT_TASKS = 64
+
+# The canonical walk's density check, and symmetrize_final's asymmetry limit,
+# relative to max(1, max|P|) and max(1, max|K|)
+_SYMMETRY_TOL = 1e-10
+
+# A self-mirror task's child keys (i, j) that are tasks: i <= j, as its
+# child (j, i) is the mirror of its child (i, j)
+_UPPER = np.triu(np.ones((4, 4), dtype=bool))
 
 
 class LogicError(RuntimeError):
@@ -239,18 +263,53 @@ def leaf_cache(root: ShellPairNode) -> _PairIndex:
     return root.cache["full"]
 
 
-def _density_arrays(P: MatrixQuadtree, width: int) -> SimpleNamespace:
+def _density_arrays(P: MatrixQuadtree, width: int,
+                    symmetric: bool = False) -> SimpleNamespace:
     """A density tree's order n, flatten() child ids (-1: an absent block),
-    norms, and leaf blocks zero-padded to width x width, by leaf slot."""
+    norms, and leaf blocks zero-padded to width x width, by leaf slot. With
+    symmetric, a P that is not symmetric raises InvalidArgumentError
+    (_check_symmetric)."""
     nodes, child = flatten(P)
     leaves = [n for n in nodes if n.is_leaf]
     blocks = np.zeros((len(leaves), width, width))
     for block, n in zip(blocks, leaves):
         block[:n.leaf.shape[0], :n.leaf.shape[1]] = n.leaf
+    if symmetric:
+        _check_symmetric(blocks, {(n.row.shell_lo, n.col.shell_lo): i
+                                  for i, n in enumerate(leaves)})
     return SimpleNamespace(n=P.row.n_functions, child=child,
                            norm=np.array([n.norm for n in nodes]),
                            slot=np.cumsum([n.is_leaf for n in nodes]) - 1,
                            blocks=blocks)
+
+
+def _check_symmetric(blocks, slots: dict) -> None:
+    """Raise InvalidArgumentError, naming the worst entry, unless the padded
+    leaf blocks, each at the slot that ``slots`` gives its first (row,
+    col), make a P symmetric to within symmetrize_final's rule,
+    _SYMMETRY_TOL * max(1, max|P|): each block against its mirror's
+    transpose, or against zeros where the mirror is absent, _LEAF_GROUP
+    entries at a time."""
+    first = np.array(list(slots), dtype=np.intp).reshape(-1, 2)
+    mirror = np.array([slots.get((c, r), -1) for r, c in slots],
+                      dtype=np.intp)
+    top = worst = 0.0
+    step = max(1, _LEAF_GROUP // blocks.shape[1] ** 2)
+    for lo in range(0, len(blocks), step):
+        own, m = blocks[lo:lo + step], mirror[lo:lo + step]
+        d = np.abs(own - np.where((m >= 0)[:, None, None],
+                                  blocks[m].transpose(0, 2, 1), 0.0))
+        top = max(top, float(np.abs(own).max()))
+        i = int(d.argmax())
+        if d.flat[i] > worst:
+            b, r, c = np.unravel_index(i, d.shape)
+            worst, entry = float(d.flat[i]), first[lo + b] + (r, c)
+    limit = _SYMMETRY_TOL * max(1.0, top)
+    if worst > limit:
+        i, j = sorted(entry.tolist())
+        raise InvalidArgumentError(
+            f"density is not symmetric: |P[{i}, {j}] - P[{j}, {i}]| = "
+            f"{worst:.3e} exceeds {limit:.1e}")
 
 
 class _Worker:
@@ -429,16 +488,23 @@ class Traversal:
     log, and how it walks.
 
     ``job`` holds the build's inputs (see walk). Its ``case_label``
-    (exchange_symmetry._case_index), when given, makes the walk canonical
-    (upper-triangular child keys, kept quartets logged and evaluated as
-    canonical pairs) and turns on SymmetryCounters' per-link and per-case
-    tallies. Where the job asks for a log, ``qlog`` collects every
-    evaluated shell quartet."""
+    (exchange_symmetry._case_index), when given, makes the walk canonical:
+    upper-triangular child keys, a task and its mirror walked as one (each
+    slot linked again, after the job's, as ``mirror`` links, whose bra is
+    the task's ket and whose ket its bra), kept quartets logged as
+    canonical pairs and evaluated once per swap-distinct quartet, and
+    SymmetryCounters' per-link and per-case tallies. Where the job asks for
+    a log, ``qlog`` collects every kept shell quartet."""
 
     def __init__(self, index: _PairIndex, job: SimpleNamespace):
         self.index, self.job, self.P = index, job, job.P
         self.tau_2e, self.canonical = job.tau_2e, job.case_label is not None
-        self.tb, self.tk = np.array(job.slots, dtype=bool).reshape(-1, 2).T
+        tb, tk = np.array(job.slots, dtype=bool).reshape(-1, 2).T
+        self.mirror = np.zeros(len(tb), dtype=bool)
+        if self.canonical:
+            tb, tk, self.mirror = (np.tile(tb, 2), np.tile(tk, 2),
+                                   np.repeat([False, True], len(tb)))
+        self.tb, self.tk = tb, tk
         self.K = np.zeros((job.P.n,) * 2)
         self.c, self.qlog = job.counters(), [] if job.log else None
         self.buffer = []     # quartet ids and kept quartets not yet evaluated
@@ -451,16 +517,17 @@ class Traversal:
         """One build over the pair tree pairs, its bra and its ket, with a
         link to P's root per slot (transpose_bra, transpose_ket); returns
         (K, a new ``counters``) and extends quartet_log, when given, with
-        every evaluated shell quartet. Raises InvalidArgumentError for a
-        bad tau_2e (check_screening), a tree and P over different
-        partitions, or a pair node that is not a tree's root (only a root
-        holds the pair table).
+        every kept shell quartet. Raises InvalidArgumentError for a bad
+        tau_2e (check_screening), a tree and P over different partitions, a
+        pair node that is not a tree's root (only a root holds the pair
+        table), or, for a canonical walk, a P that is not symmetric
+        (_check_symmetric).
 
         Its job, made once, holds the build's inputs: P's density arrays,
         the slots, tau_2e, evaluate, the counters class, case_label and
         whether to log. The top levels are visited breadth-first until the
-        frontier holds _SPLIT_TASKS tasks, which _split deals out; a
-        frontier that empties first leaves nothing to deal. The tree's
+        frontier holds _SPLIT_TASKS oriented tasks, which _split deals out;
+        a frontier that empties first leaves nothing to deal. The tree's
         index (leaf_cache) exists before any fork or request, so a worker
         forked on this build reads the caller's pages, and the tree keeps
         its index for the next build."""
@@ -471,13 +538,14 @@ class Traversal:
             raise InvalidArgumentError("bra and ket must be roots of pair trees")
         index = leaf_cache(pairs)
         job = SimpleNamespace(
-            P=_density_arrays(P, index.width), slots=slots, tau_2e=tau_2e,
-            evaluate=evaluate, counters=counters, case_label=case_label,
-            log=quartet_log is not None)
+            P=_density_arrays(P, index.width, case_label is not None),
+            slots=slots, tau_2e=tau_2e, evaluate=evaluate, counters=counters,
+            case_label=case_label, log=quartet_log is not None)
         t = cls(index, job)
         root = np.zeros(1, dtype=np.intp)
-        tasks = (root, root, np.zeros((1, len(slots)), dtype=np.intp))
-        while 0 < len(tasks[0]) < _SPLIT_TASKS:
+        # the root is its own mirror: it has its own slots' links only
+        tasks = (root, root, np.where(t.mirror, -2, 0)[None])
+        while 0 < t._oriented(tasks[2]) < _SPLIT_TASKS:
             tasks = t._children(*t._visit(*tasks))
         if len(tasks[0]):
             t._split(*tasks)
@@ -545,58 +613,92 @@ class Traversal:
 
     def _walk(self, b, k, links):
         """Visit a piece, then walk its inner tasks' children, _WALK_PIECE //
-        16 parents at a time: memory follows the tree depth, not its width."""
+        16 oriented parents at a time: memory follows the tree depth, not
+        its width."""
         b, k, links = self._visit(b, k, links)
-        step = max(1, _WALK_PIECE // 16)
+        step = max(1, _WALK_PIECE // 16 * len(self.job.slots) // len(self.tb))
         for lo in range(0, len(b), step):
             s = slice(lo, lo + step)
             self._walk(*self._children(b[s], k[s], links[s]))
 
+    def _orientations(self, x):
+        """Per task and orientation (the task's own, then its mirror's),
+        whether x holds for any of that orientation's links: x itself for
+        the naive walk's one link."""
+        if not self.canonical:
+            return x
+        n = len(self.job.slots)
+        return x.reshape(len(x), 2, n).any(axis=2)
+
+    def _oriented(self, links) -> int:
+        """Oriented tasks among tasks with these links: an orientation whose
+        links are all dead (-2) is no task."""
+        return int(self._orientations(links != -2).sum())
+
+    def _sides(self, bra, ket, l=slice(None)):
+        """Each link's own (bra, ket) of its task's (bra, ket): a mirror
+        link's are swapped. l selects the links, or broadcasts over all."""
+        if not self.canonical:
+            return bra, ket
+        m = self.mirror[l]
+        return np.where(m, ket, bra), np.where(m, bra, ket)
+
     def _visit(self, b, k, links):
         """Screen a piece of tasks (bra ids, ket ids, link states), contract
-        its leaf tasks; return its live inner tasks, dead links set to -2."""
+        its leaf tasks; return its live inner tasks, dead links set to -2.
+        Each orientation is tallied from its own links."""
         c, ix = self.c, self.index
-        c.tasks_visited += len(b)
+        exists = self._orientations(links != -2)
+        c.tasks_visited += int(exists.sum())
         ok = ~(ix.pruned[b] | ix.pruned[k])
-        c.tasks_culled_absent += len(b) - int(ok.sum())
-        b, k, links = b[ok], k[ok], links[ok]
+        c.tasks_culled_absent += int(exists[~ok].sum())
+        b, k, links, exists = b[ok], k[ok], links[ok], exists[ok]
         present = links >= 0
         norm = self.P.norm[np.where(present, links, 0)]
+        # the bound commutes bra and ket, so a mirror link's is its own
         bound = screening_bound(np.broadcast_to(ix.f[b][:, None], links.shape),
                                 norm,
                                 np.broadcast_to(ix.f[k][:, None], links.shape))
         screened = present & (bound <= self.tau_2e)
         live = present & ~screened
         t, l = np.nonzero(screened)
+        bra, ket = self._sides(b[t], k[t], l)
         c.culled_bound_ledger += float(culled_task_bound(
-            np.where(self.tb[l], ix.colsum[b[t]], ix.rowsum[b[t]]), norm[t, l],
-            np.where(self.tk[l], ix.rowsum[k[t]], ix.colsum[k[t]])).sum())
-        del present, norm, bound, t, l
+            np.where(self.tb[l], ix.colsum[bra], ix.rowsum[bra]), norm[t, l],
+            np.where(self.tk[l], ix.rowsum[ket], ix.colsum[ket])).sum())
+        del present, norm, bound, t, l, bra, ket
         if self.canonical:
             c.links_culled_absent += int((links == -1).sum())
             c.links_culled_screening += int(screened.sum())
-        alive = live.any(axis=1)
-        n_screened = int((screened.any(axis=1) & ~alive).sum())
+        alive = self._orientations(live)
+        n_screened = int((self._orientations(screened) & ~alive).sum())
         c.tasks_culled_screening += n_screened
-        c.tasks_culled_absent += len(b) - int(alive.sum()) - n_screened
-        complete = (links[alive] != -1).all(axis=1)
-        b, k, links = b[alive], k[alive], np.where(live, links, -2)[alive]
+        c.tasks_culled_absent += (int(exists.sum()) - int(alive.sum())
+                                  - n_screened)
+        keep = alive.any(axis=1)
+        complete = ~self._orientations(links[keep] == -1)
+        b, k, links = b[keep], k[keep], np.where(live, links, -2)[keep]
+        alive = alive[keep]
         leaf = ix.leaf[b] & ix.leaf[k]
         if self.canonical:
-            label = self.job.case_label(ix.row[b], ix.col[b], ix.row[k],
-                                        ix.col[k], b == k, complete)
+            t, o = np.nonzero(alive)  # each live orientation's bra and ket
+            bra, ket = np.where(o, k[t], b[t]), np.where(o, b[t], k[t])
+            label = self.job.case_label(ix.row[bra], ix.col[bra], ix.row[ket],
+                                        ix.col[ket], bra == ket,
+                                        complete[t, o])
             for counts, x in ((c.case_tasks, label),
-                              (c.case_leaf_tasks, label[leaf])):
+                              (c.case_leaf_tasks, label[leaf[t]])):
                 tally = np.bincount(x, minlength=len(counts)).tolist()
                 for name, n in zip(counts, tally):
                     counts[name] += n
-        c.leaf_contractions += int(leaf.sum())
+        c.leaf_contractions += int(alive[leaf].sum())
         lb, lk = b[leaf], k[leaf]
         # a link transposed on a diagonal leaf (only the canonical walk has
         # one) followed the same density path, with the same norms, as its
         # untransposed twin, whose full pair grid covers both: it dies here
-        dead = ((self.tb & (ix.row[lb] == ix.col[lb])[:, None])
-                | (self.tk & (ix.row[lk] == ix.col[lk])[:, None]))
+        db, dk = self._sides((ix.row[lb] == ix.col[lb])[:, None],
+                             (ix.row[lk] == ix.col[lk])[:, None])
+        dead = (self.tb & db) | (self.tk & dk)
         bl, kl, ll = ix.slot[lb], ix.slot[lk], np.where(dead, -2, links[leaf])
         # density entries: width x width per live link; a slice ends where
         # the live links before a task cross a multiple of the group's
@@ -607,32 +709,45 @@ class Traversal:
             if lo < hi:
                 self._screen(bl[lo:hi], kl[lo:hi], ll[lo:hi])
         inner = ~leaf
-        c.tasks_expanded += int(inner.sum())
+        c.tasks_expanded += int(alive[inner].sum())
         return b[inner], k[inner], links[inner]
 
     def _children(self, b, k, links):
         """Child tasks of inner tasks, per parent by bra key then ket key,
-        each live link following its density child."""
+        each live link following its density child: a mirror link's bra key
+        is the child's ket key, and the reverse. A self-mirror task's child
+        (i, j), i < j, takes its own links for both orientations, and its
+        child (i, i) is self-mirror."""
         ix = self.index
         bc, kc = ix.child[b], ix.child[k]
         vb, vk = bc >= 0, kc >= 0
         if self.canonical:
             vb[:, 2] &= ix.row[b] != ix.col[b]
             vk[:, 2] &= ix.row[k] != ix.col[k]
-        t, bpos, kpos = np.nonzero(vb[:, :, None] & vk[:, None, :])
-        self.c.children_spawned += len(t)
+        pair = vb[:, :, None] & vk[:, None, :]
+        if self.canonical:
+            pair[b == k] &= _UPPER
+        t, bpos, kpos = np.nonzero(pair)
         parent = links[t]
+        if self.canonical:
+            s, n = np.flatnonzero(b[t] == k[t]), len(self.job.slots)
+            parent[s, n:] = np.where((bpos[s] == kpos[s])[:, None], -2,
+                                     parent[s, :n])
+        pb, pk = self._sides(bpos[:, None], kpos[:, None])
         # density child (a or cc, d or bb) of bra key (a, cc), ket key (d, bb)
-        dpos = (2 * np.where(self.tb, bpos[:, None] >> 1, bpos[:, None] & 1)
-                + np.where(self.tk, kpos[:, None] & 1, kpos[:, None] >> 1))
-        child = self.P.child[np.maximum(parent, 0), dpos]
-        return bc[t, bpos], kc[t, kpos], np.where(parent >= 0, child, -2)
+        dpos = (2 * np.where(self.tb, pb >> 1, pb & 1)
+                + np.where(self.tk, pk & 1, pk >> 1))
+        child = np.where(parent >= 0,
+                         self.P.child[np.maximum(parent, 0), dpos], -2)
+        self.c.children_spawned += self._oriented(child)
+        return bc[t, bpos], kc[t, kpos], child
 
     def _screen(self, bl, kl, links):
         """Screen a slice of leaf tasks, each live link over its own density
         leaf block, whose rows are its bra's density index and columns its
         ket's: the bra reads its tables in orientation 1 - tb (the density
-        index on its col span unless transposed), the ket in orientation tk.
+        index on its col span unless transposed), the ket in orientation tk,
+        a mirror link's bra being its task's ket (_sides).
         An entry whose screening_bound on the largest free factors (each
         sorted row's first) is within tau keeps no quartet (rounding is
         monotone) and adds |p| * (sum fb) * (sum fk) to the ledger. Each
@@ -642,7 +757,8 @@ class Traversal:
         t, l = np.nonzero(links >= 0)  # by task, then link
         p = self.P.blocks[self.P.slot[links[t, l]]]
         # each live link's bra and ket table, as (slot, orientation) rows
-        ob, ok = bl[t] * 2 + 1 - self.tb[l], kl[t] * 2 + self.tk[l]
+        sb, sk = self._sides(bl[t], kl[t], l)
+        ob, ok = sb * 2 + 1 - self.tb[l], sk * 2 + self.tk[l]
         pa = np.abs(p)
         # by density index: the largest free factor (its sorted row's first)
         # and the sum of its row
@@ -707,13 +823,18 @@ class Traversal:
         _SCREEN_CHUNK quartets (the direct-SCF test: the kept set does not
         depend on leaf blocking). A box quartet is named by one flat index
         per side into the index's leaf tables, its candidate's row plus its
-        free index, and reads sq, pair and flip with take. The kept
-        quartets' root-table ids go to the ERI buffer, each with its place
-        among the buffered ids, transposes (its link's, or a flip's) and
-        weight: the naive walk's in walk order, as its one untransposed link
-        makes each kept quartet its own (task, density entry, free pair), so
-        none repeats; the canonical walk's as each group's sorted union, as
-        its four links can keep one canonical quartet more than once."""
+        free index, and reads sq, pair and flip with take. Each kept quartet
+        goes to the ERI buffer with its K sink (row: its bra's row shell,
+        col: its ket's col shell, or a side's other shell where its link or
+        a flip transposes that side), its weight and its place among the
+        buffered ids. The naive walk buffers each kept quartet's id, bra id
+        * ket pairs + ket id, in walk order: its one untransposed link makes
+        each kept quartet its own (task, density entry, free pair), so none
+        repeats. The canonical walk buffers each of the group's
+        swap-distinct quartets once, keyed lower id first, with the kept
+        quartets of that key after it in sorted order: its links keep a
+        quartet in both orientations, and can keep one orientation more
+        than once, which counts and logs once."""
         tau, ix, w = self.tau_2e, self.index, self.index.width
         sq = ix.sq.reshape(-1)
         rb, rk = rb * w, rk * w  # each candidate's row start, flat
@@ -741,66 +862,79 @@ class Traversal:
         # a flipped place holds its mirror's pair, read transposed
         flip = ix.flip.reshape(-1)
         tb, tk = tb[c] | flip.take(xb), tk[c] | flip.take(xk)
-        # the quartet ids, bra id * ket pairs + ket id, formed in place
         pair = ix.pair.reshape(-1)
-        quartet = pair.take(xb).astype(np.intp)
-        quartet *= ix.pairs.n_pairs
-        quartet += pair.take(xk)
+        bra, ket = pair.take(xb).astype(np.intp), pair.take(xk).astype(np.intp)
         del xb, xk
+        i_shell, j_shell = ix.pairs.i_shell, ix.pairs.j_shell
+        evaluate = self.job.evaluate and len(c)
+        if evaluate:
+            row = np.where(tb, j_shell[bra], i_shell[bra])
+            col = np.where(tk, i_shell[ket], j_shell[ket])
+            if self.qlog is not None and not self.canonical:
+                # as walked: its bra's row shell, the other bra shell, the
+                # other ket shell and its ket's col shell
+                self.qlog.extend(zip(*(x.tolist() for x in (
+                    row, np.where(tb, i_shell[bra], j_shell[bra]),
+                    np.where(tk, j_shell[ket], i_shell[ket]), col))))
+            sink = row * len(self.K) + col
+            del row, col
+        n = ix.pairs.n_pairs
         if self.canonical:
-            # sorted and scanned here, as np.unique's per-call cost exceeds
-            # a small group's whole screening
-            order = quartet.argsort()
-            quartet = quartet[order]
-            first = np.ones(len(quartet), dtype=bool)
-            np.not_equal(quartet[1:], quartet[:-1], out=first[1:])
-            union, at = quartet[first], np.cumsum(first) - 1
-            c, tb, tk = c[order], tb[order], tk[order]
+            # each kept quartet's key (lower id * pairs + higher id) times 2,
+            # plus 1 if its bra is the key's ket; sorted and scanned here, as
+            # np.unique's per-call cost exceeds a small group's whole
+            # screening
+            code = np.minimum(bra, ket)
+            code *= n
+            code += np.maximum(bra, ket)
+            code *= 2
+            code += bra > ket
+            order = code.argsort()
+            code = code[order]
+            new = np.ones(len(code), dtype=bool)  # first of its orientation
+            np.not_equal(code[1:], code[:-1], out=new[1:])
+            self.c.eri_shell_quartets += int(new.sum())
+            if evaluate and self.qlog is not None:
+                kept = order[new]  # each canonical quartet as kept
+                self.qlog.extend(zip(*(x.tolist() for x in (
+                    i_shell[bra[kept]], j_shell[bra[kept]],
+                    i_shell[ket[kept]], j_shell[ket[kept]]))))
+            code >>= 1
+            first = new  # first of its key
+            np.not_equal(code[1:], code[:-1], out=first[1:])
+            union, at = code[first], np.cumsum(first) - 1
+            if evaluate:
+                c, sink = c[order], sink[order]
         else:
-            union, at = quartet, np.arange(len(quartet))
-        self.c.eri_shell_quartets += len(union)
-        if self.job.evaluate and len(union):
-            self.buffer.append((union, self.n_buffered + at, tb, tk,
-                                weight[c]))
+            union = bra * n
+            union += ket
+            at = np.arange(len(union))
+            self.c.eri_shell_quartets += len(union)
+        if evaluate:
+            self.buffer.append((union, self.n_buffered + at, sink, weight[c]))
             self.n_buffered += len(union)
 
     def flush(self, final: bool = False):
         """Evaluate the buffered ids, _ERI_BATCH quartets per call (the
-        rest waits unless ``final``), and after each call add its kept
-        quartets to K at row mu (nu if the bra is transposed) and column
-        sig (lam if the ket is), one at a time in buffer order: the naive
-        walk's in walk order, the canonical walk's in each group's sorted
-        order. K is the same for every batch size. The log takes each
-        canonical quartet the canonical walk evaluates, and each quartet the
-        naive walk keeps as walked: its bra's row shell, the other bra shell,
-        the other ket shell, and its ket's col shell."""
+        rest waits unless ``final``), each id (a, b) as (a|b), and after each
+        call add its kept quartets to K at their sinks, one at a time in
+        buffer order: the naive walk's in walk order, the canonical walk's
+        in each group's sorted order. K is the same for every batch size."""
         size = _ERI_BATCH
         m = self.n_buffered if final else self.n_buffered // size * size
         if not m:
             return
-        union, at, tb, tk, weight = map(np.concatenate, zip(*self.buffer))
+        union, at, sink, weight = map(np.concatenate, zip(*self.buffer))
         # each batch's first kept quartet; the last cut starts the rest
         cut = np.searchsorted(at, np.r_[0:m:size, m])
         rest = slice(cut[-1], None)
-        self.buffer = [(union[m:], at[rest] - m, tb[rest], tk[rest],
-                        weight[rest])]
+        self.buffer = [(union[m:], at[rest] - m, sink[rest], weight[rest])]
         self.n_buffered -= m
         pairs = self.index.pairs
         for lo, k in zip(range(0, m, size), map(slice, cut[:-1], cut[1:])):
             ia, ib = np.divmod(union[lo:lo + size], pairs.n_pairs)
             e = -0.5 * eri_elementwise(pairs, pairs, ia, ib)
-            mu, nu, lam, sig = (pairs.i_shell[ia], pairs.j_shell[ia],
-                                pairs.i_shell[ib], pairs.j_shell[ib])
-            a = at[k] - lo
-            row = np.where(tb[k], nu[a], mu[a])
-            col = np.where(tk[k], lam[a], sig[a])
-            if self.qlog is not None:
-                log = ((mu, nu, lam, sig) if self.canonical else
-                       (row, np.where(tb[k], mu[a], nu[a]),
-                        np.where(tk[k], sig[a], lam[a]), col))
-                self.qlog.extend(zip(*(x.tolist() for x in log)))
-            np.add.at(self.K.reshape(-1), row * len(self.K) + col,
-                      e[a] * weight[k])
+            np.add.at(self.K.reshape(-1), sink[k], e[at[k] - lo] * weight[k])
 
 
 def build_exchange_naive(bra: ShellPairNode, ket: ShellPairNode,

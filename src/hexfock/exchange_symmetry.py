@@ -1,10 +1,15 @@
-"""Exchange build exploiting the 4-fold permutational redundancy of (mu nu|lam sig).
+"""Exchange build exploiting the permutational redundancy of (mu nu|lam sig):
+4-fold inside the bra and ket pairs, and the bra-ket swap.
 
 The naive driver walks every ordered shell pair on both the bra and ket
-side, so each distinct ERI value is evaluated four times: once per internal
-orientation of the bra pair and of the ket pair. This driver restricts both
-sides to canonical (upper-triangular) pairs and scatters each evaluated
-block into up to four K sub-blocks:
+side, so each distinct ERI value is evaluated up to eight times: once per
+internal orientation of the bra pair and of the ket pair, and again with
+bra and ket swapped. This driver restricts both sides to canonical
+(upper-triangular) pairs, walks each task (B, K) and its bra-ket mirror
+(K, B) as one, and evaluates each swap-distinct quartet once per build, as
+(lower pair id | higher pair id). Each orientation scatters the value into
+up to four K sub-blocks, so one evaluation reaches up to eight through the
+task's links:
 
     slot 1: K[mu,sig] += c * P[nu,lam] * (mu nu|lam sig)    weight 1
     slot 2: K[nu,sig] += c * P[mu,lam] * (mu nu|lam sig)    weight [mu != nu]
@@ -17,20 +22,27 @@ a diagonal leaf is read: there slots 2 and 4 (slots 3 and 4 for a diagonal
 ket leaf) die, and the surviving slots run over the leaf's full pair grid,
 a pair below the diagonal taking its canonical mirror's quartet with that
 side transposed. A pair mu == nu thus enters once and any other pair of the
-leaf in both orientations. Bra/ket-swapped block tasks are both traversed,
-which keeps K symmetric by construction (enforced at the end by
-symmetrize_final).
+leaf in both orientations. Both orientations of a block task are walked,
+by the mirror's own four links, which keeps K symmetric by construction
+(enforced at the end by symmetrize_final); each is screened on its own,
+and each counter tallies it on its own, so the counters are those of two
+separate tasks. K is symmetric only for a symmetric P, and
+symmetrize_final folds its two triangles into one, so a P that is not
+symmetric by symmetrize_final's rule is rejected before the walk
+(exchange_naive._check_symmetric).
 
 The traversal is the engine of exchange_naive run with these four slots
-over canonical pairs (the naive driver runs it with slot 1 alone over all
-ordered pairs). Each slot carries its own density-node link down the walk
+over canonical pairs, and four more for each task's mirror (the naive
+driver runs it with slot 1 alone over all ordered pairs). Each slot of
+each orientation carries its own density-node link down the walk
 and is screened with exchange_naive.screening_bound, as the naive driver
 screens the corresponding permuted task chain: the bound commutes bra and
 ket and transposed pair blocks cache bit-identical norms, so the surviving
 contributions -- and hence K, up to reassociation rounding -- match the
-naive driver at every threshold, ties included. A task dies only when all
-four slots are dead, which is the same decision as screening on the maximum
-participating density sub-block norm.
+naive driver at every threshold, ties included. An orientation dies only
+when all four of its slots are dead, which is the same decision as
+screening on the maximum participating density sub-block norm; a task
+dies when both of its orientations have.
 """
 
 from __future__ import annotations
@@ -43,17 +55,15 @@ import numpy as np
 # exchange_naive calls its own leaf_cache, for the tree's one index object,
 # and eri_elementwise, and never eri_cross); they stay bound in this module
 # only because perfbench/run.py's tracer wraps them on both driver modules.
-from .exchange_naive import (LogicError, Traversal, TraversalCounters,
-                             eri_cross, eri_elementwise, leaf_cache)
+from .exchange_naive import (_SYMMETRY_TOL, LogicError, Traversal,
+                             TraversalCounters, eri_cross, eri_elementwise,
+                             leaf_cache)
 from .quadtree import MatrixQuadtree, ShellPairNode
 
 CASE_LABELS = ("A", "B", "C", "D", "E", "F1", "F2", "H", "SPARSE")
 
 # (transpose_bra, transpose_ket) of slots 1-4 in the module docstring
 _SLOT_TRANSPOSES = ((False, False), (True, False), (False, True), (True, True))
-
-# symmetrize_final's asymmetry limit, relative to max(1, max|K|)
-_SYMMETRY_TOL = 1e-10
 
 
 @dataclass
@@ -136,7 +146,8 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     """Exchange matrix via canonical-pair traversal with 4-way scatter.
 
     The traversal engine of exchange_naive with the four slots of
-    _SLOT_TRANSPOSES. ``pairs`` is the same full shell-pair tree the naive
+    _SLOT_TRANSPOSES, per orientation of each task. ``pairs`` is the same
+    full shell-pair tree the naive
     driver uses; the canonical restriction is applied during traversal
     (upper-triangular child selection). The driver reads the naive
     driver's index of the tree from leaf_cache, so the cached norms and
@@ -145,8 +156,11 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
     grid, each pair below the diagonal evaluated as its canonical mirror,
     so each kept link-quartet is one quartet the naive driver keeps.
     Returns (K, SymmetryCounters); K passes through symmetrize_final.
-    evaluate behaves as in build_exchange_naive; quartet_log collects
-    evaluated canonical quartets.
+    evaluate behaves as in build_exchange_naive; quartet_log collects each
+    kept canonical quartet, in either orientation, once (an evaluated
+    value serves both). A P that is not symmetric to within
+    symmetrize_final's rule raises InvalidArgumentError naming its worst
+    entry, for evaluated and count-only builds alike.
     """
     K, c = Traversal.walk(pairs, P, _SLOT_TRANSPOSES, tau_2e, evaluate,
                           SymmetryCounters, _case_index, quartet_log)

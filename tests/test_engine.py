@@ -23,6 +23,9 @@ from conftest import build_setup, end_worker, leaf_spans
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_counters.json").read_text())
+GOLDEN_ASYMMETRIC = json.loads(
+    (Path(__file__).parent / "data" / "golden_counters_asymmetric.json")
+    .read_text())
 
 
 def _count_only(n, driver, leaf_size):
@@ -53,6 +56,44 @@ def test_counters_match_golden(case, driver):
     ledger = got.pop("culled_bound_ledger")
     assert ledger == pytest.approx(want.pop("culled_bound_ledger"), rel=1e-12)
     assert got == want
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ASYMMETRIC))
+def test_counters_match_golden_on_a_density_asymmetric_by_rounding(case):
+    # P's entries above the diagonal one ulp up (the nonzero ones), or 9e-11
+    # up: either P passes the symmetry check, but its mirrored density
+    # blocks differ, and at 9e-11 a task's two orientations keep different
+    # links and quartets. Each orientation of a canonical task is still
+    # tallied from its own links, as when the two were walked apart: the
+    # golden values are such a walk's, count-only at (tau_2e, tau_ovlp) =
+    # (1e-8, 1e-11)
+    nudge, system, leaf = case.split("/")
+    n, leaf_size = int(system.removeprefix("water:")), int(leaf[4:])
+    _, _, _, P = build_setup(n, tau_ovlp=1e-11, leaf_size=leaf_size)
+    up = np.triu(np.ones(P.shape, dtype=bool), 1)
+    if nudge == "ulp":
+        up &= P != 0
+        P[up] = np.nextafter(P[up], np.inf)
+        assert 0 < np.abs(P - P.T).max() <= 1e-15
+    else:
+        P[up] += float(nudge)
+    _, pairs, P_tree, _ = build_setup(n, tau_ovlp=1e-11, leaf_size=leaf_size,
+                                      density=P)
+    _, c = build_exchange_symmetric(pairs, P_tree, 1e-8, evaluate=False)
+    got, want = c.to_dict(), dict(GOLDEN_ASYMMETRIC[case]["symmetry"])
+    assert got.keys() == want.keys()
+    ledger = got.pop("culled_bound_ledger")
+    assert ledger == pytest.approx(want.pop("culled_bound_ledger"), rel=1e-12)
+    assert got == want
+
+
+def _swap_distinct(counters, log):
+    """The swap-distinct quartets of a symmetry build, from its counters and
+    quartet log: it keeps a quartet and its bra-ket mirror both, but a
+    self-mirror quartet (bra pair = ket pair) only once."""
+    self_mirror = sum(q[:2] == q[2:] for q in log)
+    assert (counters.eri_shell_quartets + self_mirror) % 2 == 0
+    return (counters.eri_shell_quartets + self_mirror) // 2
 
 
 # quartets each driver keeps at water:10, (tau_2e, tau_ovlp) = (1e-8, 1e-11)
@@ -108,10 +149,14 @@ def test_traced_names_see_every_evaluated_quartet(monkeypatch, driver):
         tally.update(quartets=0, leaf_cache=0)
         if driver == "naive":
             _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+            evaluated = c.eri_shell_quartets
         else:
-            _, c = build_exchange_symmetric(pairs, P_tree, 1e-8)
+            log = []
+            _, c = build_exchange_symmetric(pairs, P_tree, 1e-8,
+                                            quartet_log=log)
+            evaluated = _swap_distinct(c, log)
         assert c.eri_shell_quartets > 0
-        assert tally["quartets"] == c.eri_shell_quartets
+        assert tally["quartets"] == evaluated
         # every build reads the tree's leaf tables through one leaf_cache
         # call per distinct root; only the first fills them
         assert tally["leaf_cache"] == 1
@@ -134,12 +179,40 @@ def test_leaf_eris_are_batched_across_leaf_tasks(monkeypatch, driver):
         monkeypatch.setattr(mod, "eri_elementwise", counting)
     if driver == "naive":
         _, c = build_exchange_naive(pairs, pairs, P_tree, 1e-8)
+        quartets = c.eri_shell_quartets
     else:
-        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8)
-    quartets = c.eri_shell_quartets
+        log = []
+        _, c = build_exchange_symmetric(pairs, P_tree, 1e-8, quartet_log=log)
+        quartets = _swap_distinct(c, log)
     assert sum(sizes) == quartets
     assert len(sizes) <= -(-quartets // exchange_naive._ERI_BATCH) + 1
     assert 10 * len(sizes) < c.leaf_contractions
+
+
+@pytest.mark.parametrize("leaf_size", [1, 3, 10, 40])
+def test_each_swap_distinct_quartet_is_evaluated_once(monkeypatch, leaf_size):
+    # the symmetry driver walks a task and its bra-ket mirror as one, so a
+    # quartet it keeps in both orientations is evaluated once per build, as
+    # its swap-distinct key, lower pair id first
+    # one process: a forked worker would call its own copy of the recorder
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _, pairs, P_tree, _ = build_setup(10, tau_ovlp=1e-11, leaf_size=leaf_size)
+    evaluated = []
+
+    def recording(bra, ket, ia, ib):
+        evaluated.extend(zip(ia.tolist(), ib.tolist()))
+        return eri_elementwise(bra, ket, ia, ib)
+
+    monkeypatch.setattr(exchange_naive, "eri_elementwise", recording)
+    log = []
+    _, c = build_exchange_symmetric(pairs, P_tree, 1e-8, quartet_log=log)
+    assert len(evaluated) == len(set(evaluated))
+    assert len(evaluated) == _swap_distinct(c, log)
+    assert all(a <= b for a, b in evaluated)
+    i, j = pairs.pairs.i_shell.tolist(), pairs.pairs.j_shell.tolist()
+    assert ({tuple(sorted(((i[a], j[a]), (i[b], j[b]))))
+             for a, b in evaluated}
+            == {tuple(sorted((q[:2], q[2:]))) for q in log})
 
 
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])

@@ -225,3 +225,31 @@ def test_quartet_log_and_validation():
         build_exchange_symmetric(pairs, P_tree, tau_2e=-1.0)
     with pytest.raises(InvalidArgumentError, match="tau_2e"):
         build_exchange_symmetric(pairs, P_tree, tau_2e=float("nan"))
+
+
+# ------------------------------------------------------------ input checks
+
+@pytest.mark.parametrize("evaluate", [True, False],
+                         ids=["evaluated", "count-only"])
+def test_asymmetric_density_is_rejected_up_front(evaluate):
+    # an asymmetric P is an input problem, named by its worst entry, not a
+    # symmetry-update bug caught after the walk by symmetrize_final
+    _, pairs, _, P = build_setup(5, tau_ovlp=1e-11)
+    bad = P.copy()
+    bad[0, 1] += 0.3
+    with pytest.raises(InvalidArgumentError,
+                       match=r"not symmetric: \|P\[0, 1\] - P\[1, 0\]\| = 3\.000e-01"):
+        build_exchange_symmetric(pairs, build_matrix_tree(bad, pairs.row),
+                                 1e-8, evaluate=evaluate)
+    # the rule is symmetrize_final's, relative to max(1, max|P|): a P that
+    # is symmetric to rounding, at any scale, still passes
+    for scale, nudge in ((1.0, 1e-11), (1e6, 1e-5)):
+        near = scale * P
+        near[2, 0] += nudge
+        build_exchange_symmetric(pairs, build_matrix_tree(near, pairs.row),
+                                 1e-8, evaluate=evaluate)
+    big = 1e6 * P
+    big[2, 0] += 1e-3
+    with pytest.raises(InvalidArgumentError, match=r"P\[0, 2\] - P\[2, 0\]"):
+        build_exchange_symmetric(pairs, build_matrix_tree(big, pairs.row),
+                                 1e-8, evaluate=evaluate)
