@@ -632,7 +632,10 @@ class Traversal:
 
     def _oriented(self, links) -> int:
         """Oriented tasks among tasks with these links: an orientation whose
-        links are all dead (-2) is no task."""
+        links are all dead (-2) is no task. A naive task's one link never
+        is: its parent's was live."""
+        if not self.canonical:
+            return len(links)
         return int(self._orientations(links != -2).sum())
 
     def _sides(self, bra, ket, l=slice(None)):
@@ -648,11 +651,12 @@ class Traversal:
         its leaf tasks; return its live inner tasks, dead links set to -2.
         Each orientation is tallied from its own links."""
         c, ix = self.c, self.index
-        exists = self._orientations(links != -2)
-        c.tasks_visited += int(exists.sum())
+        n = self._oriented(links)
         ok = ~(ix.pruned[b] | ix.pruned[k])
-        c.tasks_culled_absent += int(exists[~ok].sum())
-        b, k, links, exists = b[ok], k[ok], links[ok], exists[ok]
+        b, k, links = b[ok], k[ok], links[ok]
+        n_ok = self._oriented(links)  # those whose pair nodes are live
+        c.tasks_visited += n
+        c.tasks_culled_absent += n - n_ok
         present = links >= 0
         norm = self.P.norm[np.where(present, links, 0)]
         # the bound commutes bra and ket, so a mirror link's is its own
@@ -671,10 +675,10 @@ class Traversal:
             c.links_culled_absent += int((links == -1).sum())
             c.links_culled_screening += int(screened.sum())
         alive = self._orientations(live)
+        n_alive = int(alive.sum())
         n_screened = int((self._orientations(screened) & ~alive).sum())
         c.tasks_culled_screening += n_screened
-        c.tasks_culled_absent += (int(exists.sum()) - int(alive.sum())
-                                  - n_screened)
+        c.tasks_culled_absent += n_ok - n_alive - n_screened
         keep = alive.any(axis=1)
         complete = ~self._orientations(links[keep] == -1)
         b, k, links = b[keep], k[keep], np.where(live, links, -2)[keep]
@@ -691,7 +695,8 @@ class Traversal:
                 tally = np.bincount(x, minlength=len(counts)).tolist()
                 for name, n in zip(counts, tally):
                     counts[name] += n
-        c.leaf_contractions += int(alive[leaf].sum())
+        n_leaf = int(alive[leaf].sum())
+        c.leaf_contractions += n_leaf
         lb, lk = b[leaf], k[leaf]
         # a link transposed on a diagonal leaf (only the canonical walk has
         # one) followed the same density path, with the same norms, as its
@@ -708,8 +713,8 @@ class Traversal:
         for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(bl)]):
             if lo < hi:
                 self._screen(bl[lo:hi], kl[lo:hi], ll[lo:hi])
+        c.tasks_expanded += n_alive - n_leaf
         inner = ~leaf
-        c.tasks_expanded += int(alive[inner].sum())
         return b[inner], k[inner], links[inner]
 
     def _children(self, b, k, links):

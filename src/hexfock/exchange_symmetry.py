@@ -147,14 +147,14 @@ def build_exchange_symmetric(pairs: ShellPairNode, P: MatrixQuadtree,
 
     The traversal engine of exchange_naive with the four slots of
     _SLOT_TRANSPOSES, per orientation of each task. ``pairs`` is the same
-    full shell-pair tree the naive
-    driver uses; the canonical restriction is applied during traversal
-    (upper-triangular child selection). The driver reads the naive
-    driver's index of the tree from leaf_cache, so the cached norms and
-    factors feeding the screening tests are shared with it bit for bit; a
-    diagonal leaf drops its transposed slots and is read over its full pair
-    grid, each pair below the diagonal evaluated as its canonical mirror,
-    so each kept link-quartet is one quartet the naive driver keeps.
+    full shell-pair tree the naive driver uses; the canonical restriction
+    is applied during traversal (upper-triangular child selection). The
+    driver reads the naive driver's index of the tree from leaf_cache, so
+    the cached norms and factors feeding the screening tests are shared
+    with it bit for bit; a diagonal leaf drops its transposed slots and is
+    read over its full pair grid, each pair below the diagonal evaluated as
+    its canonical mirror, so each kept link-quartet is one quartet the
+    naive driver keeps.
     Returns (K, SymmetryCounters); K passes through symmetrize_final.
     evaluate behaves as in build_exchange_naive; quartet_log collects each
     kept canonical quartet, in either orientation, once (an evaluated
