@@ -40,8 +40,8 @@ first, as its eight links keep a quartet in both orientations and can keep
 one more than once. They are evaluated _ERI_BATCH at a time and added to K
 one at a time, in the buffer's order.
 
-A build's inputs are one job, made once per build: its density arrays,
-slots, tau_2e, evaluate, counters class, case_label and whether to log.
+A build's inputs are one job, made once per build: the density tree's own
+arrays, slots, tau_2e, evaluate, counters class, case_label and logging.
 Its top levels are walked breadth-first until the frontier holds
 _SPLIT_TASKS oriented tasks, then dealt out to two shares, task i to
 share i % 2.
@@ -93,7 +93,7 @@ import numpy as np
 # stays bound only because perfbench/run.py's tracer wraps it on both driver
 # modules.
 from .integrals import InvalidArgumentError, eri_cross, eri_elementwise
-from .quadtree import MatrixQuadtree, ShellPairNode, flatten, leaf_spans
+from .quadtree import MatrixQuadtree, ShellPairNode, leaf_spans
 
 # Union quartets per eri_elementwise call: large enough that the kernel's
 # per-call cost vanishes (a water:24 build at leaf 10 makes 14 calls, not
@@ -263,36 +263,15 @@ def leaf_cache(root: ShellPairNode) -> _PairIndex:
     return root.cache["full"]
 
 
-def _density_arrays(P: MatrixQuadtree, width: int,
-                    symmetric: bool = False) -> SimpleNamespace:
-    """A density tree's order n, flatten() child ids (-1: an absent block),
-    norms, and leaf blocks zero-padded to width x width, by leaf slot. With
-    symmetric, a P that is not symmetric raises InvalidArgumentError
-    (_check_symmetric)."""
-    nodes, child = flatten(P)
-    leaves = [n for n in nodes if n.is_leaf]
-    blocks = np.zeros((len(leaves), width, width))
-    for block, n in zip(blocks, leaves):
-        block[:n.leaf.shape[0], :n.leaf.shape[1]] = n.leaf
-    if symmetric:
-        _check_symmetric(blocks, {(n.row.shell_lo, n.col.shell_lo): i
-                                  for i, n in enumerate(leaves)})
-    return SimpleNamespace(n=P.row.n_functions, child=child,
-                           norm=np.array([n.norm for n in nodes]),
-                           slot=np.cumsum([n.is_leaf for n in nodes]) - 1,
-                           blocks=blocks)
-
-
-def _check_symmetric(blocks, slots: dict) -> None:
-    """Raise InvalidArgumentError, naming the worst entry, unless the padded
-    leaf blocks, each at the slot that ``slots`` gives its first (row,
-    col), make a P symmetric to within symmetrize_final's rule,
-    _SYMMETRY_TOL * max(1, max|P|): each block against its mirror's
-    transpose, or against zeros where the mirror is absent, _LEAF_GROUP
-    entries at a time."""
-    first = np.array(list(slots), dtype=np.intp).reshape(-1, 2)
-    mirror = np.array([slots.get((c, r), -1) for r, c in slots],
-                      dtype=np.intp)
+def _check_symmetric(P: MatrixQuadtree) -> None:
+    """Raise InvalidArgumentError, naming the worst entry, unless the
+    density tree P's padded leaf blocks make a P symmetric to within
+    symmetrize_final's rule, _SYMMETRY_TOL * max(1, max|P|): each block
+    against its mirror's transpose (by the root's slot table), or zeros
+    where the mirror is absent, _LEAF_GROUP entries at a time."""
+    r, c = np.nonzero(P._slots >= 0)  # by slot
+    mirror, blocks = P._slots[c, r], P._arrays.blocks
+    first = np.array([lf.shell_lo for lf in leaf_spans(P.row)])[np.c_[r, c]]
     top = worst = 0.0
     step = max(1, _LEAF_GROUP // blocks.shape[1] ** 2)
     for lo in range(0, len(blocks), step):
@@ -523,7 +502,7 @@ class Traversal:
         table), or, for a canonical walk, a P that is not symmetric
         (_check_symmetric).
 
-        Its job, made once, holds the build's inputs: P's density arrays,
+        Its job, made once, holds the build's inputs: P's own node arrays,
         the slots, tau_2e, evaluate, the counters class, case_label and
         whether to log. The top levels are visited breadth-first until the
         frontier holds _SPLIT_TASKS oriented tasks, which _split deals out;
@@ -537,10 +516,12 @@ class Traversal:
         if pairs.pairs is None:
             raise InvalidArgumentError("bra and ket must be roots of pair trees")
         index = leaf_cache(pairs)
+        if case_label is not None:
+            _check_symmetric(P)
         job = SimpleNamespace(
-            P=_density_arrays(P, index.width, case_label is not None),
-            slots=slots, tau_2e=tau_2e, evaluate=evaluate, counters=counters,
-            case_label=case_label, log=quartet_log is not None)
+            P=P._arrays, slots=slots, tau_2e=tau_2e, evaluate=evaluate,
+            counters=counters, case_label=case_label,
+            log=quartet_log is not None)
         t = cls(index, job)
         root = np.zeros(1, dtype=np.intp)
         # the root is its own mirror: it has its own slots' links only

@@ -3,32 +3,33 @@
 Spans are shell ranges; with one function per s shell they are also the
 row and column ranges of every matrix block.
 
-Norms are accumulated with math.fsum (correctly rounded), so the cached norm
-of a block and of its transpose are bit-identical. Screening decisions in the
-traversal drivers rely on that.
+Both quadtrees are node arrays with no per-node object (the
+quadtree-as-arrays layout of Bock and Challacombe), formed from a (leaves
+x leaves) table of their blocks by the same two passes: top down, level by
+level, for the nodes (_levels), and bottom up for the norms (_bottom_up).
+Norms are math.fsum sums (correctly rounded), so a block and its
+transpose have bit-identical norms; the drivers' screening relies on
+that. Nodes are views over the arrays: the root's is made with the tree,
+each other on its parent's first ``children`` access, and kept. The
+matrix tree holds its nonzero leaf blocks, zero-padded, and the exchange
+walk reads its arrays as they are.
 
 Shell-pair tree set-up works on the pairs that can survive: overlaps only
-for the candidate pairs a sweep finds within a provable radius, then a
-(leaves x leaves) table of the live leaf blocks. The root's pair table,
-the primitive pair data of each canonical (i <= j) pair of the live blocks
-once, is laid out from that table, with each leaf place's id in it and
-(ij|ij) value. The tree itself is a set of node arrays, formed level by
-level from that table with no per-node object: spans, a breadth-first
-child table, leaf and pruned flags and the screening norms, with the flat
-per-place ids and (ij|ij) values (the quadtree-as-arrays layout of Bock
-and Challacombe). Nodes are ShellPairNode views over those arrays: the
-root's is made with the tree, each other on its parent's first
-``children`` access, and kept. ``shell_overlap_matrix`` forms the dense
-overlap matrix for callers that want it; the pair tree does not use it.
-The exchange engine reads the node arrays, not the views, into one index
-object (exchange_naive.leaf_cache), which it keeps in the root's
-``cache`` only.
+for the candidate pairs a sweep finds within a provable radius, then the
+table of the live leaf blocks, from which the root's pair table is laid
+out: the primitive pair data of each canonical (i <= j) pair of the live
+blocks once, with each leaf place's id in it and (ij|ij) value. The
+exchange engine reads the pair tree's arrays, not its views, into one
+index object (exchange_naive.leaf_cache), kept in the root's ``cache``
+only. ``shell_overlap_matrix`` forms the dense overlap matrix for callers
+that want it; the pair tree does not use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,16 +38,6 @@ from . import integrals
 from .basis import BasisSystem
 from .integrals import (InvalidArgumentError, PairData, build_pair_data,
                         diagonal_values)
-
-
-def _rss(values) -> float:
-    return math.sqrt(math.fsum(v * v for v in values))
-
-
-def _frobenius(block: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # an overflowing norm is inf
-        squares = block.astype(float) ** 2
-    return math.sqrt(math.fsum(squares.ravel().tolist()))
 
 
 @dataclass
@@ -97,42 +88,59 @@ def _split(lo: int, hi: int, leaf_size: int) -> Span:
     return node
 
 
-class MatrixQuadtree:
-    """Quadtree block of a dense matrix over a (row span, col span) block:
-    a leaf when both spans are leaves, else its children are keyed by (row
-    child, col child) index; absent children are exact zeros."""
+class _NodeView:
+    """View of one (row span, col span) node of a quadtree's node arrays."""
 
-    __slots__ = ("row", "col", "children", "is_leaf", "norm", "leaf")
+    __slots__ = ("row", "col", "is_leaf", "_arrays", "_node", "_children")
 
-    def __init__(self, row: Span, col: Span, norm: float, children=None, leaf=None):
-        self.row = row
-        self.col = col
-        self.children = children or {}
+    def __init__(self, arrays, node: int, row: Span, col: Span):
+        self._arrays, self._node, self._children = arrays, node, None
+        self.row, self.col = row, col
         self.is_leaf = row.is_leaf and col.is_leaf
-        self.norm = norm
-        self.leaf = leaf
+
+    @property
+    def children(self) -> dict:
+        """Child views by (row child, col child) index, made once: none
+        under a leaf, nor where ``child`` is -1."""
+        if self._children is None:
+            rows, cols = self.row.children(), self.col.children()
+            child = ([] if self.is_leaf
+                     else self._arrays.child[self._node].tolist())
+            self._children = {
+                (k >> 1, k & 1): type(self)(self._arrays, ch, rows[k >> 1],
+                                            cols[k & 1])
+                for k, ch in enumerate(child) if ch >= 0}
+        return self._children
 
 
-def flatten(root):
-    """The nodes under ``root`` (a MatrixQuadtree or a ShellPairNode),
-    parents first, and each one's child ids: row
-    x holds at 2 * a + b the id of child (a, b), -1 where there is none, and
-    a leaf stands in for itself at 0."""
-    nodes = [root]
-    for node in nodes:
-        nodes.extend(node.children.values())
-    index = {id(node): i for i, node in enumerate(nodes)}
-    child = np.full((len(nodes), 4), -1, dtype=np.intp)
-    for i, node in enumerate(nodes):
-        child[i, 0] = i if node.is_leaf else -1
-        for (a, b), ch in node.children.items():
-            child[i, 2 * a + b] = index[id(ch)]
-    return nodes, child
+class MatrixQuadtree(_NodeView):
+    """View of one node of a matrix quadtree (build_matrix_tree); an absent
+    block is in no ``children``. ``norm`` is its block's Frobenius norm,
+    ``leaf`` at a leaf the block, a view of the tree's padded blocks. The
+    root's view holds the table of each leaf block's slot, -1 if absent."""
+
+    __slots__ = ("norm", "leaf", "_slots")
+
+    def __init__(self, arrays, node: int, row: Span, col: Span, slots=None):
+        super().__init__(arrays, node, row, col)
+        self.norm = float(arrays.norm[node])
+        self.leaf = (arrays.blocks[arrays.slot[node], :row.n_functions,
+                                   :col.n_functions] if self.is_leaf else None)
+        self._slots = slots
 
 
 def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
-    """Quadtree over ``dense`` on the partition ``root``; blocks of norm 0
-    are absent. A NaN or infinite entry raises InvalidArgumentError."""
+    """Quadtree over ``dense``, the matrix of the shells of the partition
+    ``root`` (row and col 0 are shell root.shell_lo); returns its root's
+    view. A NaN or infinite entry raises InvalidArgumentError.
+
+    Leaf norms come from zero-padded blocks, about _PLACE_PIECE entries at a
+    time; a leaf block of norm 0 (zero, or its squares underflow) is absent,
+    as is an inner block with no child, but the root. The node arrays are
+    what the exchange walk reads: order ``n``, ``child`` (_levels), each
+    node's ``norm`` and ``slot`` (-1 but at a leaf), and ``blocks``, the
+    padded leaf blocks, row-major by (row leaf, col leaf).
+    """
     dense = np.asarray(dense, dtype=float)
     n = root.n_functions
     if dense.shape != (n, n):
@@ -142,40 +150,47 @@ def build_matrix_tree(dense: np.ndarray, root: Span) -> MatrixQuadtree:
         i, j = np.argwhere(~np.isfinite(dense))[0].tolist()
         raise InvalidArgumentError(
             f"matrix entry ({i}, {j}) is {float(dense[i, j])}; entries must be finite")
-    tree = _build_matrix(dense, root, root)
-    if tree is None:
-        # all-zero matrix: keep an explicit root with norm 0 and no children
-        tree = MatrixQuadtree(root, root, 0.0,
-                              leaf=dense if root.is_leaf else None)
-    return tree
+    first, size = np.array([(lf.shell_lo - root.shell_lo, lf.n_functions)
+                            for lf in leaf_spans(root)], dtype=np.intp).T
+    m, w = len(first), int(size.max())
+    own = np.arange(w) < size[:, None]  # a leaf's own padded rows (cols)
+    at = first[:, None] + np.minimum(np.arange(w), size[:, None] - 1)
+
+    def blocks(r, c):  # the zero-padded blocks (r[i], c[i])
+        return np.where(own[r, :, None] & own[c, None, :],
+                        dense[at[r, :, None], at[c, None, :]], 0.0)
+
+    leaf_norm = np.zeros((m, m))
+    step = max(1, _PLACE_PIECE // w ** 2)
+    for lo in range(0, m * m, step):  # block (r, c) is r * m + c
+        piece = np.arange(lo, min(lo + step, m * m))
+        with np.errstate(over="ignore"):  # a square past the largest double is inf
+            sq = blocks(*np.divmod(piece, m)).reshape(len(piece), -1) ** 2
+        some = np.flatnonzero(sq.any(axis=1))  # the others' norms are 0
+        leaf_norm.flat[piece[some]] = np.sqrt(list(map(_fsum, sq[some].tolist())))
+    live = (leaf_norm > 0.0) | (m == 1)  # a leaf root keeps its block
+    slots = np.where(live, np.cumsum(live).reshape(m, m) - 1, -1)
+    t = _levels(root, live)
+    keep = np.r_[True, ~t.pruned[1:]]  # the root, and no absent block
+    new = np.cumsum(keep) - 1
+    child = np.where((t.child >= 0) & keep[t.child], new[t.child], -1)[keep]
+    leaf, rl, cl = t.leaf[keep], t.rl[keep], t.cl[keep]
+    norm = np.where(leaf, leaf_norm[rl, cl], 0.0)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf
+        for node, ch in _bottom_up(child, ~leaf,
+                                   np.r_[0, np.cumsum(keep)][t.start]):
+            sq = np.where(ch >= 0, norm[ch] ** 2, 0.0).tolist()
+            norm[node] = np.sqrt(list(map(_fsum, sq)))
+    arrays = SimpleNamespace(n=n, child=child, norm=norm,
+                             slot=np.where(leaf, slots[rl, cl], -1),
+                             blocks=blocks(*np.nonzero(live)))
+    return MatrixQuadtree(arrays, 0, root, root, slots)
 
 
-def _build_matrix(dense: np.ndarray, row: Span, col: Span):
-    if row.is_leaf and col.is_leaf:
-        block = dense[row.shell_lo:row.shell_hi, col.shell_lo:col.shell_hi]
-        norm = _frobenius(block)
-        if norm == 0.0:  # exactly zero, or its squares underflow
-            return None
-        return MatrixQuadtree(row, col, norm, leaf=block)
-    children = {}
-    for a, r in enumerate(row.children()):
-        for b, c in enumerate(col.children()):
-            ch = _build_matrix(dense, r, c)
-            if ch is not None:
-                children[(a, b)] = ch
-    if not children:
-        return None
-    norm = _rss(ch.norm for ch in children.values())
-    return MatrixQuadtree(row, col, norm, children=children)
-
-
-class ShellPairNode:
-    """View of one node of a shell-pair quadtree over the tree's node arrays
-    (_pair_nodes), which hold the tree: it reads its node's flags and
-    norms once, and keeps only its child views. The root's view is made
-    with the tree and holds the pair table (``pairs``) and the engine's
-    index (``cache``); every other view is made on its parent's first
-    ``children`` access, then kept, and holds neither.
+class ShellPairNode(_NodeView):
+    """View of one node of a shell-pair quadtree (_pair_nodes): it reads
+    its node's flags and norms once. The root's view holds the pair table
+    (``pairs``) and the engine's index (``cache``); no other view does.
 
     diag_norm is the Frobenius norm of the diagonal ERI entries (ab|ab)
     over the pair span; rowsum_max / colsum_max are (upper bounds on) the
@@ -185,15 +200,12 @@ class ShellPairNode:
     values, views of the tree's flat per-place arrays.
     """
 
-    __slots__ = ("row", "col", "is_leaf", "pruned", "diag_norm", "rowsum_max",
-                 "colsum_max", "ids", "diag", "pairs", "cache", "_arrays",
-                 "_node", "_children")
+    __slots__ = ("pruned", "diag_norm", "rowsum_max", "colsum_max", "ids",
+                 "diag", "pairs", "cache")
 
     def __init__(self, arrays: SimpleNamespace, node: int, row: Span,
                  col: Span, pairs: PairData | None = None):
-        self._arrays, self._node, self._children = arrays, node, None
-        self.row, self.col = row, col
-        self.is_leaf = row.is_leaf and col.is_leaf
+        super().__init__(arrays, node, row, col)
         self.pruned = bool(arrays.pruned[node])
         self.diag_norm = float(arrays.diag_norm[node])
         self.rowsum_max = float(arrays.rowsum[node])
@@ -209,20 +221,6 @@ class ShellPairNode:
         # at the root: the engine's index of the tree (exchange_naive.leaf_cache)
         self.cache = None
 
-    @property
-    def children(self) -> dict:
-        """Child views keyed by (row child, col child) index, made on the
-        first access and kept; none under a leaf or a pruned node."""
-        if self._children is None:
-            rows, cols = self.row.children(), self.col.children()
-            child = ([] if self.is_leaf
-                     else self._arrays.child[self._node].tolist())
-            self._children = {
-                (k >> 1, k & 1): ShellPairNode(self._arrays, ch, rows[k >> 1],
-                                               cols[k & 1])
-                for k, ch in enumerate(child) if ch >= 0}
-        return self._children
-
 
 # Candidate pairs per overlap pass, and at most primitive pairs per pass of
 # the root table's build_pair_data. Small passes keep the primitive-pair
@@ -231,8 +229,8 @@ class ShellPairNode:
 _PAIR_CHUNK = 512
 _PRIM_CHUNK = 4096
 
-# Places per piece of the leaf norms and sums: a piece's Python floats and
-# gathered blocks stay near 2 MB.
+# Places (matrix entries) per piece of the trees' leaf norms and sums: a
+# piece's Python floats and gathered blocks stay near 2 MB.
 _PLACE_PIECE = 1 << 16
 
 # Relative slack on each candidate radius, so that rounding in the bound,
@@ -321,25 +319,29 @@ def build_pair_tree(system: BasisSystem, root: Span,
     pair is provably below tau_ovlp. A (row leaf, col leaf) block is live
     iff it or its mirror holds a candidate at or above tau_ovlp
     (``_live_blocks``). The root's pair table, which holds each canonical
-    pair once, and each leaf place's id in it and (ij|ij) value are laid
-    out from that (leaves x leaves) liveness table (``_pair_table``), and
-    the node arrays are formed from it level by level (``_pair_nodes``).
-    No n x n array is formed, and no node object but the root's view. A
-    negative or NaN tau_ovlp raises InvalidArgumentError.
+    pair once, each leaf place's id in it and (ij|ij) value
+    (``_pair_table``), and the node arrays (``_pair_nodes``) are formed
+    from that liveness table, with no n x n array. A negative or NaN
+    tau_ovlp, or a partition that does not span exactly the system's
+    shells, raises InvalidArgumentError.
     """
     if not tau_ovlp >= 0.0:
         raise InvalidArgumentError(f"tau_ovlp must be non-negative, got {tau_ovlp!r}")
+    if (root.shell_lo, root.shell_hi) != (0, system.n_shells):
+        raise InvalidArgumentError(
+            f"the partition spans shells {root.shell_lo}:{root.shell_hi}, "
+            f"the system has shells 0:{system.n_shells}")
     leaves = leaf_spans(root)
-    leaf_of, live = _live_blocks(system.shells, leaves, tau_ovlp)
+    live = _live_blocks(system.shells, leaves, tau_ovlp)
     table, base, ids, q = _pair_table(system.shells, leaves, live)
-    return ShellPairNode(_pair_nodes(root, leaf_of, live, base, ids, q), 0,
-                         root, root, pairs=table)
+    return ShellPairNode(_pair_nodes(root, live, base, ids, q), 0, root, root,
+                         pairs=table)
 
 
 def _live_blocks(shells, leaves, tau_ovlp: float):
-    """Each shell's leaf, and the (leaves x leaves) liveness table: a block
-    is live iff it or its mirror holds a candidate pair whose overlap
-    magnitude is at or above tau_ovlp."""
+    """The (leaves x leaves) liveness table: a block is live iff it or its
+    mirror holds a candidate pair whose overlap magnitude is at or above
+    tau_ovlp."""
     cand = _candidate_pairs(shells, tau_ovlp)
     s_abs = np.concatenate([np.empty(0)] + [
         np.abs(integrals.pair_overlaps(shells, cand[lo:lo + _PAIR_CHUNK]))
@@ -348,31 +350,24 @@ def _live_blocks(shells, leaves, tau_ovlp: float):
     i, j = cand[~(s_abs < tau_ovlp)].T
     live = np.zeros((len(leaves), len(leaves)), dtype=bool)
     live[leaf_of[i], leaf_of[j]] = True
-    live |= live.T
-    return leaf_of, live
+    return live | live.T
 
 
 def leaf_spans(span: Span) -> list:
     return [span] if span.is_leaf else leaf_spans(span.left) + leaf_spans(span.right)
 
 
-def _pair_nodes(root: Span, leaf_of, live, base, ids, q) -> SimpleNamespace:
-    """The pair tree's node arrays, in breadth-first order (flatten's).
-
-    Each node is a (row span, col span) block: ``row`` and ``col`` hold
-    their first shells and ``nr`` and ``nc`` their lengths. It is pruned
-    iff its slice of ``live`` is all False (a summed-area table answers
-    that per node), a leaf iff both spans are, and ``child`` holds at 2 * a
-    + b the id of child (a, b), -1 where there is none, a leaf its own id
-    at 0. Levels are formed top down, each from the one above: every
-    child of each live inner node, by (a, b). Norms are formed bottom up:
-    a surviving leaf's from its block (_leaf_values), with ``at`` its first
-    place in ``ids`` and ``q``; a live inner node's from its children's,
-    diag_norm as the square root of the fsum of their squares, and each
-    row (col) sum of at most two terms by IEEE addition, which is what fsum
-    gives there. A pruned node's norms are 0, and ``at`` is -1 but at a
-    surviving leaf.
-    """
+def _levels(root: Span, live) -> SimpleNamespace:
+    """The nodes of a quadtree on the partition ``root`` from the (leaves x
+    leaves) table ``live``, a level at a time: each child, by (a, b), of
+    the unpruned inner nodes above. A node is a (row span, col span)
+    block: first shells ``row`` and ``col``, lengths ``nr`` and ``nc``,
+    first leaves ``rl`` and ``cl``. It is pruned iff its slice of ``live``
+    is all False (by a summed-area table), a ``leaf`` iff both spans are,
+    and ``child`` holds at 2 * a + b the id of child (a, b), -1 if none, a
+    leaf its own id at 0. ``start`` holds each level's first node, then
+    the node count."""
+    leaf_lo = [leaf.shell_lo for leaf in leaf_spans(root)]
     # the partition's spans, parents first: first shell, length, first and
     # end leaf, and child span ids (a leaf's own id, then -1)
     spans = [root]
@@ -385,7 +380,7 @@ def _pair_nodes(root: Span, leaf_of, live, base, ids, q) -> SimpleNamespace:
                     for k, span in enumerate(spans)], dtype=np.intp)
     lo, size = np.array([(span.shell_lo, span.n_functions) for span in spans],
                         dtype=np.intp).T
-    first, end = leaf_of[lo], leaf_of[lo + size - 1] + 1
+    first, end = np.searchsorted(leaf_lo, lo), np.searchsorted(leaf_lo, lo + size)
     n_live = np.zeros((len(live) + 1,) * 2, dtype=np.intp)
     np.cumsum(np.cumsum(live, axis=0), axis=1, out=n_live[1:, 1:])
     r = c = np.zeros(1, dtype=np.intp)  # this level's row and col span ids
@@ -405,26 +400,50 @@ def _pair_nodes(root: Span, leaf_of, live, base, ids, q) -> SimpleNamespace:
         n += len(r)
         r, c = kid[r[t], a], kid[c[t], b]
     r, c, child, leaf, pruned = map(np.concatenate, zip(*levels))
-    arrays = SimpleNamespace(row=lo[r], col=lo[c], nr=size[r], nc=size[c],
-                             child=child, leaf=leaf, pruned=pruned,
-                             at=np.full(n, -1, dtype=np.intp), ids=ids, q=q)
-    live_leaf = np.flatnonzero(leaf & ~pruned)
-    rl, cl = first[r[live_leaf]], first[c[live_leaf]]
-    at = arrays.at[live_leaf] = base[rl, cl]
+    return SimpleNamespace(row=lo[r], col=lo[c], nr=size[r], nc=size[c],
+                           rl=first[r], cl=first[c], child=child, leaf=leaf,
+                           pruned=pruned,
+                           start=np.cumsum([0] + [len(x[0]) for x in levels]))
+
+
+def _fsum(squares) -> float:
+    """math.fsum, exact, so a block and its transpose have one norm; inf
+    where finite squares sum past the largest double (math.fsum raises)."""
+    try:
+        return math.fsum(squares)
+    except OverflowError:
+        return math.inf
+
+
+def _bottom_up(child, inner, start):
+    """Each level's ``inner`` nodes and child ids, deepest first (``start``
+    as _levels gives it): both trees' bottom-up norm pass."""
+    for lo, hi in reversed(list(pairwise(start.tolist()))):
+        node = lo + np.flatnonzero(inner[lo:hi])
+        yield node, child[node]
+
+
+def _pair_nodes(root: Span, live, base, ids, q) -> SimpleNamespace:
+    """The pair tree's node arrays (_levels), with ``at``, a surviving leaf's
+    first place in ``ids`` and ``q`` (else -1), and norms: 0 at a pruned
+    node, a surviving leaf's from its block (_leaf_values), an inner
+    node's from its children's, each row (col) sum of at most two terms by
+    IEEE addition, which is what fsum gives there."""
+    t = _levels(root, live)
+    n = len(t.child)
+    t.at, t.ids, t.q = np.full(n, -1, dtype=np.intp), ids, q
+    live_leaf = np.flatnonzero(t.leaf & ~t.pruned)
+    rl, cl = t.rl[live_leaf], t.cl[live_leaf]
+    at = t.at[live_leaf] = base[rl, cl]
     norms = np.zeros((3, n))
-    norms[:, live_leaf] = _leaf_values(q, at, arrays.nr[live_leaf],
-                                       arrays.nc[live_leaf], base[cl, rl])
-    diag_norm, rowsum, colsum = norms
-    stop = n
-    with np.errstate(over="ignore"):  # an overflowing norm is inf
-        for level in reversed(levels):
-            start = stop - len(level[0])
-            node = start + np.flatnonzero(~(leaf | pruned)[start:stop])
-            stop = start
-            ch = child[node]
+    norms[:, live_leaf] = _leaf_values(q, at, t.nr[live_leaf],
+                                       t.nc[live_leaf], base[cl, rl])
+    diag_norm, rowsum, colsum = t.diag_norm, t.rowsum, t.colsum = norms
+    with np.errstate(over="ignore"):  # an overflowing norm or sum is inf
+        for node, ch in _bottom_up(t.child, ~(t.leaf | t.pruned), t.start):
             has = ch >= 0
-            sq = np.where(has, diag_norm[ch] ** 2, 0.0)
-            diag_norm[node] = np.sqrt(list(map(math.fsum, sq.tolist())))
+            sq = np.where(has, diag_norm[ch] ** 2, 0.0).tolist()
+            diag_norm[node] = np.sqrt(list(map(_fsum, sq)))
             # by child (a, b) at 2 * a + b: each row a's sum over b, each
             # col b's over a, with 0 for an absent child; the sums are not
             # negative, so a 0 term or row changes neither a sum nor a max
@@ -432,8 +451,7 @@ def _pair_nodes(root: Span, leaf_of, live, base, ids, q) -> SimpleNamespace:
             rowsum[node] = (x[:, 0::2] + x[:, 1::2]).max(axis=1)
             x = np.where(has, colsum[ch], 0.0)
             colsum[node] = (x[:, :2] + x[:, 2:]).max(axis=1)
-    arrays.diag_norm, arrays.rowsum, arrays.colsum = norms
-    return arrays
+    return t
 
 
 def _leaf_values(q, at, nr, nc, mirror):
@@ -458,8 +476,8 @@ def _leaf_values(q, at, nr, nc, mirror):
         with np.errstate(over="ignore"):  # an overflowing norm is inf
             sq = (q[lo:hi] ** 2).tolist()
         ends = at[piece] - lo, at[piece] - lo + nr[piece] * nc[piece]
-        norm[piece] = [math.fsum(sq[a:b]) for a, b in
-                       zip(*(x.tolist() for x in ends))]
+        norm[piece] = np.sqrt([_fsum(sq[a:b]) for a, b in
+                               zip(*(x.tolist() for x in ends))])
     other = np.flatnonzero(at > mirror)
     norm[other] = norm[own[np.searchsorted(at[own], mirror[other])]]
     for a, b in set(zip(nr.tolist(), nc.tolist())):
@@ -470,7 +488,7 @@ def _leaf_values(q, at, nr, nc, mirror):
             d = q[at[piece, None] + np.arange(a * b)].reshape(-1, a, b)
             rowsum[piece] = d.sum(axis=2).max(axis=1)
             colsum[piece] = d.sum(axis=1).max(axis=1)
-    return np.sqrt(norm), rowsum, colsum
+    return norm, rowsum, colsum
 
 
 def _pair_table(shells, leaves, live):

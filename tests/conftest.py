@@ -59,6 +59,23 @@ def write_density_file(path, p):
                     + "\n")
 
 
+def flatten(root):
+    """The nodes under ``root`` (a MatrixQuadtree or a ShellPairNode view),
+    parents first, and each one's child ids: row x holds at 2 * a + b the
+    id of child (a, b), -1 where there is none, and a leaf stands in for
+    itself at 0. This is the layout of both trees' node arrays."""
+    nodes = [root]
+    for node in nodes:
+        nodes.extend(node.children.values())
+    index = {id(node): i for i, node in enumerate(nodes)}
+    child = np.full((len(nodes), 4), -1, dtype=np.intp)
+    for i, node in enumerate(nodes):
+        child[i, 0] = i if node.is_leaf else -1
+        for (a, b), ch in node.children.items():
+            child[i, 2 * a + b] = index[id(ch)]
+    return nodes, child
+
+
 def leaf_spans(span):
     """Leaf spans under ``span``, left to right."""
     if span.is_leaf:

@@ -209,6 +209,19 @@ def test_overflowing_density_exits_2(tmp_path, capsys, scale):
     assert "density magnitude" in capsys.readouterr().err
 
 
+def test_density_whose_block_norms_overflow_exits_2(tmp_path, capsys):
+    # at 1e154 every entry's square is finite, but a leaf block's sum of
+    # squares passes the largest double: its norm is inf, as at 2e154, and
+    # the run exits 2 naming the density, not 1 from an OverflowError in
+    # the density tree's norms
+    dens = tmp_path / "p.txt"
+    write_density_file(dens, 1e154 * build_density(generate_cluster(2, seed=3),
+                                                   DensityModel()))
+    assert main(["--system", "water:2", "--leaf-size", "3",
+                 "--density", f"file:{dens}"]) == 2
+    assert "rescale the density" in capsys.readouterr().err
+
+
 def test_overflowing_density_series_exits_2(tmp_path, capsys):
     # the series takes the single run's checked path: no overflow warning,
     # exit 2 with the same message, and the CSV ends in an error record

@@ -17,9 +17,9 @@ from hexfock import (build_exchange_naive, build_exchange_symmetric,
 from hexfock.exchange_naive import leaf_cache
 from hexfock.integrals import eri_elementwise
 from hexfock.quadtree import (build_matrix_tree, build_pair_tree,
-                              build_partition, flatten)
+                              build_partition)
 
-from conftest import build_setup, end_worker, leaf_spans
+from conftest import build_setup, end_worker, flatten, leaf_spans
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_counters.json").read_text())
@@ -356,13 +356,13 @@ def test_walk_pieces_do_not_change_the_result(monkeypatch, driver):
 @pytest.mark.parametrize("driver", ["naive", "symmetry"])
 def test_walk_memory_is_bounded(monkeypatch, driver):
     # the frontier moves in pieces and leaf tasks are screened in bounded
-    # groups, and the leaf tables exist once, on the pair tree's root, so an
-    # evaluated water:70 build at leaf 10 stays small; one unpieced frontier
-    # peaks far higher
-    # one process, one unsplit walk: tracemalloc does not see a forked
-    # worker's memory, and a frontier dealt at the root leaves share 1 empty
+    # groups, the leaf tables exist once, on the pair tree's root, and the
+    # walk reads the density tree's own arrays, so an evaluated water:70
+    # build at leaf 10 stays small; one unpieced frontier peaks far higher
+    # one CPU: tracemalloc does not see a forked worker's memory, so both
+    # shares of the split that builds take are walked in this process, the
+    # second with a K of its own
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(exchange_naive, "_SPLIT_TASKS", 1)
     _, pairs, P_tree, _ = build_setup(70, tau_ovlp=1e-11, leaf_size=10)
     tracemalloc.start()
     try:
@@ -431,31 +431,33 @@ def test_leaf_cache_keeps_one_table_set_on_the_root(monkeypatch, order):
                          ids=["naive-first", "symmetry-first"])
 def test_a_fresh_pair_tree_is_indexed_once(monkeypatch, order):
     # a pair tree's first build makes its one index object, node arrays and
-    # leaf tables alike, from the tree's node arrays, with no flatten pass
-    # and no child view; later builds, by either driver, read that object
-    # back, and every build flattens only the density tree
+    # leaf tables alike, from the tree's node arrays; later builds, by
+    # either driver, read that object back. No build flattens anything:
+    # neither tree gets a child view, and every walk's density is the
+    # density tree's own node arrays
     system, pairs, P_tree, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
     tree = build_pair_tree(system, pairs.row, tau_ovlp=1e-11)
-    indexed, flattened = [], []
+    indexed, densities = [], []
 
     def indexing(root):
         indexed.append(root)
         return index_type(root)
 
-    def counting(root):
-        flattened.append(root)
-        return flatten(root)
+    def traversal(self, index, job):
+        densities.append(job.P)
+        init(self, index, job)
 
     index_type = exchange_naive._PairIndex
+    init = exchange_naive.Traversal.__init__
     monkeypatch.setattr(exchange_naive, "_PairIndex", indexing)
-    monkeypatch.setattr(exchange_naive, "flatten", counting)
+    monkeypatch.setattr(exchange_naive.Traversal, "__init__", traversal)
     for driver, n in zip(order + order, (1, 0, 0, 0)):
         indexed.clear()
-        flattened.clear()
+        densities.clear()
         _build(driver, tree, P_tree)
         assert len(indexed) == n and all(root is tree for root in indexed)
-        assert len(flattened) == 1 and flattened[0] is P_tree
-    assert tree._children is None
+        assert densities and all(P is P_tree._arrays for P in densities)
+    assert tree._children is None and P_tree._children is None
 
 
 @st.composite

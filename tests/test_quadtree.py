@@ -13,9 +13,9 @@ from hexfock.integrals import (InvalidArgumentError, build_pair_data,
                                diagonal_values, eri_quartet, overlap)
 from hexfock.quadtree import (_PRIM_CHUNK, _candidate_pairs,
                               build_matrix_tree, build_pair_tree,
-                              build_partition, flatten, shell_overlap_matrix)
+                              build_partition, shell_overlap_matrix)
 
-from conftest import build_setup, leaf_spans
+from conftest import build_setup, flatten, leaf_spans
 
 
 def _line_system(n_shells, spacing=1.0, exponent=1.0):
@@ -87,16 +87,104 @@ def test_partition_depth_scales_logarithmically():
 # ---------------------------------------------------------------- matrix tree
 
 def _assert_leaves_tile(tree, m):
-    """Each leaf block of ``tree`` is bitwise its slice of ``m``, and ``m``
-    is zero outside the leaf blocks."""
-    rest = m.copy()
+    """Each leaf block of ``tree`` is bitwise its slice of ``m``, whose row
+    and col 0 are the tree's first shell, and ``m`` is zero outside the
+    leaf blocks."""
+    rest, lo = m.copy(), tree.row.shell_lo
     for node in flatten(tree)[0]:
         if node.is_leaf:
-            block = (slice(node.row.shell_lo, node.row.shell_hi),
-                     slice(node.col.shell_lo, node.col.shell_hi))
+            block = (slice(node.row.shell_lo - lo, node.row.shell_hi - lo),
+                     slice(node.col.shell_lo - lo, node.col.shell_hi - lo))
             assert node.leaf.tobytes() == m[block].tobytes()
             rest[block] = 0.0
     assert not rest.any()
+
+
+def _fsum(values):
+    # math.fsum raises where finite terms sum past the largest double; the
+    # trees take that sum as inf, as they take a sum holding an inf term
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _rss(values):
+    return math.sqrt(_fsum(v * v for v in values))
+
+
+def _frobenius(block):
+    with np.errstate(over="ignore"):
+        squares = block.astype(float) ** 2
+    return math.sqrt(_fsum(squares.ravel().tolist()))
+
+
+class _RefMatrixNode:
+    """A node of the recursive reference build of a matrix tree."""
+
+    def __init__(self, row, col, norm, children=None, leaf=None):
+        self.row, self.col, self.norm = row, col, norm
+        self.children, self.leaf = children or {}, leaf
+        self.is_leaf = row.is_leaf and col.is_leaf
+
+
+def _build_matrix(dense, row, col, lo):
+    """The matrix tree over the (row, col) block of ``dense``, whose row and
+    col 0 are shell ``lo``, as one recursion built it, one object per node:
+    a leaf block of norm 0 is absent (None), and so is an inner block with
+    no child; a node's norm is its block's Frobenius norm, a leaf's from
+    its entries, an inner node's from its children's norms."""
+    if row.is_leaf and col.is_leaf:
+        block = dense[row.shell_lo - lo:row.shell_hi - lo,
+                      col.shell_lo - lo:col.shell_hi - lo]
+        norm = _frobenius(block)
+        if norm == 0.0:  # exactly zero, or its squares underflow
+            return None
+        return _RefMatrixNode(row, col, norm, leaf=block)
+    children = {}
+    for a, r in enumerate(row.children()):
+        for b, c in enumerate(col.children()):
+            ch = _build_matrix(dense, r, c, lo)
+            if ch is not None:
+                children[(a, b)] = ch
+    if not children:
+        return None
+    return _RefMatrixNode(row, col, _rss(ch.norm for ch in children.values()),
+                          children=children)
+
+
+def _assert_matrix_tree_matches_reference(m, part):
+    # the array-built tree, through its node arrays and its views, node by
+    # node the recursive build: the same nodes and child ids, absent
+    # blocks absent, norms equal as float.hex and leaf blocks as bytes;
+    # each padded block is zero beyond its leaf's spans
+    tree = build_matrix_tree(m, part)
+    ref = (_build_matrix(m, part, part, part.shell_lo)
+           or _RefMatrixNode(part, part, 0.0,
+                             leaf=m if part.is_leaf else None))
+    nodes, child = flatten(tree)
+    ref_nodes, ref_child = flatten(ref)
+    arrays = tree._arrays
+    assert child.tobytes() == ref_child.tobytes()
+    assert arrays.child.tobytes() == ref_child.tobytes()
+    assert arrays.n == part.n_functions
+    assert list(map(float.hex, arrays.norm.tolist())) \
+        == [float.hex(r.norm) for r in ref_nodes]
+    for node, r in zip(nodes, ref_nodes):
+        assert node.row is r.row and node.col is r.col
+        assert node.is_leaf == r.is_leaf
+        assert float.hex(node.norm) == float.hex(r.norm)
+        assert set(node.children) == set(r.children)
+        assert (node.leaf is None) == (r.leaf is None)
+        if r.leaf is not None:
+            assert node.leaf.shape == r.leaf.shape
+            assert node.leaf.tobytes() == r.leaf.tobytes()
+            padded = arrays.blocks[arrays.slot[node._node]].copy()
+            padded[:r.leaf.shape[0], :r.leaf.shape[1]] = 0.0
+            assert not padded.any()
+    assert sorted(arrays.slot[arrays.slot >= 0].tolist()) \
+        == list(range(len(arrays.blocks)))
+    return tree
 
 
 def test_matrix_tree_zero_matrix():
@@ -171,6 +259,89 @@ def test_matrix_tree_norm_telescoping():
             walk(ch)
 
     walk(tree)
+
+
+# per leaf block of a drawn matrix: exactly zero, squares that underflow,
+# plain, squares whose sum overflows (two squares of 1e308 or more), or
+# squares that overflow
+_BLOCK_SCALES = (0.0, 1e-170, 1.0, 1.2e154, 2e154)
+
+
+@st.composite
+def _matrices(draw):
+    """A ragged partition (leaf 1-7) or a sub-span of one, and a matrix over
+    it whose leaf blocks are each scaled by one of _BLOCK_SCALES."""
+    part = build_partition(_line_system(draw(st.integers(1, 40))),
+                           leaf_size=draw(st.integers(1, 7)))
+    for right in draw(st.lists(st.booleans(), max_size=3)):
+        if not part.is_leaf:
+            part = part.right if right else part.left
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.random(len(_BLOCK_SCALES)) ** 3
+    lo, size = part.shell_lo, part.n_functions
+    edges = [leaf.shell_lo - lo for leaf in leaf_spans(part)] + [size]
+    scale = rng.choice(_BLOCK_SCALES, p=weights / weights.sum(),
+                       size=(len(edges) - 1,) * 2)
+    m = rng.uniform(0.5, 1.0, size=(size, size)) \
+        * rng.choice([-1.0, 1.0], size=(size, size))
+    m *= np.repeat(np.repeat(scale, np.diff(edges), axis=0), np.diff(edges),
+                   axis=1)
+    if draw(st.booleans()):  # exactly symmetric, as densities are
+        m = np.triu(m) + np.triu(m, 1).T
+    return m, part
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_matrix_tree_arrays_equal_the_recursive_build(problem):
+    _assert_matrix_tree_matches_reference(*problem)
+
+
+@pytest.mark.parametrize("leaf_size", range(1, 8))
+def test_matrix_tree_equals_the_recursive_build_at_every_leaf_size(leaf_size):
+    # a ragged partition of a water cluster's density with exact-zero,
+    # underflowing and overflowing blocks, symmetric and not, and the same
+    # densities over the root's right span
+    system, pairs, _, P = build_setup(5, tau_ovlp=1e-11, leaf_size=leaf_size)
+    P = P.copy()
+    n = len(P)
+    P[: n // 3, 2 * n // 3:] = P[2 * n // 3:, : n // 3] = 0.0
+    P[n // 3: n // 2, 2 * n // 3:] = P[2 * n // 3:, n // 3: n // 2] = 1e-170
+    P[:2, :2] = 1.2e154
+    P[-1, -1] = 2e154
+    skewed = P.copy()
+    skewed[n // 2, 0] = 0.5
+    right = pairs.row.right
+    lo, hi = right.shell_lo, right.shell_hi
+    for m in (P, skewed):
+        tree = _assert_matrix_tree_matches_reference(m, pairs.row)
+        assert tree.norm == math.inf
+        _assert_matrix_tree_matches_reference(m[lo:hi, lo:hi], right)
+
+
+def test_matrix_tree_over_a_sub_span_reads_its_own_blocks():
+    # a matrix over a span that does not start at shell 0 is read from its
+    # own row and col 0: a nonzero m has a nonzero norm and its leaves tile
+    # it (the tree once read m at the absolute shells, and found nothing)
+    _, pairs, _, P = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
+    right = pairs.row.right
+    assert (right.shell_lo, right.shell_hi) == (10, 20)
+    m = P[10:20, 10:20]
+    tree = build_matrix_tree(m, right)
+    assert tree.norm == pytest.approx(np.linalg.norm(m), rel=1e-14)
+    _assert_leaves_tile(tree, m)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_pair_tree_rejects_a_partition_of_other_shells(side):
+    # a span that does not cover exactly the system's shells is an input
+    # error naming both ranges, not an IndexError from the liveness table
+    system, pairs, _, _ = build_setup(5, tau_ovlp=1e-11, leaf_size=3)
+    span = getattr(pairs.row, side)
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"shells {span.shell_lo}:{span.shell_hi}.*"
+                             rf"shells 0:{system.n_shells}"):
+        build_pair_tree(system, span, tau_ovlp=1e-11)
 
 
 # ---------------------------------------------------------------- pair tree
@@ -495,16 +666,6 @@ class _RefNode:
         self.ids = self.diag = None
 
 
-def _rss(values):
-    return math.sqrt(math.fsum(v * v for v in values))
-
-
-def _frobenius(block):
-    with np.errstate(over="ignore"):
-        squares = block.astype(float) ** 2
-    return math.sqrt(math.fsum(squares.ravel().tolist()))
-
-
 def _build_pairs(row, col, live, leaf_of, base, ids, q):
     """The pair tree as one recursion built it, one object per node: pruned
     iff its slice of ``live`` is all False; a surviving leaf takes its
@@ -554,7 +715,9 @@ def _assert_tree_matches_reference(system, leaf_size, tau):
     part = build_partition(system, leaf_size=leaf_size)
     tree = build_pair_tree(system, part, tau_ovlp=tau)
     leaves = leaf_spans(part)
-    leaf_of, live = quadtree._live_blocks(system.shells, leaves, tau)
+    live = quadtree._live_blocks(system.shells, leaves, tau)
+    leaf_of = np.repeat(np.arange(len(leaves)),
+                        [lf.n_functions for lf in leaves])
     _, base, ids, q = quadtree._pair_table(system.shells, leaves, live)
     ref_nodes, ref_child = flatten(_build_pairs(part, part, live,
                                                 leaf_of.tolist(), base, ids, q))
